@@ -6,6 +6,7 @@ from .errors import (
     EnumerationStalledError,
     HypothesisViolatedError,
     IndexOutOfRangeError,
+    InvalidInputError,
     LpisoError,
     NoBackdoorError,
     NonterminalRequiredError,
@@ -81,15 +82,27 @@ from .chain_partition import (
     partition_chains,
     stage_bounds,
 )
-from .iso_cli import (
-    IsometryApprox,
-    SynthesisBudget,
-    apply_isometry,
-    compute_e0_wrt_F,
-    identity_reduction,
-    recover_p,
-    recover_scale_from_atom,
-    synthesize_isometry,
+
+# The CLI module is loaded on first use, so that ``python -m lpiso.iso_cli``
+# does not find it already imported by the package.
+_CLI_EXPORTS = (
+    "IsometryApprox",
+    "SynthesisBudget",
+    "apply_isometry",
+    "compute_e0_wrt_F",
+    "identity_reduction",
+    "recover_p",
+    "recover_scale_from_atom",
+    "synthesize_isometry",
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def __getattr__(name):
+    if name in _CLI_EXPORTS:
+        from . import iso_cli
+
+        return getattr(iso_cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = [name for name in dir() if not name.startswith("_")] + list(_CLI_EXPORTS)

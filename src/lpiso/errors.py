@@ -68,6 +68,12 @@ class IndexOutOfRangeError(LpisoError):
     """A vector referenced coordinates outside a synthesized isometry's range."""
 
 
+class InvalidInputError(LpisoError):
+    """A command-line argument or input document is malformed or out of
+    range: an unparsable number or JSON text, an unknown presentation
+    type, an exponent below 1, a negative count."""
+
+
 class PrecisionExhaustedError(LpisoError):
     """An adaptive refinement hit the hard precision cap without certifying.
 

@@ -681,12 +681,30 @@ def approximate_extend(
     of phi.  The whole closed ball of radius 2**-radius_bits around the
     result retains injectivity, nonvanishing, and the success clauses, so
     the stage builder can reuse the certificate for its ball conditions.
+
+    This is the entry point for untrusted input: phi is validated first,
+    and NotPartialDisintegrationError is raised when the validation
+    refutes it.  build_disintegration, whose stages are certified by
+    construction, skips that check.
     """
-    budget = budget or SearchBudget()
     verdict = validate_partial_disintegration(phi)
     if verdict.is_no:
         raise NotPartialDisintegrationError(verdict.witness)
+    return _extend(phi, n_index, k, pres, budget, force_growth=force_growth)
 
+
+def _extend(
+    phi: TreeMap,
+    n_index: int,
+    k: int,
+    pres: Presentation,
+    budget: Optional[SearchBudget] = None,
+    *,
+    force_growth: bool = False,
+) -> ExtendResult:
+    """approximate_extend without validating phi: the caller vouches that
+    phi is a partial disintegration."""
+    budget = budget or SearchBudget()
     for round_idx in range(budget.rounds):
         candidates: List[Tuple[Optional[Proposal], RationalBall, Optional[dict]]] = []
         proposal = build_guided_proposal(
@@ -1048,6 +1066,11 @@ def build_disintegration(
     stage n within 2^-(k_n + 1) while pushing the success index past n.
     The k_n grow monotonically, so the stagewise limits exist with
     geometric moduli.
+
+    Stages are not re-validated before they are extended: stage 0 is
+    certified nonzero and every later stage comes out of certify_ball, so
+    validation could never refute them.  Use approximate_extend to extend
+    a map of unknown provenance.
     """
     budget = budget or SearchBudget()
     pres.p.side_of_two()  # raises PEqualsTwoError up front
@@ -1077,9 +1100,7 @@ def build_disintegration(
 
     for n in range(n_target):
         prev = stages[-1]
-        result = approximate_extend(
-            prev.phi_hat, n, prev.ball_bits + 1, pres, budget, force_growth=True
-        )
+        result = _extend(prev.phi_hat, n, prev.ball_bits + 1, pres, budget, force_growth=True)
         if not prev.phi_hat.tree.is_subtree_of(result.tree) or len(result.tree) <= len(
             prev.phi_hat.tree
         ):

@@ -29,12 +29,13 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from .chain_partition import chain_limit, partition_chains
 from .errors import (
     BudgetExhaustedError,
     IndexOutOfRangeError,
+    InvalidInputError,
     LpisoError,
     NoBackdoorError,
     PrecisionExhaustedError,
@@ -419,11 +420,30 @@ def recover_p(
 # ---------------------------------------------------------------------------
 
 
+T = TypeVar("T")
+
+
+def _parse(what: str, fn: Callable[..., T], *args) -> T:
+    """fn(*args), with a malformed input reported as InvalidInputError."""
+    try:
+        return fn(*args)
+    except (ValueError, TypeError, KeyError, AttributeError, OSError) as exc:
+        raise InvalidInputError(f"bad {what}: {exc}") from exc
+
+
 def _load_json_arg(text: str) -> dict:
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as fh:
             return json.load(fh)
     return json.loads(text)
+
+
+def _exponent(text: str) -> PExponent:
+    return PExponent.from_fraction(parse_fraction(text))
+
+
+def _tree_map_arg(text: str, p: PExponent) -> TreeMap:
+    return TreeMap.from_json(_load_json_arg(text), p)
 
 
 def _interval_json(box: DyadicInterval) -> dict:
@@ -437,19 +457,34 @@ def _emit(report: dict) -> int:
 
 
 def _p_from_args(args) -> PExponent:
-    return PExponent.from_fraction(parse_fraction(args.p))
+    return _parse("--p", _exponent, args.p)
 
 
 def _pres_from_args(args) -> Presentation:
-    desc = _load_json_arg(args.pres)
-    default_p = PExponent.from_fraction(parse_fraction(args.p)) if getattr(args, "p", None) else None
-    return presentation_from_descriptor(desc, default_p)
+    desc = _parse("--pres", _load_json_arg, args.pres)
+    default_p = _p_from_args(args) if getattr(args, "p", None) else None
+    return _parse("--pres", presentation_from_descriptor, desc, default_p)
+
+
+# integer options that count something or set a precision: never negative
+_COUNT_OPTIONS = (
+    "k", "n", "stages", "units", "cert_bits", "generation_bits",
+    "theta_steps", "stage_budget", "k_bits",
+)
+
+
+def _check_counts(args) -> None:
+    for name in _COUNT_OPTIONS:
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            option = "--" + name.replace("_", "-")
+            raise InvalidInputError(f"{option} must be >= 0, got {value}")
 
 
 def _cmd_sigma(args) -> int:
     p = _p_from_args(args)
-    z = GaussianRational.parse(args.z)
-    w = GaussianRational.parse(args.w)
+    z = _parse("--z", GaussianRational.parse, args.z)
+    w = _parse("--w", GaussianRational.parse, args.w)
     s1 = sigma1_scalar(z, w, p, args.k)
     report = {
         "command": "sigma",
@@ -464,11 +499,11 @@ def _cmd_sigma(args) -> int:
 
 def _cmd_lamperti_check(args) -> int:
     p = _p_from_args(args)
-    z = GaussianRational.parse(args.z)
-    w = GaussianRational.parse(args.w)
+    z = _parse("--z", GaussianRational.parse, args.z)
+    w = _parse("--w", GaussianRational.parse, args.w)
     s = sigma_scalar(z, w, p, args.k)
     m = abs_pow(z, p, args.k).min_with(abs_pow(w, p, args.k))
-    certified = m.lo <= s.hi + _width_target(args.k - 2)
+    certified = m.lo <= s.hi + 4 * _width_target(args.k)
     strict = m.hi <= s.lo
     report = {
         "command": "lamperti-check",
@@ -487,8 +522,10 @@ def _cmd_lamperti_check(args) -> int:
 def _cmd_lamperti_grid(args) -> int:
     p = _p_from_args(args)
     theta_steps = args.theta_steps
-    t_step = parse_fraction(args.t_step)
-    t_max = parse_fraction(args.t_max)
+    t_step = _parse("--t-step", parse_fraction, args.t_step)
+    t_max = _parse("--t-max", parse_fraction, args.t_max)
+    if theta_steps < 1 or t_step <= 0:
+        raise InvalidInputError("--theta-steps must be >= 1 and --t-step > 0")
     best: Optional[Tuple[Fraction, Fraction]] = None
     best_box: Optional[DyadicInterval] = None
     theta = Fraction(0)
@@ -523,8 +560,7 @@ def _cmd_lamperti_grid(args) -> int:
 
 def _cmd_validate_tree(args) -> int:
     p = _p_from_args(args)
-    data = _load_json_arg(args.tree)
-    psi = TreeMap.from_json(data, p)
+    psi = _parse("--tree", _tree_map_arg, args.tree, p)
     verdict = validate_partial_disintegration(psi, args.k)
     report = {
         "command": "validate-tree",
@@ -537,8 +573,8 @@ def _cmd_validate_tree(args) -> int:
 
 def _cmd_project_hom(args) -> int:
     p = _p_from_args(args)
-    phi = TreeMap.from_json(_load_json_arg(args.phi), p)
-    psi = TreeMap.from_json(_load_json_arg(args.psi), p)
+    phi = _parse("--phi", _tree_map_arg, args.phi, p)
+    psi = _parse("--psi", _tree_map_arg, args.psi, p)
     bound = distance_bound(phi, psi, args.k)
     out = project_to_strong_hom(phi, psi, args.k)
     report = {
@@ -556,7 +592,7 @@ def _cmd_project_hom(args) -> int:
 def _cmd_extend(args) -> int:
     pres = _pres_from_args(args)
     if args.phi:
-        phi_map = TreeMap.from_json(_load_json_arg(args.phi), pres.p)
+        phi_map = _parse("--phi", _tree_map_arg, args.phi, pres.p)
         values = {
             node: ComputableVector.constant(
                 pres.encode_vector(phi_map.value(node), args.k + 6), pres
@@ -633,9 +669,9 @@ def _cmd_synthesize(args) -> int:
 
 def _cmd_apply(args) -> int:
     pres = _pres_from_args(args)
+    x = _parse("--vector", lambda text: FinSuppVector.from_json(_load_json_arg(text)), args.vector)
     budget = SynthesisBudget(cert_bits=args.cert_bits)
     iso = synthesize_isometry(pres, args.units, budget)
-    x = FinSuppVector.from_json(_load_json_arg(args.vector))
     combo = apply_isometry(iso, x, args.k)
     report = {
         "command": "apply",
@@ -647,7 +683,7 @@ def _cmd_apply(args) -> int:
 
 
 def _adversarial_pres(args) -> Tuple[OracleAdapter, PExponent]:
-    ce = CeSet.from_json(_load_json_arg(args.ce))
+    ce = _parse("--ce", lambda text: CeSet.from_json(_load_json_arg(text)), args.ce)
     mode = "staged" if args.staged else "transparent"
     oracle = OracleAdapter(ce, mode, stage_budget=args.stage_budget)
     return oracle, _p_from_args(args)
@@ -818,6 +854,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     try:
+        _check_counts(args)
         return args.fn(args)
     except ProvisionalError as exc:
         print(

@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -32,6 +33,7 @@ from .errors import (
 )
 from .lp_vectors import (
     FinSuppVector,
+    NormFn,
     is_disjointly_supported,
     norm_p,
     precedes,
@@ -331,10 +333,13 @@ def _incomparable_pairs(tree: FiniteTree) -> List[Tuple[TreeNode, TreeNode]]:
     return out
 
 
-def _sigma1_pair(f: TreeValue, g: TreeValue, p: PExponent, k: int) -> DyadicInterval:
+def _sigma1_pair(
+    f: TreeValue, g: TreeValue, norm_f: NormFn, norm_g: NormFn, p: PExponent, k: int
+) -> DyadicInterval:
+    """sigma1 of (f, g), with the norms of f and g supplied by the caller."""
     return sigma1_from_norms(
-        lambda kk: _vnorm(f, p, kk),
-        lambda kk: _vnorm(g, p, kk),
+        norm_f,
+        norm_g,
         lambda kk: _vnorm(f - g, p, kk),
         lambda kk: _vnorm(f + g, p, kk),
         p,
@@ -346,21 +351,41 @@ def sigma_tree(psi: TreeMap, k: int) -> DyadicInterval:
     """sigma(psi): the strong-homomorphism defect, from norm queries only.
 
     Zero exactly when psi is a strong reverse-order homomorphism; needs the
-    exponent certified apart from 2.
+    exponent certified apart from 2.  Each node's norm is taken once per
+    precision and shared by every pair the node belongs to.
     """
     incomp = _incomparable_pairs(psi.tree)
     comp = _comparable_pairs(psi.tree)
     count = len(incomp) + len(comp)
     if count == 0:
         return ZERO_INTERVAL
+    p = psi.p
+
+    def node_norm(node: TreeNode) -> NormFn:
+        value = psi.value(node)
+        memo: Dict[int, DyadicInterval] = {}
+
+        def fn(kk: int) -> DyadicInterval:
+            if kk not in memo:
+                memo[kk] = _vnorm(value, p, kk)
+            return memo[kk]
+
+        return fn
+
+    node_norms = {node: node_norm(node) for node in psi.nodes()}
     kk = k + count.bit_length() + 2
     while True:
         total = ZERO_INTERVAL
         for a, b in incomp:
-            total = total + _sigma1_pair(psi.value(a), psi.value(b), psi.p, kk)
+            total = total + _sigma1_pair(
+                psi.value(a), psi.value(b), node_norms[a], node_norms[b], p, kk
+            )
         for a, b in comp:
-            total = total + _sigma1_pair(psi.value(b) - psi.value(a), psi.value(b), psi.p, kk)
-        out = lamperti_constant(psi.p, kk) * total
+            f = psi.value(b) - psi.value(a)
+            total = total + _sigma1_pair(
+                f, psi.value(b), partial(_vnorm, f, p), node_norms[b], p, kk
+            )
+        out = lamperti_constant(p, kk) * total
         if out.width <= _width_target(k):
             return out
         kk += max(4, kk // 2)
@@ -701,29 +726,28 @@ def distance_bound(phi: TreeMap, psi: TreeMap, k: int) -> DyadicInterval:
             raise PrecisionExhaustedError("distance bound exceeded the precision cap")
 
 
-def _sigma_hat(
-    psi0: TreeMap, coords: List[int], k: int
-) -> Dict[int, DyadicInterval]:
-    """Per-coordinate thresholds: sum of min(...)^p terms over node pairs."""
-    p = psi0.p
-    incomp = _incomparable_pairs(psi0.tree)
-    comp = _comparable_pairs(psi0.tree)
-    out: Dict[int, DyadicInterval] = {}
-    for n in coords:
-        total = ZERO_INTERVAL
-        for a, b in incomp:
-            za, zb = psi0.value(a)[n], psi0.value(b)[n]
-            if za.is_zero() or zb.is_zero():
-                continue
-            total = total + abs_pow(za, p, k).min_with(abs_pow(zb, p, k))
-        for a, b in comp:
-            zb = psi0.value(b)[n]
-            dz = zb - psi0.value(a)[n]
-            if zb.is_zero() or dz.is_zero():
-                continue
-            total = total + abs_pow(dz, p, k).min_with(abs_pow(zb, p, k))
-        out[n] = total
-    return out
+ThresholdTerms = Dict[int, List[Tuple[GaussianRational, GaussianRational]]]
+
+
+def _threshold_terms(psi0: TreeMap) -> ThresholdTerms:
+    """coordinate -> the (x, y) pairs whose min(|x|^p, |y|^p) enter its threshold.
+
+    Incomparable pairs contribute (psi(a)[n], psi(b)[n]) and comparable pairs
+    (psi(b)[n] - psi(a)[n], psi(b)[n]), on the coordinates where both are
+    nonzero; each coordinate's list follows the pair order.
+    """
+    index: ThresholdTerms = {}
+    for a, b in _incomparable_pairs(psi0.tree):
+        va, vb = psi0.value(a), psi0.value(b)
+        for n in va.support() & vb.support():
+            index.setdefault(n, []).append((va[n], vb[n]))
+    for a, b in _comparable_pairs(psi0.tree):
+        va, vb = psi0.value(a), psi0.value(b)
+        for n in vb.support():
+            dz = vb[n] - va[n]
+            if not dz.is_zero():
+                index.setdefault(n, []).append((dz, vb[n]))
+    return index
 
 
 def project_to_strong_hom(
@@ -758,12 +782,17 @@ def project_to_strong_hom(
     cells = max(1, len(new_nodes) * max(1, len(coords)))
     delta = _width_target(k) / cells  # per-(node, coordinate) slack
 
+    terms = _threshold_terms(psi0)
     sigma_hat_cache: Dict[Tuple[int, int], DyadicInterval] = {}
 
     def sigma_hat_at(n: int, prec: int) -> DyadicInterval:
+        """Threshold at coordinate n: sum of min(|x|^p, |y|^p) over its terms."""
         key = (n, prec)
         if key not in sigma_hat_cache:
-            sigma_hat_cache[key] = _sigma_hat(psi0, [n], prec)[n]
+            total = ZERO_INTERVAL
+            for x, y in terms.get(n, ()):
+                total = total + abs_pow(x, p, prec).min_with(abs_pow(y, p, prec))
+            sigma_hat_cache[key] = total
         return sigma_hat_cache[key]
 
     def certified_greater(z: GaussianRational, n: int, prec: int) -> bool:

@@ -9,6 +9,7 @@ from lpiso.chain_partition import FiniteDisintegration
 from lpiso.tree_maps import ROOT, FiniteTree, TreeMap, TreeNode
 
 P1 = PExponent.from_fraction(1)
+P3 = PExponent.from_fraction(3)
 
 
 def rational_vector(entries):
@@ -68,3 +69,45 @@ def random_partial_disintegration(rng, p, max_top=2, max_support=4):
                 values[node.child(1)] = values[node].restrict(right)
     tree = FiniteTree(values.keys())
     return TreeMap(tree, values, p)
+
+
+def projection_instances(rng):
+    """Endless (p, phi, psi) projection instances: phi a small random partial
+    disintegration, psi phi plus one or two new children below its nodes
+    (so the extension hypothesis holds), psi's tree at most six nodes."""
+    while True:
+        p = rng.choice([P1, P1, P3])
+        phi = random_partial_disintegration(rng, p)
+        if len(phi.tree) > 5:
+            continue
+        targets = phi.nodes()
+        extra = {}
+        for _ in range(rng.randint(1, 2)):
+            base = rng.choice(targets)
+            child = base.child(rng.randint(5, 9))
+            if child in phi.tree or child in extra:
+                continue
+            style = rng.random()
+            if style < 0.4:
+                vec = phi.value(base).restrict(
+                    list(phi.value(base).support())[:1]
+                )
+            elif style < 0.8:
+                vec = phi.value(base) + rational_vector(
+                    {20 + rng.randint(0, 3): Fraction(rng.randint(1, 4), 4)}
+                )
+            else:
+                vec = rational_vector(
+                    {20 + rng.randint(0, 3): Fraction(rng.randint(1, 8), 4)}
+                )
+            if vec.is_zero():
+                continue
+            extra[child] = vec
+        if not extra:
+            continue
+        values = dict(phi.values)
+        values.update(extra)
+        psi = TreeMap(FiniteTree(values.keys()), values, p)
+        if len(psi.tree) > 6:
+            continue
+        yield p, phi, psi

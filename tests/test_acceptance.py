@@ -4,6 +4,8 @@ One test per criterion; each prints a PASS line on success (run with -s or
 read the verbose test names).  Tolerances are pinned here, not deferred.
 """
 
+import hashlib
+import itertools
 import json
 import random
 import time
@@ -39,6 +41,7 @@ from lpiso.extension_engine import approximate_extend
 from lpiso.iso_cli import (
     SynthesisBudget,
     compute_e0_wrt_F,
+    main as cli_main,
     recover_p,
     recover_scale_from_atom,
     synthesize_isometry,
@@ -56,7 +59,12 @@ from lpiso.tree_maps import (
     tree_distance,
 )
 
-from conftest import random_disintegration, random_partial_disintegration, rational_vector
+from conftest import (
+    projection_instances,
+    random_disintegration,
+    random_partial_disintegration,
+    rational_vector,
+)
 
 P1 = PExponent.from_fraction(1)
 P32 = PExponent.from_fraction(Fraction(3, 2))
@@ -193,44 +201,8 @@ class TestCriterion3BoundCounterexample:
 class TestCriterion4ProjectionSoundness:
     def test_two_hundred_random_instances(self):
         start = time.time()
-        rng = random.Random(77)
-        count = 0
-        while count < 200:
-            p = rng.choice([P1, P1, P3])
-            phi = random_partial_disintegration(rng, p)
-            if len(phi.tree) > 5:
-                continue
-            # extend below existing non-root nodes so the hypothesis holds
-            targets = phi.nodes()
-            extra = {}
-            for _ in range(rng.randint(1, 2)):
-                base = rng.choice(targets)
-                child = base.child(rng.randint(5, 9))
-                if child in phi.tree or child in extra:
-                    continue
-                style = rng.random()
-                if style < 0.4:
-                    vec = phi.value(base).restrict(
-                        list(phi.value(base).support())[:1]
-                    )
-                elif style < 0.8:
-                    vec = phi.value(base) + rational_vector(
-                        {20 + rng.randint(0, 3): Fraction(rng.randint(1, 4), 4)}
-                    )
-                else:
-                    vec = rational_vector(
-                        {20 + rng.randint(0, 3): Fraction(rng.randint(1, 8), 4)}
-                    )
-                if vec.is_zero():
-                    continue
-                extra[child] = vec
-            if not extra:
-                continue
-            values = dict(phi.values)
-            values.update(extra)
-            psi = TreeMap(FiniteTree(values.keys()), values, p)
-            if len(psi.tree) > 6:
-                continue
+        instances = projection_instances(random.Random(77))
+        for count, (p, phi, psi) in enumerate(itertools.islice(instances, 200)):
             bound = distance_bound(phi, psi, 24)
             out = project_to_strong_hom(phi, psi, 24)
             assert check_strong_hom_exact(out), f"instance {count}"
@@ -238,7 +210,6 @@ class TestCriterion4ProjectionSoundness:
             diff = tree_distance(psi, out, 26)
             lhs = pow_enclosure(diff, p, 26)
             assert lhs.hi <= bound.hi + Fraction(1, 2**20), f"instance {count}"
-            count += 1
         elapsed = time.time() - start
         print(f"\nACCEPTANCE 4 PASS: 200 projections sound in {elapsed:.1f}s")
 
@@ -435,3 +406,39 @@ class TestCriterion10Determinism:
         b = self._synthesis_report()
         assert a == b
         print("\nACCEPTANCE 10 PASS: repeated runs byte-identical")
+
+    # SHA-256 of the CLI reports (stdout), pinned so that a speed-up that
+    # changes a single report byte fails here, not only across two runs
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                ["synthesize", "--units", "6", "--pres", '{"type":"standard","p":"1"}'],
+                "f9ff4b7d328e3b3d0a8cee8ed7a98c438a5481735c5656dcb7a91cb140e53a4d",
+            ),
+            (
+                [
+                    "synthesize", "--units", "4",
+                    "--pres", '{"type":"rotated","p":"3/2","zeta":"3/5+4/5i"}',
+                ],
+                "e3a9734063c7860820cd9ccd445548c7fde4beab927c2a1cc64ab8f15825a15a",
+            ),
+            (
+                [
+                    "synthesize", "--units", "4",
+                    "--pres",
+                    '{"type":"adversarial","p":"1","ce":{"kind":"explicit","elements":[2,5]}}',
+                ],
+                "6add26b6f68e54aab14a481ea94ba24bd2ce44dbd35b0ea0f2395d224c95fd7a",
+            ),
+            (
+                ["disintegrate", "--stages", "3"],
+                "b41c02b828f93115491cbbcf197c132aa32a2f6cada5ce38528cb4df01f2610a",
+            ),
+        ],
+        ids=["standard-p1-u6", "rotated-p3/2-u4", "adversarial-p1-u4", "disintegrate-3"],
+    )
+    def test_pinned_report_digests(self, argv, digest, capsys):
+        assert cli_main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from lpiso.errors import HypothesisViolatedError, PEqualsTwoError
+from lpiso.errors import HypothesisViolatedError, NotPartialDisintegrationError, PEqualsTwoError
 from lpiso.lp_vectors import FinSuppVector, norm_p
 from lpiso.presentations import (
     CeSet,
     ComputableVector,
     GenCombo,
+    RotatedPresentation,
     StandardPresentation,
     build_adversarial,
 )
@@ -32,6 +33,7 @@ from lpiso.extension_engine import (
 
 P1 = PExponent.from_fraction(1)
 P32 = PExponent.from_fraction(Fraction(3, 2))
+P3 = PExponent.from_fraction(3)
 
 
 def atom_ball(pres, count, radius):
@@ -276,6 +278,39 @@ class TestCertificateSoundness:
         snapshot = phi.transparent_snapshot(10)
         verdict = validate_partial_disintegration(snapshot)
         assert verdict.is_no
+        with pytest.raises(NotPartialDisintegrationError):
+            approximate_extend(snapshot, 1, 4, pres)
+        # two incomparable nodes sharing one opaque value: sigma is certified
+        # positive, so the opaque validation refutes the map as well
+        twins = [TreeNode.of(0), TreeNode.of(1)]
+        dup = TreeMap(
+            FT(twins),
+            {n: ComputableVector.constant(GenCombo.single(0), pres) for n in twins},
+            P1,
+            pres,
+        )
+        with pytest.raises(NotPartialDisintegrationError):
+            approximate_extend(dup, 1, 4, pres)
+
+
+class TestStagesStayValid:
+    """build_disintegration extends each stage without re-validating it;
+    validation must indeed never refute a stage the builder produced."""
+
+    @pytest.mark.parametrize(
+        "make_pres",
+        [
+            lambda: StandardPresentation(P32),
+            lambda: RotatedPresentation(P3, GaussianRational.parse("3/5+4/5i")),
+            lambda: build_adversarial(CeSet.explicit([1, 3]), P1),
+        ],
+        ids=["standard-p3/2", "rotated-p3", "adversarial-p1"],
+    )
+    def test_no_stage_refuted(self, make_pres):
+        staged = build_disintegration(make_pres(), 4)
+        assert staged.stage_count() == 5
+        for rec in staged.stages:
+            assert not validate_partial_disintegration(rec.phi_hat).is_no, rec.index
 
 
 class TestInexactRefinement:

@@ -1,12 +1,14 @@
 """Synthesis pipeline, oracle reductions, and the CLI surface."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import lpiso
 from lpiso.errors import IndexOutOfRangeError, ProvisionalError
 from lpiso.lp_vectors import FinSuppVector, norm_p
 from lpiso.presentations import (
@@ -30,6 +32,14 @@ from lpiso.iso_cli import (
 
 P1 = PExponent.from_fraction(1)
 P32 = PExponent.from_fraction(Fraction(3, 2))
+
+
+def cli_env():
+    """The environment with this checkout's lpiso importable in a child process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lpiso.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def transparent_distance_to_basis(vec, coord, p, k=10):
@@ -197,6 +207,11 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert code == 0 and out["status"] == "ok"
 
+    def test_lamperti_check_at_coarsest_precision(self, capsys):
+        code = self.run_cli("lamperti-check", "--z", "1", "--w", "1", "--k", "0")
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0 and out["status"] == "ok"
+
     def test_validate_bad_tree_exit_error(self, capsys):
         tree = json.dumps(
             {
@@ -248,9 +263,62 @@ class TestCli:
             [sys.executable, "-m", "lpiso.iso_cli", "sigma", "--p", "1", "--z", "1", "--w", "1", "--k", "8"],
             capture_output=True,
             text=True,
+            env=cli_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["sigma1"]["lo"] == "2"
+
+    def test_module_runs_without_warnings(self):
+        # the package must not import the CLI module before runpy executes it
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "lpiso.iso_cli", "sigma", "--p", "1",
+             "--z", "1", "--w", "1", "--k", "8"],
+            capture_output=True,
+            text=True,
+            env=cli_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["status"] == "ok"
+
+
+class TestCliInputErrors:
+    """Malformed input ends in the documented JSON error with exit code 1."""
+
+    def assert_input_error(self, capsys, *argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert code == 1
+        assert out["status"] == "error"
+        assert out["error"]["type"] == "InvalidInputError"
+        return out["error"]["message"]
+
+    def test_exponent_below_one(self, capsys):
+        message = self.assert_input_error(capsys, "sigma", "--p", "1/2", "--z", "1", "--w", "1")
+        assert "--p" in message
+
+    def test_unparsable_scalar(self, capsys):
+        message = self.assert_input_error(capsys, "sigma", "--z", "abc", "--w", "1")
+        assert "--z" in message
+
+    def test_negative_precision(self, capsys):
+        message = self.assert_input_error(capsys, "sigma", "--z", "1", "--w", "1", "--k", "-5")
+        assert "--k" in message
+
+    def test_malformed_presentation_json(self, capsys):
+        message = self.assert_input_error(capsys, "synthesize", "--pres", '{"type":')
+        assert "--pres" in message
+
+    def test_unknown_presentation_type(self, capsys):
+        message = self.assert_input_error(
+            capsys, "synthesize", "--pres", '{"type":"hilbert","p":"1"}'
+        )
+        assert "hilbert" in message
+
+    def test_negative_unit_count(self, capsys):
+        message = self.assert_input_error(capsys, "synthesize", "--units", "-3")
+        assert "--units" in message
 
 
 class TestIsometricProperty:

@@ -1,13 +1,28 @@
 """Tree layer: sigma on tree maps, validation, projection, extension."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from lpiso.errors import HypothesisViolatedError, NotPartialDisintegrationError
-from lpiso.lp_vectors import FinSuppVector
-from lpiso.presentations import StandardPresentation, build_adversarial, CeSet
-from lpiso.scalar_core import GaussianRational, PExponent
+from lpiso.lp_vectors import FinSuppVector, norm_p, sigma1_from_norms
+from lpiso.presentations import (
+    CeSet,
+    ComputableVector,
+    GenCombo,
+    StandardPresentation,
+    bits_for,
+    build_adversarial,
+)
+from lpiso.scalar_core import (
+    ZERO_INTERVAL,
+    GaussianRational,
+    PExponent,
+    abs_pow,
+    lamperti_constant,
+)
 from lpiso.tree_maps import (
     FiniteTree,
     TreeMap,
@@ -24,7 +39,10 @@ from lpiso.tree_maps import (
     validate_partial_disintegration,
 )
 
+from conftest import projection_instances, random_partial_disintegration
+
 P1 = PExponent.from_fraction(1)
+P32 = PExponent.from_fraction(Fraction(3, 2))
 P3 = PExponent.from_fraction(3)
 
 E = [FinSuppVector.basis(n) for n in range(12)]
@@ -265,9 +283,6 @@ class TestJson:
 
 class TestSigmaValidateAgreement:
     def test_sigma_zero_iff_exact_hom_on_random_maps(self):
-        import random
-        from conftest import random_partial_disintegration
-
         rng = random.Random(31)
         homs = defects = 0
         while homs < 10 or defects < 10:
@@ -322,3 +337,211 @@ class TestConflictZeroing:
         bound = distance_bound(phi, psi, 24)
         lhs = pow_enclosure(tree_distance(psi, out, 26), p3, 26)
         assert lhs.hi <= bound.hi + Fraction(1, 2**20)
+
+
+# ---------------------------------------------------------------------------
+# equivalence with the straightforward formulas
+# ---------------------------------------------------------------------------
+
+
+def incomparable_pairs(psi):
+    nodes = psi.nodes()
+    return [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1 :] if a.incomparable(b)]
+
+
+def comparable_pairs(psi):
+    nodes = psi.nodes()
+    return [(a, b) for a in nodes for b in nodes if b.strictly_extends(a)]
+
+
+def reference_sigma_tree(psi, k):
+    """sigma_tree pair by pair, every norm queried afresh."""
+    p = psi.p
+
+    def vnorm(v, kk):
+        if isinstance(v, ComputableVector):
+            return v.norm_enclosure(kk)
+        return norm_p(v, p, kk)
+
+    def pair(f, g, kk):
+        return sigma1_from_norms(
+            lambda q: vnorm(f, q),
+            lambda q: vnorm(g, q),
+            lambda q: vnorm(f - g, q),
+            lambda q: vnorm(f + g, q),
+            p,
+            kk,
+        )
+
+    incomp, comp = incomparable_pairs(psi), comparable_pairs(psi)
+    count = len(incomp) + len(comp)
+    if count == 0:
+        return ZERO_INTERVAL
+    kk = k + count.bit_length() + 2
+    while True:
+        total = ZERO_INTERVAL
+        for a, b in incomp:
+            total = total + pair(psi.value(a), psi.value(b), kk)
+        for a, b in comp:
+            total = total + pair(psi.value(b) - psi.value(a), psi.value(b), kk)
+        out = lamperti_constant(p, kk) * total
+        if out.width <= Fraction(1, 2**k):
+            return out
+        kk += max(4, kk // 2)
+
+
+def reference_projection(phi, psi, k):
+    """project_to_strong_hom with each threshold scanned over every pair."""
+    values = dict(psi.values)
+    values.update(phi.values)
+    psi0 = TreeMap(psi.tree, values, psi.p)
+    p = psi0.p
+
+    def sigma_hat(n, prec):
+        total = ZERO_INTERVAL
+        for a, b in incomparable_pairs(psi0):
+            za, zb = psi0.value(a)[n], psi0.value(b)[n]
+            if not (za.is_zero() or zb.is_zero()):
+                total = total + abs_pow(za, p, prec).min_with(abs_pow(zb, p, prec))
+        for a, b in comparable_pairs(psi0):
+            zb = psi0.value(b)[n]
+            dz = zb - psi0.value(a)[n]
+            if not (zb.is_zero() or dz.is_zero()):
+                total = total + abs_pow(dz, p, prec).min_with(abs_pow(zb, p, prec))
+        return total
+
+    coords = sorted({n for node in psi0.nodes() for n in psi0.value(node).support()})
+    new_nodes = [node for node in psi0.nodes() if node not in phi.values]
+    delta = Fraction(1, 2**k) / max(1, len(new_nodes) * max(1, len(coords)))
+
+    def greater(z, n, prec):
+        while True:
+            z_box, s_box = abs_pow(z, p, prec), sigma_hat(n, prec)
+            if z_box.lo > s_box.hi:
+                return True
+            if z_box.hi <= s_box.lo or z_box.width + s_box.width < delta:
+                return False
+            prec += max(4, prec // 2)
+
+    start_prec = bits_for(delta) + 4
+    result = dict(phi.values)
+    for node in sorted(new_nodes, key=lambda nn: (len(nn), nn.path)):
+        parent = node.parent()
+        entries = {}
+        for n in coords:
+            z = psi0.value(node)[n]
+            if z.is_zero() or not greater(z, n, start_prec):
+                continue
+            candidate = z if parent.is_root() else result[parent][n]
+            if candidate.is_zero():
+                continue
+            if any(
+                node.incomparable(other) and not vec[n].is_zero()
+                for other, vec in phi.values.items()
+            ):
+                continue
+            entries[n] = candidate
+        result[node] = FinSuppVector(entries)
+    return TreeMap(psi.tree, result, p)
+
+
+def leaky_maps(rng, p, count):
+    """Random partial disintegrations, half with one incomparable node
+    added that shares a pinned coordinate (so sigma is positive)."""
+    out = []
+    while len(out) < count:
+        psi = random_partial_disintegration(rng, p)
+        if len(psi.tree) > 6:
+            continue
+        if rng.random() < 0.5:
+            victim = rng.choice(psi.nodes())
+            coord = sorted(psi.value(victim).support())[0]
+            values = dict(psi.values)
+            values[TreeNode.of(victim.path[0] + 50)] = FinSuppVector.basis(
+                coord, GaussianRational.of(Fraction(rng.randint(1, 4), 2))
+            )
+            psi = TreeMap(FiniteTree(values.keys()), values, p)
+        out.append(psi)
+    return out
+
+
+class TestSigmaTreeEquivalence:
+    """sigma_tree shares each node's norm among its pairs; the result must
+    be the same exact interval as the pair-by-pair formula."""
+
+    @pytest.mark.parametrize("p", [P1, P32, P3], ids=["p=1", "p=3/2", "p=3"])
+    def test_transparent_maps(self, p):
+        for psi in leaky_maps(random.Random(2024), p, 12):
+            for k in (12, 30):
+                assert sigma_tree(psi, k) == reference_sigma_tree(psi, k)
+
+    @pytest.mark.parametrize("p", [P32, P3], ids=["p=3/2", "p=3"])
+    def test_opaque_maps_over_standard(self, p):
+        # values scaled by 8 so the p-th powers amplify the oracle's padding
+        # and both sigma1 and sigma_tree have to refine their precision
+        pres = StandardPresentation(p)
+        eight = GaussianRational.of(8)
+        for psi in leaky_maps(random.Random(7), p, 8):
+            values = {
+                node: ComputableVector.constant(
+                    GenCombo(psi.value(node).scale(eight).entries), pres
+                )
+                for node in psi.nodes()
+            }
+            opaque = TreeMap(psi.tree, values, p, pres)
+            assert sigma_tree(opaque, 16) == reference_sigma_tree(opaque, 16)
+
+    def test_opaque_maps_over_adversarial(self):
+        pres = build_adversarial(CeSet.explicit([1, 3]), P1)
+        half = GaussianRational.of(Fraction(1, 2))
+        combos = {
+            (0,): GenCombo.single(0),
+            (0, 0): GenCombo.single(0) - GenCombo.single(1).scale(half),
+            (0, 1): GenCombo.single(1),
+            (1,): GenCombo.single(2) + GenCombo.single(1).scale(half),
+        }
+        values = {
+            TreeNode.of(*path): ComputableVector.constant(c, pres) for path, c in combos.items()
+        }
+        opaque = TreeMap(FiniteTree(values.keys()), values, P1, pres)
+        for k in (8, 16):
+            assert sigma_tree(opaque, k) == reference_sigma_tree(opaque, k)
+
+
+def rescaled_child_instances(rng, count):
+    """(phi, psi): psi adds below some nodes of phi a child carrying a
+    rescaled part of its parent's value, so the comparable-pair terms of
+    the thresholds decide which coordinates survive."""
+    out = []
+    while len(out) < count:
+        p = rng.choice([P1, P32, P3])
+        phi = random_partial_disintegration(rng, p)
+        values = dict(phi.values)
+        for base in phi.nodes():
+            if rng.random() < 0.6:
+                support = sorted(phi.value(base).support())
+                keep = rng.sample(support, rng.randint(1, len(support)))
+                factor = GaussianRational.of(Fraction(rng.randint(1, 8), 4))
+                values[base.child(7)] = phi.value(base).restrict(keep).scale(factor)
+        if len(values) > len(phi.values):
+            out.append((phi, TreeMap(FiniteTree(values.keys()), values, p)))
+    return out
+
+
+class TestProjectionEquivalence:
+    """The thresholds come from a coordinate index built once; the
+    projection must equal the one that scans every pair per coordinate."""
+
+    def test_criterion_four_instances(self):
+        instances = projection_instances(random.Random(77))
+        for count, (_, phi, psi) in enumerate(itertools.islice(instances, 200)):
+            out = project_to_strong_hom(phi, psi, 24)
+            ref = reference_projection(phi, psi, 24)
+            assert out.tree == ref.tree, f"instance {count}"
+            assert out.values == ref.values, f"instance {count}"
+
+    def test_rescaled_children(self):
+        for count, (phi, psi) in enumerate(rescaled_child_instances(random.Random(5), 60)):
+            out = project_to_strong_hom(phi, psi, 24)
+            ref = reference_projection(phi, psi, 24)
+            assert out.values == ref.values, f"instance {count}"
