@@ -35,11 +35,11 @@ from .errors import (
 from .lp_vectors import FinSuppVector, norm_power_p
 from .presentations import ComputableVector, GenCombo, OracleAdapter, Presentation
 from .scalar_core import (
-    MAX_WORKING_PREC,
     DyadicInterval,
     PExponent,
     _width_target,
     pow_enclosure,
+    refine,
 )
 from .tree_maps import ROOT, FiniteTree, TreeNode, TreeValue
 
@@ -52,15 +52,12 @@ def norm_power_value(value: TreeValue, p: PExponent, k: int) -> DyadicInterval:
     """Enclosure of ||value||^p, width <= 2**-k, for either value kind."""
     if isinstance(value, FinSuppVector):
         return norm_power_p(value, p, k)
-    kk = k + 2
-    while True:
-        box = value.norm_enclosure(kk)
-        out = pow_enclosure(box, p, kk)
-        if out.width <= _width_target(k):
-            return out
-        kk += max(4, kk // 2)
-        if kk > MAX_WORKING_PREC:
-            raise PrecisionExhaustedError("norm power refinement exceeded the cap")
+
+    def attempt(kk: int) -> Optional[DyadicInterval]:
+        out = pow_enclosure(value.norm_enclosure(kk), p, kk)
+        return out if out.width <= _width_target(k) else None
+
+    return refine(attempt, k + 2, what="norm power refinement exceeded the cap")
 
 
 class ChainSource:
@@ -129,22 +126,6 @@ class FiniteDisintegration(ChainSource):
 
     def certified_terminal(self, node: TreeNode) -> bool:
         return self.tree.is_terminal(node)
-
-    def check_exact(self) -> None:
-        """Exact summativity / disjointness checks (transparent values only)."""
-        for node in self.tree.sorted_nodes():
-            kids = self.tree.children(node)
-            if not kids:
-                continue
-            total = FinSuppVector.zero()
-            for kid in kids:
-                val = self.values[kid]
-                if not isinstance(val, FinSuppVector):
-                    return  # opaque values: nothing to check exactly
-                total = total + val
-            parent_val = self.values[node]
-            if isinstance(parent_val, FinSuppVector) and parent_val != total:
-                raise ValueError(f"summativity fails at {node}")
 
 
 class LazyDisintegration(ChainSource):

@@ -71,7 +71,8 @@ class IndexOutOfRangeError(LpisoError):
 class InvalidInputError(LpisoError):
     """A command-line argument or input document is malformed or out of
     range: an unparsable number or JSON text, an unknown presentation
-    type, an exponent below 1, a negative count."""
+    type, an exponent below 1, a negative count, a precision above the
+    working cap."""
 
 
 class PrecisionExhaustedError(LpisoError):

@@ -13,27 +13,28 @@ granted flag covers the whole closed ball:
   * nonempty intersection with the strong homomorphisms, through the error
     functional, whose p-th root dominates the distance to them.
 
-Candidates are enumerated deterministically: a guided proposal derived
-from a transparent snapshot (truncate, project to an exact homomorphism,
-split carried coordinates into atom children, park each generator's
-uncovered remainder in a fresh top-level node), interleaved with a
-canonical dovetail over tree shapes and coefficient grids that keeps the
-search complete in the limit.  The first certified candidate wins, so
-repeated runs are byte-identical.
+The search needs the presentation's transparent backdoor: each round
+certifies one guided proposal derived from a transparent snapshot
+(truncate, project to an exact homomorphism, split carried coordinates
+into atom children, park each generator's uncovered remainder in a fresh
+top-level node), and a failed round retries with a finer snapshot.  Over
+a presentation without a backdoor the search raises NoBackdoorError up
+front; a proposer that uses the norm oracle alone is not implemented.
+The search is deterministic, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 logger = logging.getLogger(__name__)
 
 from .errors import (
     BudgetExhaustedError,
+    NoBackdoorError,
     NotPartialDisintegrationError,
     PrecisionExhaustedError,
 )
@@ -47,6 +48,7 @@ from .scalar_core import (
     _width_target,
     format_fraction,
     pow_enclosure,
+    refine,
 )
 from .tree_maps import (
     ROOT,
@@ -387,8 +389,6 @@ def build_guided_proposal(
     the first untouched coordinate is attached at the top level (the
     staged builder requires strictly growing domains).
     """
-    if not pres.has_backdoor:
-        return None
     prec = max(n_index + 4, k + 4, 16) + 6 * round_idx
     target = _width_target(n_index + 2)
     pi_target = _width_target(k + 2)
@@ -518,76 +518,14 @@ def build_guided_proposal(
 
 
 # ---------------------------------------------------------------------------
-# the canonical dovetail (completeness fallback)
-# ---------------------------------------------------------------------------
-
-
-def _enumerate_trees(max_nodes: int, max_label: int) -> Iterator[FiniteTree]:
-    """Small trees in canonical order: node count, then node list."""
-    labels = range(max_label)
-    pool = [TreeNode.of(a) for a in labels] + [
-        TreeNode.of(a, b) for a in labels for b in labels
-    ]
-    for size in range(1, max_nodes + 1):
-        for chosen in itertools.combinations(pool, size):
-            nodes = set(chosen)
-            if all(n.parent().is_root() or n.parent() in nodes for n in nodes):
-                yield FiniteTree(nodes)
-
-
-def dovetail_candidates(
-    phi: TreeMap,
-    n_index: int,
-    pres: Presentation,
-    b: int,
-    limit: int,
-) -> Iterator[Tuple[RationalBall, Dict[int, Dict[TreeNode, GaussianRational]]]]:
-    """A canonical slice of the blind search grid at effort level b.
-
-    Single-generator coefficients with denominators 2^b and small
-    numerators, radius 2^-(b+2), identity-style witnesses.  Complete in
-    the limit as b grows; in practice the guided proposal wins first.
-    """
-    if limit <= 0:
-        return
-    count = 0
-    grid = [
-        Fraction(num, 1 << b)
-        for num in range(-(2 << b), (2 << b) + 1)
-        if num != 0
-    ]
-    base = phi.tree
-    for tree in _enumerate_trees(min(b + 1, 3), min(b + 2, 3)):
-        full = tree.union(base.nonroot_nodes())
-        nodes = full.nonroot_nodes()
-        if len(nodes) > 3:
-            continue
-        for gens in itertools.product(range(min(b + 2, n_index + 1) or 1), repeat=len(nodes)):
-            for quots in itertools.product(grid, repeat=len(nodes)):
-                center = {
-                    node: GenCombo.single(g, GaussianRational.of(q))
-                    for node, g, q in zip(nodes, gens, quots)
-                }
-                beta = {
-                    j: {node: _inverse(GaussianRational.of(q))}
-                    for j, (node, q) in zip(gens, zip(nodes, quots))
-                }
-                yield RationalBall(full, center, _width_target(b + 2)), beta
-                count += 1
-                if count >= limit:
-                    return
-
-
-# ---------------------------------------------------------------------------
 # approximate extension
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class SearchBudget:
-    rounds: int = 6
-    dovetail_per_round: int = 2
-    refinement_cap: int = 192
+    rounds: int = 6  # guided proposals tried, each snapshot 6 bits finer
+    refinement_cap: int = 192  # bits _refined_values may add past the snapshot
 
 
 @dataclass
@@ -685,7 +623,8 @@ def approximate_extend(
     This is the entry point for untrusted input: phi is validated first,
     and NotPartialDisintegrationError is raised when the validation
     refutes it.  build_disintegration, whose stages are certified by
-    construction, skips that check.
+    construction, skips that check.  Raises NoBackdoorError when pres has
+    no transparent backdoor.
     """
     verdict = validate_partial_disintegration(phi)
     if verdict.is_no:
@@ -703,80 +642,81 @@ def _extend(
     force_growth: bool = False,
 ) -> ExtendResult:
     """approximate_extend without validating phi: the caller vouches that
-    phi is a partial disintegration."""
+    phi is a partial disintegration.
+
+    Round r certifies the guided proposal built from a snapshot 6r bits
+    finer than round 0's; the first certified proposal wins.
+    """
+    if not pres.has_backdoor:
+        raise NoBackdoorError(
+            "the extension search needs a presentation with a transparent backdoor"
+        )
     budget = budget or SearchBudget()
+    p_ceil = max(
+        1, -(-pres.p.enclosure(2).hi.numerator // pres.p.enclosure(2).hi.denominator)
+    )
     for round_idx in range(budget.rounds):
-        candidates: List[Tuple[Optional[Proposal], RationalBall, Optional[dict]]] = []
         proposal = build_guided_proposal(
             phi, n_index, k, pres, round_idx, force_growth=force_growth
         )
-        if proposal is not None:
-            bits = _pick_radius_bits(proposal, phi, n_index, k, pres)
-            if bits is not None:
-                ball = RationalBall(
-                    proposal.structure.tree, proposal.center, _width_target(bits)
-                )
-                candidates.append((proposal, ball, proposal.beta))
-        for ball, beta in dovetail_candidates(
-            phi, n_index, pres, round_idx, budget.dovetail_per_round
-        ):
-            candidates.append((None, ball, beta))
-
-        p_ceil = max(
-            1, -(-pres.p.enclosure(2).hi.numerator // pres.p.enclosure(2).hi.denominator)
+        if proposal is None:
+            continue
+        radius_bits = _pick_radius_bits(proposal, phi, n_index, k, pres)
+        if radius_bits is None:
+            continue
+        ball = RationalBall(
+            proposal.structure.tree, proposal.center, _width_target(radius_bits)
         )
-        for prop, ball, beta in candidates:
-            radius_bits = bits_for(ball.radius)
-            # the hom-gap check takes a p-th root of the error functional's
-            # interval slack, so the working precision scales with p
-            cert = certify_ball(
-                ball,
-                None if phi.is_empty else phi,
-                n_index + 1,
-                k,
-                pres,
-                hom_base=empty_map(pres),
-                beta=beta,
-                precision=max(n_index + 8, k + 6, p_ceil * (radius_bits + 4) + 8),
-            )
-            logger.info(
-                "ball tree=%s radius=2^-%d flags=%s precision=%d",
-                ball.tree,
-                radius_bits,
-                "".join(
-                    "1" if flag else "0"
-                    for flag in (
-                        cert.injective_nonzero,
-                        cert.summativity,
-                        cert.distance,
-                        cert.restriction,
-                        cert.meets_hom,
-                    )
-                ),
-                cert.precision,
-            )
-            if not cert.all_granted(need_restriction=not phi.is_empty):
-                continue
-            # the refinement must converge inside half the certified radius
-            hom_upper = Fraction(cert.margins["hom_upper"])
-            if hom_upper >= ball.radius / 4:
-                continue
-            if prop is not None and not prop.exact:
-                values = _refined_values(prop, phi, pres, ball, budget)
-            else:
-                values = {
-                    node: ComputableVector.constant(combo, pres, f"ext{node}")
-                    for node, combo in ball.center.items()
-                }
-            psi = TreeMap(ball.tree, values, phi.p, pres)
-            return ExtendResult(
-                psi,
-                ball.tree,
-                cert,
-                radius_bits + 1,
-                bool(prop and prop.exact),
-                dict(prop.atom_support) if prop is not None else {},
-            )
+        # the hom-gap check takes a p-th root of the error functional's
+        # interval slack, so the working precision scales with p
+        cert = certify_ball(
+            ball,
+            None if phi.is_empty else phi,
+            n_index + 1,
+            k,
+            pres,
+            hom_base=empty_map(pres),
+            beta=proposal.beta,
+            precision=max(n_index + 8, k + 6, p_ceil * (radius_bits + 4) + 8),
+        )
+        logger.info(
+            "ball tree=%s radius=2^-%d flags=%s precision=%d",
+            ball.tree,
+            radius_bits,
+            "".join(
+                "1" if flag else "0"
+                for flag in (
+                    cert.injective_nonzero,
+                    cert.summativity,
+                    cert.distance,
+                    cert.restriction,
+                    cert.meets_hom,
+                )
+            ),
+            cert.precision,
+        )
+        if not cert.all_granted(need_restriction=not phi.is_empty):
+            continue
+        # the refinement must converge inside half the certified radius
+        hom_upper = Fraction(cert.margins["hom_upper"])
+        if hom_upper >= ball.radius / 4:
+            continue
+        if proposal.exact:
+            values = {
+                node: ComputableVector.constant(combo, pres, f"ext{node}")
+                for node, combo in ball.center.items()
+            }
+        else:
+            values = _refined_values(proposal, phi, pres, ball, budget)
+        psi = TreeMap(ball.tree, values, phi.p, pres)
+        return ExtendResult(
+            psi,
+            ball.tree,
+            cert,
+            radius_bits + 1,
+            proposal.exact,
+            dict(proposal.atom_support),
+        )
     raise BudgetExhaustedError(
         f"no certifiable extension within {budget.rounds} rounds", budget=budget.rounds
     )
@@ -949,25 +889,12 @@ class StagedDisintegration:
         }
 
 
-def _refine_reciprocal(vec: ComputableVector, k: int) -> DyadicInterval:
-    kk = max(4, k)
-    while True:
-        box = vec.norm_enclosure(kk)
-        if box.lo > 0:
-            out = box.reciprocal()
-            if out.width <= _width_target(k):
-                return out
-        kk += max(4, kk // 2)
-        if kk > 1 << 14:
-            raise PrecisionExhaustedError("reciprocal norm refinement exceeded its cap")
-
-
 def _normalized_node_vector(staged: StagedDisintegration, node: TreeNode) -> ComputableVector:
     """2^-a ||phi((a))||^-1 phi(nu), a = the node's first coordinate."""
     rec = staged.last()
     a = node.path[0]
     base = rec.phi_hat.value(TreeNode.of(a))
-    inv = CReal.from_interval_fn(lambda k: _refine_reciprocal(base, k), name=f"inv-norm-{a}")
+    inv = CReal.from_interval_fn(base.reciprocal_norm, name=f"inv-norm-{a}")
     scaled = rec.phi_hat.value(node).scale_creal(inv, 4)
     return scaled.scale_gauss(GaussianRational.of(Fraction(1, 2**a)))
 
@@ -1031,19 +958,22 @@ def _normalized_norm_power(staged: StagedDisintegration, node: TreeNode, t: int)
         return box.mid
     from .chain_partition import norm_power_value
 
-    kk = t + 4
-    while True:
+    def attempt(kk: int) -> Optional[Fraction]:
         num = norm_power_value(rec.phi_hat.value(node), p, kk)
         den = norm_power_value(rec.phi_hat.value(TreeNode.of(a)), p, kk)
-        if den.lo > 0:
-            box = pow_enclosure(DyadicInterval.point(Fraction(1, 2**a)), p, kk) * (
-                num * den.reciprocal()
-            )
-            if box.width <= target:
-                return box.mid
-        kk += max(4, kk // 2)
-        if kk > 1 << 12:
-            raise PrecisionExhaustedError("normalized norm refinement exceeded its cap")
+        if den.lo <= 0:
+            return None
+        box = pow_enclosure(DyadicInterval.point(Fraction(1, 2**a)), p, kk) * (
+            num * den.reciprocal()
+        )
+        return box.mid if box.width <= target else None
+
+    return refine(
+        attempt,
+        t + 4,
+        what="normalized norm refinement exceeded its cap",
+        cap=1 << 12,
+    )
 
 
 def _generator_atom_index(pres: Presentation, j: int) -> Optional[int]:

@@ -54,11 +54,13 @@ from .presentations import (
     GenCombo,
     OracleAdapter,
     Presentation,
+    _entry_bound_bits,
     bits_for,
     build_adversarial,
     presentation_from_descriptor,
 )
 from .scalar_core import (
+    MAX_WORKING_PREC,
     CReal,
     DyadicInterval,
     GaussianRational,
@@ -68,13 +70,13 @@ from .scalar_core import (
     lamperti_objective,
     log2_enclosure,
     parse_fraction,
+    refine,
     sigma_scalar,
     sigma1_scalar,
     abs_pow,
 )
 from .tree_maps import (
     TreeMap,
-    _gauss_bound_bits,
     distance_bound,
     project_to_strong_hom,
     validate_partial_disintegration,
@@ -159,20 +161,7 @@ def _normalize(vec: ComputableVector, cert_bits: int) -> Tuple[ComputableVector,
         if kk > 1 << 12:
             raise PrecisionExhaustedError("cannot normalize: norm not certified positive")
     inv_bits = bits_for(lo) + 1  # 1/||v|| <= 2^inv_bits
-
-    def inv_fn(k: int) -> DyadicInterval:
-        kk = max(4, k)
-        while True:
-            box = vec.norm_enclosure(kk)
-            if box.lo > 0:
-                out = box.reciprocal()
-                if out.width <= _width_target(k):
-                    return out
-            kk += max(4, kk // 2)
-            if kk > 1 << 14:
-                raise PrecisionExhaustedError("normalization ran out of precision")
-
-    inv = CReal.from_interval_fn(inv_fn, name="unit-scale")
+    inv = CReal.from_interval_fn(vec.reciprocal_norm, name="unit-scale")
     return vec.scale_creal(inv, inv_bits), inv_bits
 
 
@@ -282,7 +271,7 @@ def synthesize_isometry(
             combo = GenCombo.single(j)
             pad = Fraction(0)
             for m, z in beta.items():
-                inner_k = gen_bits + 4 + size_bits + _gauss_bound_bits(z)
+                inner_k = gen_bits + 4 + size_bits + _entry_bound_bits(z)
                 combo = combo - units[m].vector.approx(inner_k).scale(z)
                 pad += _width_target(gen_bits + 4 + size_bits)
             upper = pres.norm_enclosure(combo, gen_bits + 4).hi + pad
@@ -401,18 +390,23 @@ def recover_p(
     iso = synthesize_isometry(pres, 2, budget)
     u, v = iso.unit(0), iso.unit(1)
     total = u + v
-    kk = max(10, k_bits + 6)
-    while True:
+
+    def attempt(kk: int) -> Optional[DyadicInterval]:
         norm_box = total.norm_enclosure(kk)
-        if norm_box.lo > 1:
-            log_box = log2_enclosure(norm_box, kk)
-            if log_box.lo > 0:
-                out = log_box.reciprocal()
-                if out.width <= _width_target(k_bits):
-                    return out
-        kk += max(4, kk // 2)
-        if kk > 1 << 12:
-            raise PrecisionExhaustedError("exponent recovery ran out of precision")
+        if norm_box.lo <= 1:
+            return None
+        log_box = log2_enclosure(norm_box, kk)
+        if log_box.lo <= 0:
+            return None
+        out = log_box.reciprocal()
+        return out if out.width <= _width_target(k_bits) else None
+
+    return refine(
+        attempt,
+        max(10, k_bits + 6),
+        what="exponent recovery ran out of precision",
+        cap=1 << 12,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +473,11 @@ def _check_counts(args) -> None:
         if value is not None and value < 0:
             option = "--" + name.replace("_", "-")
             raise InvalidInputError(f"{option} must be >= 0, got {value}")
+    # beyond the refinement cap no enclosure can certify, and the report's
+    # 2^-k figures would pass Python's int-to-str digit limit
+    k = getattr(args, "k", None)
+    if k is not None and k > MAX_WORKING_PREC:
+        raise InvalidInputError(f"--k must be <= {MAX_WORKING_PREC}, got {k}")
 
 
 def _cmd_sigma(args) -> int:

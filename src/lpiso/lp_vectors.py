@@ -12,11 +12,9 @@ against an opaque norm oracle (see presentations.sigma1_oracle).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Mapping
+from typing import Callable, Dict, Iterable, Mapping, Optional
 
-from .errors import PrecisionExhaustedError
 from .scalar_core import (
-    MAX_WORKING_PREC,
     DyadicInterval,
     GaussianRational,
     PExponent,
@@ -24,7 +22,7 @@ from .scalar_core import (
     _width_target,
     abs_pow,
     pow_enclosure,
-    sigma_from_sigma1,
+    refine,
 )
 
 
@@ -155,31 +153,25 @@ def norm_power_p(f: FinSuppVector, p: PExponent, k: int) -> DyadicInterval:
     """Enclosure of ||f||_p^p = sum |f(n)|^p, width <= 2**-k."""
     if f.is_zero():
         return ZERO_INTERVAL
-    count = len(f.entries)
-    shift = max(1, count).bit_length()
-    kk = k + shift
-    while True:
+    shift = max(1, len(f.entries)).bit_length()
+
+    def attempt(kk: int) -> Optional[DyadicInterval]:
         out = DyadicInterval.sum(abs_pow(z, p, kk) for z in f.entries.values())
-        if out.width <= _width_target(k):
-            return out
-        kk += max(4, kk // 2)
-        if kk > MAX_WORKING_PREC:
-            raise PrecisionExhaustedError("norm^p refinement exceeded the precision cap")
+        return out if out.width <= _width_target(k) else None
+
+    return refine(attempt, k + shift, what="norm^p refinement exceeded the precision cap")
 
 
 def norm_p(f: FinSuppVector, p: PExponent, k: int) -> DyadicInterval:
     """Enclosure of ||f||_p, width <= 2**-k."""
     if f.is_zero():
         return ZERO_INTERVAL
-    kk = k + 2
-    while True:
-        power = norm_power_p(f, p, kk)
-        out = pow_enclosure(power, p, kk, over_p=True)
-        if out.width <= _width_target(k):
-            return out
-        kk += max(4, kk // 2)
-        if kk > MAX_WORKING_PREC:
-            raise PrecisionExhaustedError("norm refinement exceeded the precision cap")
+
+    def attempt(kk: int) -> Optional[DyadicInterval]:
+        out = pow_enclosure(norm_power_p(f, p, kk), p, kk, over_p=True)
+        return out if out.width <= _width_target(k) else None
+
+    return refine(attempt, k + 2, what="norm refinement exceeded the precision cap")
 
 
 NormFn = Callable[[int], DyadicInterval]
@@ -199,8 +191,8 @@ def sigma1_from_norms(
     corresponding norm (not its p-th power); this is the shape a norm
     oracle naturally provides.
     """
-    kk = k + 4
-    while True:
+
+    def attempt(kk: int) -> Optional[DyadicInterval]:
         terms = []
         for fn in (norm_f, norm_g, norm_diff, norm_sum):
             box = fn(kk)
@@ -209,11 +201,9 @@ def sigma1_from_norms(
             terms.append(pow_enclosure(box, p, kk))
         a, b, c, d = terms
         out = ((a + b).scale(2) - (c + d)).abs()
-        if out.width <= _width_target(k):
-            return out
-        kk += max(4, kk // 2)
-        if kk > MAX_WORKING_PREC:
-            raise PrecisionExhaustedError("sigma1-from-norms exceeded the precision cap")
+        return out if out.width <= _width_target(k) else None
+
+    return refine(attempt, k + 4, what="sigma1-from-norms exceeded the precision cap")
 
 
 def sigma1_vec(f: FinSuppVector, g: FinSuppVector, p: PExponent, k: int) -> DyadicInterval:
@@ -227,14 +217,3 @@ def sigma1_vec(f: FinSuppVector, g: FinSuppVector, p: PExponent, k: int) -> Dyad
         k,
     )
 
-
-def sigma_vec(f: FinSuppVector, g: FinSuppVector, p: PExponent, k: int) -> DyadicInterval:
-    """sigma = c_p * sigma1 on vectors (p certified apart from 2)."""
-    kk = k + 3
-    while True:
-        out = sigma_from_sigma1(sigma1_vec(f, g, p, kk), p, kk)
-        if out.width <= _width_target(k):
-            return out
-        kk += max(4, kk // 2)
-        if kk > MAX_WORKING_PREC:
-            raise PrecisionExhaustedError("sigma on vectors exceeded the precision cap")

@@ -42,6 +42,7 @@ from .scalar_core import (
     format_fraction,
     parse_fraction,
     pow_enclosure,
+    refine,
 )
 
 
@@ -416,8 +417,8 @@ class AdversarialPresentation(Presentation):
 
     def _interaction_term(self, a0: GaussianRational, aj: GaussianRational, c: int, k: int) -> DyadicInterval:
         """E_j enclosure at s = 2^(-c/p): |a0 s + aj|^p - |a0|^p 2^-c."""
-        kk = k + 3
-        while True:
+
+        def attempt(kk: int) -> Optional[DyadicInterval]:
             s = self._scale_factor(c, kk)
             # |a0 s + aj|^2 = |a0|^2 s^2 + 2 Re(a0 conj(aj)) s + |aj|^2
             sq = (s * s).scale(a0.abs_sq()) + s.scale(2 * (a0 * aj.conj()).re) + DyadicInterval.point(aj.abs_sq())
@@ -426,11 +427,9 @@ class AdversarialPresentation(Presentation):
             main = pow_enclosure(sq, self.p, kk, num=Fraction(1, 2))
             sub = abs_pow(a0, self.p, kk).scale(Fraction(1, 2**c))
             out = main - sub
-            if out.width <= _width_target(k):
-                return out
-            kk += max(4, kk // 2)
-            if kk > MAX_WORKING_PREC:
-                raise PrecisionExhaustedError("interaction term exceeded the precision cap")
+            return out if out.width <= _width_target(k) else None
+
+        return refine(attempt, k + 3, what="interaction term exceeded the precision cap")
 
     def norm_power_enclosure(self, combo: GenCombo, k: int) -> DyadicInterval:
         """Enclosure of ||combo||^p from enumerated elements only."""
@@ -438,8 +437,8 @@ class AdversarialPresentation(Presentation):
             return ZERO_INTERVAL
         a0 = combo[0]
         top = combo.max_index()
-        kk = k + (top + 2).bit_length() + 1
-        while True:
+
+        def attempt(kk: int) -> Optional[DyadicInterval]:
             total = abs_pow(a0, self.p, kk)
             for j in range(1, top + 1):
                 aj = combo[j]
@@ -454,24 +453,24 @@ class AdversarialPresentation(Presentation):
                 total = total + self._interaction_term(a0, aj, c, kk)
             if total.lo < 0:
                 total = DyadicInterval(Fraction(0), max(total.hi, Fraction(0)))
-            if total.width <= _width_target(k):
-                return total
-            kk += max(4, kk // 2)
-            if kk > MAX_WORKING_PREC:
-                raise PrecisionExhaustedError("adversarial norm exceeded the precision cap")
+            return total if total.width <= _width_target(k) else None
+
+        return refine(
+            attempt,
+            k + (top + 2).bit_length() + 1,
+            what="adversarial norm exceeded the precision cap",
+        )
 
     def norm_approx(self, combo: GenCombo, k: int) -> Fraction:
         if combo.is_zero():
             return Fraction(0)
-        kk = k + 2
-        while True:
+
+        def attempt(kk: int) -> Optional[Fraction]:
             power = self.norm_power_enclosure(combo, kk)
             box = pow_enclosure(power, self.p, kk, over_p=True)
-            if box.width <= _width_target(k + 1):
-                return box.mid
-            kk += max(4, kk // 2)
-            if kk > MAX_WORKING_PREC:
-                raise PrecisionExhaustedError("adversarial norm root exceeded the precision cap")
+            return box.mid if box.width <= _width_target(k + 1) else None
+
+        return refine(attempt, k + 2, what="adversarial norm root exceeded the precision cap")
 
     # -- backdoor ---------------------------------------------------------------
 
@@ -703,6 +702,23 @@ class ComputableVector:
         inner = self.pres.norm_enclosure(combo, k + 2)
         pad = _width_target(k + 2)
         return DyadicInterval(max(inner.lo - pad, Fraction(0)), inner.hi + pad)
+
+    def reciprocal_norm(self, k: int) -> DyadicInterval:
+        """Enclosure of 1/||self||, width <= 2**-k; the norm must be nonzero."""
+
+        def attempt(kk: int) -> Optional[DyadicInterval]:
+            box = self.norm_enclosure(kk)
+            if box.lo <= 0:
+                return None
+            out = box.reciprocal()
+            return out if out.width <= _width_target(k) else None
+
+        return refine(
+            attempt,
+            max(4, k),
+            what="reciprocal norm refinement exceeded its cap",
+            cap=1 << 14,
+        )
 
     def transparent(self, k: int) -> FinSuppVector:
         """Backdoor coordinates within 2**-k (transparent presentations only)."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, TypeVar, Union
 
 from mpmath import iv as _iv
 from mpmath.libmp import from_rational, round_ceiling, round_floor, to_rational
@@ -33,6 +33,32 @@ MAX_WORKING_PREC = 8192
 
 #: initial guard bits added on top of a target precision k.
 GUARD_BITS = 24
+
+T = TypeVar("T")
+
+
+def refine(
+    attempt: Callable[[int], Optional[T]],
+    kk: int,
+    *,
+    what: str,
+    cap: int = MAX_WORKING_PREC,
+    error: type = PrecisionExhaustedError,
+) -> T:
+    """The first non-None attempt(kk), growing kk by max(4, kk // 2) per miss.
+
+    This is the package's one adaptive-refinement schedule: each caller
+    supplies its start precision and cap.  Once kk passes the cap,
+    error(what) is raised (PrecisionExhaustedError unless the caller names
+    another typed failure).
+    """
+    while True:
+        out = attempt(kk)
+        if out is not None:
+            return out
+        kk += max(4, kk // 2)
+        if kk > cap:
+            raise error(what)
 
 
 def _to_fraction(x: RationalLike) -> Fraction:
@@ -650,18 +676,16 @@ def sigma1_scalar(z: GaussianRational, w: GaussianRational, p: PExponent, k: int
 
     Vanishes exactly when zw = 0; positive otherwise (for p != 2).
     """
-    kk = k + 3
-    while True:
+
+    def attempt(kk: int) -> Optional[DyadicInterval]:
         a = abs_pow(z, p, kk)
         b = abs_pow(w, p, kk)
         c = abs_pow(z - w, p, kk)
         d = abs_pow(z + w, p, kk)
         out = ((a + b).scale(2) - (c + d)).abs()
-        if out.width <= _width_target(k):
-            return out
-        kk += max(4, kk // 2)
-        if kk > MAX_WORKING_PREC:
-            raise PrecisionExhaustedError("sigma1 refinement exceeded the precision cap")
+        return out if out.width <= _width_target(k) else None
+
+    return refine(attempt, k + 3, what="sigma1 refinement exceeded the precision cap")
 
 
 def signed_sigma1_scalar(z: GaussianRational, w: GaussianRational, p: PExponent, k: int) -> DyadicInterval:
@@ -669,35 +693,36 @@ def signed_sigma1_scalar(z: GaussianRational, w: GaussianRational, p: PExponent,
 
     Nonnegative for 1 <= p < 2 and nonpositive for p > 2.
     """
-    kk = k + 3
-    while True:
+
+    def attempt(kk: int) -> Optional[DyadicInterval]:
         a = abs_pow(z, p, kk)
         b = abs_pow(w, p, kk)
         c = abs_pow(z - w, p, kk)
         d = abs_pow(z + w, p, kk)
         out = (a + b).scale(2) - (c + d)
-        if out.width <= _width_target(k):
-            return out
-        kk += max(4, kk // 2)
-        if kk > MAX_WORKING_PREC:
-            raise PrecisionExhaustedError("sigma1 refinement exceeded the precision cap")
+        return out if out.width <= _width_target(k) else None
+
+    return refine(attempt, k + 3, what="sigma1 refinement exceeded the precision cap")
 
 
 def lamperti_denominator(p: PExponent, k: int) -> DyadicInterval:
     """Enclosure of |4 - 2 sqrt(2)^p|, certified away from 0 (else PEqualsTwoError)."""
     side = p.side_of_two()  # raises when p cannot be separated from 2
-    kk = k + 2
-    while True:
+
+    def attempt(kk: int) -> Optional[DyadicInterval]:
         two_pow = pow_enclosure(DyadicInterval.point(2), p, kk, num=Fraction(1, 2))
         raw = DyadicInterval.point(4) - two_pow.scale(2)
         box = raw if side < 0 else -raw
-        if box.lo > 0 and box.width <= _width_target(k):
-            return box
-        kk += max(4, kk // 2)
-        if kk > MAX_WORKING_PREC:
-            # p separated from 2 but the denominator still straddles 0:
-            # cannot happen mathematically, so this is defensive
-            raise PEqualsTwoError("|4 - 2 sqrt(2)^p| could not be separated from 0")
+        return box if box.lo > 0 and box.width <= _width_target(k) else None
+
+    # p separated from 2 but the denominator still straddling 0 at the cap
+    # cannot happen mathematically, so the error is defensive
+    return refine(
+        attempt,
+        k + 2,
+        what="|4 - 2 sqrt(2)^p| could not be separated from 0",
+        error=PEqualsTwoError,
+    )
 
 
 def lamperti_constant(p: PExponent, k: int) -> DyadicInterval:
@@ -709,42 +734,24 @@ def lamperti_constant(p: PExponent, k: int) -> DyadicInterval:
     hit = cache.get(k)
     if hit is not None:
         return hit
-    kk = k + 2
-    while True:
-        den = lamperti_denominator(p, kk)
-        out = den.reciprocal()
-        if out.width <= _width_target(k):
-            cache[k] = out
-            return out
-        kk += max(4, kk // 2)
-        if kk > MAX_WORKING_PREC:
-            raise PrecisionExhaustedError("lamperti constant refinement exceeded the cap")
+
+    def attempt(kk: int) -> Optional[DyadicInterval]:
+        out = lamperti_denominator(p, kk).reciprocal()
+        return out if out.width <= _width_target(k) else None
+
+    out = refine(attempt, k + 2, what="lamperti constant refinement exceeded the cap")
+    cache[k] = out
+    return out
 
 
 def sigma_scalar(z: GaussianRational, w: GaussianRational, p: PExponent, k: int) -> DyadicInterval:
     """sigma(z, w) = c_p * sigma1(z, w), width <= 2**-k."""
-    kk = k + 3
-    while True:
-        c = lamperti_constant(p, kk)
-        s = sigma1_scalar(z, w, p, kk)
-        out = c * s
-        if out.width <= _width_target(k):
-            return out
-        kk += max(4, kk // 2)
-        if kk > MAX_WORKING_PREC:
-            raise PrecisionExhaustedError("sigma refinement exceeded the precision cap")
 
+    def attempt(kk: int) -> Optional[DyadicInterval]:
+        out = lamperti_constant(p, kk) * sigma1_scalar(z, w, p, kk)
+        return out if out.width <= _width_target(k) else None
 
-def sigma_from_sigma1(sigma1_box: DyadicInterval, p: PExponent, k: int) -> DyadicInterval:
-    """Scale an already-computed sigma1 enclosure by c_p."""
-    kk = k + 3
-    while True:
-        out = lamperti_constant(p, kk) * sigma1_box
-        if out.width <= _width_target(k) or out.width <= sigma1_box.width * 2:
-            return out
-        kk += max(4, kk // 2)
-        if kk > MAX_WORKING_PREC:
-            raise PrecisionExhaustedError("sigma scaling exceeded the precision cap")
+    return refine(attempt, k + 3, what="sigma refinement exceeded the precision cap")
 
 
 def log2_enclosure(box: DyadicInterval, k: int) -> DyadicInterval:
@@ -811,8 +818,8 @@ def lamperti_objective(theta_over_pi: RationalLike, t: RationalLike, p: PExponen
         raise ValueError("the objective is only defined for t >= 1")
     side = p.side_of_two()
     target = _width_target(k)
-    kk = k + 4
-    while True:
+
+    def attempt(kk: int) -> Optional[DyadicInterval]:
         prec = max(64, kk + GUARD_BITS)
         cos_box = _cos_of_pi_multiple(theta_over_pi, prec)
         # |1 +/- t e^(i theta)|^2 = 1 +/- 2 t cos(theta) + t^2, >= 0
@@ -825,8 +832,6 @@ def lamperti_objective(theta_over_pi: RationalLike, t: RationalLike, p: PExponen
         out = DyadicInterval.point(2) + tp.scale(2) - term_plus - term_minus
         if side > 0:
             out = -out
-        if out.width <= target:
-            return out
-        kk += max(4, kk // 2)
-        if kk > MAX_WORKING_PREC:
-            raise PrecisionExhaustedError("objective refinement exceeded the precision cap")
+        return out if out.width <= target else None
+
+    return refine(attempt, k + 4, what="objective refinement exceeded the precision cap")

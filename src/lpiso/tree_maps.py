@@ -39,9 +39,14 @@ from .lp_vectors import (
     precedes,
     sigma1_from_norms,
 )
-from .presentations import ComputableVector, GenCombo, Presentation, bits_for
+from .presentations import (
+    ComputableVector,
+    GenCombo,
+    Presentation,
+    _entry_bound_bits,
+    bits_for,
+)
 from .scalar_core import (
-    MAX_WORKING_PREC,
     DyadicInterval,
     GaussianRational,
     PExponent,
@@ -50,6 +55,7 @@ from .scalar_core import (
     abs_pow,
     lamperti_constant,
     pow_enclosure,
+    refine,
 )
 
 # ---------------------------------------------------------------------------
@@ -373,8 +379,8 @@ def sigma_tree(psi: TreeMap, k: int) -> DyadicInterval:
         return fn
 
     node_norms = {node: node_norm(node) for node in psi.nodes()}
-    kk = k + count.bit_length() + 2
-    while True:
+
+    def attempt(kk: int) -> Optional[DyadicInterval]:
         total = ZERO_INTERVAL
         for a, b in incomp:
             total = total + _sigma1_pair(
@@ -386,11 +392,13 @@ def sigma_tree(psi: TreeMap, k: int) -> DyadicInterval:
                 f, psi.value(b), partial(_vnorm, f, p), node_norms[b], p, kk
             )
         out = lamperti_constant(p, kk) * total
-        if out.width <= _width_target(k):
-            return out
-        kk += max(4, kk // 2)
-        if kk > MAX_WORKING_PREC:
-            raise PrecisionExhaustedError("sigma on tree maps exceeded the precision cap")
+        return out if out.width <= _width_target(k) else None
+
+    return refine(
+        attempt,
+        k + count.bit_length() + 2,
+        what="sigma on tree maps exceeded the precision cap",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -556,15 +564,6 @@ def _greedy_witness(
     return beta
 
 
-def _gauss_bound_bits(z: GaussianRational) -> int:
-    """Smallest b >= 0 with |z| <= 2**b."""
-    sq = z.abs_sq()
-    b = 0
-    while Fraction(4) ** b < sq:
-        b += 1
-    return b
-
-
 def residual_norm(
     psi: TreeMap,
     pres: Presentation,
@@ -579,22 +578,22 @@ def residual_norm(
     computable-vector wrappers, which keeps the precision requests shallow.
     """
     if psi.is_transparent and pres.has_backdoor:
-        kk = k + 2
-        while True:
+
+        def transparent_attempt(kk: int) -> Optional[DyadicInterval]:
             approx = pres.generator_vector(j, kk)
             for node, coeff in beta.items():
                 approx = approx - psi.value(node).scale(coeff)
             box = norm_p(approx, psi.p, kk)
             pad = _width_target(kk)  # generator approximation error
             out = DyadicInterval(max(box.lo - pad, Fraction(0)), box.hi + pad)
-            if out.width <= _width_target(k):
-                return out
-            kk += max(4, kk // 2)
-            if kk > MAX_WORKING_PREC:
-                raise PrecisionExhaustedError("residual norm exceeded the precision cap")
+            return out if out.width <= _width_target(k) else None
+
+        return refine(
+            transparent_attempt, k + 2, what="residual norm exceeded the precision cap"
+        )
     size_bits = max(1, len(beta)).bit_length()
-    kk = k + 2
-    while True:
+
+    def attempt(kk: int) -> Optional[DyadicInterval]:
         combo = GenCombo.single(j)
         pad = Fraction(0)
         for node, coeff in beta.items():
@@ -603,16 +602,14 @@ def residual_norm(
                 raise NoBackdoorError(
                     "certifying a transparent map against a backdoor-less oracle is not supported"
                 )
-            inner_k = kk + size_bits + _gauss_bound_bits(coeff)
+            inner_k = kk + size_bits + _entry_bound_bits(coeff)
             combo = combo - val.approx(inner_k).scale(coeff)
             pad += _width_target(kk + size_bits)  # |coeff| 2^-inner_k <= this
         box = pres.norm_enclosure(combo, kk)
         out = DyadicInterval(max(box.lo - pad, Fraction(0)), box.hi + pad)
-        if out.width <= _width_target(k):
-            return out
-        kk += max(4, kk // 2)
-        if kk > MAX_WORKING_PREC:
-            raise PrecisionExhaustedError("residual norm exceeded the precision cap")
+        return out if out.width <= _width_target(k) else None
+
+    return refine(attempt, k + 2, what="residual norm exceeded the precision cap")
 
 
 def summativity_defect(psi: TreeMap, node: TreeNode, k: int) -> DyadicInterval:
@@ -712,18 +709,16 @@ def distance_bound(phi: TreeMap, psi: TreeMap, k: int) -> DyadicInterval:
     """
     check_extension_hypothesis(phi.tree, psi.tree)
     merged = union_map(phi, psi)
-    kk = k + 4
-    while True:
+
+    def attempt(kk: int) -> Optional[DyadicInterval]:
         dist = tree_distance(phi, psi.restrict(phi.tree), kk) if not phi.is_empty else ZERO_INTERVAL
         dist_pow = pow_enclosure(dist, phi.p, kk) if not phi.is_empty else ZERO_INTERVAL
         sig = sigma_tree(merged, kk)
         two_pow = pow_enclosure(DyadicInterval.point(2), phi.p, kk)
         out = dist_pow + two_pow * sig
-        if out.width <= _width_target(k):
-            return out
-        kk += max(4, kk // 2)
-        if kk > MAX_WORKING_PREC:
-            raise PrecisionExhaustedError("distance bound exceeded the precision cap")
+        return out if out.width <= _width_target(k) else None
+
+    return refine(attempt, k + 4, what="distance bound exceeded the precision cap")
 
 
 ThresholdTerms = Dict[int, List[Tuple[GaussianRational, GaussianRational]]]
@@ -797,18 +792,19 @@ def project_to_strong_hom(
 
     def certified_greater(z: GaussianRational, n: int, prec: int) -> bool:
         """|z|^p > sigma_hat(n), decided with refinement; ties fall to False."""
-        while True:
-            z_box = abs_pow(z, p, prec)
-            s_box = sigma_hat_at(n, prec)
+
+        def attempt(kk: int) -> Optional[bool]:
+            z_box = abs_pow(z, p, kk)
+            s_box = sigma_hat_at(n, kk)
             if z_box.lo > s_box.hi:
                 return True
             if z_box.hi <= s_box.lo:
                 return False
             if z_box.width + s_box.width < delta:
                 return False  # undecided within slack: zero the coordinate
-            prec += max(4, prec // 2)
-            if prec > MAX_WORKING_PREC:
-                raise PrecisionExhaustedError("threshold comparison exceeded the cap")
+            return None
+
+        return refine(attempt, prec, what="threshold comparison exceeded the cap")
 
     start_prec = bits_for(delta) + 4
     result: Dict[TreeNode, FinSuppVector] = {n: phi.value(n) for n in phi.values}

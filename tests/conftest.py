@@ -12,6 +12,21 @@ P1 = PExponent.from_fraction(1)
 P3 = PExponent.from_fraction(3)
 
 
+class OpaqueStandard(StandardPresentation):
+    """The standard presentation with its backdoor hidden: norms only.
+    Counts the oracle queries it answers."""
+
+    queries = 0
+
+    @property
+    def has_backdoor(self):
+        return False
+
+    def norm_approx(self, combo, k):
+        self.queries += 1
+        return super().norm_approx(combo, k)
+
+
 def rational_vector(entries):
     return FinSuppVector(
         {n: GaussianRational.of(Fraction(q)) for n, q in entries.items()}

@@ -4,7 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from lpiso.errors import HypothesisViolatedError, NotPartialDisintegrationError, PEqualsTwoError
+from lpiso.errors import (
+    HypothesisViolatedError,
+    NoBackdoorError,
+    NotPartialDisintegrationError,
+    PEqualsTwoError,
+)
 from lpiso.lp_vectors import FinSuppVector, norm_p
 from lpiso.presentations import (
     CeSet,
@@ -30,6 +35,8 @@ from lpiso.extension_engine import (
     empty_map,
     error_functional,
 )
+
+from conftest import OpaqueStandard
 
 P1 = PExponent.from_fraction(1)
 P32 = PExponent.from_fraction(Fraction(3, 2))
@@ -291,6 +298,24 @@ class TestCertificateSoundness:
         )
         with pytest.raises(NotPartialDisintegrationError):
             approximate_extend(dup, 1, 4, pres)
+
+
+class TestNoBackdoor:
+    """The extension search needs a transparent backdoor and says so
+    before it searches."""
+
+    def test_approximate_extend_raises_up_front(self):
+        pres = OpaqueStandard(P1)
+        with pytest.raises(NoBackdoorError):
+            approximate_extend(empty_map(pres), 1, 4, pres)
+        assert pres.queries == 0
+
+    def test_build_disintegration_raises(self):
+        pres = OpaqueStandard(P1)
+        # stage 0 needs only the norm oracle; the first extension needs more
+        assert build_disintegration(pres, 0).stage_count() == 1
+        with pytest.raises(NoBackdoorError):
+            build_disintegration(pres, 1)
 
 
 class TestStagesStayValid:

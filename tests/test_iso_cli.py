@@ -306,6 +306,22 @@ class TestCliInputErrors:
         message = self.assert_input_error(capsys, "sigma", "--z", "1", "--w", "1", "--k", "-5")
         assert "--k" in message
 
+    @pytest.mark.parametrize("k", ["100000", "8193"])
+    def test_precision_above_the_cap(self, capsys, k):
+        # 100000 used to end in a traceback: the printed 2^-k figures pass
+        # Python's int-to-str digit limit
+        message = self.assert_input_error(
+            capsys, "lamperti-check", "--p", "3", "--z", "1", "--w", "1/2", "--k", k
+        )
+        assert "--k" in message
+
+    def test_precision_at_the_cap(self, capsys):
+        code = main(["lamperti-check", "--p", "3", "--z", "1", "--w", "1/2", "--k", "8192"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["status"] == "ok"
+        assert out["inputs"]["k"] == 8192
+
     def test_malformed_presentation_json(self, capsys):
         message = self.assert_input_error(capsys, "synthesize", "--pres", '{"type":')
         assert "--pres" in message
@@ -348,12 +364,8 @@ class TestIsometricProperty:
         # without a transparent backdoor, only the blind coefficient grid
         # can discover the scaling witness
         from lpiso.presentations import GenCombo
+        from conftest import OpaqueStandard
         from lpiso.tree_maps import FiniteTree, TreeMap, TreeNode, WitnessBudget, success_index
-
-        class OpaqueStandard(StandardPresentation):
-            @property
-            def has_backdoor(self):
-                return False
 
         pres = OpaqueStandard(P1)
         node = TreeNode.of(0)

@@ -6,14 +6,18 @@ Derived expected values are frozen from independent oracles:
     high-precision evaluator, independent of the interval code under test).
 """
 
+import inspect
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpiso.errors import PEqualsTwoError
+import lpiso
+from lpiso.errors import PEqualsTwoError, PrecisionExhaustedError
 from lpiso.scalar_core import (
     CReal,
     DyadicInterval,
@@ -24,6 +28,7 @@ from lpiso.scalar_core import (
     lamperti_constant,
     lamperti_objective,
     pow_enclosure,
+    refine,
     sigma1_scalar,
     sigma_scalar,
     signed_sigma1_scalar,
@@ -276,3 +281,57 @@ class TestIrrationalExponent:
     def test_enclosure_monotone(self):
         z = GaussianRational.of(Fraction(7, 5), Fraction(2, 9))
         assert abs_pow(z, self.p, 10).encloses(abs_pow(z, self.p, 26))
+
+
+class TestRefine:
+    @staticmethod
+    def tried(start, misses):
+        seen = []
+
+        def attempt(kk):
+            seen.append(kk)
+            return kk if len(seen) > misses else None
+
+        assert refine(attempt, start, what="x") == seen[-1]
+        return seen
+
+    def test_precision_sequence(self):
+        # grows by max(4, kk // 2): +4 steps at low precision, then x1.5
+        assert self.tried(1, 5) == [1, 5, 9, 13, 19, 28]
+        assert self.tried(10, 3) == [10, 15, 22, 33]
+        assert self.tried(23, 0) == [23]
+
+    def test_returns_first_accepted_value(self):
+        assert refine(lambda kk: kk if kk >= 20 else None, 10, what="x") == 22
+        # falsy answers are answers: only None asks for more precision
+        assert refine(lambda kk: False, 7, what="x") is False
+        assert refine(lambda kk: Fraction(0), 7, what="x") == 0
+
+    def test_cap_raises_with_the_site_message(self):
+        seen = []
+        with pytest.raises(PrecisionExhaustedError, match="^the site's message$"):
+            refine(lambda kk: seen.append(kk), 40, what="the site's message", cap=90)
+        assert seen == [40, 60, 90]  # the cap itself is still tried
+        with pytest.raises(PEqualsTwoError, match="^apart$"):
+            refine(lambda kk: None, 40, what="apart", cap=100, error=PEqualsTwoError)
+
+    def test_default_cap_is_the_working_cap(self):
+        seen = []
+        with pytest.raises(PrecisionExhaustedError):
+            refine(lambda kk: seen.append(kk), 3000, what="x")
+        assert seen == [3000, 4500, 6750]
+
+    def test_schedule_lives_only_in_refine(self):
+        """Every adaptive-refinement loop goes through refine: the
+        max(4, k // 2) growth step appears nowhere else in the package."""
+        lines, start = inspect.getsourcelines(refine)
+        inside = range(start, start + len(lines))
+        step = re.compile(r"(\w+)\s*(\+=|=\s*\1\s*\+)\s*max\(\s*4\s*,\s*\1\s*//\s*2\s*\)")
+        stray = []
+        for path in sorted(Path(lpiso.__file__).parent.glob("*.py")):
+            for lineno, line in enumerate(path.read_text().splitlines(), 1):
+                if step.search(line) and not (
+                    path.name == "scalar_core.py" and lineno in inside
+                ):
+                    stray.append(f"{path.name}:{lineno}")
+        assert stray == []
