@@ -311,9 +311,6 @@ class ChainPartition:
     certificates: Dict[TreeNode, AnmCertificate]
     explored: FiniteTree
 
-    def chain_of(self, node: TreeNode) -> int:
-        return self.assignment[node]
-
     def report(self, source: ChainSource, t: int) -> list:
         out = []
         for cid, nodes in enumerate(self.chains):
@@ -419,18 +416,15 @@ def chain_limit(
     deep_value = source.value(deepest)
 
     if source.certified_terminal(deepest):
-        box = norm_power_value(deep_value, source.p, max(k, 8))
-        status = "zero" if box.hi == 0 else "exact"
-        return ChainLimit(chain_id, deep_value, box, status)
-
-    known = source.limit_vector(nodes) if oracle.mode == "transparent" else None
+        known = deep_value
+    elif oracle.mode == "transparent":
+        known = source.limit_vector(nodes)
+    else:
+        known = None
     if known is not None:
         box = norm_power_value(known, source.p, max(k, 8))
-        if box.hi == 0 or (box.is_point() and box.lo == 0):
-            return ChainLimit(chain_id, known, box, "zero")
-        if box.lo > 0:
-            return ChainLimit(chain_id, known, box, "exact")
-        return ChainLimit(chain_id, known, box, "exact")
+        status = "zero" if box.hi == 0 else "exact"
+        return ChainLimit(chain_id, known, box, status)
 
     # staged fallback: norms along the chain only decrease, giving an upper
     # bound; nothing certifies how much is still to fall

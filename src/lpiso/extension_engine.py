@@ -156,6 +156,53 @@ def _as_cv(value, pres: Presentation, prec: int) -> ComputableVector:
     return ComputableVector.constant(pres.encode_vector(value, prec), pres)
 
 
+def _ball_constraints(
+    tree: FiniteTree,
+    center: Dict[TreeNode, GenCombo],
+    beta: Optional[Dict[int, Dict[TreeNode, GaussianRational]]],
+    phi: Optional[TreeMap],
+    n_index: int,
+    k: int,
+    pres: Presentation,
+    prec: int,
+):
+    """Every inequality a ball certificate checks, each once, as
+    (flag, slack, weight): it holds on the closed ball of radius r around
+    center exactly when slack - weight * r > 0 (Lipschitz slack).
+
+    Norms are read at prec; coverage is skipped without witnesses beta,
+    restriction without a nonempty base map phi.
+    """
+    nodes = tree.nonroot_nodes()
+    for node in nodes:
+        yield "injective_nonzero", pres.norm_enclosure(center[node], prec).lo, 1
+    for i, a in enumerate(nodes):
+        for b in nodes[i + 1 :]:
+            yield "injective_nonzero", pres.norm_enclosure(center[a] - center[b], prec).lo, 2
+    bound = _width_target(n_index)
+    for node in nodes:
+        kids = tree.children(node)
+        if not kids:
+            continue
+        defect = center[node]
+        for kid in kids:
+            defect = defect - center[kid]
+        yield "summativity", bound - pres.norm_enclosure(defect, prec).hi, 1 + len(kids)
+    if beta is not None:
+        for j in range(n_index):
+            resid = GenCombo.single(j)
+            spread = Fraction(0)
+            for node, z in beta.get(j, {}).items():
+                resid = resid - center[node].scale(z)
+                spread += _gauss_abs_upper(z)
+            yield "distance", bound - pres.norm_enclosure(resid, prec).hi, spread
+    if phi is not None and not phi.is_empty:
+        center_map = _center_map(tree, center, pres)
+        for node in phi.nodes():
+            diff = center_map.value(node) - _as_cv(phi.value(node), pres, prec)
+            yield "restriction", _width_target(k) - diff.norm_enclosure(prec).hi, 1
+
+
 def certify_ball(
     ball: RationalBall,
     phi: Optional[TreeMap],
@@ -169,96 +216,40 @@ def certify_ball(
 ) -> BallCertificate:
     """Check each flag at one working precision.
 
-    Absent flags are simply not granted; callers escalate by re-proposing,
-    which keeps runs reproducible.  The summativity and coverage bounds are
-    read at 2**-n_index; coverage needs explicit witness coefficients.
+    A flag is granted when every inequality of its family holds across the
+    ball: each (flag, slack, weight) from _ball_constraints must have
+    slack - weight * r > 0 at the ball's radius r, and the family's least
+    such value is its margin ("separation" for injective_nonzero).  The
+    summativity and coverage bounds are read at 2**-n_index; coverage
+    needs explicit witness coefficients.  Absent flags are simply not
+    granted; callers escalate by re-proposing, which keeps runs
+    reproducible.
     """
     prec = precision or max(n_index + 6, k + 4, bits_for(ball.radius) + 6)
     r = ball.radius
     cert = BallCertificate(radius=r, precision=prec, beta=beta)
-    nodes = ball.tree.nonroot_nodes()
+    restricted = phi is not None and not phi.is_empty
 
-    # injectivity and nonvanishing with Lipschitz slack 2r / r
-    ok = True
-    worst_gap: Optional[Fraction] = None
-
-    def note_gap(g: Fraction):
-        nonlocal worst_gap
-        worst_gap = g if worst_gap is None else min(worst_gap, g)
-
-    for node in nodes:
-        gap = pres.norm_enclosure(ball.center[node], prec).lo - r
-        note_gap(gap)
-        if gap <= 0:
-            ok = False
-            break
-    if ok:
-        for i, a in enumerate(nodes):
-            if not ok:
-                break
-            for b in nodes[i + 1 :]:
-                gap = pres.norm_enclosure(ball.center[a] - ball.center[b], prec).lo - 2 * r
-                note_gap(gap)
-                if gap <= 0:
-                    ok = False
-                    break
-    cert.injective_nonzero = ok
-    if worst_gap is not None:
-        cert.margins["separation"] = format_fraction(worst_gap)
-
-    # summativity across the ball
-    bound = _width_target(n_index)
-    ok = True
-    worst = Fraction(0)
-    for node in nodes:
-        kids = ball.tree.children(node)
-        if not kids:
-            continue
-        defect = ball.center[node]
-        for kid in kids:
-            defect = defect - ball.center[kid]
-        upper = pres.norm_enclosure(defect, prec).hi + r * (1 + len(kids))
-        worst = max(worst, upper)
-        if upper >= bound:
-            ok = False
-    cert.summativity = ok
-    cert.margins["summativity"] = format_fraction(bound - worst)
-
-    # generator coverage with explicit witnesses
-    ok = beta is not None
-    worst = Fraction(0)
-    if beta is not None:
-        for j in range(n_index):
-            coeffs = beta.get(j, {})
-            resid = GenCombo.single(j)
-            spread = Fraction(0)
-            for node, z in coeffs.items():
-                resid = resid - ball.center[node].scale(z)
-                spread += _gauss_abs_upper(z)
-            upper = pres.norm_enclosure(resid, prec).hi + r * spread
-            worst = max(worst, upper)
-            if upper >= bound:
-                ok = False
-                break
-    cert.distance = ok
-    cert.margins["distance"] = format_fraction(bound - worst)
-
-    # the whole ball stays within 2^-k of phi on phi's domain
-    if phi is None or phi.is_empty:
-        cert.restriction = True
-    else:
-        ok = True
-        worst = Fraction(0)
-        center_map = ball.center_map(pres)
-        for node in phi.nodes():
-            diff = center_map.value(node) - _as_cv(phi.value(node), pres, prec)
-            upper = diff.norm_enclosure(prec).hi + r
-            worst = max(worst, upper)
-            if upper >= _width_target(k):
-                ok = False
-                break
-        cert.restriction = ok
-        cert.margins["restriction"] = format_fraction(_width_target(k) - worst)
+    worst: Dict[str, Fraction] = {
+        "summativity": _width_target(n_index),
+        "distance": _width_target(n_index),
+    }
+    if restricted:
+        worst["restriction"] = _width_target(k)
+    for flag, slack, weight in _ball_constraints(
+        ball.tree, ball.center, beta, phi, n_index, k, pres, prec
+    ):
+        margin = slack - weight * r
+        worst[flag] = min(worst.get(flag, margin), margin)
+    separation = worst.pop("injective_nonzero", None)
+    cert.injective_nonzero = separation is None or separation > 0
+    if separation is not None:
+        cert.margins["separation"] = format_fraction(separation)
+    cert.summativity = worst["summativity"] > 0
+    cert.distance = beta is not None and worst["distance"] > 0
+    cert.restriction = not restricted or worst["restriction"] > 0
+    for flag, margin in worst.items():
+        cert.margins[flag] = format_fraction(margin)
 
     # intersection with the strong homomorphisms over hom_base
     base = hom_base if hom_base is not None else (phi if phi is not None else empty_map(pres))
@@ -318,16 +309,6 @@ def _coordinate_carriers(chi: TreeMap) -> Dict[int, TreeNode]:
             if cur is None or len(node) > len(cur):
                 carriers[coord] = node
     return carriers
-
-
-def _presentation_exactness(pres: Presentation) -> bool:
-    """Whether snapshots and encodings are exact rational arithmetic."""
-    kind = pres.descriptor().get("type")
-    if kind in ("standard", "rotated"):
-        return True
-    if kind == "adversarial":
-        return pres.p.exact == 1 and getattr(pres.ce, "complete_size", None) is not None
-    return False
 
 
 def _inverse(lam: GaussianRational) -> GaussianRational:
@@ -513,7 +494,7 @@ def build_guided_proposal(
         beta[j] = {n: z for n, z in coeffs.items() if not z.is_zero()}
 
     return Proposal(
-        structure, center, beta, _presentation_exactness(pres), atom_support, prec
+        structure, center, beta, pres.exact_arithmetic, atom_support, prec
     )
 
 
@@ -553,54 +534,27 @@ def _pick_radius_bits(
     k: int,
     pres: Presentation,
 ) -> Optional[int]:
-    """Largest power-of-two radius the margins plausibly support."""
-    prec = proposal.snapshot_prec
-    nodes = proposal.structure.tree.nonroot_nodes()
-    limits: List[Fraction] = [_width_target(k + 1)]
-    for node in nodes:
-        lo = pres.norm_enclosure(proposal.center[node], prec).lo
-        if lo <= 0:
-            return None
-        limits.append(lo / 2)
-    for i, a in enumerate(nodes):
-        for b in nodes[i + 1 :]:
-            gap = pres.norm_enclosure(proposal.center[a] - proposal.center[b], prec).lo
-            if gap <= 0:
-                return None
-            limits.append(gap / 4)
-    bound = _width_target(n_index + 1)
-    for node in nodes:
-        kids = proposal.structure.tree.children(node)
-        if not kids:
-            continue
-        defect = proposal.center[node]
-        for kid in kids:
-            defect = defect - proposal.center[kid]
-        slack = bound - pres.norm_enclosure(defect, prec).hi
+    """Largest power-of-two radius the margins plausibly support.
+
+    Reads the certificate's inequalities at the snapshot precision: None
+    when one already fails at the center, else the bits of half the least
+    of 2^-(k+1) and each slack / (2 max(weight, 1)).
+    """
+    limit = _width_target(k + 1)
+    for _, slack, weight in _ball_constraints(
+        proposal.structure.tree,
+        proposal.center,
+        proposal.beta,
+        phi,
+        n_index + 1,
+        k,
+        pres,
+        proposal.snapshot_prec,
+    ):
         if slack <= 0:
             return None
-        limits.append(slack / (2 * (1 + len(kids))))
-    for j, coeffs in proposal.beta.items():
-        resid = GenCombo.single(j)
-        spread = Fraction(0)
-        for node, z in coeffs.items():
-            resid = resid - proposal.center[node].scale(z)
-            spread += _gauss_abs_upper(z)
-        slack = bound - pres.norm_enclosure(resid, prec).hi
-        if slack <= 0:
-            return None
-        limits.append(slack / (2 * max(spread, Fraction(1))))
-    if not phi.is_empty:
-        center_map = _center_map(proposal.structure.tree, proposal.center, pres)
-        worst = Fraction(0)
-        for node in phi.nodes():
-            diff = center_map.value(node) - _as_cv(phi.value(node), pres, prec)
-            worst = max(worst, diff.norm_enclosure(prec).hi)
-        slack = _width_target(k) - worst
-        if slack <= 0:
-            return None
-        limits.append(slack / 2)
-    return bits_for(min(limits) / 2)
+        limit = min(limit, slack / (2 * max(weight, 1)))
+    return bits_for(limit / 2)
 
 
 def approximate_extend(
@@ -652,9 +606,7 @@ def _extend(
             "the extension search needs a presentation with a transparent backdoor"
         )
     budget = budget or SearchBudget()
-    p_ceil = max(
-        1, -(-pres.p.enclosure(2).hi.numerator // pres.p.enclosure(2).hi.denominator)
-    )
+    p_ceil = pres.p.upper_int()
     for round_idx in range(budget.rounds):
         proposal = build_guided_proposal(
             phi, n_index, k, pres, round_idx, force_growth=force_growth
@@ -813,14 +765,6 @@ class StagedDisintegration:
     def stage_count(self) -> int:
         return len(self.stages)
 
-    def limit_error_bound(self, n: int) -> Fraction:
-        """||phi_hat_n - the stage-n limit|| is at most the sum of the later
-        stage moduli, itself at most 2^-ball_bits(n)."""
-        return sum(
-            (_width_target(rec.ball_bits + 1) for rec in self.stages[n:-1]),
-            Fraction(0),
-        )
-
     def atom_index(self, node: TreeNode) -> Optional[int]:
         for rec in self.stages:
             if node in rec.atom_support:
@@ -976,15 +920,6 @@ def _normalized_norm_power(staged: StagedDisintegration, node: TreeNode, t: int)
     )
 
 
-def _generator_atom_index(pres: Presentation, j: int) -> Optional[int]:
-    kind = pres.descriptor().get("type")
-    if kind in ("standard", "rotated"):
-        return j
-    if kind == "adversarial":
-        return j if j >= 1 else None
-    return None
-
-
 def build_disintegration(
     pres: Presentation,
     n_target: int,
@@ -1023,10 +958,10 @@ def build_disintegration(
     )
     k0 = bits_for(pres.norm_enclosure(combo0, 10).lo / 2)
     atoms0: Dict[TreeNode, int] = {}
-    gen_atom = _generator_atom_index(pres, j0)
+    gen_atom = pres.generator_atom(j0)
     if gen_atom is not None:
         atoms0[first] = gen_atom
-    stages = [StageRecord(0, phi0, k0, None, _presentation_exactness(pres), atoms0)]
+    stages = [StageRecord(0, phi0, k0, None, pres.exact_arithmetic, atoms0)]
 
     for n in range(n_target):
         prev = stages[-1]

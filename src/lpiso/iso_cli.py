@@ -66,6 +66,7 @@ from .scalar_core import (
     GaussianRational,
     PExponent,
     _width_target,
+    ceil_log2,
     format_fraction,
     lamperti_objective,
     log2_enclosure,
@@ -339,10 +340,7 @@ def recover_scale_from_atom(
     """
     if q0 < 1:
         raise ValueError("q0 must be at least 1")
-    extra = 0
-    while Fraction(2) ** extra < q0:
-        extra += 1
-    k_query = k + 1 + extra
+    k_query = k + 1 + ceil_log2(q0)
     combo = v.approx(k_query)
     alpha0 = combo[0]
     return CReal.sqrt_of_fraction(alpha0.abs_sq()).approx(k + 1)

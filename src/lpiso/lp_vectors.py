@@ -50,10 +50,6 @@ class FinSuppVector:
     def basis(n: int, coeff: GaussianRational = GaussianRational.one()) -> "FinSuppVector":
         return FinSuppVector({n: coeff})
 
-    @staticmethod
-    def from_rational_entries(entries: Mapping[int, Fraction]) -> "FinSuppVector":
-        return FinSuppVector({n: GaussianRational.of(q) for n, q in entries.items()})
-
     # -- structure ------------------------------------------------------------
 
     def support(self) -> frozenset:

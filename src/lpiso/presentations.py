@@ -39,6 +39,7 @@ from .scalar_core import (
     ZERO_INTERVAL,
     _width_target,
     abs_pow,
+    ceil_log2,
     format_fraction,
     parse_fraction,
     pow_enclosure,
@@ -50,10 +51,7 @@ def bits_for(tol: Fraction) -> int:
     """Smallest k >= 0 with 2**-k <= tol (tol must be positive)."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    k = 0
-    while _width_target(k) > tol:
-        k += 1
-    return k
+    return ceil_log2(Fraction(1) / tol)
 
 
 class GenCombo(FinSuppVector):
@@ -204,9 +202,6 @@ class CeSet:
         # members beyond `bound` contribute at most sum_{n > bound} 2^-n
         return DyadicInterval(low, low + Fraction(1, 2**bound))
 
-    def gamma_creal(self) -> CReal:
-        return CReal.from_interval_fn(self.gamma_enclosure, name=f"gamma({self.label})")
-
     def to_json(self) -> dict:
         if self.complete_size is not None:
             self._advance_to(self.complete_size)
@@ -289,6 +284,15 @@ class Presentation:
     def has_backdoor(self) -> bool:
         return False
 
+    @property
+    def exact_arithmetic(self) -> bool:
+        """Whether snapshots and encodings are exact rational arithmetic."""
+        return False
+
+    def generator_atom(self, j: int) -> Optional[int]:
+        """The one coordinate generator j is supported on, if it is an atom."""
+        return None
+
     def transparent_eval(self, combo: GenCombo, k: int) -> FinSuppVector:
         raise NoBackdoorError(f"{type(self).__name__} has no transparent backdoor")
 
@@ -313,11 +317,7 @@ class Presentation:
 
 def _entry_bound_bits(z: GaussianRational) -> int:
     """Smallest b >= 0 with |z| <= 2**b."""
-    sq = z.abs_sq()
-    b = 0
-    while Fraction(4) ** b < sq:
-        b += 1
-    return b
+    return (ceil_log2(z.abs_sq()) + 1) // 2
 
 
 class StandardPresentation(Presentation):
@@ -333,6 +333,13 @@ class StandardPresentation(Presentation):
     @property
     def has_backdoor(self) -> bool:
         return True
+
+    @property
+    def exact_arithmetic(self) -> bool:
+        return True
+
+    def generator_atom(self, j: int) -> Optional[int]:
+        return j
 
     def transparent_eval(self, combo: GenCombo, k: int) -> FinSuppVector:
         return FinSuppVector(combo.entries)
@@ -350,7 +357,7 @@ class StandardPresentation(Presentation):
         return out
 
 
-class RotatedPresentation(Presentation):
+class RotatedPresentation(StandardPresentation):
     """Generators zeta * e_j for one unimodular Gaussian rational zeta.
 
     The norm of a combination does not see zeta, so the oracle is literally
@@ -360,22 +367,16 @@ class RotatedPresentation(Presentation):
     def __init__(self, p: PExponent, zeta: GaussianRational):
         if zeta.abs_sq() != 1:
             raise ValueError("zeta must be unimodular (|zeta|^2 = 1 exactly)")
-        self.p = p
+        super().__init__(p)
         self.zeta = zeta
-        self._standard = StandardPresentation(p)
 
     def norm_approx(self, combo: GenCombo, k: int) -> Fraction:
-        return self._standard.norm_approx(combo, k)
-
-    @property
-    def has_backdoor(self) -> bool:
-        return True
+        # the inherited oracle, under this class's own name: bench/spans.py
+        # resolves the oracle family by qualified name
+        return super().norm_approx(combo, k)
 
     def transparent_eval(self, combo: GenCombo, k: int) -> FinSuppVector:
         return FinSuppVector(combo.entries).scale(self.zeta)
-
-    def generator_tail_norm_bound(self, j: int, cutoff: int) -> Fraction:
-        return Fraction(0) if j <= cutoff else Fraction(1)
 
     def encode_vector(self, v: FinSuppVector, k: int) -> GenCombo:
         # zeta^-1 = conj(zeta) for unimodular zeta
@@ -478,13 +479,16 @@ class AdversarialPresentation(Presentation):
     def has_backdoor(self) -> bool:
         return self.ce.decide is not None
 
+    @property
+    def exact_arithmetic(self) -> bool:
+        return self.p.exact == 1 and self.ce.complete_size is not None
+
+    def generator_atom(self, j: int) -> Optional[int]:
+        return j if j >= 1 else None
+
     def _require_backdoor(self):
         if not self.has_backdoor:
             raise NoBackdoorError("operation needs decidable membership in the underlying set")
-
-    def _p_upper_int(self) -> int:
-        box = self.p.enclosure(2)
-        return max(1, -(-box.hi.numerator // box.hi.denominator))
 
     def _prefix_for_tail(self, tail_power_tol: Fraction) -> List[int]:
         """Enumerated elements whose complement tail of gamma is <= tail_power_tol."""
@@ -524,7 +528,7 @@ class AdversarialPresentation(Presentation):
         """Transparent approximation of f_0 within 2**-k (rational entries)."""
         self._require_backdoor()
         target = _width_target(k)
-        ph = self._p_upper_int()
+        ph = self.p.upper_int()
         # dropped tail: norm <= tail_power^(1/p) <= tail_power^(1/ph) for tail <= 1
         tail_tol = (target / 4) ** ph
         prefix = self._prefix_for_tail(tail_tol)
@@ -575,7 +579,7 @@ class AdversarialPresentation(Presentation):
         self._require_backdoor()
         target = _width_target(k)
         m_bound = self._root_one_minus_gamma(Fraction(1, 4), invert=True).hi + 1
-        ph = self._p_upper_int()
+        ph = self.p.upper_int()
         # residual tail of f_0 carried into g, rescaled by at most m_bound
         tail_tol = (target / 4 / m_bound) ** ph
         prefix = self._prefix_for_tail(tail_tol)
@@ -753,11 +757,7 @@ class ComputableVector:
 
         def approx(k: int) -> GenCombo:
             if "bits" not in norm_bits_cache:
-                hi = self.norm_enclosure(2).hi + 1
-                extra = 0
-                while Fraction(2) ** extra < hi:
-                    extra += 1
-                norm_bits_cache["bits"] = extra
+                norm_bits_cache["bits"] = ceil_log2(self.norm_enclosure(2).hi + 1)
             extra = norm_bits_cache["bits"]
             q = c.approx(k + 2 + extra)
             return self.approx(k + 2 + c_bound_bits).scale(GaussianRational.of(q))

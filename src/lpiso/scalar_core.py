@@ -74,6 +74,16 @@ def parse_fraction(text: str) -> Fraction:
     return Fraction(text.strip().replace("−", "-"))
 
 
+def ceil_log2(q: RationalLike) -> int:
+    """Smallest b >= 0 with q <= 2**b, exactly (0 for every q <= 1)."""
+    q = _to_fraction(q)
+    if q <= 1:
+        return 0
+    n, d = q.numerator, q.denominator
+    b = n.bit_length() - d.bit_length()  # 2**(b-1) < q < 2**(b+1)
+    return b if n <= d << b else b + 1
+
+
 def format_fraction(q: Fraction) -> str:
     q = Fraction(q)
     if q.denominator == 1:
@@ -182,7 +192,7 @@ GAUSS_ONE = GaussianRational.one()
 GAUSS_ZERO = GaussianRational.zero()
 GAUSS_I = GaussianRational.of(0, 1)
 
-#: the eight Gaussian-rational unimodular scalars used in invariance tests
+#: the four Gaussian-integer units, used in invariance tests
 UNIMODULAR_UNITS = (
     GAUSS_ONE,
     -GAUSS_ONE,
@@ -244,21 +254,8 @@ class DyadicInterval:
     def is_point(self) -> bool:
         return self.lo == self.hi
 
-    def strictly_positive(self) -> bool:
-        return self.lo > 0
-
-    def strictly_negative(self) -> bool:
-        return self.hi < 0
-
     def separated_from_zero(self) -> bool:
         return self.lo > 0 or self.hi < 0
-
-    def certified_lt(self, other: "DyadicInterval") -> bool:
-        """True only when every point of self is below every point of other."""
-        return self.hi < other.lo
-
-    def certified_le(self, other: "DyadicInterval") -> bool:
-        return self.hi <= other.lo
 
     # -- arithmetic (exact, containment-preserving) --------------------------
 
@@ -301,15 +298,6 @@ class DyadicInterval:
         if not self.separated_from_zero():
             raise ZeroDivisionError("reciprocal of an interval containing 0")
         return DyadicInterval(1 / self.hi, 1 / self.lo)
-
-    def intersect(self, other: "DyadicInterval") -> "DyadicInterval":
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        if lo > hi:
-            raise ValueError("empty intersection; inputs were not enclosures of one value")
-        return DyadicInterval(lo, hi)
-
-    def hull(self, other: "DyadicInterval") -> "DyadicInterval":
-        return DyadicInterval(min(self.lo, other.lo), max(self.hi, other.hi))
 
     def max_with(self, other: "DyadicInterval") -> "DyadicInterval":
         """Enclosure of max(x, y) for x in self, y in other."""
@@ -493,6 +481,11 @@ class PExponent:
             return DyadicInterval.point(self.exact)
         return self.value.enclosure(k)
 
+    def upper_int(self) -> int:
+        """An integer >= max(p, 1): the ceiling of a 2**-2 enclosure's top."""
+        hi = self.enclosure(2).hi
+        return max(1, -(-hi.numerator // hi.denominator))
+
     def is_integer(self) -> bool:
         return self.exact is not None and self.exact.denominator == 1
 
@@ -654,16 +647,6 @@ def abs_pow(z: GaussianRational, p: PExponent, k: int) -> DyadicInterval:
         if n % 2 == 0:
             return DyadicInterval.point(z.abs_sq() ** (n // 2))
     return pow_enclosure(DyadicInterval.point(z.abs_sq()), p, k, num=Fraction(1, 2))
-
-
-def root_p(box: DyadicInterval, p: PExponent, k: int) -> DyadicInterval:
-    """Enclosure of box**(1/p) for a nonnegative enclosure box."""
-    return pow_enclosure(box, p, k, over_p=True)
-
-
-def norm_power(box: DyadicInterval, p: PExponent, k: int) -> DyadicInterval:
-    """Enclosure of box**p for a nonnegative enclosure box (norm -> norm^p)."""
-    return pow_enclosure(box, p, k)
 
 
 # ---------------------------------------------------------------------------

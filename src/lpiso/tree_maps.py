@@ -283,10 +283,6 @@ def _vnorm(value: TreeValue, p: PExponent, k: int) -> DyadicInterval:
     return norm_p(value, p, k)
 
 
-def _vzero() -> FinSuppVector:
-    return FinSuppVector.zero()
-
-
 def union_map(phi: TreeMap, psi: TreeMap) -> TreeMap:
     """phi on its domain, psi's values on the rest of psi's domain."""
     if not phi.tree.is_subtree_of(psi.tree):

@@ -29,8 +29,10 @@ from lpiso.tree_maps import (
 )
 from lpiso.extension_engine import (
     RationalBall,
+    _pick_radius_bits,
     approximate_extend,
     build_disintegration,
+    build_guided_proposal,
     certify_ball,
     empty_map,
     error_functional,
@@ -128,6 +130,100 @@ class TestCertifyBall:
         ball = atom_ball(pres, 3, Fraction(2, 1))
         cert = certify_ball(ball, None, 1, 4, pres, beta=identity_beta(3))
         assert not cert.injective_nonzero
+
+
+class TestBallConstraints:
+    """certify_ball and _pick_radius_bits read one list of inequalities."""
+
+    @pytest.mark.parametrize(
+        "make_pres",
+        [
+            lambda: StandardPresentation(P32),
+            lambda: RotatedPresentation(P3, GaussianRational.parse("3/5+4/5i")),
+            lambda: build_adversarial(CeSet.explicit([1, 3]), P1),
+        ],
+        ids=["standard-p3/2", "rotated-p3", "adversarial-p1"],
+    )
+    def test_picked_radius_is_certified(self, make_pres):
+        # the radius leaves each slack a margin at the snapshot precision,
+        # so the certificate read at that precision grants every flag
+        pres = make_pres()
+        stage = build_disintegration(pres, 1).last()
+        phi, n, k = stage.phi_hat, 1, stage.ball_bits + 1
+        proposal = build_guided_proposal(phi, n, k, pres, 0, force_growth=True)
+        bits = _pick_radius_bits(proposal, phi, n, k, pres)
+        ball = RationalBall(proposal.structure.tree, proposal.center, Fraction(1, 2**bits))
+        cert = certify_ball(
+            ball,
+            phi,
+            n + 1,
+            k,
+            pres,
+            hom_base=empty_map(pres),
+            beta=proposal.beta,
+            precision=proposal.snapshot_prec,
+        )
+        assert cert.injective_nonzero
+        assert cert.summativity
+        assert cert.distance
+        assert cert.restriction
+
+    @staticmethod
+    def separation_minimum(pres, ball, prec):
+        nodes = ball.tree.nonroot_nodes()
+        gaps = [pres.norm_enclosure(ball.center[a], prec).lo - ball.radius for a in nodes]
+        gaps += [
+            pres.norm_enclosure(ball.center[a] - ball.center[b], prec).lo - 2 * ball.radius
+            for i, a in enumerate(nodes)
+            for b in nodes[i + 1 :]
+        ]
+        return min(gaps)
+
+    def test_failing_separation_margin_is_the_family_minimum(self):
+        pres = StandardPresentation(P1)
+        nodes = [TreeNode.of(0), TreeNode.of(1)]
+        duplicate = RationalBall(
+            FiniteTree(nodes), {n: GenCombo.single(0) for n in nodes}, Fraction(1, 64)
+        )
+        huge = atom_ball(pres, 3, Fraction(2, 1))
+        for ball, n_index, k, count in ((duplicate, 1, 6, 1), (huge, 1, 4, 3)):
+            cert = certify_ball(ball, None, n_index, k, pres, beta=identity_beta(count))
+            assert not cert.injective_nonzero
+            expected = self.separation_minimum(pres, ball, cert.precision)
+            assert Fraction(cert.margins["separation"]) == expected
+        # at radius 2 the pairwise gaps, checked after a node norm has
+        # already failed, hold the minimum
+        assert expected == Fraction(-1025, 512)
+
+    def test_granted_certificate_json(self):
+        pres = StandardPresentation(P1)
+        ball = atom_ball(pres, 4, Fraction(1, 64))
+        cert = certify_ball(ball, None, 2, 6, pres, hom_base=empty_map(pres), beta=identity_beta(4))
+        assert cert.to_json() == {
+            "radius": "1/64",
+            "precision": 12,
+            "flags": {
+                "injective_nonzero": True,
+                "summativity": True,
+                "distance": True,
+                "restriction": True,
+                "meets_hom": True,
+            },
+            "margins": {
+                "distance": "64390955007/274877906944",
+                "hom_gap": "1800896251288389929/115262426632037747264",
+                "hom_upper": "1236950581248/1800975416125589801",
+                "separation": "8063/8192",
+                "summativity": "1/4",
+            },
+        }
+
+    def test_norm_queries_live_in_the_constraint_list(self):
+        """Neither pass writes out an inequality of its own."""
+        import inspect
+
+        for fn in (certify_ball, _pick_radius_bits):
+            assert "norm_enclosure" not in inspect.getsource(fn), fn.__name__
 
 
 class TestApproximateExtend:

@@ -1,0 +1,80 @@
+"""Source guard: every function, class and method defined in the package is
+named somewhere in the package, its tests or the benchmark harness.
+
+A definition counts as used when its name appears as a variable, an
+attribute or a word inside a string literal (the benchmark tracer names
+functions by their qualified names) anywhere under src/, tests/ or bench/.
+Docstrings do not count, so a name that only documentation mentions is
+still reported.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "lpiso"
+
+#: names allowed to stay defined without a use; keep it empty
+UNUSED_ALLOWED: frozenset = frozenset()
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _definitions(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield node.name
+
+
+def _docstring_ids(tree: ast.Module) -> set:
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            first = node.body[0] if node.body else None
+            if (
+                isinstance(first, ast.Expr)
+                and isinstance(first.value, ast.Constant)
+                and isinstance(first.value.value, str)
+            ):
+                out.add(id(first.value))
+    return out
+
+
+def _references(tree: ast.Module):
+    docstrings = _docstring_ids(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in docstrings
+        ):
+            yield from re.findall(r"[A-Za-z_]\w*", node.value)
+
+
+def test_every_package_definition_is_named_elsewhere():
+    defined = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        defined.update(_definitions(_parse(path)))
+    named = set()
+    for top in ("src", "tests", "bench"):
+        for path in sorted((REPO / top).rglob("*.py")):
+            named.update(_references(_parse(path)))
+    unused = sorted(defined - named - UNUSED_ALLOWED)
+    assert not unused, f"defined in src/lpiso but never named: {unused}"
+
+
+def test_guard_sees_an_unused_definition():
+    tree = ast.parse(
+        'def used():\n    """mentions unused in a docstring"""\n'
+        "def unused():\n    pass\n"
+        "used()\n"
+    )
+    assert set(_definitions(tree)) - set(_references(tree)) == {"unused"}

@@ -8,6 +8,7 @@ Derived expected values are frozen from independent oracles:
 
 import inspect
 import math
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -25,6 +26,7 @@ from lpiso.scalar_core import (
     PExponent,
     abs_pow,
     approx_real,
+    ceil_log2,
     lamperti_constant,
     lamperti_objective,
     pow_enclosure,
@@ -335,3 +337,61 @@ class TestRefine:
                 ):
                     stray.append(f"{path.name}:{lineno}")
         assert stray == []
+
+
+class TestCeilLog2:
+    """ceil_log2 replaced four counting loops; each loop is kept here as the
+    reference it must match exactly."""
+
+    @staticmethod
+    def loop_pow2_at_least(q):  # scale_creal, recover_scale_from_atom
+        b = 0
+        while Fraction(2) ** b < q:
+            b += 1
+        return b
+
+    @staticmethod
+    def loop_bits_for(tol):  # presentations.bits_for
+        k = 0
+        while Fraction(1, 2**k) > tol:
+            k += 1
+        return k
+
+    @staticmethod
+    def loop_entry_bound_bits(z):  # presentations._entry_bound_bits
+        sq = z.abs_sq()
+        b = 0
+        while Fraction(4) ** b < sq:
+            b += 1
+        return b
+
+    @staticmethod
+    def fractions():
+        rng = random.Random(20231)
+        out = [Fraction(0), Fraction(1)]
+        for e in range(-40, 41):
+            two = Fraction(2) ** e
+            out += [two, two + Fraction(1, 2**60), two - Fraction(1, 2**60)]
+        for _ in range(6000):
+            num = rng.getrandbits(rng.randint(1, 64)) + 1
+            den = rng.getrandbits(rng.randint(1, 64)) + 1
+            out.append(Fraction(num, den))
+        return [q for q in out if q >= 0]
+
+    def test_matches_the_loops(self):
+        from lpiso.presentations import _entry_bound_bits, bits_for
+
+        for q in self.fractions():
+            assert ceil_log2(q) == self.loop_pow2_at_least(q), q
+            if q > 0:
+                assert bits_for(q) == self.loop_bits_for(q), q
+            z = GaussianRational.of(q, q / 3)
+            assert _entry_bound_bits(z) == self.loop_entry_bound_bits(z), z
+            z = GaussianRational.of(0, -q)
+            assert _entry_bound_bits(z) == self.loop_entry_bound_bits(z), z
+
+    def test_small_values(self):
+        assert [ceil_log2(q) for q in (-3, 0, Fraction(1, 2), 1, 2, 3, 4, 5)] == [
+            0, 0, 0, 0, 1, 2, 2, 3,
+        ]
+        assert ceil_log2(Fraction(2**70 + 1, 2)) == 70
