@@ -26,12 +26,14 @@ The search is deterministic, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 logger = logging.getLogger(__name__)
 
+from .chain_partition import LazyDisintegration, norm_power_value
 from .errors import (
     BudgetExhaustedError,
     NoBackdoorError,
@@ -55,6 +57,7 @@ from .tree_maps import (
     FiniteTree,
     TreeMap,
     TreeNode,
+    _coordinate_carriers,
     distance_bound,
     project_to_strong_hom,
     validate_partial_disintegration,
@@ -102,7 +105,6 @@ class BallCertificate:
     distance: bool = False
     restriction: bool = False
     meets_hom: bool = False
-    beta: Optional[Dict[int, Dict[TreeNode, GaussianRational]]] = None
     margins: Dict[str, str] = field(default_factory=dict)
 
     def all_granted(self, *, need_restriction: bool = True) -> bool:
@@ -126,8 +128,6 @@ class BallCertificate:
 
 def _gauss_abs_upper(z: GaussianRational) -> Fraction:
     """A rational upper bound on |z| (within a factor close to 1)."""
-    import math
-
     sq = z.abs_sq()
     if sq == 0:
         return Fraction(0)
@@ -227,7 +227,7 @@ def certify_ball(
     """
     prec = precision or max(n_index + 6, k + 4, bits_for(ball.radius) + 6)
     r = ball.radius
-    cert = BallCertificate(radius=r, precision=prec, beta=beta)
+    cert = BallCertificate(radius=r, precision=prec)
     restricted = phi is not None and not phi.is_empty
 
     worst: Dict[str, Fraction] = {
@@ -278,7 +278,6 @@ class ProposalStructure:
     """
 
     tree: FiniteTree
-    base_nodes: List[TreeNode]
     atom_nodes: Dict[TreeNode, Tuple[TreeNode, int]]  # new child -> (carrier, coord)
     fresh_atoms: Dict[TreeNode, int]                  # new top node -> coord
     residual_nodes: Dict[TreeNode, int]               # new top node -> generator
@@ -299,20 +298,6 @@ class Proposal:
 def _truncate_map(snap: TreeMap, level: int) -> TreeMap:
     values = {n: snap.value(n).restrict_below(level) for n in snap.nodes()}
     return TreeMap(snap.tree, values, snap.p, snap.pres)
-
-
-def _coordinate_carriers(chi: TreeMap) -> Dict[int, TreeNode]:
-    carriers: Dict[int, TreeNode] = {}
-    for node in chi.nodes():
-        for coord in chi.value(node).support():
-            cur = carriers.get(coord)
-            if cur is None or len(node) > len(cur):
-                carriers[coord] = node
-    return carriers
-
-
-def _inverse(lam: GaussianRational) -> GaussianRational:
-    return lam.conj().scale(1 / lam.abs_sq())
 
 
 def _values_on_structure(
@@ -346,7 +331,7 @@ def _values_on_structure(
             lam = values[holder][m]
             if lam.is_zero():
                 continue
-            combo = combo - center[holder].scale(z * _inverse(lam))
+            combo = combo - center[holder].scale(z / lam)
             rest.pop(m, None)
         center[node] = combo
         values[node] = FinSuppVector(rest)
@@ -456,7 +441,6 @@ def build_guided_proposal(
     tree = chi.tree.union(list(atom_nodes) + list(fresh_atoms) + list(residual_nodes))
     structure = ProposalStructure(
         tree=tree,
-        base_nodes=list(chi.nodes()),
         atom_nodes=atom_nodes,
         fresh_atoms=fresh_atoms,
         residual_nodes=residual_nodes,
@@ -487,7 +471,7 @@ def build_guided_proposal(
             lam = values[holder][m]
             if lam.is_zero():
                 continue
-            coeffs[holder] = coeffs.get(holder, GaussianRational.zero()) + z * _inverse(lam)
+            coeffs[holder] = coeffs.get(holder, GaussianRational.zero()) + z / lam
         for node, gen_idx in residual_nodes.items():
             if gen_idx == j:
                 coeffs[node] = GaussianRational.one()
@@ -777,15 +761,17 @@ class StagedDisintegration:
         Norm queries are answered structurally: level-one values are exact
         units damped by 2^-label, deeper values are oracle norm ratios, and
         the root's p-th power is the damped sum over materialized labels
-        plus a certified geometric tail for the labels still to come.
+        plus a certified geometric tail for the labels still to come.  The
+        root has no vector value: the chain layer reads only its norm
+        power, and value(ROOT) raises ValueError.
         """
-        from .chain_partition import LazyDisintegration
-
         staged = self
 
         def value(node: TreeNode):
             if node.is_root():
-                return _normalized_root_vector(staged)
+                raise ValueError(
+                    "the normalized root has no vector value; only its norm power is read"
+                )
             return _normalized_node_vector(staged, node)
 
         def stage(t: int) -> FiniteTree:
@@ -793,12 +779,6 @@ class StagedDisintegration:
 
         def terminal(node: TreeNode) -> bool:
             return staged.atom_index(node) is not None
-
-        def limit(chain: Tuple[TreeNode, ...]):
-            deepest = chain[-1]
-            if staged.atom_index(deepest) is not None:
-                return _normalized_node_vector(staged, deepest)
-            return None
 
         def norm_power(node: TreeNode, t: int) -> Fraction:
             return _normalized_norm_power(staged, node, t)
@@ -809,7 +789,6 @@ class StagedDisintegration:
             value,
             stage,
             terminal_fn=terminal,
-            limit_fn=limit,
             norm_power_fn=norm_power,
         )
 
@@ -843,32 +822,6 @@ def _normalized_node_vector(staged: StagedDisintegration, node: TreeNode) -> Com
     return scaled.scale_gauss(GaussianRational.of(Fraction(1, 2**a)))
 
 
-def _normalized_root_vector(staged: StagedDisintegration) -> ComputableVector:
-    """Sum of the normalized level-one values, with a certified tail bound.
-
-    Unseen future level-one labels all exceed the current node count, so
-    their damped norms are dominated by a geometric tail.
-    """
-    pres = staged.pres
-    rec = staged.last()
-    level_one = [n for n in rec.phi_hat.tree.nonroot_nodes() if len(n) == 1]
-    floor_label = len(rec.phi_hat.tree)
-
-    def approx(k: int) -> GenCombo:
-        tail = Fraction(2, 2**floor_label)  # sum of 2^-a over a >= floor
-        if tail >= _width_target(k + 1):
-            raise PrecisionExhaustedError(
-                "the root value needs more stages for this precision"
-            )
-        total = GenCombo({})
-        share = k + 1 + max(1, len(level_one)).bit_length()
-        for node in level_one:
-            total = total + _normalized_node_vector(staged, node).approx(share)
-        return total
-
-    return ComputableVector(approx, pres, "normalized-root")
-
-
 def _normalized_norm_power(staged: StagedDisintegration, node: TreeNode, t: int) -> Fraction:
     """q(node, t) for the normalized view, |q - ||psi(node)||^p| < 2^-(t+1).
 
@@ -900,7 +853,6 @@ def _normalized_norm_power(staged: StagedDisintegration, node: TreeNode, t: int)
     if len(node) == 1:
         box = pow_enclosure(DyadicInterval.point(Fraction(1, 2**a)), p, t + 3)
         return box.mid
-    from .chain_partition import norm_power_value
 
     def attempt(kk: int) -> Optional[Fraction]:
         num = norm_power_value(rec.phi_hat.value(node), p, kk)

@@ -54,7 +54,6 @@ from .presentations import (
     GenCombo,
     OracleAdapter,
     Presentation,
-    _entry_bound_bits,
     bits_for,
     build_adversarial,
     presentation_from_descriptor,
@@ -77,9 +76,12 @@ from .scalar_core import (
     abs_pow,
 )
 from .tree_maps import (
+    FiniteTree,
     TreeMap,
+    TreeNode,
     distance_bound,
     project_to_strong_hom,
+    residual_norm,
     validate_partial_disintegration,
 )
 
@@ -250,7 +252,8 @@ def synthesize_isometry(
                     f"pairwise sigma1 certificate failed for units {i}, {j}"
                 )
 
-    # generator coverage with explicit witnesses
+    # generator coverage with explicit witnesses, certified on the flat
+    # map sending node (m) to unit m
     witnesses: Dict[int, Dict[int, GaussianRational]] = {}
     if pres.has_backdoor:
         peek_prec = max(gen_bits, cert_bits) + 8
@@ -259,23 +262,22 @@ def synthesize_isometry(
             coord, coeff = _transparent_atom_peek(rec.vector, peek_prec)
             if coord is not None and coord not in atom_of:
                 atom_of[coord] = (rec.index, coeff)
+        unit_nodes = [TreeNode.of(rec.index) for rec in units]
+        unit_map = TreeMap(
+            FiniteTree(unit_nodes),
+            {node: rec.vector for node, rec in zip(unit_nodes, units)},
+            pres.p,
+            pres,
+        )
         for j in range(n_units):
             target = pres.generator_vector(j, peek_prec)
             beta: Dict[int, GaussianRational] = {}
             for coord, z in target.entries.items():
                 if coord in atom_of:
                     m, lam = atom_of[coord]
-                    coeff = z * lam.conj().scale(1 / lam.abs_sq())
-                    beta[m] = beta.get(m, GaussianRational.zero()) + coeff
-            # flatten into one formal combination with explicit error padding
-            size_bits = max(1, len(beta)).bit_length()
-            combo = GenCombo.single(j)
-            pad = Fraction(0)
-            for m, z in beta.items():
-                inner_k = gen_bits + 4 + size_bits + _entry_bound_bits(z)
-                combo = combo - units[m].vector.approx(inner_k).scale(z)
-                pad += _width_target(gen_bits + 4 + size_bits)
-            upper = pres.norm_enclosure(combo, gen_bits + 4).hi + pad
+                    beta[m] = beta.get(m, GaussianRational.zero()) + z / lam
+            node_beta = {unit_nodes[m]: z for m, z in beta.items()}
+            upper = residual_norm(unit_map, pres, j, node_beta, gen_bits + 2).hi
             if upper >= _width_target(gen_bits):
                 raise PrecisionExhaustedError(
                     f"generation witness for generator {j} missed 2^-{gen_bits}"
@@ -854,31 +856,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _check_counts(args)
         return args.fn(args)
     except ProvisionalError as exc:
-        print(
-            json.dumps(
-                {
-                    "command": args.command,
-                    "status": "provisional",
-                    "detail": str(exc),
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-        return 2
+        return _emit({"command": args.command, "status": "provisional", "detail": str(exc)})
     except LpisoError as exc:
-        print(
-            json.dumps(
-                {
-                    "command": args.command,
-                    "status": "error",
-                    "error": {"type": type(exc).__name__, "message": str(exc)},
-                },
-                indent=2,
-                sort_keys=True,
-            )
+        return _emit(
+            {
+                "command": args.command,
+                "status": "error",
+                "error": {"type": type(exc).__name__, "message": str(exc)},
+            }
         )
-        return 1
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ transit.  Rational fast paths bypass mpmath entirely.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, TypeVar, Union
@@ -134,6 +135,10 @@ class GaussianRational:
             self.re * other.im + self.im * other.re,
         )
 
+    def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
+        """Exact quotient; ZeroDivisionError when other is zero."""
+        return self * other.conj().scale(1 / other.abs_sq())
+
     def scale(self, q: RationalLike) -> "GaussianRational":
         q = _to_fraction(q)
         return GaussianRational(self.re * q, self.im * q)
@@ -189,7 +194,6 @@ class GaussianRational:
 
 
 GAUSS_ONE = GaussianRational.one()
-GAUSS_ZERO = GaussianRational.zero()
 GAUSS_I = GaussianRational.of(0, 1)
 
 #: the four Gaussian-integer units, used in invariance tests
@@ -417,8 +421,6 @@ class CReal:
         if a < 0:
             raise ValueError("sqrt of a negative rational")
 
-        import math
-
         def box(k: int) -> DyadicInterval:
             # scale so that sqrt(a) = isqrt(a * 4**m) / 2**m, floor version
             m = k + 2
@@ -547,8 +549,6 @@ def _int_nth_root_exact(n: int, v: int) -> Optional[int]:
         return None
     if n in (0, 1) or v == 1:
         return n
-    import math
-
     if v == 2:
         r = math.isqrt(n)
         return r if r * r == n else None

@@ -548,11 +548,7 @@ def _greedy_witness(
         idx, pivot = max(overlap, key=lambda item: item[1].abs_sq())
         if pivot.abs_sq() < dust:
             continue
-        num = residual[idx]
-        inv_sq = pivot.abs_sq()
-        coeff = num * pivot.conj()
-        coeff = GaussianRational.of(coeff.re / inv_sq, coeff.im / inv_sq)
-        coeff = _round_gauss(coeff, bits)
+        coeff = _round_gauss(residual[idx] / pivot, bits)
         if coeff.is_zero():
             continue
         beta[node] = coeff
@@ -836,18 +832,19 @@ def project_to_strong_hom(
 # ---------------------------------------------------------------------------
 
 
-def _coordinate_carrier(phi: TreeMap, coord: int) -> Optional[TreeNode]:
-    """The deepest node whose value's support contains `coord` (they chain)."""
-    carriers = [n for n in phi.nodes() if coord in phi.value(n).support()]
-    if not carriers:
-        return None
-    deepest = max(carriers, key=lambda n: len(n))
-    for other in carriers:
-        if not deepest.extends(other):
-            raise NotPartialDisintegrationError(
-                f"coordinate {coord} carried by incomparable nodes {other}, {deepest}"
-            )
-    return deepest
+def _coordinate_carriers(phi: TreeMap) -> Dict[int, TreeNode]:
+    """Each coordinate in the map's supports -> the deepest node carrying it.
+
+    In a partial disintegration incomparable nodes are disjointly
+    supported, so the carriers of one coordinate form a chain.
+    """
+    carriers: Dict[int, TreeNode] = {}
+    for node in phi.nodes():
+        for coord in phi.value(node).support():
+            cur = carriers.get(coord)
+            if cur is None or len(node) > len(cur):
+                carriers[coord] = node
+    return carriers
 
 
 def extend_existence(
@@ -882,8 +879,9 @@ def extend_existence(
     size = len(phi.tree)
     new_values: Dict[TreeNode, TreeValue] = dict(phi.values)
     new_nodes: List[TreeNode] = []
+    carriers = _coordinate_carriers(phi)
     for coord in range(n1 + 1):
-        carrier = _coordinate_carrier(phi, coord)
+        carrier = carriers.get(coord)
         if carrier is None:
             fresh = ROOT.child(coord + size)
             if fresh in phi.tree:

@@ -442,3 +442,73 @@ class TestCriterion10Determinism:
         assert cli_main(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # one report per remaining CLI command, pinned the same way
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                ["sigma", "--p", "3/2", "--z", "1/2+1/3i", "--w=-1/4", "--k", "16"],
+                "03f060cb433cae1439535aeeb9940baf398404ae7e8c5a135c4933aaf683430e",
+            ),
+            (
+                ["lamperti-check", "--p", "3", "--z", "1", "--w", "1/2", "--k", "20"],
+                "b952befe47ccb1740eda56233415e315e1bd23a30902ba161c97598e03411703",
+            ),
+            (
+                [
+                    "lamperti-grid", "--p", "3/2", "--theta-steps", "4",
+                    "--t-max", "2", "--t-step", "1/2", "--k", "12",
+                ],
+                "190e27a0982a9eb59d3f1bf4c7783066af0d5283a7a09c33dd71fb2e62beaef2",
+            ),
+            (
+                [
+                    "validate-tree", "--p", "3/2", "--tree",
+                    '{"tree": [[0], [0, 1], [0, 2], [3]], "map": {'
+                    '"[0]": {"entries": {"0": "1", "1": "1/2"}}, '
+                    '"[0, 1]": {"entries": {"0": "1"}}, '
+                    '"[0, 2]": {"entries": {"1": "1/2"}}, '
+                    '"[3]": {"entries": {"2": "1/4"}}}}',
+                ],
+                "c64faba8ecd1c14f63ceefcd4f0648f972e8781a6375dbd0784737aa8f694d6b",
+            ),
+            (
+                [
+                    "project-hom", "--p", "1",
+                    "--phi",
+                    '{"tree": [[0]], "map": {"[0]": {"entries": {"0": "1", "1": "1/2"}}}}',
+                    "--psi",
+                    '{"tree": [[0], [0, 1], [0, 2]], "map": {'
+                    '"[0]": {"entries": {"0": "1", "1": "1/2"}}, '
+                    '"[0, 1]": {"entries": {"0": "1", "1": "1/64"}}, '
+                    '"[0, 2]": {"entries": {"1": "1/2"}}}}',
+                ],
+                "48fa145706f58f15c95716ae38da1b4d795d43de0c501c5ba8a57186b8aad574",
+            ),
+            (
+                ["extend", "--pres", '{"type":"standard","p":"1"}', "--n", "1", "--k", "4"],
+                "9309ee76d08d5facdcf77abeed2c3c33fb7d7d22354a7cc2c33434460b8f1bcc",
+            ),
+            (
+                [
+                    "apply", "--pres", '{"type":"rotated","p":"3/2","zeta":"3/5+4/5i"}',
+                    "--units", "3", "--vector", '{"entries":{"0":"1","2":"-1/2+i"}}',
+                    "--k", "8",
+                ],
+                "ac726eca7e47ad04a0b8e68d45d938969bab10c95da28171ed9997bf7dd727bd",
+            ),
+            (
+                ["recover-p", "--pres", '{"type":"standard","p":"3/2"}', "--k-bits", "6"],
+                "81c7a369eaf8b8c40287b7ca66457b00e999304495545481c44848b0c8b67def",
+            ),
+        ],
+        ids=[
+            "sigma", "lamperti-check", "lamperti-grid", "validate-tree",
+            "project-hom", "extend", "apply", "recover-p",
+        ],
+    )
+    def test_pinned_command_digests(self, argv, digest, capsys):
+        assert cli_main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

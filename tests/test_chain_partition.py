@@ -5,7 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from lpiso.errors import NonterminalRequiredError
+from lpiso.errors import (
+    BudgetExhaustedError,
+    NonterminalRequiredError,
+    PrecisionExhaustedError,
+)
 from lpiso.lp_vectors import FinSuppVector, norm_power_p
 from lpiso.presentations import (CeSet, ComputableVector, GenCombo, OracleAdapter,
     StandardPresentation, build_adversarial)
@@ -293,3 +297,64 @@ class TestZeroLimit:
                     assert precedes(lim.vector, val)
             if not lim.is_zero:
                 assert is_atom(lim.vector)
+
+
+def _no_value(node):
+    raise AssertionError("the search reads only norm powers")
+
+
+class TestAnmBudget:
+    """Both ways find_anm_child runs out of budget end in BudgetExhaustedError."""
+
+    KIDS = FiniteTree([TreeNode.of(0), TreeNode.of(1)])
+
+    def test_trigger_that_never_fires(self):
+        # M - Sigma^- = 1/2 + 3 2^-(t+1) stays above the best m = 1/4 - 2^-(t+1):
+        # the two revealed children never account for the parent's mass
+        parent_queries = []
+
+        def norm_power(node, t):
+            if node.is_root():
+                parent_queries.append(t)
+                return Fraction(1)
+            return Fraction(1, 4)
+
+        src = LazyDisintegration(
+            P1, None, _no_value, lambda t: self.KIDS, norm_power_fn=norm_power
+        )
+        with pytest.raises(BudgetExhaustedError, match="not certified by stage 12") as info:
+            find_anm_child(src, ROOT, max_stage=12)
+        assert info.value.budget == 12
+        assert parent_queries == list(range(2, 13))
+
+    def test_capped_source_asks_for_more_stages(self):
+        stages = []
+
+        def norm_power(node, t):
+            stages.append(t)
+            raise PrecisionExhaustedError("capped")
+
+        src = LazyDisintegration(
+            P1, None, _no_value, lambda t: self.KIDS, norm_power_fn=norm_power
+        )
+        with pytest.raises(BudgetExhaustedError, match="build more stages") as info:
+            find_anm_child(src, ROOT)
+        assert stages == [2, 3, 4, 5, 6]  # five misses, one per stage
+        assert info.value.budget == 6
+
+
+class TestAnmCertificateEvidence:
+    def test_m_child_is_the_chosen_childs_stage_bound(self):
+        rng = random.Random(4242)
+        checked = 0
+        for _ in range(60):
+            src = random_disintegration(rng, max_depth=3)
+            for node in src.tree.sorted_nodes():
+                if src.tree.is_terminal(node):
+                    continue
+                cert = find_anm_child(src, node)
+                bound = stage_bounds(src, [cert.child], cert.stage)[cert.child]
+                assert cert.m_child == bound.m
+                assert cert.slack == Fraction(1, 2**cert.stage)
+                checked += 1
+        assert checked > 40

@@ -21,6 +21,7 @@ from lpiso.presentations import (
 )
 from lpiso.scalar_core import GaussianRational, PExponent
 from lpiso.tree_maps import (
+    ROOT,
     FiniteTree,
     TreeMap,
     TreeNode,
@@ -462,3 +463,18 @@ class TestInexactRefinement:
                     assert abs(vec[0].re - truth) < Fraction(1, 2**10)
                     found = True
         assert found
+
+
+class TestChainSourceRoot:
+    def test_root_has_only_a_norm_power(self):
+        staged = build_disintegration(StandardPresentation(P1), 3)
+        source = staged.chain_source()
+        with pytest.raises(ValueError, match="root has no vector value"):
+            source.value(ROOT)
+        # the chain layer reads the root's norm power, and every other
+        # node's value: level-one node (a) is normalized to norm 2^-a
+        assert source.norm_power_approx(ROOT, 2) > 0
+        for node in staged.tree(3).nonroot_nodes():
+            if len(node) == 1:
+                box = source.value(node).norm_enclosure(12)
+                assert box.contains(Fraction(1, 2 ** node.path[0]))

@@ -11,15 +11,19 @@ import pytest
 import lpiso
 from lpiso.errors import IndexOutOfRangeError, ProvisionalError
 from lpiso.lp_vectors import FinSuppVector, norm_p
+from lpiso import iso_cli
 from lpiso.presentations import (
     CeSet,
     ComputableVector,
+    GenCombo,
     OracleAdapter,
     RotatedPresentation,
     StandardPresentation,
+    _entry_bound_bits,
     build_adversarial,
 )
-from lpiso.scalar_core import GaussianRational, PExponent
+from lpiso.scalar_core import GaussianRational, PExponent, _width_target
+from lpiso.tree_maps import residual_norm
 from lpiso.iso_cli import (
     apply_isometry,
     compute_e0_wrt_F,
@@ -438,3 +442,45 @@ class TestCliPipelineCommands:
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert out["result"]["argmin"]["theta_over_pi"] == "1/2"
+
+
+def _old_generation_upper(iso, j):
+    """The padded flattening synthesize_isometry ran inline before it called
+    tree_maps.residual_norm: one query at generation_bits + 4, each witness
+    term approximated finely enough to stay inside the padding."""
+    gen_bits = iso.generation_bits
+    beta = iso.witnesses[j]
+    size_bits = max(1, len(beta)).bit_length()
+    combo = GenCombo.single(j)
+    pad = Fraction(0)
+    for m, z in beta.items():
+        inner_k = gen_bits + 4 + size_bits + _entry_bound_bits(z)
+        combo = combo - iso.units[m].vector.approx(inner_k).scale(z)
+        pad += _width_target(gen_bits + 4 + size_bits)
+    return iso.pres.norm_enclosure(combo, gen_bits + 4).hi + pad
+
+
+class TestGenerationWitness:
+    @pytest.mark.parametrize(
+        "pres",
+        [
+            StandardPresentation(P1),
+            RotatedPresentation(P32, GaussianRational.parse("3/5+4/5i")),
+            build_adversarial(CeSet.explicit([2, 5]), P1),
+        ],
+        ids=["standard-p1", "rotated-p3/2", "adversarial-p1"],
+    )
+    def test_bound_equals_the_old_flattening(self, pres, monkeypatch):
+        uppers = {}
+
+        def recording_residual_norm(psi, pres_, j, beta, k):
+            box = residual_norm(psi, pres_, j, beta, k)
+            uppers[j] = box.hi
+            return box
+
+        monkeypatch.setattr(iso_cli, "residual_norm", recording_residual_norm)
+        iso = synthesize_isometry(pres, 4)
+        assert sorted(uppers) == [0, 1, 2, 3]
+        for j, upper in uppers.items():
+            assert upper == _old_generation_upper(iso, j)
+            assert upper < _width_target(iso.generation_bits)

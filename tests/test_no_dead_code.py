@@ -6,6 +6,10 @@ attribute or a word inside a string literal (the benchmark tracer names
 functions by their qualified names) anywhere under src/, tests/ or bench/.
 Docstrings do not count, so a name that only documentation mentions is
 still reported.
+
+Module-level constants and annotated class fields are held to a stricter
+standard: they must be read, so an assignment or a keyword argument that
+sets one does not count as a use.
 """
 
 import ast
@@ -78,3 +82,53 @@ def test_guard_sees_an_unused_definition():
         "used()\n"
     )
     assert set(_definitions(tree)) - set(_references(tree)) == {"unused"}
+
+
+def _constants_and_fields(tree: ast.Module):
+    """Module-level constants and annotated class fields, as
+    (qualified name, bare name)."""
+    for stmt in tree.body:
+        targets = []
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign):
+            targets = [stmt.target]
+        for target in targets:
+            if isinstance(target, ast.Name):
+                yield target.id, target.id
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield f"{node.name}.{stmt.target.id}", stmt.target.id
+
+
+def _reads(tree: ast.Module):
+    """Names loaded, attributes loaded and words of non-docstring strings:
+    an assignment or a keyword argument is not a read."""
+    docstrings = _docstring_ids(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in docstrings
+        ):
+            yield from re.findall(r"[A-Za-z_]\w*", node.value)
+
+
+def test_every_package_constant_and_field_is_read():
+    defined = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qualified, name in _constants_and_fields(_parse(path)):
+            if not (name.startswith("__") and name.endswith("__")):
+                defined[qualified] = name
+    read = set()
+    for top in ("src", "tests", "bench"):
+        for path in sorted((REPO / top).rglob("*.py")):
+            read.update(_reads(_parse(path)))
+    unread = sorted(q for q, name in defined.items() if name not in read)
+    assert not unread, f"defined in src/lpiso but never read: {unread}"

@@ -395,3 +395,34 @@ class TestCeilLog2:
             0, 0, 0, 0, 1, 2, 2, 3,
         ]
         assert ceil_log2(Fraction(2**70 + 1, 2)) == 70
+
+
+class TestGaussianDivision:
+    """z / w is the one place that divides Gaussian rationals."""
+
+    @staticmethod
+    def random_gauss(rng, nonzero=False):
+        while True:
+            z = gauss(
+                Fraction(rng.randint(-40, 40), rng.randint(1, 12)),
+                Fraction(rng.randint(-40, 40), rng.randint(1, 12)),
+            )
+            if not (nonzero and z.is_zero()):
+                return z
+
+    def test_matches_the_conjugate_formula_and_inverts_multiplication(self):
+        rng = random.Random(20261018)
+        for _ in range(500):
+            z = self.random_gauss(rng)
+            w = self.random_gauss(rng, nonzero=True)
+            q = z / w
+            assert q == z * w.conj().scale(1 / w.abs_sq())
+            assert q * w == z
+
+    def test_real_and_imaginary_divisors(self):
+        assert gauss(1, 2) / gauss(0, 1) == gauss(2, -1)
+        assert gauss(3, -6) / gauss(3) == gauss(1, -2)
+
+    def test_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            gauss(1, 1) / GaussianRational.zero()

@@ -27,6 +27,7 @@ from lpiso.tree_maps import (
     FiniteTree,
     TreeMap,
     TreeNode,
+    _coordinate_carriers,
     check_extension_hypothesis,
     check_strong_hom_exact,
     distance_bound,
@@ -39,7 +40,11 @@ from lpiso.tree_maps import (
     validate_partial_disintegration,
 )
 
-from conftest import projection_instances, random_partial_disintegration
+from conftest import (
+    projection_instances,
+    random_disintegration,
+    random_partial_disintegration,
+)
 
 P1 = PExponent.from_fraction(1)
 P32 = PExponent.from_fraction(Fraction(3, 2))
@@ -545,3 +550,52 @@ class TestProjectionEquivalence:
             out = project_to_strong_hom(phi, psi, 24)
             ref = reference_projection(phi, psi, 24)
             assert out.values == ref.values, f"instance {count}"
+
+
+def _old_coordinate_carrier(phi, coord):
+    """The per-coordinate lookup extend_existence ran before the carrier
+    index: the deepest carrier, checked to extend every other one."""
+    carriers = [n for n in phi.nodes() if coord in phi.value(n).support()]
+    if not carriers:
+        return None
+    deepest = max(carriers, key=lambda n: len(n))
+    for other in carriers:
+        if not deepest.extends(other):
+            raise NotPartialDisintegrationError(
+                f"coordinate {coord} carried by incomparable nodes {other}, {deepest}"
+            )
+    return deepest
+
+
+class TestCoordinateCarriers:
+    def test_matches_the_per_coordinate_lookup(self):
+        rng = random.Random(1018)
+        nested = 0
+        for _ in range(300):
+            src = random_disintegration(rng, max_depth=4)
+            phi = TreeMap(
+                src.tree, {n: src.value(n) for n in src.tree.nonroot_nodes()}, src.p
+            )
+            expected = {}
+            for coord in range(8):
+                carrier = _old_coordinate_carrier(phi, coord)
+                if carrier is not None:
+                    expected[coord] = carrier
+            assert _coordinate_carriers(phi) == expected
+            nested += any(len(n) >= 2 for n in expected.values())
+        assert nested > 50  # many instances carry coordinates below level one
+
+
+class TestSuccessIndexEvidence:
+    @pytest.mark.parametrize(
+        "pres",
+        [StandardPresentation(P1), build_adversarial(CeSet.explicit([1]), P1)],
+        ids=["standard", "adversarial"],
+    )
+    def test_distance_uppers_witness_the_value(self, pres):
+        phi = TreeMap(FiniteTree.trivial(), {}, P1, pres)
+        psi = extend_existence(phi, 3, pres)
+        result = success_index(psi, pres, 3)
+        assert result.value >= 3
+        for j in range(result.value):
+            assert result.distance_uppers[j] < Fraction(1, 2**result.value)
