@@ -71,7 +71,6 @@ from .extension_engine import (
     approximate_extend,
     build_disintegration,
     certify_ball,
-    error_functional,
 )
 from .chain_partition import (
     ChainPartition,

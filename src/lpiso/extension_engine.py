@@ -136,16 +136,6 @@ def _gauss_abs_upper(z: GaussianRational) -> Fraction:
     return Fraction(num, scale)
 
 
-def error_functional(phi: TreeMap, psi: TreeMap, k: int) -> DyadicInterval:
-    """E(psi) relative to phi: the restriction distance to the p plus
-    2^p sigma of the merged map.
-
-    Identical in substance to the distance bound; by the bounding
-    principle its p-th root dominates d(psi, strong homs extending phi).
-    """
-    return distance_bound(phi, psi, k)
-
-
 def empty_map(pres: Presentation) -> TreeMap:
     return TreeMap(FiniteTree.trivial(), {}, pres.p, pres)
 
@@ -253,7 +243,7 @@ def certify_ball(
 
     # intersection with the strong homomorphisms over hom_base
     base = hom_base if hom_base is not None else (phi if phi is not None else empty_map(pres))
-    err = error_functional(base, ball.center_map(pres), prec)
+    err = distance_bound(base, ball.center_map(pres), prec)
     root_upper = pow_enclosure(
         DyadicInterval(Fraction(0), max(err.hi, Fraction(0))), pres.p, prec, over_p=True
     ).hi
@@ -295,20 +285,23 @@ class Proposal:
     snapshot_prec: int
 
 
-def _truncate_map(snap: TreeMap, level: int) -> TreeMap:
+def _truncated_hom(snap: TreeMap, level: int, pres: Presentation, prec: int) -> TreeMap:
+    """The strong homomorphism projected from snap cut below coordinate level."""
     values = {n: snap.value(n).restrict_below(level) for n in snap.nodes()}
-    return TreeMap(snap.tree, values, snap.p, snap.pres)
+    cut = TreeMap(snap.tree, values, snap.p, snap.pres)
+    return project_to_strong_hom(empty_map(pres), cut, prec)
 
 
 def _values_on_structure(
     structure: ProposalStructure,
-    phi: TreeMap,
+    chi: TreeMap,
+    gens: Dict[int, FinSuppVector],
     pres: Presentation,
     prec: int,
 ) -> Tuple[Dict[TreeNode, FinSuppVector], Dict[TreeNode, GenCombo]]:
-    """Transparent values and combo encodings for a pinned skeleton."""
-    snap = phi.transparent_snapshot(prec)
-    chi = project_to_strong_hom(empty_map(pres), _truncate_map(snap, structure.level), prec)
+    """Transparent values and combo encodings for a pinned skeleton, from
+    the caller's reads at prec: chi, the snapshot's homomorphism at
+    structure.level, and gens, the residual nodes' generator vectors."""
     values: Dict[TreeNode, FinSuppVector] = {n: chi.value(n) for n in chi.nodes()}
     for child, (carrier, coord) in structure.atom_nodes.items():
         values[child] = chi.value(carrier).restrict([coord])
@@ -321,7 +314,7 @@ def _values_on_structure(
             continue
         center[node] = pres.encode_vector(values[node], prec)
     for node, j in structure.residual_nodes.items():
-        gen = pres.generator_vector(j, prec)
+        gen = gens[j]
         combo = GenCombo.single(j)
         rest = dict(gen.entries)
         for m, z in gen.entries.items():
@@ -359,6 +352,7 @@ def build_guided_proposal(
     target = _width_target(n_index + 2)
     pi_target = _width_target(k + 2)
 
+    # one snapshot, its projection chi and gens serve the whole round
     snap = phi.transparent_snapshot(prec)
     level = 0
     while any(
@@ -375,7 +369,7 @@ def build_guided_proposal(
                 break
             level += 1
 
-    chi = project_to_strong_hom(empty_map(pres), _truncate_map(snap, level), prec)
+    chi = _truncated_hom(snap, level, pres, prec)
     if not validate_partial_disintegration(chi).is_yes:
         return None
 
@@ -398,8 +392,8 @@ def build_guided_proposal(
     residual_nodes: Dict[TreeNode, int] = {}
     fresh_atoms: Dict[TreeNode, int] = {}
     residual_supports: Dict[int, frozenset] = {}
-    for j in range(n_index + 1):
-        gen = pres.generator_vector(j, prec)
+    gens = {j: pres.generator_vector(j, prec) for j in range(n_index + 1)}
+    for j, gen in gens.items():
         rest = FinSuppVector(
             {m: z for m, z in gen.entries.items() if m not in atom_holders}
         )
@@ -448,7 +442,7 @@ def build_guided_proposal(
         level=level,
     )
 
-    values, center = _values_on_structure(structure, phi, pres, prec)
+    values, center = _values_on_structure(structure, chi, gens, pres, prec)
     proposal_map = TreeMap(tree, values, phi.p, pres)
     if not validate_partial_disintegration(proposal_map).is_yes:
         return None
@@ -461,8 +455,7 @@ def build_guided_proposal(
 
     # witnesses: assemble f_j from the atoms plus its remainder node
     beta: Dict[int, Dict[TreeNode, GaussianRational]] = {}
-    for j in range(n_index + 1):
-        gen = pres.generator_vector(j, prec)
+    for j, gen in gens.items():
         coeffs: Dict[TreeNode, GaussianRational] = {}
         for m, z in gen.entries.items():
             holder = atom_holders.get(m)
@@ -674,6 +667,7 @@ def _refined_values(
     m = bits_for(ball.radius)
     steps: List[Dict[TreeNode, GenCombo]] = [dict(ball.center)]
     precs: List[int] = [proposal.snapshot_prec]
+    structure = proposal.structure
 
     def ensure(s: int) -> None:
         while len(steps) <= s:
@@ -684,7 +678,10 @@ def _refined_values(
                     raise PrecisionExhaustedError(
                         "refinement cap hit before the target precision"
                     )
-                _, center = _values_on_structure(proposal.structure, phi, pres, prec)
+                snap = phi.transparent_snapshot(prec)
+                chi = _truncated_hom(snap, structure.level, pres, prec)
+                gens = {j: pres.generator_vector(j, prec) for j in structure.residual_nodes.values()}
+                _, center = _values_on_structure(structure, chi, gens, pres, prec)
                 ok = True
                 for node, combo in center.items():
                     gap = pres.norm_enclosure(combo - steps[-1][node], prec).hi

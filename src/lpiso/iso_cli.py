@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,7 +38,6 @@ from .errors import (
     IndexOutOfRangeError,
     InvalidInputError,
     LpisoError,
-    NoBackdoorError,
     PrecisionExhaustedError,
     ProvisionalError,
 )
@@ -49,6 +49,7 @@ from .extension_engine import (
 )
 from .lp_vectors import FinSuppVector, norm_p, sigma1_from_norms
 from .presentations import (
+    AdversarialPresentation,
     CeSet,
     ComputableVector,
     GenCombo,
@@ -171,10 +172,7 @@ def _normalize(vec: ComputableVector, cert_bits: int) -> Tuple[ComputableVector,
 def _transparent_atom_peek(
     vec: ComputableVector, prec: int
 ) -> Tuple[Optional[int], Optional[GaussianRational]]:
-    try:
-        snap = vec.transparent(prec)
-    except NoBackdoorError:
-        return None, None
+    snap = vec.transparent(prec)
     if not snap.entries:
         return None, None
     coord, coeff = max(snap.entries.items(), key=lambda kv: kv[1].abs_sq())
@@ -202,6 +200,7 @@ def synthesize_isometry(
     oracle = oracle or _default_oracle(pres)
     cert_bits = budget.cert_bits
     gen_bits = budget.generation_bits or n_units
+    peek_prec = max(gen_bits, cert_bits) + 8
 
     # a couple of spare stages keep the normalized root's tail bound ahead
     # of the stage-bound precision the chain searches start from
@@ -214,6 +213,9 @@ def synthesize_isometry(
 
     provisional = oracle.provisional
     units: List[UnitRecord] = []
+    # one backdoor peek per unit: its atom coordinate, and the coefficient
+    # the generation witnesses divide by (first unit on each coordinate)
+    atom_of: Dict[int, Tuple[int, GaussianRational]] = {}
     for cid in range(len(partition.chains)):
         if len(units) >= n_units:
             break
@@ -227,7 +229,9 @@ def synthesize_isometry(
         box = unit.norm_enclosure(cert_bits + 2)
         if not (box.lo >= 1 - _width_target(cert_bits) and box.hi <= 1 + _width_target(cert_bits)):
             raise PrecisionExhaustedError("unit norm certificate failed")
-        atom_coord, _ = _transparent_atom_peek(unit, cert_bits + 8)
+        atom_coord, coeff = _transparent_atom_peek(unit, peek_prec)
+        if atom_coord is not None and atom_coord not in atom_of:
+            atom_of[atom_coord] = (len(units), coeff)
         units.append(UnitRecord(len(units), cid, atom_coord, cert_bits, unit))
     if len(units) < n_units:
         raise BudgetExhaustedError(
@@ -255,34 +259,27 @@ def synthesize_isometry(
     # generator coverage with explicit witnesses, certified on the flat
     # map sending node (m) to unit m
     witnesses: Dict[int, Dict[int, GaussianRational]] = {}
-    if pres.has_backdoor:
-        peek_prec = max(gen_bits, cert_bits) + 8
-        atom_of: Dict[int, Tuple[int, GaussianRational]] = {}
-        for rec in units:
-            coord, coeff = _transparent_atom_peek(rec.vector, peek_prec)
-            if coord is not None and coord not in atom_of:
-                atom_of[coord] = (rec.index, coeff)
-        unit_nodes = [TreeNode.of(rec.index) for rec in units]
-        unit_map = TreeMap(
-            FiniteTree(unit_nodes),
-            {node: rec.vector for node, rec in zip(unit_nodes, units)},
-            pres.p,
-            pres,
-        )
-        for j in range(n_units):
-            target = pres.generator_vector(j, peek_prec)
-            beta: Dict[int, GaussianRational] = {}
-            for coord, z in target.entries.items():
-                if coord in atom_of:
-                    m, lam = atom_of[coord]
-                    beta[m] = beta.get(m, GaussianRational.zero()) + z / lam
-            node_beta = {unit_nodes[m]: z for m, z in beta.items()}
-            upper = residual_norm(unit_map, pres, j, node_beta, gen_bits + 2).hi
-            if upper >= _width_target(gen_bits):
-                raise PrecisionExhaustedError(
-                    f"generation witness for generator {j} missed 2^-{gen_bits}"
-                )
-            witnesses[j] = beta
+    unit_nodes = [TreeNode.of(rec.index) for rec in units]
+    unit_map = TreeMap(
+        FiniteTree(unit_nodes),
+        {node: rec.vector for node, rec in zip(unit_nodes, units)},
+        pres.p,
+        pres,
+    )
+    for j in range(n_units):
+        target = pres.generator_vector(j, peek_prec)
+        beta: Dict[int, GaussianRational] = {}
+        for coord, z in target.entries.items():
+            if coord in atom_of:
+                m, lam = atom_of[coord]
+                beta[m] = beta.get(m, GaussianRational.zero()) + z / lam
+        node_beta = {unit_nodes[m]: z for m, z in beta.items()}
+        upper = residual_norm(unit_map, pres, j, node_beta, gen_bits + 2).hi
+        if upper >= _width_target(gen_bits):
+            raise PrecisionExhaustedError(
+                f"generation witness for generator {j} missed 2^-{gen_bits}"
+            )
+        witnesses[j] = beta
 
     ledger = {
         "stages": n_units,
@@ -322,12 +319,15 @@ def compute_e0_wrt_F(oracle: OracleAdapter, p: PExponent, k: int) -> GenCombo:
     Staged adapters cannot certify the cut-off or the characteristic-real
     bounds, so they are rejected as provisional rather than mis-certified.
     """
+    return _e0_presentation(oracle, p).e0_combo(k)
+
+
+def _e0_presentation(oracle: OracleAdapter, p: PExponent) -> AdversarialPresentation:
     if oracle.provisional:
         raise ProvisionalError(
             "a staged adapter cannot certify the tail cut-off for e_0"
         )
-    pres = build_adversarial(oracle.ce, p)
-    return pres.e0_combo(k)
+    return build_adversarial(oracle.ce, p)
 
 
 def recover_scale_from_atom(
@@ -445,7 +445,12 @@ def _interval_json(box: DyadicInterval) -> dict:
 
 
 def _emit(report: dict) -> int:
-    print(json.dumps(report, indent=2, sort_keys=True))
+    try:
+        print(json.dumps(report, indent=2, sort_keys=True), flush=True)
+    except BrokenPipeError:
+        # the reader is gone: keep the flush at exit from raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     status = report.get("status", "ok")
     return {"ok": 0, "provisional": 2}.get(status, 1)
 
@@ -691,14 +696,16 @@ def _adversarial_pres(args) -> Tuple[OracleAdapter, PExponent]:
 def _cmd_adversarial(args) -> int:
     oracle, p = _adversarial_pres(args)
     if args.what == "e0":
-        combo = compute_e0_wrt_F(oracle, p, args.k)
-        pres = build_adversarial(oracle.ce, p)
-        _, info = pres.e0_combo_info(args.k)
-        result = {"combo": combo.to_json(), "constants": info}
-        if pres.has_backdoor:
-            vec = pres.transparent_eval(combo, args.k + 4)
-            resid = norm_p(vec - FinSuppVector.basis(0), p, args.k + 4)
-            result["transparent_residual"] = _interval_json(resid)
+        # a transparent adapter has decidable membership, so pres has a backdoor
+        pres = _e0_presentation(oracle, p)
+        combo, info = pres.e0_combo_info(args.k)
+        vec = pres.transparent_eval(combo, args.k + 4)
+        resid = norm_p(vec - FinSuppVector.basis(0), p, args.k + 4)
+        result = {
+            "combo": combo.to_json(),
+            "constants": info,
+            "transparent_residual": _interval_json(resid),
+        }
         report = {
             "command": "adversarial-e0",
             "inputs": {"p": args.p, "k": args.k, "ce": oracle.ce.to_json()},

@@ -510,12 +510,6 @@ class SuccessIndex:
         return self.value
 
 
-def _value_as_vector(value: TreeValue, k: int) -> FinSuppVector:
-    if isinstance(value, ComputableVector):
-        return value.transparent(k)
-    return value
-
-
 def _round_gauss(z: GaussianRational, bits: int) -> GaussianRational:
     scale = 1 << bits
 
@@ -636,12 +630,11 @@ def success_index(
         if not psi.tree.is_terminal(node):
             summativity[node] = summativity_defect(psi, node, prec).hi
 
-    basis: List[Tuple[TreeNode, FinSuppVector]] = []
     can_guide = pres.has_backdoor
     if can_guide:
         snapshot_prec = prec + 4
-        for node in psi.nodes():
-            basis.append((node, _value_as_vector(psi.value(node), snapshot_prec)))
+        snap = psi.transparent_snapshot(snapshot_prec)
+        basis = [(node, snap.value(node)) for node in psi.nodes()]
 
     distance: Dict[int, Fraction] = {}
     witnesses: Dict[int, Dict[TreeNode, GaussianRational]] = {}

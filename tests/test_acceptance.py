@@ -502,10 +502,32 @@ class TestCriterion10Determinism:
                 ["recover-p", "--pres", '{"type":"standard","p":"3/2"}', "--k-bits", "6"],
                 "81c7a369eaf8b8c40287b7ca66457b00e999304495545481c44848b0c8b67def",
             ),
+            (
+                [
+                    "adversarial", "e0", "--p", "3/2",
+                    "--ce", '{"kind":"explicit","elements":[1,3]}', "--k", "8",
+                ],
+                "1e686403891feed6cc258fad318612956ef66c5db80985df5ed4ca35c8889e03",
+            ),
+            (
+                [
+                    "adversarial", "scale", "--p", "5/4",
+                    "--ce", '{"kind":"explicit","elements":[2,5]}', "--k", "8",
+                ],
+                "d0be0f050b7dafae31e556182d008c9b83fd15b223a7e1fb434d9ed798c68ad2",
+            ),
+            (
+                [
+                    "adversarial", "identity", "--p", "3",
+                    "--ce", '{"kind":"explicit","elements":[1,3]}', "--n", "3", "--k", "8",
+                ],
+                "ad365bddee1de554801db35e15cc6aac2dabac5b6d7a02b5e50fe9e466d2efab",
+            ),
         ],
         ids=[
             "sigma", "lamperti-check", "lamperti-grid", "validate-tree",
             "project-hom", "extend", "apply", "recover-p",
+            "adversarial-e0", "adversarial-scale", "adversarial-identity",
         ],
     )
     def test_pinned_command_digests(self, argv, digest, capsys):

@@ -26,6 +26,8 @@ from lpiso.chain_partition import (
 )
 from lpiso.tree_maps import ROOT, FiniteTree, TreeNode
 
+from conftest import random_disintegration
+
 P1 = PExponent.from_fraction(1)
 P32 = PExponent.from_fraction(Fraction(3, 2))
 
@@ -95,34 +97,6 @@ class TestFindAnmChild:
         exact = {kid: norm_power_p(src.values[kid], P1, 30).mid for kid in kids}
         best = max(exact.values())
         assert exact[cert.child] >= best - Fraction(1, 2 ** (len(cert.child) + 1))
-
-
-def random_disintegration(rng, max_depth=3, max_fanout=3):
-    """Random finite transparent disintegration by support splitting."""
-    width = rng.randint(2, 6)
-    weights = [Fraction(rng.randint(1, 16), rng.randint(1, 4)) for _ in range(width)]
-    root_val = fs({n: w for n, w in enumerate(weights)})
-    values = {ROOT: root_val}
-
-    def split(node, depth):
-        vec = values[node]
-        support = sorted(vec.support())
-        if depth >= max_depth or len(support) < 2 or rng.random() < 0.3:
-            return
-        fanout = rng.randint(2, min(max_fanout, len(support)))
-        buckets = [[] for _ in range(fanout)]
-        for i, idx in enumerate(support):
-            buckets[rng.randrange(fanout)].append(idx)
-        buckets = [b for b in buckets if b]
-        if len(buckets) < 2:
-            return
-        for label, bucket in enumerate(buckets):
-            child = node.child(label)
-            values[child] = vec.restrict(bucket)
-            split(child, depth + 1)
-
-    split(ROOT, 0)
-    return FiniteDisintegration(values, P1, StandardPresentation(P1))
 
 
 class TestPartition:

@@ -25,9 +25,11 @@ from lpiso.tree_maps import (
     FiniteTree,
     TreeMap,
     TreeNode,
+    distance_bound,
     success_index,
     validate_partial_disintegration,
 )
+from lpiso import extension_engine
 from lpiso.extension_engine import (
     RationalBall,
     _pick_radius_bits,
@@ -36,7 +38,6 @@ from lpiso.extension_engine import (
     build_guided_proposal,
     certify_ball,
     empty_map,
-    error_functional,
 )
 
 from conftest import OpaqueStandard
@@ -61,7 +62,7 @@ class TestErrorFunctional:
     def test_zero_on_strong_hom(self):
         pres = StandardPresentation(P1)
         psi = atom_ball(pres, 3, Fraction(1, 64)).center_map(pres)
-        box = error_functional(empty_map(pres), psi, 20)
+        box = distance_bound(empty_map(pres), psi, 20)
         assert box.contains(0) and box.hi <= Fraction(1, 2**18)
 
     def test_hypothesis_violation_detected(self):
@@ -75,7 +76,7 @@ class TestErrorFunctional:
         )
         bad = atom_ball(pres, 2, Fraction(1, 8)).center_map(pres)
         with pytest.raises(HypothesisViolatedError):
-            error_functional(phi, bad, 10)
+            distance_bound(phi, bad, 10)
 
     def test_perturbed_hom_value(self):
         # single node e_0, child e_0 + delta e_9: sigma term is computable by hand
@@ -101,7 +102,7 @@ class TestErrorFunctional:
             P1,
             pres,
         )
-        box = error_functional(phi, psi, 20)
+        box = distance_bound(phi, psi, 20)
         # sigma1(child - parent, child) = sigma1(delta e_9, e_0 + delta e_9) = 2 delta
         # E = 0 + 2^1 * c_1 * 2 delta
         assert box.lo > 0
@@ -433,6 +434,77 @@ class TestStagesStayValid:
         assert staged.stage_count() == 5
         for rec in staged.stages:
             assert not validate_partial_disintegration(rec.phi_hat).is_no, rec.index
+
+
+class TestBackdoorReads:
+    """A proposal round reads the backdoor once and hands the reads on."""
+
+    @pytest.mark.parametrize(
+        "make_pres",
+        [
+            lambda: StandardPresentation(P32),
+            lambda: RotatedPresentation(P3, GaussianRational.parse("3/5+4/5i")),
+            lambda: build_adversarial(CeSet.explicit([1, 3]), P1),
+        ],
+        ids=["standard-p3/2", "rotated-p3", "adversarial-p1"],
+    )
+    def test_one_read_per_round(self, make_pres, monkeypatch):
+        pres = make_pres()
+        stage = build_disintegration(pres, 2).last()
+        phi, n, k = stage.phi_hat, 2, stage.ball_bits + 1
+        counts = {"snapshot": 0, "projection": 0}
+        generator_reads = []
+        snapshot = TreeMap.transparent_snapshot
+        project = extension_engine.project_to_strong_hom
+        generator_vector = pres.generator_vector
+
+        def counting_snapshot(self, prec):
+            counts["snapshot"] += 1
+            return snapshot(self, prec)
+
+        def counting_project(*args):
+            counts["projection"] += 1
+            return project(*args)
+
+        def recording_generator_vector(j, prec):
+            generator_reads.append((j, prec))
+            return generator_vector(j, prec)
+
+        monkeypatch.setattr(TreeMap, "transparent_snapshot", counting_snapshot)
+        monkeypatch.setattr(extension_engine, "project_to_strong_hom", counting_project)
+        monkeypatch.setattr(pres, "generator_vector", recording_generator_vector)
+        proposal = build_guided_proposal(phi, n, k, pres, 0, force_growth=True)
+        assert proposal is not None
+        assert counts == {"snapshot": 1, "projection": 1}
+        assert len(generator_reads) == len(set(generator_reads))
+        assert {j for j, _ in generator_reads} <= set(range(n + 1))
+
+    def test_one_structure_pass_per_refinement_step(self, monkeypatch):
+        pres = build_adversarial(CeSet.explicit([1]), P32)
+        res = approximate_extend(empty_map(pres), 1, 4, pres)
+        assert not res.exact
+        counts = {"snapshot": 0, "projection": 0, "structure": 0}
+        snapshot = TreeMap.transparent_snapshot
+        project = extension_engine.project_to_strong_hom
+        structure = extension_engine._values_on_structure
+
+        def counting(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(TreeMap, "transparent_snapshot", counting("snapshot", snapshot))
+        monkeypatch.setattr(
+            extension_engine, "project_to_strong_hom", counting("projection", project)
+        )
+        monkeypatch.setattr(
+            extension_engine, "_values_on_structure", counting("structure", structure)
+        )
+        res.psi.value(res.psi.nodes()[0]).approx(24)
+        assert counts["structure"] >= 1
+        assert counts["snapshot"] == counts["projection"] == counts["structure"]
 
 
 class TestInexactRefinement:

@@ -25,6 +25,7 @@ from lpiso.presentations import (
 from lpiso.scalar_core import GaussianRational, PExponent, _width_target
 from lpiso.tree_maps import residual_norm
 from lpiso.iso_cli import (
+    SynthesisBudget,
     apply_isometry,
     compute_e0_wrt_F,
     identity_reduction,
@@ -247,6 +248,20 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert code == 2 and out["status"] == "provisional"
 
+    def test_staged_e0_exit_provisional(self, capsys):
+        code = self.run_cli(
+            "adversarial", "e0", "--p", "3/2",
+            "--ce", '{"kind":"explicit","elements":[1],"stages":[[1]]}',
+            "--staged", "--stage-budget", "0",
+        )
+        out = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert out == {
+            "command": "adversarial",
+            "detail": "a staged adapter cannot certify the tail cut-off for e_0",
+            "status": "provisional",
+        }
+
     def test_hypothesis_violation_exit_error(self, capsys):
         phi = json.dumps({"tree": [[0]], "map": {"[0]": {"entries": {"0": "1/4"}}}})
         psi = json.dumps(
@@ -284,6 +299,23 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["status"] == "ok"
+
+    def test_closed_pipe_exits_without_traceback(self):
+        # the reader goes away before the report is written, as with `| head`
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lpiso.iso_cli", "disintegrate",
+             "--pres", '{"type":"standard","p":"1"}'],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=cli_env(),
+        )
+        proc.stdout.close()
+        with proc.stderr:
+            stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+        assert "Traceback" not in stderr
+        assert stderr == ""
 
 
 class TestCliInputErrors:
@@ -484,3 +516,30 @@ class TestGenerationWitness:
         for j, upper in uppers.items():
             assert upper == _old_generation_upper(iso, j)
             assert upper < _width_target(iso.generation_bits)
+
+
+class TestAtomPeek:
+    @pytest.mark.parametrize(
+        "budget,peek_prec",
+        [(SynthesisBudget(), 20), (SynthesisBudget(generation_bits=20), 28)],
+        ids=["gen-below-cert", "gen-above-cert"],
+    )
+    def test_one_peek_per_unit(self, budget, peek_prec, monkeypatch):
+        # one peek at max(gen_bits, cert_bits) + 8 serves both the reported
+        # atom coordinate and the generation witnesses
+        precs = []
+
+        def counting_peek(vec, prec):
+            precs.append(prec)
+            return peek(vec, prec)
+
+        peek = iso_cli._transparent_atom_peek
+        monkeypatch.setattr(iso_cli, "_transparent_atom_peek", counting_peek)
+        iso = synthesize_isometry(StandardPresentation(P1), 4, budget)
+        assert precs == [peek_prec] * 4
+        # each generator is witnessed by the unit peeked on its coordinate
+        unit_on = {u.atom_coordinate: u.index for u in iso.units}
+        assert sorted(unit_on) == [0, 1, 2, 3]
+        assert {j: list(w) for j, w in iso.witnesses.items()} == {
+            j: [unit_on[j]] for j in range(4)
+        }
