@@ -22,7 +22,6 @@ from .scalar_core import (
     GaussianRational,
     PExponent,
     abs_pow,
-    approx_real,
     lamperti_constant,
     lamperti_objective,
     sigma1_scalar,
@@ -49,7 +48,6 @@ from .presentations import (
     norm_approx,
     presentation_from_descriptor,
     transparent_eval,
-    vector_approx,
 )
 from .tree_maps import (
     FiniteTree,

@@ -226,11 +226,18 @@ def certify_ball(
     }
     if restricted:
         worst["restriction"] = _width_target(k)
-    for flag, slack, weight in _ball_constraints(
-        ball.tree, ball.center, beta, phi, n_index, k, pres, prec
-    ):
-        margin = slack - weight * r
-        worst[flag] = min(worst.get(flag, margin), margin)
+    base = hom_base if hom_base is not None else (phi if phi is not None else empty_map(pres))
+    with pres.p.shared_powers():
+        for flag, slack, weight in _ball_constraints(
+            ball.tree, ball.center, beta, phi, n_index, k, pres, prec
+        ):
+            margin = slack - weight * r
+            worst[flag] = min(worst.get(flag, margin), margin)
+        # intersection with the strong homomorphisms over hom_base
+        err = distance_bound(base, ball.center_map(pres), prec)
+        root_upper = pow_enclosure(
+            DyadicInterval(Fraction(0), max(err.hi, Fraction(0))), pres.p, prec, over_p=True
+        ).hi
     separation = worst.pop("injective_nonzero", None)
     cert.injective_nonzero = separation is None or separation > 0
     if separation is not None:
@@ -240,13 +247,6 @@ def certify_ball(
     cert.restriction = not restricted or worst["restriction"] > 0
     for flag, margin in worst.items():
         cert.margins[flag] = format_fraction(margin)
-
-    # intersection with the strong homomorphisms over hom_base
-    base = hom_base if hom_base is not None else (phi if phi is not None else empty_map(pres))
-    err = distance_bound(base, ball.center_map(pres), prec)
-    root_upper = pow_enclosure(
-        DyadicInterval(Fraction(0), max(err.hi, Fraction(0))), pres.p, prec, over_p=True
-    ).hi
     cert.meets_hom = root_upper < r
     cert.margins["hom_gap"] = format_fraction(r - root_upper)
     cert.margins["hom_upper"] = format_fraction(root_upper)
@@ -518,19 +518,20 @@ def _pick_radius_bits(
     of 2^-(k+1) and each slack / (2 max(weight, 1)).
     """
     limit = _width_target(k + 1)
-    for _, slack, weight in _ball_constraints(
-        proposal.structure.tree,
-        proposal.center,
-        proposal.beta,
-        phi,
-        n_index + 1,
-        k,
-        pres,
-        proposal.snapshot_prec,
-    ):
-        if slack <= 0:
-            return None
-        limit = min(limit, slack / (2 * max(weight, 1)))
+    with pres.p.shared_powers():
+        for _, slack, weight in _ball_constraints(
+            proposal.structure.tree,
+            proposal.center,
+            proposal.beta,
+            phi,
+            n_index + 1,
+            k,
+            pres,
+            proposal.snapshot_prec,
+        ):
+            if slack <= 0:
+                return None
+            limit = min(limit, slack / (2 * max(weight, 1)))
     return bits_for(limit / 2)
 
 

@@ -47,7 +47,7 @@ from .extension_engine import (
     build_disintegration,
     empty_map,
 )
-from .lp_vectors import FinSuppVector, norm_p, sigma1_from_norms
+from .lp_vectors import FinSuppVector, norm_p, norm_per_precision, sigma1_from_norms
 from .presentations import (
     AdversarialPresentation,
     CeSet,
@@ -239,15 +239,18 @@ def synthesize_isometry(
             budget=n_units,
         )
 
-    # pairwise disjointness through sigma1 (norm queries only)
+    # pairwise disjointness through sigma1 (norm queries only); each unit's
+    # norm is taken once per precision and shared by all its pairs
+    unit_norms = [norm_per_precision(rec.vector.norm_enclosure) for rec in units]
     for i in range(len(units)):
         for j in range(i + 1, len(units)):
             a, b = units[i].vector, units[j].vector
+            diff, total = a - b, a + b
             box = sigma1_from_norms(
-                lambda kk: a.norm_enclosure(kk),
-                lambda kk: b.norm_enclosure(kk),
-                lambda kk: (a - b).norm_enclosure(kk),
-                lambda kk: (a + b).norm_enclosure(kk),
+                unit_norms[i],
+                unit_norms[j],
+                diff.norm_enclosure,
+                total.norm_enclosure,
                 pres.p,
                 cert_bits + 2,
             )

@@ -173,6 +173,18 @@ def norm_p(f: FinSuppVector, p: PExponent, k: int) -> DyadicInterval:
 NormFn = Callable[[int], DyadicInterval]
 
 
+def norm_per_precision(norm: NormFn) -> NormFn:
+    """norm, evaluated once per precision: one vector's norm shared by its pairs."""
+    memo: Dict[int, DyadicInterval] = {}
+
+    def fn(kk: int) -> DyadicInterval:
+        if kk not in memo:
+            memo[kk] = norm(kk)
+        return memo[kk]
+
+    return fn
+
+
 def sigma1_from_norms(
     norm_f: NormFn,
     norm_g: NormFn,

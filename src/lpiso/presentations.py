@@ -763,7 +763,3 @@ class ComputableVector:
             return self.approx(k + 2 + c_bound_bits).scale(GaussianRational.of(q))
 
         return ComputableVector(approx, self.pres, f"creal*{self.name}")
-
-
-def vector_approx(v: ComputableVector, k: int) -> GenCombo:
-    return v.approx(k)

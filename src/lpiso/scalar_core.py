@@ -17,9 +17,10 @@ transit.  Rational fast paths bypass mpmath entirely.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, TypeVar, Union
+from typing import Callable, Dict, Iterator, Optional, Tuple, TypeVar, Union
 
 from mpmath import iv as _iv
 from mpmath.libmp import from_rational, round_ceiling, round_floor, to_rational
@@ -433,11 +434,6 @@ class CReal:
         return CReal.from_interval_fn(box, name or f"sqrt({format_fraction(a)})")
 
 
-def approx_real(x: CReal, k: int) -> Fraction:
-    """Rational q with |q - x| < 2**-k."""
-    return x.approx(k)
-
-
 # ---------------------------------------------------------------------------
 # Exponents
 # ---------------------------------------------------------------------------
@@ -450,6 +446,11 @@ class PExponent:
         self.value = value
         self.exact = exact
         self._two_side: Optional[int] = None
+        # lamperti_constant's enclosures, keyed by k, for the exponent's life
+        self._cp_cache: Dict[int, DyadicInterval] = {}
+        # pow_enclosure's results, keyed by its arguments; open (not None)
+        # only inside a shared_powers() block
+        self._pow_memo: Optional[Dict[Tuple, DyadicInterval]] = None
         if exact is not None:
             if exact < 1:
                 raise ValueError("p must be >= 1")
@@ -482,6 +483,25 @@ class PExponent:
         if self.exact is not None:
             return DyadicInterval.point(self.exact)
         return self.value.enclosure(k)
+
+    @contextmanager
+    def shared_powers(self) -> Iterator[None]:
+        """Let pow_enclosure reuse its results for this exponent in the block.
+
+        One certification evaluates the same |x|^p enclosures many times
+        over; inside the block each argument tuple is computed once.  The
+        memo is dropped when the outermost block exits, normally or by an
+        exception, so its size is bounded by one block's work.  A nested
+        block shares the outer memo and leaves it open.
+        """
+        if self._pow_memo is not None:
+            yield
+            return
+        self._pow_memo = {}
+        try:
+            yield
+        finally:
+            self._pow_memo = None
 
     def upper_int(self) -> int:
         """An integer >= max(p, 1): the ceiling of a 2**-2 enclosure's top."""
@@ -604,13 +624,27 @@ def pow_enclosure(
     where x**e is increasing, so endpoint powers suffice.  A base endpoint
     of 0 maps to 0 exactly.  "Slop" is everything beyond the exact image:
     when base is a point the result has width <= 2**-k; a wide base keeps
-    its image width and gains at most 2**-k.
+    its image width and gains at most 2**-k.  Inside p.shared_powers() a
+    repeated argument tuple returns the enclosure computed first.
     """
     num = _to_fraction(num)
     if num <= 0:
         raise ValueError("exponent multiplier must be positive")
     if base.lo < 0:
         raise ValueError("pow_enclosure needs a nonnegative base interval")
+    memo = p._pow_memo
+    if memo is None:
+        return _pow_enclosure(base, p, k, num, over_p)
+    key = (base.lo, base.hi, k, num, over_p)
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = _pow_enclosure(base, p, k, num, over_p)
+    return out
+
+
+def _pow_enclosure(
+    base: DyadicInterval, p: PExponent, k: int, num: Fraction, over_p: bool
+) -> DyadicInterval:
     half_target = _width_target(k + 1)
 
     def endpoint(x: Fraction, prec: int) -> DyadicInterval:
@@ -710,10 +744,7 @@ def lamperti_denominator(p: PExponent, k: int) -> DyadicInterval:
 
 def lamperti_constant(p: PExponent, k: int) -> DyadicInterval:
     """c_p = 1 / |4 - 2 sqrt(2)^p|, width <= 2**-k."""
-    cache = getattr(p, "_cp_cache", None)
-    if cache is None:
-        cache = {}
-        p._cp_cache = cache
+    cache = p._cp_cache
     hit = cache.get(k)
     if hit is not None:
         return hit

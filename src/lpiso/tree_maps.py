@@ -36,6 +36,7 @@ from .lp_vectors import (
     NormFn,
     is_disjointly_supported,
     norm_p,
+    norm_per_precision,
     precedes,
     sigma1_from_norms,
 )
@@ -362,19 +363,9 @@ def sigma_tree(psi: TreeMap, k: int) -> DyadicInterval:
     if count == 0:
         return ZERO_INTERVAL
     p = psi.p
-
-    def node_norm(node: TreeNode) -> NormFn:
-        value = psi.value(node)
-        memo: Dict[int, DyadicInterval] = {}
-
-        def fn(kk: int) -> DyadicInterval:
-            if kk not in memo:
-                memo[kk] = _vnorm(value, p, kk)
-            return memo[kk]
-
-        return fn
-
-    node_norms = {node: node_norm(node) for node in psi.nodes()}
+    node_norms = {
+        node: norm_per_precision(partial(_vnorm, psi.value(node), p)) for node in psi.nodes()
+    }
 
     def attempt(kk: int) -> Optional[DyadicInterval]:
         total = ZERO_INTERVAL

@@ -543,3 +543,49 @@ class TestAtomPeek:
         assert {j: list(w) for j, w in iso.witnesses.items()} == {
             j: [unit_on[j]] for j in range(4)
         }
+
+
+class TestSharedWork:
+    def test_no_power_memo_left_on_the_exponent(self):
+        # conftest.P1 is shared by many tests: a memo left open would leak
+        # enclosures from one test into the next
+        from conftest import P1 as SHARED_P1
+        from lpiso.lp_vectors import sigma1_vec
+        from lpiso.scalar_core import sigma_scalar
+
+        synthesize_isometry(StandardPresentation(SHARED_P1), 4)
+        assert SHARED_P1._pow_memo is None
+        z, w = GaussianRational.of(Fraction(3, 2), 1), GaussianRational.of(Fraction(1, 3))
+        f = FinSuppVector({0: z, 1: w})
+        g = FinSuppVector({1: z, 2: w})
+        sigma_scalar(z, w, SHARED_P1, 20)
+        norm_p(f, SHARED_P1, 20)
+        sigma1_vec(f, g, SHARED_P1, 20)
+        assert SHARED_P1._pow_memo is None
+
+    def test_pairwise_phase_reads_each_unit_norm_once_per_precision(self, monkeypatch):
+        queries = []
+        in_pairwise = []
+
+        def spy_norm(self, k):
+            if in_pairwise:
+                queries.append((id(self), k))
+            return norm_enclosure(self, k)
+
+        def spy_sigma1(*args, **kwargs):
+            in_pairwise.append(True)
+            try:
+                return sigma1(*args, **kwargs)
+            finally:
+                in_pairwise.pop()
+
+        norm_enclosure = ComputableVector.norm_enclosure
+        sigma1 = iso_cli.sigma1_from_norms
+        monkeypatch.setattr(ComputableVector, "norm_enclosure", spy_norm)
+        monkeypatch.setattr(iso_cli, "sigma1_from_norms", spy_sigma1)
+        iso = synthesize_isometry(StandardPresentation(P1), 4)
+        unit_ids = {id(u.vector) for u in iso.units}
+        unit_queries = [q for q in queries if q[0] in unit_ids]
+        # every unit takes part in pairs, each (unit, precision) is read once
+        assert {uid for uid, _ in unit_queries} == unit_ids
+        assert len(unit_queries) == len(set(unit_queries))

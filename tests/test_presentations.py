@@ -21,7 +21,6 @@ from lpiso.presentations import (
     presentation_from_descriptor,
     sigma1_oracle,
     transparent_eval,
-    vector_approx,
 )
 from lpiso.scalar_core import GaussianRational, PExponent
 
@@ -211,8 +210,8 @@ class TestComputableVector:
     def test_constant(self):
         pres = StandardPresentation(P1)
         v = ComputableVector.constant(combo(1, 2), pres)
-        assert vector_approx(v, 3) == combo(1, 2)
-        assert vector_approx(v, 30) == combo(1, 2)
+        assert v.approx(3) == combo(1, 2)
+        assert v.approx(30) == combo(1, 2)
 
     def test_geometric_tail_truncation(self):
         pres = StandardPresentation(P1)
@@ -224,7 +223,7 @@ class TestComputableVector:
             )
 
         v = ComputableVector(approx, pres, "geometric")
-        c3 = vector_approx(v, 3)
+        c3 = v.approx(3)
         assert c3.max_index() >= 3
         box = v.norm_enclosure(6)
         assert box.contains(2)  # sum 2^-n = 2

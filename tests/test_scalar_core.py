@@ -25,7 +25,6 @@ from lpiso.scalar_core import (
     GaussianRational,
     PExponent,
     abs_pow,
-    approx_real,
     ceil_log2,
     lamperti_constant,
     lamperti_objective,
@@ -66,11 +65,11 @@ F3_MID = "1.656854249492380195206754896838792314278687501507792533870240"  # 2 s
 class TestApproxReal:
     def test_zero_constant(self):
         x = CReal.from_fraction(0)
-        assert approx_real(x, 10) == 0
+        assert x.approx(10) == 0
 
     def test_sqrt2_against_long_division(self):
         x = CReal.sqrt_of_fraction(2)
-        q = approx_real(x, 4)
+        q = x.approx(4)
         # independent oracle: integer square root of 2 * 10^40
         digits = math.isqrt(2 * 10**40)
         truth = Fraction(digits, 10**20)
@@ -79,7 +78,7 @@ class TestApproxReal:
     def test_gamma_of_singleton_set(self):
         # gamma = sum over {1} of 2^-k = 1/2
         x = CReal.from_fraction(Fraction(1, 2))
-        q = approx_real(x, 3)
+        q = x.approx(3)
         assert abs(q - Fraction(1, 2)) < Fraction(1, 8)
 
     def test_consistency_between_precisions(self):
@@ -426,3 +425,82 @@ class TestGaussianDivision:
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             gauss(1, 1) / GaussianRational.zero()
+
+
+class TestSharedPowers:
+    """Inside p.shared_powers() pow_enclosure returns what it returns outside."""
+
+    @staticmethod
+    def exponents():
+        half_sqrt2 = CReal.sqrt_of_fraction(Fraction(1, 2))
+        irrational = PExponent.from_creal(
+            CReal(lambda k: 1 + half_sqrt2.approx(k), "1+sqrt(1/2)")
+        )
+        exact = [
+            PExponent.from_fraction(q)
+            for q in (1, Fraction(5, 4), Fraction(3, 2), 3, Fraction(7, 3))
+        ]
+        return exact + [irrational]
+
+    @staticmethod
+    def random_base(rng):
+        q = lambda: Fraction(rng.randint(0, 400), rng.randint(1, 64))
+        kind = rng.randrange(4)
+        if kind == 0:
+            return DyadicInterval.point(q())
+        if kind == 1:
+            lo, hi = sorted((q(), q()))
+            return DyadicInterval(lo, hi)
+        if kind == 2:
+            return DyadicInterval(Fraction(0), q())
+        return DyadicInterval.point(0)
+
+    def test_memo_matches_direct_enclosures(self):
+        rng = random.Random(7)
+        for p in self.exponents():
+            # a small pool of tuples, drawn with repeats so the memo is hit
+            pool = [
+                (
+                    self.random_base(rng),
+                    rng.randint(8, 200),
+                    rng.choice((Fraction(1), Fraction(1, 2))),
+                    rng.random() < 0.5,
+                )
+                for _ in range(25)
+            ]
+            calls = [rng.choice(pool) for _ in range(60)]
+            direct = [pow_enclosure(b, p, k, num=num, over_p=o) for b, k, num, o in calls]
+            with p.shared_powers():
+                shared = [pow_enclosure(b, p, k, num=num, over_p=o) for b, k, num, o in calls]
+                assert len(p._pow_memo) == len(
+                    {(b.lo, b.hi, k, num, o) for b, k, num, o in calls}
+                )
+            assert shared == direct
+            assert p._pow_memo is None
+
+    def test_memo_dropped_after_block(self):
+        p = PExponent.from_fraction(Fraction(3, 2))
+        assert p._pow_memo is None
+        with p.shared_powers():
+            pow_enclosure(DyadicInterval.point(3), p, 30)
+            assert len(p._pow_memo) == 1
+        assert p._pow_memo is None
+
+    def test_memo_dropped_after_error(self):
+        p = PExponent.from_fraction(Fraction(3, 2))
+        with pytest.raises(PrecisionExhaustedError):
+            with p.shared_powers():
+                pow_enclosure(DyadicInterval.point(3), p, 30)
+                raise PrecisionExhaustedError("raised inside the block")
+        assert p._pow_memo is None
+
+    def test_nested_block_shares_the_outer_memo(self):
+        p = PExponent.from_fraction(Fraction(3, 2))
+        with p.shared_powers():
+            outer = p._pow_memo
+            pow_enclosure(DyadicInterval.point(3), p, 30)
+            with p.shared_powers():
+                assert p._pow_memo is outer
+                pow_enclosure(DyadicInterval.point(5), p, 30)
+            assert p._pow_memo is outer and len(outer) == 2
+        assert p._pow_memo is None
