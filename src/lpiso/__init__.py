@@ -64,7 +64,6 @@ from .tree_maps import (
 from .extension_engine import (
     BallCertificate,
     RationalBall,
-    SearchBudget,
     StagedDisintegration,
     approximate_extend,
     build_disintegration,
@@ -84,7 +83,6 @@ from .chain_partition import (
 # does not find it already imported by the package.
 _CLI_EXPORTS = (
     "IsometryApprox",
-    "SynthesisBudget",
     "apply_isometry",
     "compute_e0_wrt_F",
     "identity_reduction",

@@ -36,6 +36,7 @@ from .lp_vectors import FinSuppVector, norm_power_p
 from .presentations import ComputableVector, GenCombo, OracleAdapter, Presentation
 from .scalar_core import (
     DyadicInterval,
+    GaussianRational,
     PExponent,
     _width_target,
     pow_enclosure,
@@ -174,7 +175,6 @@ class LazyDisintegration(ChainSource):
 
 def dyadic_fixture(pres: Presentation) -> LazyDisintegration:
     """The textbook disintegration: root = sum 2^-n e_n, child n = 2^-n e_n."""
-    from .scalar_core import GaussianRational
 
     def value(node: TreeNode) -> TreeValue:
         if node.is_root():
@@ -251,11 +251,15 @@ class AnmCertificate:
     slack: Fraction  # the certified bound: others <= m_child + slack
 
 
+# the last stage an almost norm-maximizing child search looks at
+CHAIN_SEARCH_STAGES = 4096
+
+
 def find_anm_child(
     source: ChainSource,
     mu: TreeNode,
     *,
-    max_stage: int = 4096,
+    max_stage: int = CHAIN_SEARCH_STAGES,
 ) -> AnmCertificate:
     """An almost norm-maximizing child of mu, with a stage certificate.
 
@@ -337,7 +341,6 @@ def partition_chains(
     source: ChainSource,
     *,
     stage_budget: int = 64,
-    search_budget: int = 4096,
 ) -> ChainPartition:
     """Deterministic chain decomposition of the stage-`stage_budget` tree.
 
@@ -357,7 +360,7 @@ def partition_chains(
     certificates: Dict[TreeNode, AnmCertificate] = {}
     for node in order:
         if not explored.is_terminal(node):
-            certificates[node] = find_anm_child(source, node, max_stage=search_budget)
+            certificates[node] = find_anm_child(source, node)
 
     assignment: Dict[TreeNode, int] = {}
     chains: List[List[TreeNode]] = []

@@ -51,7 +51,7 @@ class NonterminalRequiredError(LpisoError):
 class BudgetExhaustedError(LpisoError):
     """A complete-in-the-limit search ran out of its explicit budget.
 
-    Never a wrong answer: the caller may retry with a larger budget.
+    Never a wrong answer.  budget, when given, is the bound that ran out.
     """
 
     def __init__(self, message, *, budget=None):

@@ -480,10 +480,10 @@ def build_guided_proposal(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SearchBudget:
-    rounds: int = 6  # guided proposals tried, each snapshot 6 bits finer
-    refinement_cap: int = 192  # bits _refined_values may add past the snapshot
+# guided proposals _extend tries, each snapshot 6 bits finer than the last
+SEARCH_ROUNDS = 6
+# bits _refined_values may add past the accepted proposal's snapshot
+REFINEMENT_CAP = 192
 
 
 @dataclass
@@ -540,9 +540,6 @@ def approximate_extend(
     n_index: int,
     k: int,
     pres: Presentation,
-    budget: Optional[SearchBudget] = None,
-    *,
-    force_growth: bool = False,
 ) -> ExtendResult:
     """Extend a partial disintegration, approximately and certifiably.
 
@@ -561,7 +558,7 @@ def approximate_extend(
     verdict = validate_partial_disintegration(phi)
     if verdict.is_no:
         raise NotPartialDisintegrationError(verdict.witness)
-    return _extend(phi, n_index, k, pres, budget, force_growth=force_growth)
+    return _extend(phi, n_index, k, pres)
 
 
 def _extend(
@@ -569,7 +566,6 @@ def _extend(
     n_index: int,
     k: int,
     pres: Presentation,
-    budget: Optional[SearchBudget] = None,
     *,
     force_growth: bool = False,
 ) -> ExtendResult:
@@ -583,9 +579,8 @@ def _extend(
         raise NoBackdoorError(
             "the extension search needs a presentation with a transparent backdoor"
         )
-    budget = budget or SearchBudget()
     p_ceil = pres.p.upper_int()
-    for round_idx in range(budget.rounds):
+    for round_idx in range(SEARCH_ROUNDS):
         proposal = build_guided_proposal(
             phi, n_index, k, pres, round_idx, force_growth=force_growth
         )
@@ -637,7 +632,7 @@ def _extend(
                 for node, combo in ball.center.items()
             }
         else:
-            values = _refined_values(proposal, phi, pres, ball, budget)
+            values = _refined_values(proposal, phi, pres, ball)
         psi = TreeMap(ball.tree, values, phi.p, pres)
         return ExtendResult(
             psi,
@@ -648,7 +643,7 @@ def _extend(
             dict(proposal.atom_support),
         )
     raise BudgetExhaustedError(
-        f"no certifiable extension within {budget.rounds} rounds", budget=budget.rounds
+        f"no certifiable extension within {SEARCH_ROUNDS} rounds", budget=SEARCH_ROUNDS
     )
 
 
@@ -657,7 +652,6 @@ def _refined_values(
     phi: TreeMap,
     pres: Presentation,
     ball: RationalBall,
-    budget: SearchBudget,
 ) -> Dict[TreeNode, ComputableVector]:
     """Computable vectors converging into the homomorphisms inside the ball.
 
@@ -675,7 +669,7 @@ def _refined_values(
             idx = len(steps)
             prec = precs[-1] + 4
             while True:
-                if prec - proposal.snapshot_prec > budget.refinement_cap:
+                if prec - proposal.snapshot_prec > REFINEMENT_CAP:
                     raise PrecisionExhaustedError(
                         "refinement cap hit before the target precision"
                     )
@@ -873,7 +867,6 @@ def _normalized_norm_power(staged: StagedDisintegration, node: TreeNode, t: int)
 def build_disintegration(
     pres: Presentation,
     n_target: int,
-    budget: Optional[SearchBudget] = None,
 ) -> StagedDisintegration:
     """Staged construction: certified balls all the way up.
 
@@ -887,7 +880,6 @@ def build_disintegration(
     validation could never refute them.  Use approximate_extend to extend
     a map of unknown provenance.
     """
-    budget = budget or SearchBudget()
     pres.p.side_of_two()  # raises PEqualsTwoError up front
 
     j0 = None
@@ -915,7 +907,7 @@ def build_disintegration(
 
     for n in range(n_target):
         prev = stages[-1]
-        result = _extend(prev.phi_hat, n, prev.ball_bits + 1, pres, budget, force_growth=True)
+        result = _extend(prev.phi_hat, n, prev.ball_bits + 1, pres, force_growth=True)
         if not prev.phi_hat.tree.is_subtree_of(result.tree) or len(result.tree) <= len(
             prev.phi_hat.tree
         ):

@@ -17,22 +17,23 @@ of the exponent itself uses two disjoint units: their sum has norm
 2^(1/p).
 
 Every command emits one JSON report with certificates and a precision
-ledger; reports are deterministic byte-for-byte for fixed inputs and
-budgets.  Exit codes: 0 all certificates granted, 2 provisional (a staged
-oracle tainted the result), 1 typed failure.
+ledger; reports are deterministic byte-for-byte for fixed inputs.  Exit
+codes: 0 all certificates granted, 2 provisional (a staged oracle tainted
+the result), 1 typed failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
-from .chain_partition import chain_limit, partition_chains
+from .chain_partition import CHAIN_SEARCH_STAGES, chain_limit, partition_chains
 from .errors import (
     BudgetExhaustedError,
     IndexOutOfRangeError,
@@ -42,7 +43,6 @@ from .errors import (
     ProvisionalError,
 )
 from .extension_engine import (
-    SearchBudget,
     approximate_extend,
     build_disintegration,
     empty_map,
@@ -140,19 +140,9 @@ class IsometryApprox:
         }
 
 
-@dataclass
-class SynthesisBudget:
-    cert_bits: int = 12
-    generation_bits: Optional[int] = None  # defaults to the unit count
-    search: SearchBudget = field(default_factory=SearchBudget)
-    chain_search: int = 4096
-
-
-def _default_oracle(pres: Presentation) -> OracleAdapter:
-    ce = getattr(pres, "ce", None)
-    if ce is not None and ce.decide is not None:
-        return OracleAdapter(ce, "transparent")
-    return OracleAdapter(CeSet.explicit([1]), "transparent")
+# chain_limit reads only the adapter's mode: a transparent adapter lets the
+# staged disintegration's exact chain limits through
+_TRANSPARENT_ORACLE = OracleAdapter(CeSet.explicit([1]), "transparent")
 
 
 def _normalize(vec: ComputableVector, cert_bits: int) -> Tuple[ComputableVector, int]:
@@ -185,8 +175,9 @@ def _transparent_atom_peek(
 def synthesize_isometry(
     pres: Presentation,
     n_units: int,
-    budget: Optional[SynthesisBudget] = None,
-    oracle: Optional[OracleAdapter] = None,
+    *,
+    cert_bits: int = 12,
+    generation_bits: Optional[int] = None,
 ) -> IsometryApprox:
     """Produce n_units certified disjointly supported unit vectors.
 
@@ -194,24 +185,20 @@ def synthesize_isometry(
     filtering, normalization.  Certificates: every unit's norm encloses 1
     within 2^-cert_bits, every pairwise sigma1 upper bound clears
     2^-cert_bits, and each of the first n_units generators is approximated
-    within 2^-generation_bits by an explicitly witnessed combination.
+    within 2^-generation_bits (default: n_units) by an explicitly witnessed
+    combination.
     """
-    budget = budget or SynthesisBudget()
-    oracle = oracle or _default_oracle(pres)
-    cert_bits = budget.cert_bits
-    gen_bits = budget.generation_bits or n_units
+    gen_bits = generation_bits or n_units
     peek_prec = max(gen_bits, cert_bits) + 8
 
     # a couple of spare stages keep the normalized root's tail bound ahead
     # of the stage-bound precision the chain searches start from
     n_stages = max(n_units, 3)
-    staged = build_disintegration(pres, n_stages, budget.search)
+    staged = build_disintegration(pres, n_stages)
     source = staged.chain_source()
-    partition = partition_chains(
-        source, stage_budget=n_stages, search_budget=budget.chain_search
-    )
+    partition = partition_chains(source, stage_budget=n_stages)
 
-    provisional = oracle.provisional
+    provisional = False
     units: List[UnitRecord] = []
     # one backdoor peek per unit: its atom coordinate, and the coefficient
     # the generation witnesses divide by (first unit on each coordinate)
@@ -219,7 +206,7 @@ def synthesize_isometry(
     for cid in range(len(partition.chains)):
         if len(units) >= n_units:
             break
-        lim = chain_limit(source, partition, cid, oracle, cert_bits + 4)
+        lim = chain_limit(source, partition, cid, _TRANSPARENT_ORACLE, cert_bits + 4)
         if lim.status == "zero":
             continue
         if lim.status == "provisional":
@@ -288,7 +275,7 @@ def synthesize_isometry(
         "stages": n_units,
         "cert_bits": cert_bits,
         "generation_bits": gen_bits,
-        "chain_search": budget.chain_search,
+        "chain_search": CHAIN_SEARCH_STAGES,
     }
     return IsometryApprox(
         pres, units, cert_bits, gen_bits, witnesses, provisional, ledger
@@ -385,12 +372,10 @@ def identity_reduction(
 def recover_p(
     pres: Presentation,
     k_bits: int = 6,
-    budget: Optional[SynthesisBudget] = None,
 ) -> DyadicInterval:
     """Enclose the exponent from the norm of the sum of two disjoint units:
     the sum's norm is 2^(1/p)."""
-    budget = budget or SynthesisBudget(cert_bits=max(12, k_bits + 8))
-    iso = synthesize_isometry(pres, 2, budget)
+    iso = synthesize_isometry(pres, 2, cert_bits=max(12, k_bits + 8))
     u, v = iso.unit(0), iso.unit(1)
     total = u + v
 
@@ -533,9 +518,11 @@ def _cmd_lamperti_grid(args) -> int:
     t_max = _parse("--t-max", parse_fraction, args.t_max)
     if theta_steps < 1 or t_step <= 0:
         raise InvalidInputError("--theta-steps must be >= 1 and --t-step > 0")
+    # the grid starts at t = 1: below that it would hold no cell
+    if t_max < 1:
+        raise InvalidInputError(f"--t-max must be >= 1, got {t_max}")
     best: Optional[Tuple[Fraction, Fraction]] = None
     best_box: Optional[DyadicInterval] = None
-    theta = Fraction(0)
     cells = 0
     for i in range(theta_steps + 1):
         theta = Fraction(i, theta_steps)
@@ -582,6 +569,8 @@ def _cmd_project_hom(args) -> int:
     p = _p_from_args(args)
     phi = _parse("--phi", _tree_map_arg, args.phi, p)
     psi = _parse("--psi", _tree_map_arg, args.psi, p)
+    if not phi.tree.is_subtree_of(psi.tree):
+        raise InvalidInputError("the --phi tree is not a subtree of the --psi tree")
     bound = distance_bound(phi, psi, args.k)
     out = project_to_strong_hom(phi, psi, args.k)
     report = {
@@ -636,11 +625,10 @@ def _cmd_chains(args) -> int:
     staged = build_disintegration(pres, args.stages)
     source = staged.chain_source()
     partition = partition_chains(source, stage_budget=args.stages)
-    oracle = _default_oracle(pres)
     limits = []
     provisional = False
     for cid in range(len(partition.chains)):
-        lim = chain_limit(source, partition, cid, oracle, args.k)
+        lim = chain_limit(source, partition, cid, _TRANSPARENT_ORACLE, args.k)
         provisional = provisional or lim.status == "provisional"
         limits.append(
             {
@@ -663,8 +651,9 @@ def _cmd_chains(args) -> int:
 
 def _cmd_synthesize(args) -> int:
     pres = _pres_from_args(args)
-    budget = SynthesisBudget(cert_bits=args.cert_bits, generation_bits=args.generation_bits)
-    iso = synthesize_isometry(pres, args.units, budget)
+    iso = synthesize_isometry(
+        pres, args.units, cert_bits=args.cert_bits, generation_bits=args.generation_bits
+    )
     report = {
         "command": "synthesize",
         "inputs": {"units": args.units, "pres": pres.descriptor()},
@@ -677,8 +666,7 @@ def _cmd_synthesize(args) -> int:
 def _cmd_apply(args) -> int:
     pres = _pres_from_args(args)
     x = _parse("--vector", lambda text: FinSuppVector.from_json(_load_json_arg(text)), args.vector)
-    budget = SynthesisBudget(cert_bits=args.cert_bits)
-    iso = synthesize_isometry(pres, args.units, budget)
+    iso = synthesize_isometry(pres, args.units, cert_bits=args.cert_bits)
     combo = apply_isometry(iso, x, args.k)
     report = {
         "command": "apply",
@@ -859,8 +847,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "verbose", False):
-        import logging
-
         logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     try:
         _check_counts(args)

@@ -642,16 +642,20 @@ def pow_enclosure(
     return out
 
 
-def _pow_enclosure(
-    base: DyadicInterval, p: PExponent, k: int, num: Fraction, over_p: bool
+def _monotone_enclosure(
+    base: DyadicInterval,
+    k: int,
+    endpoint: Callable[[Fraction, int], DyadicInterval],
+    what: str,
 ) -> DyadicInterval:
+    """Image of base under an increasing f, slop <= 2**-k, from endpoint(x,
+    prec), an enclosure of f(x) at mpmath precision prec.
+
+    The precision starts at max(64, k + GUARD_BITS) and doubles until both
+    endpoint enclosures are at most 2**-(k+1) wide; past MAX_WORKING_PREC
+    it raises PrecisionExhaustedError(what).
+    """
     half_target = _width_target(k + 1)
-
-    def endpoint(x: Fraction, prec: int) -> DyadicInterval:
-        if x == 0:
-            return ZERO_INTERVAL
-        return _pow_positive_fraction(x, p, num, over_p, prec)
-
     prec = max(64, k + GUARD_BITS)
     while True:
         lo_box = endpoint(base.lo, prec)
@@ -660,9 +664,23 @@ def _pow_enclosure(
             return DyadicInterval(lo_box.lo, hi_box.hi)
         prec *= 2
         if prec > MAX_WORKING_PREC:
-            raise PrecisionExhaustedError(
-                f"power enclosure slop did not reach 2**-{k} by {MAX_WORKING_PREC} bits"
-            )
+            raise PrecisionExhaustedError(what)
+
+
+def _pow_enclosure(
+    base: DyadicInterval, p: PExponent, k: int, num: Fraction, over_p: bool
+) -> DyadicInterval:
+    def endpoint(x: Fraction, prec: int) -> DyadicInterval:
+        if x == 0:
+            return ZERO_INTERVAL
+        return _pow_positive_fraction(x, p, num, over_p, prec)
+
+    return _monotone_enclosure(
+        base,
+        k,
+        endpoint,
+        f"power enclosure slop did not reach 2**-{k} by {MAX_WORKING_PREC} bits",
+    )
 
 
 def abs_pow(z: GaussianRational, p: PExponent, k: int) -> DyadicInterval:
@@ -688,6 +706,15 @@ def abs_pow(z: GaussianRational, p: PExponent, k: int) -> DyadicInterval:
 # ---------------------------------------------------------------------------
 
 
+def _signed_sigma1_terms(z: GaussianRational, w: GaussianRational, p: PExponent, kk: int) -> DyadicInterval:
+    """2(|z|^p + |w|^p) - (|z-w|^p + |z+w|^p), each power to 2**-kk."""
+    a = abs_pow(z, p, kk)
+    b = abs_pow(w, p, kk)
+    c = abs_pow(z - w, p, kk)
+    d = abs_pow(z + w, p, kk)
+    return (a + b).scale(2) - (c + d)
+
+
 def sigma1_scalar(z: GaussianRational, w: GaussianRational, p: PExponent, k: int) -> DyadicInterval:
     """|2(|z|^p + |w|^p) - (|z-w|^p + |z+w|^p)|, width <= 2**-k.
 
@@ -695,11 +722,7 @@ def sigma1_scalar(z: GaussianRational, w: GaussianRational, p: PExponent, k: int
     """
 
     def attempt(kk: int) -> Optional[DyadicInterval]:
-        a = abs_pow(z, p, kk)
-        b = abs_pow(w, p, kk)
-        c = abs_pow(z - w, p, kk)
-        d = abs_pow(z + w, p, kk)
-        out = ((a + b).scale(2) - (c + d)).abs()
+        out = _signed_sigma1_terms(z, w, p, kk).abs()
         return out if out.width <= _width_target(k) else None
 
     return refine(attempt, k + 3, what="sigma1 refinement exceeded the precision cap")
@@ -712,11 +735,7 @@ def signed_sigma1_scalar(z: GaussianRational, w: GaussianRational, p: PExponent,
     """
 
     def attempt(kk: int) -> Optional[DyadicInterval]:
-        a = abs_pow(z, p, kk)
-        b = abs_pow(w, p, kk)
-        c = abs_pow(z - w, p, kk)
-        d = abs_pow(z + w, p, kk)
-        out = (a + b).scale(2) - (c + d)
+        out = _signed_sigma1_terms(z, w, p, kk)
         return out if out.width <= _width_target(k) else None
 
     return refine(attempt, k + 3, what="sigma1 refinement exceeded the precision cap")
@@ -786,16 +805,7 @@ def log2_enclosure(box: DyadicInterval, k: int) -> DyadicInterval:
             out = _iv.log(_iv_from_fraction(x, prec)) / _iv.log(_iv.mpf(2))
             return _interval_from_iv(out)
 
-    prec = max(64, k + GUARD_BITS)
-    half = _width_target(k + 1)
-    while True:
-        lo_box = endpoint(box.lo, prec)
-        hi_box = lo_box if box.is_point() else endpoint(box.hi, prec)
-        if lo_box.width <= half and hi_box.width <= half:
-            return DyadicInterval(lo_box.lo, hi_box.hi)
-        prec *= 2
-        if prec > MAX_WORKING_PREC:
-            raise PrecisionExhaustedError("log2 enclosure exceeded the precision cap")
+    return _monotone_enclosure(box, k, endpoint, "log2 enclosure exceeded the precision cap")
 
 
 # -- trig helpers for the objective -----------------------------------------

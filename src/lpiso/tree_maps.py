@@ -470,8 +470,8 @@ def validate_partial_disintegration(psi: TreeMap, k: int = 20) -> Verdict:
     return Verdict("undecided")
 
 
-def require_partial_disintegration(psi: TreeMap, k: int = 20) -> None:
-    verdict = validate_partial_disintegration(psi, k)
+def require_partial_disintegration(psi: TreeMap) -> None:
+    verdict = validate_partial_disintegration(psi)
     if verdict.is_no:
         raise NotPartialDisintegrationError(verdict.witness)
 
@@ -481,13 +481,10 @@ def require_partial_disintegration(psi: TreeMap, k: int = 20) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class WitnessBudget:
-    """Effort caps for the semidecidable parts of certification."""
-
-    denom_bits: int = 24      # coefficients are rounded to denominator 2**denom_bits
-    precision: int = 24       # norm certifications run at 2**-precision
-    fallback_rounds: int = 0  # extra rounds of blind coefficient enumeration
+# greedy witness coefficients are rounded to denominator 2**WITNESS_DENOM_BITS
+WITNESS_DENOM_BITS = 24
+# success_index certifies norms at 2**-WITNESS_PRECISION or finer
+WITNESS_PRECISION = 24
 
 
 @dataclass
@@ -604,17 +601,19 @@ def success_index(
     psi: TreeMap,
     pres: Presentation,
     n_max: int,
-    budget: Optional[WitnessBudget] = None,
+    *,
+    fallback_rounds: int = 0,
 ) -> SuccessIndex:
     """Certified lower bound on the success index with respect to `pres`.
 
     The distance clause d(f_j, span of the range) < 2**-N is witnessed by
     explicit coefficients; a missing witness caps the result, it never
     refutes.  Summativity clauses are certified by strict norm bounds.
-    Returns max(0, largest certified N <= n_max).
+    Returns max(0, largest certified N <= n_max).  Each of fallback_rounds
+    extra rounds adds a blind grid of single-node coefficients, finer and
+    wider each round.
     """
-    budget = budget or WitnessBudget()
-    prec = max(budget.precision, n_max + 2)
+    prec = max(WITNESS_PRECISION, n_max + 2)
 
     summativity: Dict[TreeNode, Fraction] = {}
     for node in psi.nodes():
@@ -635,10 +634,10 @@ def success_index(
         candidates: List[Dict[TreeNode, GaussianRational]] = [{}]
         if can_guide:
             target = pres.generator_vector(j, snapshot_prec)
-            candidates.append(_greedy_witness(target, basis, budget.denom_bits))
+            candidates.append(_greedy_witness(target, basis, WITNESS_DENOM_BITS))
         for node in psi.nodes():
             candidates.append({node: GaussianRational.one()})
-        for r in range(1, budget.fallback_rounds + 1):
+        for r in range(1, fallback_rounds + 1):
             # blind single-node slice: real/imaginary grid with denominator
             # 2^r and magnitude up to 2^r, growing towards completeness
             grid = [Fraction(n, 1 << r) for n in range(-(1 << (2 * r)), (1 << (2 * r)) + 1)]

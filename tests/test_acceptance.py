@@ -39,7 +39,6 @@ from lpiso.chain_partition import (
 )
 from lpiso.extension_engine import approximate_extend
 from lpiso.iso_cli import (
-    SynthesisBudget,
     compute_e0_wrt_F,
     main as cli_main,
     recover_p,
@@ -260,9 +259,7 @@ class TestCriterion6EndToEndSynthesis:
     def test_eight_units_over_standard(self):
         start = time.time()
         pres = StandardPresentation(P1)
-        iso = synthesize_isometry(
-            pres, 8, SynthesisBudget(cert_bits=12, generation_bits=8)
-        )
+        iso = synthesize_isometry(pres, 8, cert_bits=12, generation_bits=8)
         assert not iso.provisional
         assert len(iso) == 8
         # pairwise sigma1 bounds < 2^-10 and unit norms within 2^-10 are
@@ -390,7 +387,7 @@ class TestCriterion10Determinism:
 
     def _synthesis_report(self):
         iso = synthesize_isometry(
-            StandardPresentation(P1), 6, SynthesisBudget(cert_bits=12, generation_bits=6)
+            StandardPresentation(P1), 6, cert_bits=12, generation_bits=6
         )
         payload = iso.to_json()
         payload["unit_combos"] = [

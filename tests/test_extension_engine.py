@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 
 from lpiso.errors import (
+    BudgetExhaustedError,
     HypothesisViolatedError,
     NoBackdoorError,
     NotPartialDisintegrationError,
     PEqualsTwoError,
+    PrecisionExhaustedError,
 )
 from lpiso.lp_vectors import FinSuppVector, norm_p
 from lpiso.presentations import (
@@ -535,6 +537,62 @@ class TestInexactRefinement:
                     assert abs(vec[0].re - truth) < Fraction(1, 2**10)
                     found = True
         assert found
+
+
+class TestSearchConstants:
+    """The extension search stops at its two budgets with typed errors."""
+
+    def test_rounds_exhausted(self, monkeypatch):
+        rounds = []
+
+        def no_proposal(phi, n_index, k, pres, round_idx, *, force_growth=False):
+            rounds.append(round_idx)
+            return None
+
+        monkeypatch.setattr(extension_engine, "build_guided_proposal", no_proposal)
+        pres = StandardPresentation(P1)
+        with pytest.raises(BudgetExhaustedError) as info:
+            approximate_extend(empty_map(pres), 1, 4, pres)
+        assert extension_engine.SEARCH_ROUNDS == 6
+        assert rounds == list(range(6))
+        assert str(info.value) == "no certifiable extension within 6 rounds"
+        assert info.value.budget == 6
+
+    def test_refinement_cap(self, monkeypatch):
+        pres = build_adversarial(CeSet.explicit([1]), P32)
+        proposals = []
+        build = extension_engine.build_guided_proposal
+
+        def recording_build(*args, **kwargs):
+            proposals.append(build(*args, **kwargs))
+            return proposals[-1]
+
+        monkeypatch.setattr(extension_engine, "build_guided_proposal", recording_build)
+        res = approximate_extend(empty_map(pres), 1, 4, pres)
+        assert not res.exact  # the values are refinement limits
+        snapshot_prec = proposals[-1].snapshot_prec  # the last round won
+
+        # every refinement step now lands a whole unit away from the last
+        precs = []
+        on_structure = extension_engine._values_on_structure
+
+        def drifting(structure, chi, gens, pres_, prec):
+            precs.append(prec)
+            values, center = on_structure(structure, chi, gens, pres_, prec)
+            return values, {node: combo + GenCombo.single(0) for node, combo in center.items()}
+
+        monkeypatch.setattr(extension_engine, "_values_on_structure", drifting)
+        node = res.psi.nodes()[0]
+        with pytest.raises(
+            PrecisionExhaustedError, match="^refinement cap hit before the target precision$"
+        ):
+            res.psi.value(node).approx(64)
+        cap = extension_engine.REFINEMENT_CAP
+        assert cap == 192
+        assert precs == sorted(set(precs)) and precs[0] > snapshot_prec
+        # the last snapshot read is within the cap, and one more step would not be
+        step = precs[-1] - precs[-2]
+        assert precs[-1] <= snapshot_prec + cap < precs[-1] + step
 
 
 class TestChainSourceRoot:

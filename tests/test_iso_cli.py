@@ -25,7 +25,6 @@ from lpiso.presentations import (
 from lpiso.scalar_core import GaussianRational, PExponent, _width_target
 from lpiso.tree_maps import residual_norm
 from lpiso.iso_cli import (
-    SynthesisBudget,
     apply_isometry,
     compute_e0_wrt_F,
     identity_reduction,
@@ -372,6 +371,25 @@ class TestCliInputErrors:
         message = self.assert_input_error(capsys, "synthesize", "--units", "-3")
         assert "--units" in message
 
+    def test_grid_without_cells(self, capsys):
+        # the grid starts at t = 1, so --t-max 1/2 used to end in a traceback
+        message = self.assert_input_error(capsys, "lamperti-grid", "--t-max", "1/2")
+        assert "--t-max" in message
+
+    def test_phi_tree_outside_psi_tree(self, capsys):
+        # used to end in a ValueError traceback from the hypothesis check
+        phi = json.dumps(
+            {
+                "tree": [[0], [1]],
+                "map": {"[0]": {"entries": {"0": "1"}}, "[1]": {"entries": {"1": "1"}}},
+            }
+        )
+        psi = json.dumps({"tree": [[0]], "map": {"[0]": {"entries": {"0": "1"}}}})
+        message = self.assert_input_error(
+            capsys, "project-hom", "--p", "1", "--phi", phi, "--psi", psi
+        )
+        assert "--phi" in message and "--psi" in message
+
 
 class TestIsometricProperty:
     def test_apply_preserves_norms_on_random_vectors(self):
@@ -401,7 +419,7 @@ class TestIsometricProperty:
         # can discover the scaling witness
         from lpiso.presentations import GenCombo
         from conftest import OpaqueStandard
-        from lpiso.tree_maps import FiniteTree, TreeMap, TreeNode, WitnessBudget, success_index
+        from lpiso.tree_maps import FiniteTree, TreeMap, TreeNode, success_index
 
         pres = OpaqueStandard(P1)
         node = TreeNode.of(0)
@@ -409,9 +427,9 @@ class TestIsometricProperty:
             GenCombo({0: GaussianRational.of(Fraction(1, 2))}), pres
         )
         psi = TreeMap(FiniteTree([node]), {node: half}, P1, pres)
-        starved = success_index(psi, pres, 1, WitnessBudget(fallback_rounds=0))
+        starved = success_index(psi, pres, 1, fallback_rounds=0)
         assert starved.value == 0  # identity-style candidates miss the scale
-        out = success_index(psi, pres, 1, WitnessBudget(fallback_rounds=1))
+        out = success_index(psi, pres, 1, fallback_rounds=1)
         assert out.value >= 1
         assert out.witnesses[0] == {node: GaussianRational.of(2)}
 
@@ -520,11 +538,11 @@ class TestGenerationWitness:
 
 class TestAtomPeek:
     @pytest.mark.parametrize(
-        "budget,peek_prec",
-        [(SynthesisBudget(), 20), (SynthesisBudget(generation_bits=20), 28)],
+        "generation_bits,peek_prec",
+        [(None, 20), (20, 28)],
         ids=["gen-below-cert", "gen-above-cert"],
     )
-    def test_one_peek_per_unit(self, budget, peek_prec, monkeypatch):
+    def test_one_peek_per_unit(self, generation_bits, peek_prec, monkeypatch):
         # one peek at max(gen_bits, cert_bits) + 8 serves both the reported
         # atom coordinate and the generation witnesses
         precs = []
@@ -535,7 +553,9 @@ class TestAtomPeek:
 
         peek = iso_cli._transparent_atom_peek
         monkeypatch.setattr(iso_cli, "_transparent_atom_peek", counting_peek)
-        iso = synthesize_isometry(StandardPresentation(P1), 4, budget)
+        iso = synthesize_isometry(
+            StandardPresentation(P1), 4, generation_bits=generation_bits
+        )
         assert precs == [peek_prec] * 4
         # each generator is witnessed by the unit peeked on its coordinate
         unit_on = {u.atom_coordinate: u.index for u in iso.units}
