@@ -39,7 +39,6 @@ from .presentations import (
     CeSet,
     ComputableVector,
     GenCombo,
-    OracleAdapter,
     Presentation,
     RotatedPresentation,
     StandardPresentation,

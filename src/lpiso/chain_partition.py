@@ -16,9 +16,9 @@ either succeeds or reports an exhausted budget (never a wrong child).
 Chains are grown deterministically: the root's chain is 0, each node's
 almost norm-maximizing child continues its chain, every other child opens
 a fresh chain in enumeration order.  Chain infima are atoms or zero; their
-norms are only right-approximable, so exact limit values flow through a
-transparent oracle adapter, while staged adapters taint results as
-provisional.
+norms are only right-approximable, so a chain limit is exact only when the
+chain provably ends or its source knows the limit, and provisional
+otherwise.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import (
     PrecisionExhaustedError,
 )
 from .lp_vectors import FinSuppVector, norm_power_p
-from .presentations import ComputableVector, GenCombo, OracleAdapter, Presentation
+from .presentations import ComputableVector, GenCombo, Presentation
 from .scalar_core import (
     DyadicInterval,
     GaussianRational,
@@ -404,15 +404,14 @@ def chain_limit(
     source: ChainSource,
     partition: ChainPartition,
     chain_id: int,
-    oracle: OracleAdapter,
     k: int,
 ) -> ChainLimit:
     """The infimum of the values along one chain, to precision 2**-k.
 
-    Exact when the chain provably ends (terminal node) or the transparent
-    source knows the limit; otherwise the deepest enumerated value stands
-    in, with one-sided norm information only, and the result is tainted
-    provisional.  A certified-zero limit is flagged so callers can drop it.
+    Exact when the chain provably ends (terminal node) or the source knows
+    the limit; otherwise the deepest enumerated value stands in, with
+    one-sided norm information only, and the result is tainted provisional.
+    A certified-zero limit is flagged so callers can drop it.
     """
     nodes = partition.chains[chain_id]
     deepest = nodes[-1]
@@ -420,16 +419,14 @@ def chain_limit(
 
     if source.certified_terminal(deepest):
         known = deep_value
-    elif oracle.mode == "transparent":
-        known = source.limit_vector(nodes)
     else:
-        known = None
+        known = source.limit_vector(nodes)
     if known is not None:
         box = norm_power_value(known, source.p, max(k, 8))
         status = "zero" if box.hi == 0 else "exact"
         return ChainLimit(chain_id, known, box, status)
 
-    # staged fallback: norms along the chain only decrease, giving an upper
+    # no known limit: norms along the chain only decrease, giving an upper
     # bound; nothing certifies how much is still to fall
     upper = norm_power_value(deep_value, source.p, max(k, 8)).hi
     return ChainLimit(

@@ -60,8 +60,9 @@ class BudgetExhaustedError(LpisoError):
 
 
 class ProvisionalError(LpisoError):
-    """A certification required oracle information that a staged adapter
-    could not supply; the result would only be provisional."""
+    """An oracle reduction needs the enumerated set's membership oracle, but
+    the set was declared staged (known only through its stages, as with
+    `adversarial --staged`); any answer would only be provisional."""
 
 
 class IndexOutOfRangeError(LpisoError):

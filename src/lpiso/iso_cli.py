@@ -18,8 +18,10 @@ of the exponent itself uses two disjoint units: their sum has norm
 
 Every command emits one JSON report with certificates and a precision
 ledger; reports are deterministic byte-for-byte for fixed inputs.  Exit
-codes: 0 all certificates granted, 2 provisional (a staged oracle tainted
-the result), 1 typed failure.
+codes: 0 all certificates granted, 2 provisional (a chain limit its source
+could not certify, or an oracle reduction asked of a set declared
+`--staged`, whose membership is known only through its stages), 1 typed
+failure.
 """
 
 from __future__ import annotations
@@ -49,11 +51,9 @@ from .extension_engine import (
 )
 from .lp_vectors import FinSuppVector, norm_p, norm_per_precision, sigma1_from_norms
 from .presentations import (
-    AdversarialPresentation,
     CeSet,
     ComputableVector,
     GenCombo,
-    OracleAdapter,
     Presentation,
     bits_for,
     build_adversarial,
@@ -140,11 +140,6 @@ class IsometryApprox:
         }
 
 
-# chain_limit reads only the adapter's mode: a transparent adapter lets the
-# staged disintegration's exact chain limits through
-_TRANSPARENT_ORACLE = OracleAdapter(CeSet.explicit([1]), "transparent")
-
-
 def _normalize(vec: ComputableVector, cert_bits: int) -> Tuple[ComputableVector, int]:
     kk = max(4, cert_bits // 2)
     while True:
@@ -206,7 +201,7 @@ def synthesize_isometry(
     for cid in range(len(partition.chains)):
         if len(units) >= n_units:
             break
-        lim = chain_limit(source, partition, cid, _TRANSPARENT_ORACLE, cert_bits + 4)
+        lim = chain_limit(source, partition, cid, cert_bits + 4)
         if lim.status == "zero":
             continue
         if lim.status == "provisional":
@@ -302,22 +297,14 @@ def apply_isometry(iso: IsometryApprox, x: FinSuppVector, k: int) -> GenCombo:
 # ---------------------------------------------------------------------------
 
 
-def compute_e0_wrt_F(oracle: OracleAdapter, p: PExponent, k: int) -> GenCombo:
+def compute_e0_wrt_F(ce: CeSet, p: PExponent, k: int) -> GenCombo:
     """A combination within 2**-k of the zeroth coordinate vector, over the
-    adversarial presentation of the oracle's set.
+    adversarial presentation of the set.
 
-    Staged adapters cannot certify the cut-off or the characteristic-real
-    bounds, so they are rejected as provisional rather than mis-certified.
+    The cut-off and the characteristic-real bounds need the set's
+    membership oracle: a set without one ends in NoBackdoorError.
     """
-    return _e0_presentation(oracle, p).e0_combo(k)
-
-
-def _e0_presentation(oracle: OracleAdapter, p: PExponent) -> AdversarialPresentation:
-    if oracle.provisional:
-        raise ProvisionalError(
-            "a staged adapter cannot certify the tail cut-off for e_0"
-        )
-    return build_adversarial(oracle.ce, p)
+    return build_adversarial(ce, p).e0_combo(k)
 
 
 def recover_scale_from_atom(
@@ -339,14 +326,13 @@ def recover_scale_from_atom(
 
 
 def identity_reduction(
-    oracle: OracleAdapter, p: PExponent, n_units: int, k: int
+    ce: CeSet, p: PExponent, n_units: int, k: int
 ) -> IsometryApprox:
     """The first coordinate vectors as computable combinations over the
     adversarial presentation: the identity map, computed relative to the
-    enumerated set."""
-    if oracle.provisional:
-        raise ProvisionalError("identity reduction needs a transparent adapter")
-    pres = build_adversarial(oracle.ce, p)
+    enumerated set (a set without a membership oracle ends in
+    NoBackdoorError)."""
+    pres = build_adversarial(ce, p)
     units: List[UnitRecord] = []
     witnesses: Dict[int, Dict[int, GaussianRational]] = {}
     for j in range(n_units):
@@ -456,21 +442,23 @@ def _pres_from_args(args) -> Presentation:
 # integer options that count something or set a precision: never negative
 _COUNT_OPTIONS = (
     "k", "n", "stages", "units", "cert_bits", "generation_bits",
-    "theta_steps", "stage_budget", "k_bits",
+    "theta_steps", "k_bits",
 )
+# beyond the refinement cap no enclosure can certify, and 2^-bits figures
+# would pass Python's int-to-str digit limit
+_PRECISION_OPTIONS = ("k", "cert_bits", "generation_bits")
 
 
 def _check_counts(args) -> None:
     for name in _COUNT_OPTIONS:
         value = getattr(args, name, None)
-        if value is not None and value < 0:
-            option = "--" + name.replace("_", "-")
+        if value is None:
+            continue
+        option = "--" + name.replace("_", "-")
+        if value < 0:
             raise InvalidInputError(f"{option} must be >= 0, got {value}")
-    # beyond the refinement cap no enclosure can certify, and the report's
-    # 2^-k figures would pass Python's int-to-str digit limit
-    k = getattr(args, "k", None)
-    if k is not None and k > MAX_WORKING_PREC:
-        raise InvalidInputError(f"--k must be <= {MAX_WORKING_PREC}, got {k}")
+        if name in _PRECISION_OPTIONS and value > MAX_WORKING_PREC:
+            raise InvalidInputError(f"{option} must be <= {MAX_WORKING_PREC}, got {value}")
 
 
 def _cmd_sigma(args) -> int:
@@ -628,7 +616,7 @@ def _cmd_chains(args) -> int:
     limits = []
     provisional = False
     for cid in range(len(partition.chains)):
-        lim = chain_limit(source, partition, cid, _TRANSPARENT_ORACLE, args.k)
+        lim = chain_limit(source, partition, cid, args.k)
         provisional = provisional or lim.status == "provisional"
         limits.append(
             {
@@ -677,18 +665,22 @@ def _cmd_apply(args) -> int:
     return _emit(report)
 
 
-def _adversarial_pres(args) -> Tuple[OracleAdapter, PExponent]:
-    ce = _parse("--ce", lambda text: CeSet.from_json(_load_json_arg(text)), args.ce)
-    mode = "staged" if args.staged else "transparent"
-    oracle = OracleAdapter(ce, mode, stage_budget=args.stage_budget)
-    return oracle, _p_from_args(args)
+# every reduction reads the set's membership oracle, which a set declared
+# `--staged` (known only through its stages) does not offer
+_STAGED_REFUSALS = {
+    "e0": "a staged adapter cannot certify the tail cut-off for e_0",
+    "scale": "a staged set cannot certify the scale (1-gamma)^(-1/p)",
+    "identity": "identity reduction needs a transparent adapter",
+}
 
 
 def _cmd_adversarial(args) -> int:
-    oracle, p = _adversarial_pres(args)
+    ce = _parse("--ce", lambda text: CeSet.from_json(_load_json_arg(text)), args.ce)
+    p = _p_from_args(args)
+    if args.staged:
+        raise ProvisionalError(_STAGED_REFUSALS[args.what])
     if args.what == "e0":
-        # a transparent adapter has decidable membership, so pres has a backdoor
-        pres = _e0_presentation(oracle, p)
+        pres = build_adversarial(ce, p)
         combo, info = pres.e0_combo_info(args.k)
         vec = pres.transparent_eval(combo, args.k + 4)
         resid = norm_p(vec - FinSuppVector.basis(0), p, args.k + 4)
@@ -699,13 +691,13 @@ def _cmd_adversarial(args) -> int:
         }
         report = {
             "command": "adversarial-e0",
-            "inputs": {"p": args.p, "k": args.k, "ce": oracle.ce.to_json()},
+            "inputs": {"p": args.p, "k": args.k, "ce": ce.to_json()},
             "result": result,
             "status": "ok",
         }
         return _emit(report)
     if args.what == "scale":
-        pres = build_adversarial(oracle.ce, p)
+        pres = build_adversarial(ce, p)
         combo = pres.e0_combo(args.k + 2)
         vec = ComputableVector.constant(combo, pres, "e0")
         inv_root = pres._root_one_minus_gamma(Fraction(1, 4), invert=True)
@@ -713,7 +705,7 @@ def _cmd_adversarial(args) -> int:
         value = recover_scale_from_atom(vec, q0, args.k)
         report = {
             "command": "adversarial-scale",
-            "inputs": {"p": args.p, "k": args.k, "ce": oracle.ce.to_json()},
+            "inputs": {"p": args.p, "k": args.k, "ce": ce.to_json()},
             "result": {
                 "scale": format_fraction(value),
                 "q0": format_fraction(q0),
@@ -723,12 +715,12 @@ def _cmd_adversarial(args) -> int:
         }
         return _emit(report)
     if args.what == "identity":
-        iso = identity_reduction(oracle, p, args.n, args.k)
+        iso = identity_reduction(ce, p, args.n, args.k)
         report = {
             "command": "adversarial-identity",
-            "inputs": {"p": args.p, "k": args.k, "n": args.n, "ce": oracle.ce.to_json()},
+            "inputs": {"p": args.p, "k": args.k, "n": args.n, "ce": ce.to_json()},
             "result": iso.to_json(),
-            "status": "provisional" if iso.provisional else "ok",
+            "status": "ok",
         }
         return _emit(report)
     raise ValueError(f"unknown adversarial subcommand {args.what!r}")
@@ -830,8 +822,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--ce", default='{"kind":"explicit","elements":[1]}')
     sp.add_argument("--n", type=int, default=3)
-    sp.add_argument("--staged", action="store_true")
-    sp.add_argument("--stage-budget", type=int, default=64)
+    sp.add_argument(
+        "--staged",
+        action="store_true",
+        help="the set is known only through its stages: every reduction is refused",
+    )
     sp.set_defaults(fn=_cmd_adversarial, k=8)
 
     sp = sub.add_parser("recover-p", help="recover the exponent from the oracle")

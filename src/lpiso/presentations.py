@@ -106,10 +106,15 @@ class CeSet:
 
     @staticmethod
     def explicit(elements: Sequence[int], stages: Optional[Sequence[Sequence[int]]] = None) -> "CeSet":
-        elems = list(dict.fromkeys(int(e) for e in elements))
+        elems = list(dict.fromkeys(elements))
         if stages is None:
             stages = [elems[: i + 1] for i in range(len(elems))]
         frozen = [frozenset(s) for s in stages]
+        for e in elems + [e for s in frozen for e in s]:
+            # 0 passes here: the adversarial presentation refuses it with its
+            # own typed error
+            if isinstance(e, bool) or not isinstance(e, int) or e < 0:
+                raise ValueError(f"set elements must be natural numbers, got {e!r}")
         for a, b in zip(frozen, frozen[1:]):
             if not a <= b:
                 raise ValueError("stages must be monotone")
@@ -182,10 +187,6 @@ class CeSet:
 
     # -- the characteristic real ----------------------------------------------
 
-    def gamma_lower(self, t: int) -> Fraction:
-        """Stage-t lower bound on gamma = sum over the set of 2^-n."""
-        return sum((Fraction(1, 2**n) for n in self.stage(t)), Fraction(0))
-
     def gamma_enclosure(self, k: int) -> DyadicInterval:
         """Two-sided enclosure of gamma, width <= 2**-k (needs decidability)."""
         if self.decide is None:
@@ -225,39 +226,6 @@ NAMED_CE_SETS = {
     "odds": lambda: CeSet.from_predicate(lambda n: n % 2 == 1, "odds"),
     "evens-from-2": lambda: CeSet.from_predicate(lambda n: n >= 2 and n % 2 == 0, "evens-from-2"),
 }
-
-
-class OracleAdapter:
-    """Membership oracle for an enumerated set.
-
-    transparent mode answers exactly (requires decidable membership) and
-    marks results EXACT; staged mode answers relative to a stage budget and
-    marks everything PROVISIONAL (a "no" may later flip to "yes").
-    """
-
-    def __init__(self, ce: CeSet, mode: str = "transparent", stage_budget: int = 64):
-        if mode not in ("transparent", "staged"):
-            raise ValueError("mode must be 'transparent' or 'staged'")
-        if mode == "transparent" and ce.decide is None:
-            raise NoBackdoorError("transparent adapter needs decidable membership")
-        self.ce = ce
-        self.mode = mode
-        self.stage_budget = stage_budget
-
-    @property
-    def provisional(self) -> bool:
-        return self.mode == "staged"
-
-    def is_member(self, n: int) -> bool:
-        if self.mode == "transparent":
-            return self.ce.decide(n)
-        return n in self.ce.stage(self.stage_budget)
-
-    def gamma_enclosure(self, k: int) -> DyadicInterval:
-        if self.mode == "transparent":
-            return self.ce.gamma_enclosure(k)
-        low = self.ce.gamma_lower(self.stage_budget)
-        return DyadicInterval(low, Fraction(1))  # only the trivial upper bound
 
 
 # ---------------------------------------------------------------------------

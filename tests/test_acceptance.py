@@ -19,7 +19,6 @@ from lpiso.presentations import (
     CeSet,
     ComputableVector,
     GenCombo,
-    OracleAdapter,
     StandardPresentation,
     build_adversarial,
 )
@@ -289,9 +288,9 @@ class TestCriterion6EndToEndSynthesis:
 
 class TestCriterion7OracleReductions:
     def test_compute_e0(self):
-        oracle = OracleAdapter(CeSet.explicit([1, 2]), "transparent")
-        g = compute_e0_wrt_F(oracle, P32, 10)
-        pres = build_adversarial(oracle.ce, P32)
+        ce = CeSet.explicit([1, 2])
+        g = compute_e0_wrt_F(ce, P32, 10)
+        pres = build_adversarial(ce, P32)
         v = pres.transparent_eval(g, 14)
         assert norm_p(v - FinSuppVector.basis(0), P32, 14).hi < Fraction(1, 2**10)
 
@@ -303,9 +302,9 @@ class TestCriterion7OracleReductions:
 
     def test_round_trip(self):
         for p, expect in ((P1, Fraction(2)), (P32, Fraction(15874010519681994, 10**16))):
-            oracle = OracleAdapter(CeSet.explicit([1]), "transparent")
-            g = compute_e0_wrt_F(oracle, p, 10)
-            pres = build_adversarial(oracle.ce, p)
+            ce = CeSet.explicit([1])
+            g = compute_e0_wrt_F(ce, p, 10)
+            pres = build_adversarial(ce, p)
             value = recover_scale_from_atom(
                 ComputableVector.constant(g, pres), Fraction(3), 9
             )
@@ -520,11 +519,24 @@ class TestCriterion10Determinism:
                 ],
                 "ad365bddee1de554801db35e15cc6aac2dabac5b6d7a02b5e50fe9e466d2efab",
             ),
+            (
+                [
+                    "chains", "--pres",
+                    '{"type":"adversarial","p":"1","ce":{"kind":"explicit","elements":[1,3]}}',
+                    "--stages", "3", "--k", "8",
+                ],
+                "c884fe3163e43618cf40bae1f163a96b86cb4e0c18bd6675e7c84550d3ddfa6c",
+            ),
+            (
+                ["chains", "--pres", '{"type":"standard","p":"3"}', "--stages", "3", "--k", "8"],
+                "889e5f2c8c41669948959badd9a68c79ed0b89dfcc56ce8a773b3a4a987c01e6",
+            ),
         ],
         ids=[
             "sigma", "lamperti-check", "lamperti-grid", "validate-tree",
             "project-hom", "extend", "apply", "recover-p",
             "adversarial-e0", "adversarial-scale", "adversarial-identity",
+            "chains-adversarial", "chains-standard",
         ],
     )
     def test_pinned_command_digests(self, argv, digest, capsys):

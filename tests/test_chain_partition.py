@@ -11,7 +11,7 @@ from lpiso.errors import (
     PrecisionExhaustedError,
 )
 from lpiso.lp_vectors import FinSuppVector, norm_power_p
-from lpiso.presentations import (CeSet, ComputableVector, GenCombo, OracleAdapter,
+from lpiso.presentations import (CeSet, ComputableVector, GenCombo,
     StandardPresentation, build_adversarial)
 from lpiso.scalar_core import GaussianRational, PExponent
 from lpiso.chain_partition import (
@@ -145,8 +145,7 @@ class TestChainLimit:
     def test_terminal_chain(self):
         src = two_level_fixture()
         part = partition_chains(src, stage_budget=8)
-        oracle = OracleAdapter(CeSet.explicit([1]), "transparent")
-        lim = chain_limit(src, part, 0, oracle, 10)
+        lim = chain_limit(src, part, 0, 10)
         assert lim.status == "exact"
         assert lim.vector == fs({0: 1})
 
@@ -184,31 +183,20 @@ class TestChainLimit:
             terminal_fn=lambda node: bool(node.path) and node.path[-1] == 1,
             limit_fn=lambda chain: atom if set(chain[-1].path) == {0} else None,
         )
-        oracle = OracleAdapter(pres.ce, "transparent")
         part = partition_chains(src, stage_budget=4)
         zero_chain = part.assignment[TreeNode.of(0, 0)]
-        lim = chain_limit(src, part, zero_chain, oracle, 8)
+        lim = chain_limit(src, part, zero_chain, 8)
         assert lim.status == "exact"
         assert lim.vector == atom
         assert lim.norm_power.contains(Fraction(1, 3))
 
     def test_staged_oracle_is_provisional(self):
-        pres = build_adversarial(CeSet.explicit([1]), P1)
+        # a chain through the root of a staged source without limit
+        # knowledge and without terminal nodes: nothing certifies its limit
         src = dyadic_fixture(StandardPresentation(P1))
-        part = partition_chains(src, stage_budget=4)
-        staged = OracleAdapter(pres.ce, "staged", stage_budget=1)
-
-        # fabricate a nonterminal-ended chain by cutting the enumeration:
-        # chain 0 is root + (0); (0) is terminal here, so instead query a
-        # chain through the root of a lazy source without limit knowledge
-        def value(node):
-            if node.is_root():
-                return src.value(ROOT)
-            return fs({node.path[0]: Fraction(1, 2 ** node.path[0])})
-
         lazy = LazyDisintegration(P1, StandardPresentation(P1), src.value, src.stage_tree)
-        part2 = partition_chains(lazy, stage_budget=4)
-        lim = chain_limit(lazy, part2, 0, staged, 8)
+        part = partition_chains(lazy, stage_budget=4)
+        lim = chain_limit(lazy, part, 0, 8)
         assert lim.status == "provisional"
 
 
@@ -245,7 +233,6 @@ class TestZeroLimit:
             else None,
         )
         part = partition_chains(src, stage_budget=4)
-        oracle = OracleAdapter(CeSet.explicit([1]), "transparent")
         spine_chains = [
             cid
             for cid, chain in enumerate(part.chains)
@@ -253,17 +240,16 @@ class TestZeroLimit:
         ]
         assert spine_chains  # the all-zeros spine keeps descending
         statuses = {
-            chain_limit(src, part, cid, oracle, 8).status for cid in spine_chains
+            chain_limit(src, part, cid, 8).status for cid in spine_chains
         }
         assert "zero" in statuses
 
     def test_limits_precede_chain_values(self):
         src = two_level_fixture()
         part = partition_chains(src, stage_budget=8)
-        oracle = OracleAdapter(CeSet.explicit([1]), "transparent")
         from lpiso.lp_vectors import precedes, is_atom
         for cid, chain in enumerate(part.chains):
-            lim = chain_limit(src, part, cid, oracle, 10)
+            lim = chain_limit(src, part, cid, 10)
             assert lim.status == "exact"
             for node in chain:
                 val = src.value(node)

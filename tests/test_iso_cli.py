@@ -9,14 +9,13 @@ from fractions import Fraction
 import pytest
 
 import lpiso
-from lpiso.errors import IndexOutOfRangeError, ProvisionalError
+from lpiso.errors import IndexOutOfRangeError, NoBackdoorError
 from lpiso.lp_vectors import FinSuppVector, norm_p
 from lpiso import iso_cli
 from lpiso.presentations import (
     CeSet,
     ComputableVector,
     GenCombo,
-    OracleAdapter,
     RotatedPresentation,
     StandardPresentation,
     _entry_bound_bits,
@@ -112,33 +111,36 @@ class TestApply:
             apply_isometry(self.iso, FinSuppVector.basis(7), 8)
 
 
+def staged_only_set():
+    """{1}, known only through its stages: no membership oracle."""
+    return CeSet(lambda t: frozenset({1}), complete_size=1, label="{1}")
+
+
 class TestComputeE0:
     def test_c1_p1(self):
-        oracle = OracleAdapter(CeSet.explicit([1]), "transparent")
-        g = compute_e0_wrt_F(oracle, P1, 6)
-        pres = build_adversarial(oracle.ce, P1)
+        ce = CeSet.explicit([1])
+        g = compute_e0_wrt_F(ce, P1, 6)
+        pres = build_adversarial(ce, P1)
         v = pres.transparent_eval(g, 10)
         assert norm_p(v - FinSuppVector.basis(0), P1, 10).hi < Fraction(1, 2**6)
 
     def test_c12_p32(self):
-        oracle = OracleAdapter(CeSet.explicit([1, 2]), "transparent")
-        g = compute_e0_wrt_F(oracle, P32, 4)
-        pres = build_adversarial(oracle.ce, P32)
+        ce = CeSet.explicit([1, 2])
+        g = compute_e0_wrt_F(ce, P32, 4)
+        pres = build_adversarial(ce, P32)
         v = pres.transparent_eval(g, 10)
         assert norm_p(v - FinSuppVector.basis(0), P32, 10).hi < Fraction(1, 2**4)
 
     def test_coarsest_precision(self):
-        oracle = OracleAdapter(CeSet.explicit([1]), "transparent")
-        g = compute_e0_wrt_F(oracle, P1, 0)
-        pres = build_adversarial(oracle.ce, P1)
+        ce = CeSet.explicit([1])
+        g = compute_e0_wrt_F(ce, P1, 0)
+        pres = build_adversarial(ce, P1)
         v = pres.transparent_eval(g, 8)
         assert norm_p(v - FinSuppVector.basis(0), P1, 8).hi < 1
 
-    def test_staged_is_provisional(self):
-        ce = CeSet.explicit([1], stages=[[1]])
-        oracle = OracleAdapter(ce, "staged", stage_budget=0)
-        with pytest.raises(ProvisionalError):
-            compute_e0_wrt_F(oracle, P1, 4)
+    def test_staged_rejected(self):
+        with pytest.raises(NoBackdoorError):
+            compute_e0_wrt_F(staged_only_set(), P1, 4)
 
 
 class TestRecoverScale:
@@ -167,9 +169,9 @@ class TestRecoverScale:
     def test_round_trip_with_e0(self):
         # compute_e0's output feeds recover_scale: the scale is (1-gamma)^(-1/p)
         for p, expect in ((P1, Fraction(2)), (P32, Fraction(15874010519681994, 10**16))):
-            oracle = OracleAdapter(CeSet.explicit([1]), "transparent")
-            g = compute_e0_wrt_F(oracle, p, 10)
-            pres = build_adversarial(oracle.ce, p)
+            ce = CeSet.explicit([1])
+            g = compute_e0_wrt_F(ce, p, 10)
+            pres = build_adversarial(ce, p)
             v = ComputableVector.constant(g, pres)
             value = recover_scale_from_atom(v, Fraction(3), 8)
             assert abs(value - expect) < Fraction(1, 2**7)
@@ -177,23 +179,19 @@ class TestRecoverScale:
 
 class TestIdentityReduction:
     def test_c1_p1(self):
-        oracle = OracleAdapter(CeSet.explicit([1]), "transparent")
-        iso = identity_reduction(oracle, P1, 3, 5)
+        iso = identity_reduction(CeSet.explicit([1]), P1, 3, 5)
         pres = iso.pres
         for j in range(3):
             v = pres.transparent_eval(iso.unit(j).approx(7), 10)
             assert norm_p(v - FinSuppVector.basis(j), P1, 10).hi < Fraction(1, 2**5)
 
     def test_empty(self):
-        oracle = OracleAdapter(CeSet.explicit([1]), "transparent")
-        iso = identity_reduction(oracle, P1, 0, 5)
+        iso = identity_reduction(CeSet.explicit([1]), P1, 0, 5)
         assert len(iso) == 0
 
     def test_staged_rejected(self):
-        ce = CeSet.explicit([1], stages=[[1]])
-        oracle = OracleAdapter(ce, "staged", stage_budget=0)
-        with pytest.raises(ProvisionalError):
-            identity_reduction(oracle, P1, 2, 5)
+        with pytest.raises(NoBackdoorError):
+            identity_reduction(staged_only_set(), P1, 2, 5)
 
 
 class TestRecoverP:
@@ -239,8 +237,6 @@ class TestCli:
             "--ce",
             '{"kind":"explicit","elements":[1],"stages":[[1]]}',
             "--staged",
-            "--stage-budget",
-            "0",
             "--n",
             "2",
         )
@@ -251,13 +247,28 @@ class TestCli:
         code = self.run_cli(
             "adversarial", "e0", "--p", "3/2",
             "--ce", '{"kind":"explicit","elements":[1],"stages":[[1]]}',
-            "--staged", "--stage-budget", "0",
+            "--staged",
         )
         out = json.loads(capsys.readouterr().out)
         assert code == 2
         assert out == {
             "command": "adversarial",
             "detail": "a staged adapter cannot certify the tail cut-off for e_0",
+            "status": "provisional",
+        }
+
+    def test_staged_scale_exit_provisional(self, capsys):
+        # used to exit 0 with a scale read off the membership oracle that
+        # --staged says the set lacks
+        code = self.run_cli(
+            "adversarial", "scale", "--p", "5/4",
+            "--ce", '{"kind":"explicit","elements":[2,5]}', "--staged",
+        )
+        out = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert out == {
+            "command": "adversarial",
+            "detail": "a staged set cannot certify the scale (1-gamma)^(-1/p)",
             "status": "provisional",
         }
 
@@ -350,6 +361,19 @@ class TestCliInputErrors:
         )
         assert "--k" in message
 
+    @pytest.mark.parametrize("option", ["--cert-bits", "--generation-bits"])
+    def test_synthesis_precision_above_the_cap(self, capsys, option, monkeypatch):
+        # 9000 used to end in a traceback from Python's int-to-str digit
+        # limit; the cap now refuses it before any synthesis work
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("synthesis ran")
+
+        monkeypatch.setattr(iso_cli, "build_disintegration", no_synthesis)
+        message = self.assert_input_error(
+            capsys, "synthesize", "--units", "2", option, "8193"
+        )
+        assert message == f"{option} must be <= 8192, got 8193"
+
     def test_precision_at_the_cap(self, capsys):
         code = main(["lamperti-check", "--p", "3", "--z", "1", "--w", "1/2", "--k", "8192"])
         out = json.loads(capsys.readouterr().out)
@@ -366,6 +390,24 @@ class TestCliInputErrors:
             capsys, "synthesize", "--pres", '{"type":"hilbert","p":"1"}'
         )
         assert "hilbert" in message
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["adversarial", "scale", "--ce", '{"kind":"explicit","elements":[-1]}'],
+            ["adversarial", "e0", "--ce", '{"kind":"explicit","elements":[1.5]}'],
+            [
+                "synthesize", "--units", "2", "--pres",
+                '{"type":"adversarial","p":"1","ce":{"kind":"explicit","elements":[-2]}}',
+            ],
+        ],
+        ids=["scale-negative", "e0-fractional", "synthesize-negative"],
+    )
+    def test_set_element_not_a_natural_number(self, capsys, argv):
+        # a negative element used to end in a TypeError traceback, and 1.5
+        # was reported as 1
+        message = self.assert_input_error(capsys, *argv)
+        assert "natural numbers" in message
 
     def test_negative_unit_count(self, capsys):
         message = self.assert_input_error(capsys, "synthesize", "--units", "-3")

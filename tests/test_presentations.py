@@ -12,7 +12,6 @@ from lpiso.presentations import (
     CeSet,
     ComputableVector,
     GenCombo,
-    OracleAdapter,
     RotatedPresentation,
     StandardPresentation,
     adversarial_norm,
@@ -60,15 +59,29 @@ class TestCeSet:
         assert box.contains(Fraction(2, 3))  # sum over odd n of 2^-n
         assert box.width <= Fraction(1, 2**12)
 
-    def test_gamma_lower_monotone(self):
-        ce = CeSet.explicit([1, 3], stages=[[1], [1, 3]])
-        assert ce.gamma_lower(0) <= ce.gamma_lower(1) <= ce.gamma_lower(5)
-        assert ce.gamma_lower(5) == Fraction(5, 8)
-
     def test_gamma_strictly_inside_unit_interval(self):
         for ce in (CeSet.explicit([1]), CeSet.explicit([2, 7]), CeSet.from_json({"kind": "named", "name": "odds"})):
             box = ce.gamma_enclosure(20)
             assert 0 < box.lo and box.hi < 1
+
+    @pytest.mark.parametrize(
+        "elements, stages",
+        [
+            ([-1], None),
+            ([1, -2], None),
+            ([1.5], None),
+            ([2.0], None),
+            (["3"], None),
+            ([True], None),
+            ([1, 3], [[3.0], [1, 3]]),
+        ],
+        ids=["negative", "negative-later", "fraction", "float", "string", "bool", "float-stage"],
+    )
+    def test_elements_must_be_natural_numbers(self, elements, stages):
+        # a negative element, or a float one in a stage, used to end in a
+        # TypeError deep in a norm query, and 1.5 was silently read as 1
+        with pytest.raises(ValueError, match="natural numbers"):
+            CeSet.from_json({"kind": "explicit", "elements": elements, "stages": stages})
 
 
 class TestStandardAndRotated:
@@ -243,25 +256,6 @@ class TestComputableVector:
         pres = StandardPresentation(P1)
         v = ComputableVector.constant(combo(1), pres).scale_gauss(GaussianRational.of(3))
         assert v.approx(4) == combo(3)
-
-
-class TestOracleAdapter:
-    def test_transparent_membership(self):
-        oracle = OracleAdapter(CeSet.explicit([1, 3]), "transparent")
-        assert oracle.is_member(3) and not oracle.is_member(2)
-        assert not oracle.provisional
-
-    def test_staged_is_provisional(self):
-        ce = CeSet.explicit([1, 3], stages=[[1], [1, 3]])
-        oracle = OracleAdapter(ce, "staged", stage_budget=0)
-        assert oracle.provisional
-        assert oracle.is_member(1) and not oracle.is_member(3)  # not yet enumerated
-
-    def test_staged_gamma_is_one_sided(self):
-        ce = CeSet.explicit([1, 3], stages=[[1], [1, 3]])
-        oracle = OracleAdapter(ce, "staged", stage_budget=0)
-        box = oracle.gamma_enclosure(10)
-        assert box.lo == Fraction(1, 2) and box.hi == 1
 
 
 class TestEnumerationStall:
