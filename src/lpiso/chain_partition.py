@@ -62,10 +62,13 @@ def norm_power_value(value: TreeValue, p: PExponent, k: int) -> DyadicInterval:
 
 
 class ChainSource:
-    """A staged disintegration: values on nodes, revealed through stages."""
+    """A staged disintegration: values on nodes, revealed through stages.
+
+    A source stores no presentation: an opaque value carries its own as
+    ``ComputableVector.pres``.
+    """
 
     p: PExponent
-    pres: Optional[Presentation]
 
     def stage_tree(self, t: int) -> FiniteTree:
         raise NotImplementedError
@@ -93,7 +96,6 @@ class FiniteDisintegration(ChainSource):
         self,
         values: Dict[TreeNode, TreeValue],
         p: PExponent,
-        pres: Optional[Presentation] = None,
         schedule: Optional[List[FiniteTree]] = None,
     ):
         if ROOT not in values:
@@ -103,7 +105,6 @@ class FiniteDisintegration(ChainSource):
             raise ValueError("value domain must be prefix-closed")
         self.values = dict(values)
         self.p = p
-        self.pres = pres
         if schedule is None:
             ordered = self.tree.sorted_nodes()
             schedule = [FiniteTree(ordered[: i + 1]) for i in range(len(ordered))]
@@ -135,7 +136,6 @@ class LazyDisintegration(ChainSource):
     def __init__(
         self,
         p: PExponent,
-        pres: Optional[Presentation],
         value_fn: Callable[[TreeNode], TreeValue],
         stage_fn: Callable[[int], FiniteTree],
         terminal_fn: Callable[[TreeNode], bool] = lambda node: False,
@@ -143,7 +143,6 @@ class LazyDisintegration(ChainSource):
         norm_power_fn: Optional[Callable[[TreeNode, int], Fraction]] = None,
     ):
         self.p = p
-        self.pres = pres
         self._value_fn = value_fn
         self._stage_fn = stage_fn
         self._terminal_fn = terminal_fn
@@ -185,7 +184,7 @@ def dyadic_fixture(pres: Presentation) -> LazyDisintegration:
                     {n: GaussianRational.of(Fraction(1, 2**n)) for n in range(k + 2)}
                 )
 
-            return ComputableVector(approx, pres, "dyadic-root")
+            return ComputableVector(approx, pres)
         if len(node) == 1:
             n = node.path[0]
             return FinSuppVector.basis(n, GaussianRational.of(Fraction(1, 2**n)))
@@ -194,9 +193,7 @@ def dyadic_fixture(pres: Presentation) -> LazyDisintegration:
     def stage(t: int) -> FiniteTree:
         return FiniteTree([TreeNode.of(n) for n in range(t + 1)])
 
-    return LazyDisintegration(
-        pres.p, pres, value, stage, terminal_fn=lambda node: len(node) == 1
-    )
+    return LazyDisintegration(pres.p, value, stage, terminal_fn=lambda node: len(node) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +209,6 @@ class StageBound:
     bound carries no information, and the trigger arithmetic needs m >= 0.
     """
 
-    node: TreeNode
     t: int
     q: Fraction
 
@@ -226,7 +222,7 @@ class StageBound:
 
 
 def stage_bounds(source: ChainSource, nodes: Sequence[TreeNode], t: int) -> Dict[TreeNode, StageBound]:
-    return {node: StageBound(node, t, source.norm_power_approx(node, t)) for node in nodes}
+    return {node: StageBound(t, source.norm_power_approx(node, t)) for node in nodes}
 
 
 def sigma_lower(bounds: Dict[TreeNode, StageBound]) -> Fraction:
@@ -278,7 +274,7 @@ def find_anm_child(
             kids = tree.children(mu)
             if kids:
                 try:
-                    parent_bound = StageBound(mu, t, source.norm_power_approx(mu, t))
+                    parent_bound = StageBound(t, source.norm_power_approx(mu, t))
                     kid_bounds = stage_bounds(source, kids, t)
                 except PrecisionExhaustedError:
                     # precision demands only grow with t; a capped source
@@ -313,7 +309,6 @@ class ChainPartition:
     assignment: Dict[TreeNode, int]
     chains: List[List[TreeNode]]
     certificates: Dict[TreeNode, AnmCertificate]
-    explored: FiniteTree
 
     def report(self, source: ChainSource, t: int) -> list:
         out = []
@@ -321,7 +316,7 @@ class ChainPartition:
             bounds = {}
             for node in nodes:
                 try:
-                    bound = StageBound(node, t, source.norm_power_approx(node, t))
+                    bound = StageBound(t, source.norm_power_approx(node, t))
                     bounds[str(list(node.path))] = [str(bound.m), str(bound.M)]
                 except PrecisionExhaustedError:
                     # e.g. the root of a shallow staged build: its tail bound
@@ -380,7 +375,7 @@ def partition_chains(
         chains[cid].append(node)
     for chain in chains:
         chain.sort(key=len)
-    return ChainPartition(assignment, chains, certificates, explored)
+    return ChainPartition(assignment, chains, certificates)
 
 
 # ---------------------------------------------------------------------------

@@ -87,11 +87,8 @@ class RationalBall:
 
 
 def _center_map(tree: FiniteTree, center: Dict[TreeNode, GenCombo], pres: Presentation) -> TreeMap:
-    values = {
-        node: ComputableVector.constant(combo, pres, f"center{node}")
-        for node, combo in center.items()
-    }
-    return TreeMap(tree, values, pres.p, pres)
+    values = {node: ComputableVector.constant(combo, pres) for node, combo in center.items()}
+    return TreeMap(tree, values, pres.p)
 
 
 @dataclass
@@ -137,7 +134,7 @@ def _gauss_abs_upper(z: GaussianRational) -> Fraction:
 
 
 def empty_map(pres: Presentation) -> TreeMap:
-    return TreeMap(FiniteTree.trivial(), {}, pres.p, pres)
+    return TreeMap(FiniteTree.trivial(), {}, pres.p)
 
 
 def _as_cv(value, pres: Presentation, prec: int) -> ComputableVector:
@@ -200,7 +197,6 @@ def certify_ball(
     k: int,
     pres: Presentation,
     *,
-    hom_base: Optional[TreeMap] = None,
     beta: Optional[Dict[int, Dict[TreeNode, GaussianRational]]] = None,
     precision: Optional[int] = None,
 ) -> BallCertificate:
@@ -226,15 +222,14 @@ def certify_ball(
     }
     if restricted:
         worst["restriction"] = _width_target(k)
-    base = hom_base if hom_base is not None else (phi if phi is not None else empty_map(pres))
     with pres.p.shared_powers():
         for flag, slack, weight in _ball_constraints(
             ball.tree, ball.center, beta, phi, n_index, k, pres, prec
         ):
             margin = slack - weight * r
             worst[flag] = min(worst.get(flag, margin), margin)
-        # intersection with the strong homomorphisms over hom_base
-        err = distance_bound(base, ball.center_map(pres), prec)
+        # intersection with the strong homomorphisms
+        err = distance_bound(empty_map(pres), ball.center_map(pres), prec)
         root_upper = pow_enclosure(
             DyadicInterval(Fraction(0), max(err.hi, Fraction(0))), pres.p, prec, over_p=True
         ).hi
@@ -280,7 +275,6 @@ class Proposal:
     structure: ProposalStructure
     center: Dict[TreeNode, GenCombo]
     beta: Dict[int, Dict[TreeNode, GaussianRational]]
-    exact: bool
     atom_support: Dict[TreeNode, int]
     snapshot_prec: int
 
@@ -288,7 +282,7 @@ class Proposal:
 def _truncated_hom(snap: TreeMap, level: int, pres: Presentation, prec: int) -> TreeMap:
     """The strong homomorphism projected from snap cut below coordinate level."""
     values = {n: snap.value(n).restrict_below(level) for n in snap.nodes()}
-    cut = TreeMap(snap.tree, values, snap.p, snap.pres)
+    cut = TreeMap(snap.tree, values, snap.p)
     return project_to_strong_hom(empty_map(pres), cut, prec)
 
 
@@ -443,7 +437,7 @@ def build_guided_proposal(
     )
 
     values, center = _values_on_structure(structure, chi, gens, pres, prec)
-    proposal_map = TreeMap(tree, values, phi.p, pres)
+    proposal_map = TreeMap(tree, values, phi.p)
     if not validate_partial_disintegration(proposal_map).is_yes:
         return None
 
@@ -470,9 +464,7 @@ def build_guided_proposal(
                 coeffs[node] = GaussianRational.one()
         beta[j] = {n: z for n, z in coeffs.items() if not z.is_zero()}
 
-    return Proposal(
-        structure, center, beta, pres.exact_arithmetic, atom_support, prec
-    )
+    return Proposal(structure, center, beta, atom_support, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +592,6 @@ def _extend(
             n_index + 1,
             k,
             pres,
-            hom_base=empty_map(pres),
             beta=proposal.beta,
             precision=max(n_index + 8, k + 6, p_ceil * (radius_bits + 4) + 8),
         )
@@ -626,20 +617,16 @@ def _extend(
         hom_upper = Fraction(cert.margins["hom_upper"])
         if hom_upper >= ball.radius / 4:
             continue
-        if proposal.exact:
-            values = {
-                node: ComputableVector.constant(combo, pres, f"ext{node}")
-                for node, combo in ball.center.items()
-            }
+        if pres.exact_arithmetic:
+            psi = _center_map(ball.tree, ball.center, pres)
         else:
-            values = _refined_values(proposal, phi, pres, ball)
-        psi = TreeMap(ball.tree, values, phi.p, pres)
+            psi = TreeMap(ball.tree, _refined_values(proposal, phi, pres, ball), phi.p)
         return ExtendResult(
             psi,
             ball.tree,
             cert,
             radius_bits + 1,
-            proposal.exact,
+            pres.exact_arithmetic,
             dict(proposal.atom_support),
         )
     raise BudgetExhaustedError(
@@ -700,7 +687,7 @@ def _refined_values(
 
             return approx
 
-        values[node] = ComputableVector(make_approx(node), pres, f"refined{node}")
+        values[node] = ComputableVector(make_approx(node), pres)
     return values
 
 
@@ -715,7 +702,6 @@ class StageRecord:
     phi_hat: TreeMap
     ball_bits: int     # every map within 2^-ball_bits keeps this stage's properties
     certificate: Optional[BallCertificate]
-    exact: bool
     atom_support: Dict[TreeNode, int]
 
 
@@ -777,7 +763,6 @@ class StagedDisintegration:
 
         return LazyDisintegration(
             self.p,
-            self.pres,
             value,
             stage,
             terminal_fn=terminal,
@@ -792,7 +777,7 @@ class StagedDisintegration:
                     "index": rec.index,
                     "tree": rec.phi_hat.tree.to_json(),
                     "ball_bits": rec.ball_bits,
-                    "exact": rec.exact,
+                    "exact": self.pres.exact_arithmetic,
                     "certificate": rec.certificate.to_json() if rec.certificate else None,
                     "atoms": {
                         str(list(n.path)): m
@@ -892,18 +877,13 @@ def build_disintegration(
 
     first = TreeNode.of(0)
     combo0 = GenCombo.single(j0)
-    phi0 = TreeMap(
-        FiniteTree([first]),
-        {first: ComputableVector.constant(combo0, pres, "f_j0")},
-        pres.p,
-        pres,
-    )
+    phi0 = TreeMap(FiniteTree([first]), {first: ComputableVector.constant(combo0, pres)}, pres.p)
     k0 = bits_for(pres.norm_enclosure(combo0, 10).lo / 2)
     atoms0: Dict[TreeNode, int] = {}
     gen_atom = pres.generator_atom(j0)
     if gen_atom is not None:
         atoms0[first] = gen_atom
-    stages = [StageRecord(0, phi0, k0, None, pres.exact_arithmetic, atoms0)]
+    stages = [StageRecord(0, phi0, k0, None, atoms0)]
 
     for n in range(n_target):
         prev = stages[-1]
@@ -918,7 +898,6 @@ def build_disintegration(
                 result.psi,
                 max(result.radius_bits, prev.ball_bits + 1),
                 result.certificate,
-                result.exact,
                 result.atom_support,
             )
         )

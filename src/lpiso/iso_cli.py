@@ -21,7 +21,7 @@ ledger; reports are deterministic byte-for-byte for fixed inputs.  Exit
 codes: 0 all certificates granted, 2 provisional (a chain limit its source
 could not certify, or an oracle reduction asked of a set declared
 `--staged`, whose membership is known only through its stages), 1 typed
-failure.
+failure, malformed arguments included.
 """
 
 from __future__ import annotations
@@ -249,7 +249,6 @@ def synthesize_isometry(
         FiniteTree(unit_nodes),
         {node: rec.vector for node, rec in zip(unit_nodes, units)},
         pres.p,
-        pres,
     )
     for j in range(n_units):
         target = pres.generator_vector(j, peek_prec)
@@ -337,7 +336,7 @@ def identity_reduction(
     witnesses: Dict[int, Dict[int, GaussianRational]] = {}
     for j in range(n_units):
         combo = pres.e0_combo(k) if j == 0 else GenCombo.single(j)
-        vec = ComputableVector.constant(combo, pres, f"e_{j}")
+        vec = ComputableVector.constant(combo, pres)
         box = vec.norm_enclosure(k + 2)
         # the true norm is within 2^-k of 1; the enclosure must agree
         if box.hi < 1 - _width_target(k) or box.lo > 1 + _width_target(k):
@@ -583,7 +582,7 @@ def _cmd_extend(args) -> int:
             )
             for node in phi_map.nodes()
         }
-        phi = TreeMap(phi_map.tree, values, pres.p, pres)
+        phi = TreeMap(phi_map.tree, values, pres.p)
     else:
         phi = empty_map(pres)
     result = approximate_extend(phi, args.n, args.k, pres)
@@ -699,7 +698,7 @@ def _cmd_adversarial(args) -> int:
     if args.what == "scale":
         pres = build_adversarial(ce, p)
         combo = pres.e0_combo(args.k + 2)
-        vec = ComputableVector.constant(combo, pres, "e0")
+        vec = ComputableVector.constant(combo, pres)
         inv_root = pres._root_one_minus_gamma(Fraction(1, 4), invert=True)
         q0 = inv_root.hi + 1
         value = recover_scale_from_atom(vec, q0, args.k)
@@ -738,8 +737,17 @@ def _cmd_recover_p(args) -> int:
     return _emit(report)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a malformed argv as InvalidInputError, so it gets the JSON
+    error report and exit 1 rather than usage text and exit 2, the
+    provisional code; -h still prints help and exits 0."""
+
+    def error(self, message: str):
+        raise InvalidInputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="lpiso",
         description="Certified arithmetic and isometry synthesis over norm-oracle presentations",
     )
@@ -748,9 +756,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, p_default="1"):
+    def add_common(sp, p_default="1", *, precision=True):
         sp.add_argument("--p", default=p_default, help="exponent as a fraction, e.g. 3/2")
-        sp.add_argument("--k", type=int, default=20, help="precision: errors below 2^-k")
+        if precision:
+            sp.add_argument("--k", type=int, default=20, help="precision: errors below 2^-k")
 
     sp = sub.add_parser("sigma", help="sigma functionals of two scalars")
     add_common(sp)
@@ -790,7 +799,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_extend, k=4)
 
     sp = sub.add_parser("disintegrate", help="staged disintegration report")
-    add_common(sp)
+    add_common(sp, precision=False)
     sp.add_argument("--pres", default='{"type":"standard"}')
     sp.add_argument("--stages", type=int, default=3)
     sp.set_defaults(fn=_cmd_disintegrate)
@@ -802,7 +811,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_chains, k=8)
 
     sp = sub.add_parser("synthesize", help="disjoint unit vectors with certificates")
-    add_common(sp)
+    add_common(sp, precision=False)
     sp.add_argument("--pres", default='{"type":"standard"}')
     sp.add_argument("--units", type=int, default=4)
     sp.add_argument("--cert-bits", type=int, default=12)
@@ -840,10 +849,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "verbose", False):
-        logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
+    # the subcommand is recorded before its own options are parsed, so an
+    # argument error names it; it stays None when argv names none
+    args = argparse.Namespace(command=None)
     try:
+        parser.parse_args(argv, args)
+        if args.verbose:
+            logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
         _check_counts(args)
         return args.fn(args)
     except ProvisionalError as exc:

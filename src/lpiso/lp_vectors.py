@@ -81,9 +81,6 @@ class FinSuppVector:
             out[n] = -z if s is None else s - z
         return type(self)(out)
 
-    def __neg__(self) -> "FinSuppVector":
-        return type(self)({n: -z for n, z in self.entries.items()})
-
     def scale(self, z: GaussianRational) -> "FinSuppVector":
         if z.is_zero():
             return type(self)({})

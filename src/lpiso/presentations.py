@@ -65,10 +65,6 @@ class GenCombo(FinSuppVector):
         return {"coeffs": {str(n): str(z) for n, z in sorted(self.entries.items())}}
 
     @staticmethod
-    def from_json(data: dict) -> "GenCombo":
-        return GenCombo({int(n): GaussianRational.parse(s) for n, s in data["coeffs"].items()})
-
-    @staticmethod
     def single(j: int, coeff: GaussianRational = GaussianRational.one()) -> "GenCombo":
         return GenCombo({j: coeff})
 
@@ -648,14 +644,14 @@ def presentation_from_descriptor(data: dict, default_p: Optional[PExponent] = No
 class ComputableVector:
     """A vector known through combinations: approx(k) is within 2**-k of it.
 
-    Approximators must be pure; answers are memoized.  Carries its
-    presentation so norms can be taken without extra plumbing.
+    Approximators must be pure; answers are memoized.  The vector carries
+    its presentation as ``pres``, the one place a tree map or chain source
+    finds it, so norms can be taken without extra plumbing.
     """
 
-    def __init__(self, approx: Callable[[int], GenCombo], pres: Presentation, name: str = "vec"):
+    def __init__(self, approx: Callable[[int], GenCombo], pres: Presentation):
         self._approx = approx
         self.pres = pres
-        self.name = name
         self._memo: Dict[int, GenCombo] = {}
 
     def approx(self, k: int) -> GenCombo:
@@ -666,8 +662,8 @@ class ComputableVector:
         return self._memo[k]
 
     @staticmethod
-    def constant(combo: GenCombo, pres: Presentation, name: str = "const") -> "ComputableVector":
-        return ComputableVector(lambda k: combo, pres, name)
+    def constant(combo: GenCombo, pres: Presentation) -> "ComputableVector":
+        return ComputableVector(lambda k: combo, pres)
 
     def norm_enclosure(self, k: int) -> DyadicInterval:
         combo = self.approx(k + 2)
@@ -699,25 +695,16 @@ class ComputableVector:
     def __add__(self, other: "ComputableVector") -> "ComputableVector":
         if other.pres is not self.pres:
             raise ValueError("cannot mix presentations")
-        return ComputableVector(
-            lambda k: self.approx(k + 1) + other.approx(k + 1), self.pres,
-            f"({self.name}+{other.name})",
-        )
+        return ComputableVector(lambda k: self.approx(k + 1) + other.approx(k + 1), self.pres)
 
     def __sub__(self, other: "ComputableVector") -> "ComputableVector":
         if other.pres is not self.pres:
             raise ValueError("cannot mix presentations")
-        return ComputableVector(
-            lambda k: self.approx(k + 1) - other.approx(k + 1), self.pres,
-            f"({self.name}-{other.name})",
-        )
+        return ComputableVector(lambda k: self.approx(k + 1) - other.approx(k + 1), self.pres)
 
     def scale_gauss(self, z: GaussianRational) -> "ComputableVector":
         bits = _entry_bound_bits(z)
-        return ComputableVector(
-            lambda k: self.approx(k + bits + 1).scale(z), self.pres,
-            f"({z})*{self.name}",
-        )
+        return ComputableVector(lambda k: self.approx(k + bits + 1).scale(z), self.pres)
 
     def scale_creal(self, c: CReal, c_bound_bits: int) -> "ComputableVector":
         """Multiply by a computable real with |c| <= 2**c_bound_bits."""
@@ -730,4 +717,4 @@ class ComputableVector:
             q = c.approx(k + 2 + extra)
             return self.approx(k + 2 + c_bound_bits).scale(GaussianRational.of(q))
 
-        return ComputableVector(approx, self.pres, f"creal*{self.name}")
+        return ComputableVector(approx, self.pres)

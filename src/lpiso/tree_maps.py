@@ -201,16 +201,12 @@ class TreeMap:
 
     Values are either exact finite-support vectors (transparent mode) or
     computable vectors over a presentation (opaque mode); the two must not
-    be mixed within one map.
+    be mixed within one map.  The map stores no presentation: an opaque
+    value carries its own as ``ComputableVector.pres``, and an operation
+    that queries a presentation takes it as an explicit ``pres`` argument.
     """
 
-    def __init__(
-        self,
-        tree: FiniteTree,
-        values: Dict[TreeNode, TreeValue],
-        p: Optional[PExponent] = None,
-        pres: Optional[Presentation] = None,
-    ):
+    def __init__(self, tree: FiniteTree, values: Dict[TreeNode, TreeValue], p: PExponent):
         missing = set(tree.nonroot_nodes()) - set(values)
         extra = set(values) - set(tree.nonroot_nodes())
         if missing or extra:
@@ -220,11 +216,6 @@ class TreeMap:
             raise ValueError("cannot mix transparent and opaque values in one map")
         self.tree = tree
         self.values = dict(values)
-        self.pres = pres
-        if p is None:
-            if pres is None:
-                raise ValueError("need p or a presentation")
-            p = pres.p
         self.p = p
 
     @property
@@ -245,7 +236,7 @@ class TreeMap:
         if not tree.is_subtree_of(self.tree):
             raise ValueError("restriction target is not a subtree")
         vals = {n: self.values[n] for n in tree.nonroot_nodes()}
-        return TreeMap(tree, vals, self.p, self.pres)
+        return TreeMap(tree, vals, self.p)
 
     def extends(self, other: "TreeMap") -> bool:
         """Same values on the smaller domain (exact comparison, transparent only)."""
@@ -258,7 +249,7 @@ class TreeMap:
         if self.is_transparent:
             return self
         vals = {n: v.transparent(k) for n, v in self.values.items()}
-        return TreeMap(self.tree, vals, self.p, self.pres)
+        return TreeMap(self.tree, vals, self.p)
 
     def to_json(self) -> dict:
         if not self.is_transparent:
@@ -269,13 +260,13 @@ class TreeMap:
         }
 
     @staticmethod
-    def from_json(data: dict, p: PExponent, pres: Optional[Presentation] = None) -> "TreeMap":
+    def from_json(data: dict, p: PExponent) -> "TreeMap":
         tree = FiniteTree.from_paths(data["tree"])
         values: Dict[TreeNode, TreeValue] = {}
         for key, vec in data["map"].items():
             path = tuple(int(x) for x in re.findall(r"-?\d+", key))
             values[TreeNode(path)] = FinSuppVector.from_json(vec)
-        return TreeMap(tree, values, p, pres)
+        return TreeMap(tree, values, p)
 
 
 def _vnorm(value: TreeValue, p: PExponent, k: int) -> DyadicInterval:
@@ -291,7 +282,7 @@ def union_map(phi: TreeMap, psi: TreeMap) -> TreeMap:
     values: Dict[TreeNode, TreeValue] = {}
     for node in psi.nodes():
         values[node] = phi.values[node] if node in phi.values else psi.values[node]
-    return TreeMap(psi.tree, values, phi.p, phi.pres or psi.pres)
+    return TreeMap(psi.tree, values, phi.p)
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +484,6 @@ class SuccessIndex:
     distance_uppers: Dict[int, Fraction] = field(default_factory=dict)
     summativity_uppers: Dict[TreeNode, Fraction] = field(default_factory=dict)
     witnesses: Dict[int, Dict[TreeNode, GaussianRational]] = field(default_factory=dict)
-
-    def __int__(self):
-        return self.value
 
 
 def _round_gauss(z: GaussianRational, bits: int) -> GaussianRational:
@@ -807,7 +795,7 @@ def project_to_strong_hom(
                 continue  # zeroing here stays within the 2^p sigma-hat budget
             entries[n] = candidate
         result[node] = FinSuppVector(entries)
-    return TreeMap(psi.tree, result, p, psi.pres or phi.pres)
+    return TreeMap(psi.tree, result, p)
 
 
 # ---------------------------------------------------------------------------
@@ -879,6 +867,6 @@ def extend_existence(
             new_values[fresh] = phi.value(carrier).restrict([coord])
         # a single-support carrier already exposes the coordinate as an atom
 
-    out = TreeMap(phi.tree.union(new_nodes), new_values, phi.p, pres)
+    out = TreeMap(phi.tree.union(new_nodes), new_values, phi.p)
     require_partial_disintegration(out)
     return out

@@ -57,7 +57,7 @@ def random_disintegration(rng, max_depth=3, max_fanout=3, p=P1):
             split(child, depth + 1)
 
     split(ROOT, 0)
-    return FiniteDisintegration(values, p, StandardPresentation(p))
+    return FiniteDisintegration(values, p)
 
 
 def random_partial_disintegration(rng, p, max_top=2, max_support=4):

@@ -225,9 +225,8 @@ class TestCriterion5ApproximateExtension:
 
         phi = TreeMap(
             FiniteTree([node]),
-            {node: ComputableVector(seed, pres, "geometric")},
+            {node: ComputableVector(seed, pres)},
             P1,
-            pres,
         )
         # gamma = 5/8, so (1 - gamma)^(1/p) = 3/8 and N = 2 has 2^-N < 3/8
         n_index = 2
@@ -355,7 +354,7 @@ class TestCriterion9ChainMachinery:
             # any true power >= 0 reported within the slack contract
             truth = Fraction(rng.randint(0, 64), 16)
             q = truth + Fraction(rng.randint(-99, 99), 100) * slack
-            bound = StageBound(TreeNode.of(0), t, q)
+            bound = StageBound(t, q)
             assert bound.m >= 0
             assert bound.m <= truth <= bound.M
 
@@ -372,9 +371,8 @@ class TestCriterion10Determinism:
 
         phi = TreeMap(
             FiniteTree([node]),
-            {node: ComputableVector(seed, pres, "geometric")},
+            {node: ComputableVector(seed, pres)},
             P1,
-            pres,
         )
         result = approximate_extend(phi, 2, 4, pres)
         payload = result.to_json()

@@ -46,7 +46,7 @@ def two_level_fixture():
         TreeNode.of(0, 0): fs({0: 1}),
         TreeNode.of(0, 1): fs({1: 1}),
     }
-    return FiniteDisintegration(values, P1, StandardPresentation(P1))
+    return FiniteDisintegration(values, P1)
 
 
 class TestStageBounds:
@@ -64,7 +64,7 @@ class TestStageBounds:
         assert total >= 3 - Fraction(2, 16)  # exact sum 2 + 1 with slack
 
     def test_clamp_at_zero(self):
-        bound = StageBound(TreeNode.of(5), 2, Fraction(1, 1024))
+        bound = StageBound(2, Fraction(1, 1024))
         assert bound.m == 0  # q below the slack clamps to zero, never negative
 
 
@@ -80,7 +80,7 @@ class TestFindAnmChild:
             TreeNode.of(3): fs({0: 1}),
             TreeNode.of(7): fs({1: 1}),
         }
-        src = FiniteDisintegration(values, P1, StandardPresentation(P1))
+        src = FiniteDisintegration(values, P1)
         cert = find_anm_child(src, ROOT)
         assert cert.child == TreeNode.of(3)
 
@@ -177,7 +177,6 @@ class TestChainLimit:
 
         src = LazyDisintegration(
             P1,
-            pres,
             value,
             stage,
             terminal_fn=lambda node: bool(node.path) and node.path[-1] == 1,
@@ -194,7 +193,7 @@ class TestChainLimit:
         # a chain through the root of a staged source without limit
         # knowledge and without terminal nodes: nothing certifies its limit
         src = dyadic_fixture(StandardPresentation(P1))
-        lazy = LazyDisintegration(P1, StandardPresentation(P1), src.value, src.stage_tree)
+        lazy = LazyDisintegration(P1, src.value, src.stage_tree)
         part = partition_chains(lazy, stage_budget=4)
         lim = chain_limit(lazy, part, 0, 8)
         assert lim.status == "provisional"
@@ -212,7 +211,7 @@ class TestZeroLimit:
                     return GenCombo(
                         {n: GaussianRational.of(Fraction(1, 2**n)) for n in range(d, d + k + 2)}
                     )
-                return ComputableVector(approx, pres, f"tail{d}")
+                return ComputableVector(approx, pres)
             if node.path[-1] == 1 and set(node.path[:-1]) <= {0}:
                 return fs({d - 1: Fraction(1, 2 ** (d - 1))})
             raise ValueError(node)
@@ -224,7 +223,6 @@ class TestZeroLimit:
 
         src = LazyDisintegration(
             P1,
-            pres,
             value,
             stage,
             terminal_fn=lambda node: bool(node.path) and node.path[-1] == 1,
@@ -279,9 +277,7 @@ class TestAnmBudget:
                 return Fraction(1)
             return Fraction(1, 4)
 
-        src = LazyDisintegration(
-            P1, None, _no_value, lambda t: self.KIDS, norm_power_fn=norm_power
-        )
+        src = LazyDisintegration(P1, _no_value, lambda t: self.KIDS, norm_power_fn=norm_power)
         with pytest.raises(BudgetExhaustedError, match="not certified by stage 12") as info:
             find_anm_child(src, ROOT, max_stage=12)
         assert info.value.budget == 12
@@ -294,9 +290,7 @@ class TestAnmBudget:
             stages.append(t)
             raise PrecisionExhaustedError("capped")
 
-        src = LazyDisintegration(
-            P1, None, _no_value, lambda t: self.KIDS, norm_power_fn=norm_power
-        )
+        src = LazyDisintegration(P1, _no_value, lambda t: self.KIDS, norm_power_fn=norm_power)
         with pytest.raises(BudgetExhaustedError, match="build more stages") as info:
             find_anm_child(src, ROOT)
         assert stages == [2, 3, 4, 5, 6]  # five misses, one per stage

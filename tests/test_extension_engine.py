@@ -74,7 +74,6 @@ class TestErrorFunctional:
             FiniteTree([phi_node]),
             {phi_node: ComputableVector.constant(GenCombo.single(0), pres)},
             P1,
-            pres,
         )
         bad = atom_ball(pres, 2, Fraction(1, 8)).center_map(pres)
         with pytest.raises(HypothesisViolatedError):
@@ -90,7 +89,6 @@ class TestErrorFunctional:
             FiniteTree([parent]),
             {parent: ComputableVector.constant(GenCombo.single(0), pres)},
             P1,
-            pres,
         )
         child_combo = GenCombo(
             {0: GaussianRational.one(), 9: GaussianRational.of(delta)}
@@ -102,7 +100,6 @@ class TestErrorFunctional:
                 child: ComputableVector.constant(child_combo, pres),
             },
             P1,
-            pres,
         )
         box = distance_bound(phi, psi, 20)
         # sigma1(child - parent, child) = sigma1(delta e_9, e_0 + delta e_9) = 2 delta
@@ -116,7 +113,7 @@ class TestCertifyBall:
     def test_atoms_all_flags(self):
         pres = StandardPresentation(P1)
         ball = atom_ball(pres, 4, Fraction(1, 64))
-        cert = certify_ball(ball, None, 2, 6, pres, hom_base=empty_map(pres), beta=identity_beta(4))
+        cert = certify_ball(ball, None, 2, 6, pres, beta=identity_beta(4))
         assert cert.all_granted(need_restriction=False)
         assert cert.restriction  # no base map: trivially granted
 
@@ -163,7 +160,6 @@ class TestBallConstraints:
             n + 1,
             k,
             pres,
-            hom_base=empty_map(pres),
             beta=proposal.beta,
             precision=proposal.snapshot_prec,
         )
@@ -202,7 +198,7 @@ class TestBallConstraints:
     def test_granted_certificate_json(self):
         pres = StandardPresentation(P1)
         ball = atom_ball(pres, 4, Fraction(1, 64))
-        cert = certify_ball(ball, None, 2, 6, pres, hom_base=empty_map(pres), beta=identity_beta(4))
+        cert = certify_ball(ball, None, 2, 6, pres, beta=identity_beta(4))
         assert cert.to_json() == {
             "radius": "1/64",
             "precision": 12,
@@ -254,9 +250,8 @@ class TestApproximateExtend:
 
         phi = TreeMap(
             FiniteTree([node]),
-            {node: ComputableVector(seed, pres, "geometric")},
+            {node: ComputableVector(seed, pres)},
             P1,
-            pres,
         )
         res = approximate_extend(phi, 2, 4, pres)
         assert success_index(res.psi, pres, 2).value >= 2
@@ -335,7 +330,7 @@ class TestCertificateSoundness:
         ball = atom_ball(pres, 3, Fraction(1, 64))
         n_index = 2
         cert = certify_ball(
-            ball, None, n_index, 6, pres, hom_base=empty_map(pres), beta=identity_beta(3)
+            ball, None, n_index, 6, pres, beta=identity_beta(3)
         )
         assert cert.injective_nonzero and cert.summativity and cert.distance
         bound = Fraction(1, 2**n_index)
@@ -379,7 +374,6 @@ class TestCertificateSoundness:
             FT([node]),
             {node: ComputableVector.constant(GenCombo({}), pres)},
             P1,
-            pres,
         )
         # a zero node is refuted transparently before any search runs
         snapshot = phi.transparent_snapshot(10)
@@ -394,7 +388,6 @@ class TestCertificateSoundness:
             FT(twins),
             {n: ComputableVector.constant(GenCombo.single(0), pres) for n in twins},
             P1,
-            pres,
         )
         with pytest.raises(NotPartialDisintegrationError):
             approximate_extend(dup, 1, 4, pres)

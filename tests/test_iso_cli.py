@@ -409,6 +409,33 @@ class TestCliInputErrors:
         message = self.assert_input_error(capsys, *argv)
         assert "natural numbers" in message
 
+    @pytest.mark.parametrize(
+        "argv, command",
+        [
+            (["synthesize", "--units", "abc"], "synthesize"),
+            (["sigma", "--z", "1"], "sigma"),
+            (["synthesize", "--k", "3"], "synthesize"),
+            (["disintegrate", "--k", "3"], "disintegrate"),
+            ([], None),
+        ],
+        ids=["not-an-integer", "missing-option", "synthesize-k", "disintegrate-k", "no-command"],
+    )
+    def test_argument_error(self, capsys, argv, command):
+        # used to exit 2, the provisional code, with usage text on stderr
+        code = main(argv)
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert (code, captured.err) == (1, "")
+        assert out["command"] == command
+        assert out["status"] == "error"
+        assert out["error"]["type"] == "InvalidInputError"
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["synthesize", "-h"])
+        assert info.value.code == 0
+        assert "--units" in capsys.readouterr().out
+
     def test_negative_unit_count(self, capsys):
         message = self.assert_input_error(capsys, "synthesize", "--units", "-3")
         assert "--units" in message
@@ -468,7 +495,7 @@ class TestIsometricProperty:
         half = ComputableVector.constant(
             GenCombo({0: GaussianRational.of(Fraction(1, 2))}), pres
         )
-        psi = TreeMap(FiniteTree([node]), {node: half}, P1, pres)
+        psi = TreeMap(FiniteTree([node]), {node: half}, P1)
         starved = success_index(psi, pres, 1, fallback_rounds=0)
         assert starved.value == 0  # identity-style candidates miss the scale
         out = success_index(psi, pres, 1, fallback_rounds=1)

@@ -9,7 +9,9 @@ still reported.
 
 Module-level constants and annotated class fields are held to a stricter
 standard: they must be read, so an assignment or a keyword argument that
-sets one does not count as a use.
+sets one does not count as a use.  A class field counts as read only when
+it is loaded as an attribute, so a local variable of the same name does
+not hide it.
 """
 
 import ast
@@ -103,32 +105,56 @@ def _constants_and_fields(tree: ast.Module):
                     yield f"{node.name}.{stmt.target.id}", stmt.target.id
 
 
-def _reads(tree: ast.Module):
-    """Names loaded, attributes loaded and words of non-docstring strings:
-    an assignment or a keyword argument is not a read."""
+def _reads(tree: ast.Module, names: set, attrs: set) -> None:
+    """Add the names loaded and the words of non-docstring strings to
+    `names`, and the attributes loaded to `attrs`: an assignment or a
+    keyword argument is not a read."""
     docstrings = _docstring_ids(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id
+            names.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr
+            attrs.add(node.attr)
         elif (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
             and id(node) not in docstrings
         ):
-            yield from re.findall(r"[A-Za-z_]\w*", node.value)
+            names.update(re.findall(r"[A-Za-z_]\w*", node.value))
+
+
+def _unread(defining, reading) -> list:
+    """Constants and fields of the `defining` modules that no `reading`
+    module reads; a field is read only as a loaded attribute."""
+    names, attrs = set(), set()
+    for tree in reading:
+        _reads(tree, names, attrs)
+    unread = []
+    for tree in defining:
+        for qualified, name in _constants_and_fields(tree):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            is_field = "." in qualified
+            if name not in attrs and (is_field or name not in names):
+                unread.append(qualified)
+    return sorted(unread)
 
 
 def test_every_package_constant_and_field_is_read():
-    defined = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        for qualified, name in _constants_and_fields(_parse(path)):
-            if not (name.startswith("__") and name.endswith("__")):
-                defined[qualified] = name
-    read = set()
-    for top in ("src", "tests", "bench"):
-        for path in sorted((REPO / top).rglob("*.py")):
-            read.update(_reads(_parse(path)))
-    unread = sorted(q for q, name in defined.items() if name not in read)
+    defining = [_parse(path) for path in sorted(PACKAGE.glob("*.py"))]
+    reading = [
+        _parse(path)
+        for top in ("src", "tests", "bench")
+        for path in sorted((REPO / top).rglob("*.py"))
+    ]
+    unread = _unread(defining, reading)
     assert not unread, f"defined in src/lpiso but never read: {unread}"
+
+
+def test_guard_sees_a_field_hidden_by_a_local():
+    tree = ast.parse(
+        "LIMIT = 3\n"
+        "class Partition:\n    explored: int\n    chains: list\n"
+        "def build(part):\n    explored = LIMIT\n    return Partition(explored, part.chains)\n"
+    )
+    assert _unread([tree], [tree]) == ["Partition.explored"]

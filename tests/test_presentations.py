@@ -235,7 +235,7 @@ class TestComputableVector:
                 {n: GaussianRational.of(Fraction(1, 2**n)) for n in range(k + 2)}
             )
 
-        v = ComputableVector(approx, pres, "geometric")
+        v = ComputableVector(approx, pres)
         c3 = v.approx(3)
         assert c3.max_index() >= 3
         box = v.norm_enclosure(6)
@@ -248,7 +248,7 @@ class TestComputableVector:
         def approx(k):
             return GenCombo(adv.f0_vector(k).entries)
 
-        v = ComputableVector(approx, std, "f0-over-E")
+        v = ComputableVector(approx, std)
         box = v.norm_enclosure(10)
         assert box.contains(1)  # ||f_0|| = 1
 

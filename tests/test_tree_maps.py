@@ -53,10 +53,10 @@ P3 = PExponent.from_fraction(3)
 E = [FinSuppVector.basis(n) for n in range(12)]
 
 
-def rmap(assignments, p=P1, pres=None):
+def rmap(assignments, p=P1):
     values = {TreeNode.of(*path): vec for path, vec in assignments.items()}
     tree = FiniteTree(values.keys())
-    return TreeMap(tree, values, p, pres)
+    return TreeMap(tree, values, p)
 
 
 def scaled(q, n):
@@ -147,17 +147,17 @@ class TestValidate:
 class TestSuccessIndex:
     def test_empty_map(self):
         pres = StandardPresentation(P1)
-        psi = TreeMap(FiniteTree.trivial(), {}, P1, pres)
+        psi = TreeMap(FiniteTree.trivial(), {}, P1)
         assert success_index(psi, pres, 4).value == 0
 
     def test_eight_atoms(self):
         pres = StandardPresentation(P1)
-        psi = rmap({(n,): E[n] for n in range(8)}, pres=pres)
+        psi = rmap({(n,): E[n] for n in range(8)})
         assert success_index(psi, pres, 8).value == 8
 
     def test_summativity_defect_caps(self):
         pres = StandardPresentation(P1)
-        psi = rmap({(0,): E[0] + E[1], (0, 0): E[0]}, pres=pres)
+        psi = rmap({(0,): E[0] + E[1], (0, 0): E[0]})
         result = success_index(psi, pres, 4)
         assert result.value == 0
         assert result.summativity_uppers[TreeNode.of(0)] >= 1
@@ -242,7 +242,7 @@ class TestProjection:
 class TestExtendExistence:
     def test_from_empty(self):
         pres = StandardPresentation(P1)
-        phi = TreeMap(FiniteTree.trivial(), {}, P1, pres)
+        phi = TreeMap(FiniteTree.trivial(), {}, P1)
         psi = extend_existence(phi, 2, pres)
         values = [psi.value(n) for n in psi.nodes()]
         assert E[0] in values and E[1] in values
@@ -250,7 +250,7 @@ class TestExtendExistence:
 
     def test_split_two_support_node(self):
         pres = StandardPresentation(P1)
-        phi = rmap({(0,): E[0] + E[1]}, pres=pres)
+        phi = rmap({(0,): E[0] + E[1]})
         psi = extend_existence(phi, 1, pres)
         child_vals = {psi.value(n) for n in psi.nodes() if len(n) == 2}
         assert E[0] in child_vals and E[1] in child_vals
@@ -258,7 +258,7 @@ class TestExtendExistence:
 
     def test_singleton_support_not_split(self):
         pres = StandardPresentation(P1)
-        phi = rmap({(0,): E[0]}, pres=pres)
+        phi = rmap({(0,): E[0]})
         psi = extend_existence(phi, 1, pres)
         # no child under (0): its value is already an atom
         assert all(len(n) == 1 for n in psi.nodes())
@@ -266,13 +266,13 @@ class TestExtendExistence:
 
     def test_adversarial_coverage(self):
         pres = build_adversarial(CeSet.explicit([1]), P1)
-        phi = TreeMap(FiniteTree.trivial(), {}, P1, pres)
+        phi = TreeMap(FiniteTree.trivial(), {}, P1)
         psi = extend_existence(phi, 2, pres)
         assert success_index(psi, pres, 2).value >= 2
 
     def test_rejects_invalid_input(self):
         pres = StandardPresentation(P1)
-        phi = rmap({(0,): E[0], (1,): E[0]}, pres=pres)
+        phi = rmap({(0,): E[0], (1,): E[0]})
         with pytest.raises(NotPartialDisintegrationError):
             extend_existence(phi, 1, pres)
 
@@ -493,7 +493,7 @@ class TestSigmaTreeEquivalence:
                 )
                 for node in psi.nodes()
             }
-            opaque = TreeMap(psi.tree, values, p, pres)
+            opaque = TreeMap(psi.tree, values, p)
             assert sigma_tree(opaque, 16) == reference_sigma_tree(opaque, 16)
 
     def test_opaque_maps_over_adversarial(self):
@@ -508,7 +508,7 @@ class TestSigmaTreeEquivalence:
         values = {
             TreeNode.of(*path): ComputableVector.constant(c, pres) for path, c in combos.items()
         }
-        opaque = TreeMap(FiniteTree(values.keys()), values, P1, pres)
+        opaque = TreeMap(FiniteTree(values.keys()), values, P1)
         for k in (8, 16):
             assert sigma_tree(opaque, k) == reference_sigma_tree(opaque, k)
 
@@ -593,7 +593,7 @@ class TestSuccessIndexEvidence:
         ids=["standard", "adversarial"],
     )
     def test_distance_uppers_witness_the_value(self, pres):
-        phi = TreeMap(FiniteTree.trivial(), {}, P1, pres)
+        phi = TreeMap(FiniteTree.trivial(), {}, P1)
         psi = extend_existence(phi, 3, pres)
         result = success_index(psi, pres, 3)
         assert result.value >= 3
