@@ -29,7 +29,8 @@ import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Tuple
 
 logger = logging.getLogger(__name__)
 
@@ -49,6 +50,7 @@ from .scalar_core import (
     PExponent,
     _width_target,
     format_fraction,
+    lamperti_constant,
     pow_enclosure,
     refine,
 )
@@ -60,6 +62,8 @@ from .tree_maps import (
     _coordinate_carriers,
     distance_bound,
     project_to_strong_hom,
+    sigma_pair_terms,
+    sigma_pairs,
     validate_partial_disintegration,
 )
 
@@ -143,6 +147,34 @@ def _as_cv(value, pres: Presentation, prec: int) -> ComputableVector:
     return ComputableVector.constant(pres.encode_vector(value, prec), pres)
 
 
+@dataclass(slots=True)
+class _PairBounds:
+    """Certified bounds for one node pair, valid only for these exact centers."""
+
+    centers: Tuple[GenCombo, GenCombo]
+    gap_lo: Optional[Fraction] = None    # lower bound on ||center[a] - center[b]||
+    sigma_hi: Optional[Fraction] = None  # upper bound on the pair's sigma1 term
+    sigma_prec: int = 0                  # read off an enclosure of width <= 2^-sigma_prec
+
+
+# The pair ledger: certified per-pair bounds that one build_disintegration
+# (or approximate_extend) call carries from round to round and stage to
+# stage, keyed by node pair (a before b in nonroot order).
+_PairLedger = Dict[Tuple[TreeNode, TreeNode], _PairBounds]
+
+
+def _pair_bounds(
+    ledger: _PairLedger, a: TreeNode, b: TreeNode, center: Dict[TreeNode, GenCombo]
+) -> _PairBounds:
+    """The ledger entry of (a, b), emptied when either node's exact center
+    changed: a bound is about the vectors of those two combinations only."""
+    centers = (center[a], center[b])
+    entry = ledger.get((a, b))
+    if entry is None or entry.centers != centers:
+        entry = ledger[(a, b)] = _PairBounds(centers)
+    return entry
+
+
 def _ball_constraints(
     tree: FiniteTree,
     center: Dict[TreeNode, GenCombo],
@@ -152,6 +184,8 @@ def _ball_constraints(
     k: int,
     pres: Presentation,
     prec: int,
+    ledger: Optional[_PairLedger] = None,
+    settled_above: Optional[Callable[[], Fraction]] = None,
 ):
     """Every inequality a ball certificate checks, each once, as
     (flag, slack, weight): it holds on the closed ball of radius r around
@@ -159,13 +193,30 @@ def _ball_constraints(
 
     Norms are read at prec; coverage is skipped without witnesses beta,
     restriction without a nonempty base map phi.
+
+    With a ledger, every pairwise gap read is recorded there.  Gaps whose
+    pairs already have a carried lower bound come last: settled_above() is
+    asked once, after every other inequality has been yielded, and a gap
+    whose carried bound exceeds it is settled and not read or yielded.
     """
     nodes = tree.nonroot_nodes()
     for node in nodes:
         yield "injective_nonzero", pres.norm_enclosure(center[node], prec).lo, 1
+
+    def gap(a: TreeNode, b: TreeNode, entry: Optional[_PairBounds]) -> Fraction:
+        lo = pres.norm_enclosure(center[a] - center[b], prec).lo
+        if entry is not None:
+            entry.gap_lo = lo if entry.gap_lo is None else max(entry.gap_lo, lo)
+        return lo
+
+    carried = []
     for i, a in enumerate(nodes):
         for b in nodes[i + 1 :]:
-            yield "injective_nonzero", pres.norm_enclosure(center[a] - center[b], prec).lo, 2
+            entry = None if ledger is None else _pair_bounds(ledger, a, b, center)
+            if entry is not None and entry.gap_lo is not None:
+                carried.append((a, b, entry))
+            else:
+                yield "injective_nonzero", gap(a, b, entry), 2
     bound = _width_target(n_index)
     for node in nodes:
         kids = tree.children(node)
@@ -188,6 +239,61 @@ def _ball_constraints(
         for node in phi.nodes():
             diff = center_map.value(node) - _as_cv(phi.value(node), pres, prec)
             yield "restriction", _width_target(k) - diff.norm_enclosure(prec).hi, 1
+    if carried:
+        bar = settled_above()
+        for a, b, entry in carried:
+            if entry.gap_lo <= bar:
+                yield "injective_nonzero", gap(a, b, entry), 2
+
+
+def _hom_root_upper(err_hi: Fraction, p: PExponent, prec: int) -> Fraction:
+    """Upper bound on d(center, strong homs) from an upper bound on its p-th power."""
+    return pow_enclosure(
+        DyadicInterval(Fraction(0), max(err_hi, Fraction(0))), p, prec, over_p=True
+    ).hi
+
+
+def _ledger_hom_upper(
+    ball: RationalBall, pres: Presentation, prec: int, ledger: _PairLedger
+) -> Fraction:
+    """The hom_upper of certify_ball, from the ledger's pair terms.
+
+    It bounds the same quantity as the full pass, 2^p c_p times the sum of
+    the sigma1 terms of the center map, from per-pair enclosures carried
+    while both centers stay the same.  New pairs are evaluated at twice the
+    precision sigma_tree would start at inside distance_bound(..., prec).
+    The ball shrinks from stage to stage, so a carried term can outgrow the
+    budget: when the bound misses radius/4 (what _extend accepts), the
+    pairs evaluated below that doubled precision are re-evaluated at it,
+    and when it still misses, the full distance_bound decides.
+    """
+    p = pres.p
+    psi = ball.center_map(pres)
+    pairs = sigma_pairs(ball.tree)
+    kk = 2 * (prec + 6 + len(pairs).bit_length())
+    entries = [_pair_bounds(ledger, a, b, ball.center) for a, b in pairs]
+
+    def evaluate(todo: List[int]) -> None:
+        terms = sigma_pair_terms(psi, [pairs[i] for i in todo], kk)
+        for i, term in zip(todo, terms):
+            entries[i].sigma_hi, entries[i].sigma_prec = term.hi, kk
+
+    def upper() -> Fraction:
+        # every factor is nonnegative, so the product of upper bounds bounds it
+        scale = pow_enclosure(DyadicInterval.point(2), p, kk) * lamperti_constant(p, kk)
+        return _hom_root_upper(scale.hi * sum(e.sigma_hi for e in entries), p, prec)
+
+    evaluate([i for i, e in enumerate(entries) if e.sigma_hi is None])
+    bound = upper()
+    if bound >= ball.radius / 4:
+        stale = [i for i, e in enumerate(entries) if e.sigma_prec < kk]
+        if stale:
+            evaluate(stale)
+            bound = upper()
+    if bound >= ball.radius / 4:
+        err = distance_bound(empty_map(pres), psi, prec)
+        bound = _hom_root_upper(err.hi, p, prec)
+    return bound
 
 
 def certify_ball(
@@ -199,6 +305,7 @@ def certify_ball(
     *,
     beta: Optional[Dict[int, Dict[TreeNode, GaussianRational]]] = None,
     precision: Optional[int] = None,
+    ledger: Optional[_PairLedger] = None,
 ) -> BallCertificate:
     """Check each flag at one working precision.
 
@@ -210,6 +317,16 @@ def certify_ball(
     needs explicit witness coefficients.  Absent flags are simply not
     granted; callers escalate by re-proposing, which keeps runs
     reproducible.
+
+    Without a ledger this is the full pass, and its margins are the ones
+    reports print.  With the staged builder's pair ledger, bounds carried
+    for pairs whose exact centers did not change stand in for fresh reads:
+    a pairwise gap whose carried lower bound already clears 2r is not read
+    again, and hom_upper comes from the carried sigma1 terms (see
+    _ledger_hom_upper).  Every inequality and threshold stays the same and
+    every carried bound is certified, so a granted flag means what it
+    means in the full pass; but the margins then come from whichever
+    bounds were read, so such a certificate decides and is never printed.
     """
     prec = precision or max(n_index + 6, k + 4, bits_for(ball.radius) + 6)
     r = ball.radius
@@ -224,15 +341,25 @@ def certify_ball(
         worst["restriction"] = _width_target(k)
     with pres.p.shared_powers():
         for flag, slack, weight in _ball_constraints(
-            ball.tree, ball.center, beta, phi, n_index, k, pres, prec
+            ball.tree,
+            ball.center,
+            beta,
+            phi,
+            n_index,
+            k,
+            pres,
+            prec,
+            ledger,
+            lambda: 2 * r,
         ):
             margin = slack - weight * r
             worst[flag] = min(worst.get(flag, margin), margin)
         # intersection with the strong homomorphisms
-        err = distance_bound(empty_map(pres), ball.center_map(pres), prec)
-        root_upper = pow_enclosure(
-            DyadicInterval(Fraction(0), max(err.hi, Fraction(0))), pres.p, prec, over_p=True
-        ).hi
+        if ledger is None:
+            err = distance_bound(empty_map(pres), ball.center_map(pres), prec)
+            root_upper = _hom_root_upper(err.hi, pres.p, prec)
+        else:
+            root_upper = _ledger_hom_upper(ball, pres, prec, ledger)
     separation = worst.pop("injective_nonzero", None)
     cert.injective_nonzero = separation is None or separation > 0
     if separation is not None:
@@ -478,14 +605,45 @@ SEARCH_ROUNDS = 6
 REFINEMENT_CAP = 192
 
 
+@dataclass(frozen=True)
+class BallCheck:
+    """A candidate ball with the arguments certify_ball checks it under."""
+
+    ball: RationalBall
+    phi: Optional[TreeMap]
+    n_index: int
+    k: int
+    pres: Presentation
+    beta: Dict[int, Dict[TreeNode, GaussianRational]]
+    precision: int
+
+    def certify(self, ledger: Optional[_PairLedger] = None) -> BallCertificate:
+        """certify_ball on the ball; without a ledger, the full pass that
+        reports print."""
+        return certify_ball(
+            self.ball,
+            self.phi,
+            self.n_index,
+            self.k,
+            self.pres,
+            beta=self.beta,
+            precision=self.precision,
+            ledger=ledger,
+        )
+
+
 @dataclass
 class ExtendResult:
     psi: TreeMap
     tree: FiniteTree
-    certificate: BallCertificate
+    accepted: BallCheck
     radius_bits: int       # maps within 2^-radius_bits of psi keep the properties
     exact: bool
     atom_support: Dict[TreeNode, int]
+
+    @cached_property
+    def certificate(self) -> BallCertificate:
+        return self.accepted.certify()
 
     def to_json(self) -> dict:
         return {
@@ -502,14 +660,26 @@ def _pick_radius_bits(
     n_index: int,
     k: int,
     pres: Presentation,
+    ledger: Optional[_PairLedger] = None,
 ) -> Optional[int]:
     """Largest power-of-two radius the margins plausibly support.
 
     Reads the certificate's inequalities at the snapshot precision: None
     when one already fails at the center, else the bits of half the least
     of 2^-(k+1) and each slack / (2 max(weight, 1)).
+
+    A pairwise gap with a carried lower bound lo is skipped when it cannot
+    bind: the read at the snapshot precision would be at least
+    lo - 2^-snapshot_prec (an enclosure's width contract), so once that
+    is positive and its quarter exceeds the limit the other inequalities
+    set, the result is the same without the read.
     """
     limit = _width_target(k + 1)
+
+    def settled_above() -> Fraction:
+        # the limit is positive and only falls from here on
+        return _width_target(proposal.snapshot_prec) + 4 * limit
+
     with pres.p.shared_powers():
         for _, slack, weight in _ball_constraints(
             proposal.structure.tree,
@@ -520,6 +690,8 @@ def _pick_radius_bits(
             k,
             pres,
             proposal.snapshot_prec,
+            ledger,
+            settled_above,
         ):
             if slack <= 0:
                 return None
@@ -550,7 +722,7 @@ def approximate_extend(
     verdict = validate_partial_disintegration(phi)
     if verdict.is_no:
         raise NotPartialDisintegrationError(verdict.witness)
-    return _extend(phi, n_index, k, pres)
+    return _extend(phi, n_index, k, pres, {})
 
 
 def _extend(
@@ -558,6 +730,7 @@ def _extend(
     n_index: int,
     k: int,
     pres: Presentation,
+    ledger: _PairLedger,
     *,
     force_growth: bool = False,
 ) -> ExtendResult:
@@ -565,7 +738,12 @@ def _extend(
     phi is a partial disintegration.
 
     Round r certifies the guided proposal built from a snapshot 6r bits
-    finer than round 0's; the first certified proposal wins.
+    finer than round 0's; the first certified proposal wins.  The ledger
+    holds the pair bounds earlier rounds and stages certified; this call
+    reads them where both centers are unchanged and adds its own, so only
+    pairs touching a new or moved node cost fresh reads.  The accepted
+    ball is kept with its arguments, and the certificate a report prints
+    is the full certify_ball pass on it.
     """
     if not pres.has_backdoor:
         raise NoBackdoorError(
@@ -578,7 +756,7 @@ def _extend(
         )
         if proposal is None:
             continue
-        radius_bits = _pick_radius_bits(proposal, phi, n_index, k, pres)
+        radius_bits = _pick_radius_bits(proposal, phi, n_index, k, pres, ledger)
         if radius_bits is None:
             continue
         ball = RationalBall(
@@ -586,15 +764,16 @@ def _extend(
         )
         # the hom-gap check takes a p-th root of the error functional's
         # interval slack, so the working precision scales with p
-        cert = certify_ball(
+        check = BallCheck(
             ball,
             None if phi.is_empty else phi,
             n_index + 1,
             k,
             pres,
-            beta=proposal.beta,
-            precision=max(n_index + 8, k + 6, p_ceil * (radius_bits + 4) + 8),
+            proposal.beta,
+            max(n_index + 8, k + 6, p_ceil * (radius_bits + 4) + 8),
         )
+        cert = check.certify(ledger)
         logger.info(
             "ball tree=%s radius=2^-%d flags=%s precision=%d",
             ball.tree,
@@ -624,7 +803,7 @@ def _extend(
         return ExtendResult(
             psi,
             ball.tree,
-            cert,
+            check,
             radius_bits + 1,
             pres.exact_arithmetic,
             dict(proposal.atom_support),
@@ -701,7 +880,7 @@ class StageRecord:
     index: int
     phi_hat: TreeMap
     ball_bits: int     # every map within 2^-ball_bits keeps this stage's properties
-    certificate: Optional[BallCertificate]
+    accepted: Optional[BallCheck]  # None for stage 0, which no ball certifies
     atom_support: Dict[TreeNode, int]
 
 
@@ -778,7 +957,9 @@ class StagedDisintegration:
                     "tree": rec.phi_hat.tree.to_json(),
                     "ball_bits": rec.ball_bits,
                     "exact": self.pres.exact_arithmetic,
-                    "certificate": rec.certificate.to_json() if rec.certificate else None,
+                    "certificate": (
+                        rec.accepted.certify().to_json() if rec.accepted else None
+                    ),
                     "atoms": {
                         str(list(n.path)): m
                         for n, m in sorted(rec.atom_support.items())
@@ -864,6 +1045,15 @@ def build_disintegration(
     certified nonzero and every later stage comes out of certify_ball, so
     validation could never refute them.  Use approximate_extend to extend
     a map of unknown provenance.
+
+    One pair ledger lives for the whole call and is handed to every stage's
+    _extend.  It stores, per node pair, a certified lower bound on the
+    centers' gap and an enclosure of the pair's sigma1 term, each valid only
+    for the exact center combinations it was computed from (every read
+    compares them), so a stage re-reads only the O(n) pairs that touch a new
+    or moved node.  Sigma terms are refreshed at doubled precision when the
+    shrinking radius outgrows them.  The certificates the report prints are
+    the full certify_ball pass, rerun on each stage's accepted ball.
     """
     pres.p.side_of_two()  # raises PEqualsTwoError up front
 
@@ -885,9 +1075,10 @@ def build_disintegration(
         atoms0[first] = gen_atom
     stages = [StageRecord(0, phi0, k0, None, atoms0)]
 
+    ledger: _PairLedger = {}
     for n in range(n_target):
         prev = stages[-1]
-        result = _extend(prev.phi_hat, n, prev.ball_bits + 1, pres, force_growth=True)
+        result = _extend(prev.phi_hat, n, prev.ball_bits + 1, pres, ledger, force_growth=True)
         if not prev.phi_hat.tree.is_subtree_of(result.tree) or len(result.tree) <= len(
             prev.phi_hat.tree
         ):
@@ -897,7 +1088,7 @@ def build_disintegration(
                 n + 1,
                 result.psi,
                 max(result.radius_bits, prev.ball_bits + 1),
-                result.certificate,
+                result.accepted,
                 result.atom_support,
             )
         )

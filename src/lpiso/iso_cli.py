@@ -667,9 +667,9 @@ def _cmd_apply(args) -> int:
 # every reduction reads the set's membership oracle, which a set declared
 # `--staged` (known only through its stages) does not offer
 _STAGED_REFUSALS = {
-    "e0": "a staged adapter cannot certify the tail cut-off for e_0",
+    "e0": "a staged set cannot certify the tail cut-off for e_0",
     "scale": "a staged set cannot certify the scale (1-gamma)^(-1/p)",
-    "identity": "identity reduction needs a transparent adapter",
+    "identity": "a staged set cannot decide the membership the identity reduction reads",
 }
 
 
@@ -827,16 +827,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_apply, k=10)
 
     sp = sub.add_parser("adversarial", help="oracle reductions")
-    sp.add_argument("what", choices=["e0", "scale", "identity"])
-    add_common(sp)
-    sp.add_argument("--ce", default='{"kind":"explicit","elements":[1]}')
-    sp.add_argument("--n", type=int, default=3)
-    sp.add_argument(
-        "--staged",
-        action="store_true",
-        help="the set is known only through its stages: every reduction is refused",
-    )
-    sp.set_defaults(fn=_cmd_adversarial, k=8)
+    reductions = sp.add_subparsers(dest="what", required=True)
+    for what, help_text in (
+        ("e0", "a combination within 2^-k of the coordinate vector e_0"),
+        ("scale", "the scale (1-gamma)^(-1/p) read off the atom"),
+        ("identity", "the first n coordinate vectors as combinations: the identity map"),
+    ):
+        rp = reductions.add_parser(what, help=help_text)
+        add_common(rp)
+        rp.add_argument("--ce", default='{"kind":"explicit","elements":[1]}')
+        if what == "identity":
+            rp.add_argument("--n", type=int, default=3)
+        rp.add_argument(
+            "--staged",
+            action="store_true",
+            help="the set is known only through its stages: every reduction is refused",
+        )
+        rp.set_defaults(fn=_cmd_adversarial, k=8)
 
     sp = sub.add_parser("recover-p", help="recover the exponent from the oracle")
     sp.add_argument("--pres", required=True)

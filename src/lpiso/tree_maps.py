@@ -341,40 +341,56 @@ def _sigma1_pair(
     )
 
 
-def sigma_tree(psi: TreeMap, k: int) -> DyadicInterval:
-    """sigma(psi): the strong-homomorphism defect, from norm queries only.
+def sigma_pairs(tree: FiniteTree) -> List[Tuple[TreeNode, TreeNode]]:
+    """The pairs whose sigma1 terms sigma sums: the incomparable pairs, then
+    the comparable ones.  Each pair (a, b) has a before b in nonroot order."""
+    return _incomparable_pairs(tree) + _comparable_pairs(tree)
 
-    Zero exactly when psi is a strong reverse-order homomorphism; needs the
-    exponent certified apart from 2.  Each node's norm is taken once per
-    precision and shared by every pair the node belongs to.
-    """
-    incomp = _incomparable_pairs(psi.tree)
-    comp = _comparable_pairs(psi.tree)
-    count = len(incomp) + len(comp)
-    if count == 0:
-        return ZERO_INTERVAL
+
+def sigma_pair_terms(
+    psi: TreeMap, pairs: Sequence[Tuple[TreeNode, TreeNode]], kk: int
+) -> List[DyadicInterval]:
+    """Enclosures of the sigma1 terms of the given pairs of psi, each of width
+    <= 2**-kk: of (psi(a), psi(b)) for an incomparable pair, of
+    (psi(b) - psi(a), psi(b)) when b strictly extends a.  A term depends only
+    on the values at its two nodes.  Each node's norm is taken once per
+    precision and shared by every pair the node belongs to."""
     p = psi.p
     node_norms = {
         node: norm_per_precision(partial(_vnorm, psi.value(node), p)) for node in psi.nodes()
     }
+    terms = []
+    for a, b in pairs:
+        if b.strictly_extends(a):
+            f = psi.value(b) - psi.value(a)
+            terms.append(
+                _sigma1_pair(f, psi.value(b), partial(_vnorm, f, p), node_norms[b], p, kk)
+            )
+        else:
+            terms.append(
+                _sigma1_pair(psi.value(a), psi.value(b), node_norms[a], node_norms[b], p, kk)
+            )
+    return terms
+
+
+def sigma_tree(psi: TreeMap, k: int) -> DyadicInterval:
+    """sigma(psi): the strong-homomorphism defect, from norm queries only.
+
+    Zero exactly when psi is a strong reverse-order homomorphism; needs the
+    exponent certified apart from 2.
+    """
+    pairs = sigma_pairs(psi.tree)
+    if not pairs:
+        return ZERO_INTERVAL
 
     def attempt(kk: int) -> Optional[DyadicInterval]:
-        total = ZERO_INTERVAL
-        for a, b in incomp:
-            total = total + _sigma1_pair(
-                psi.value(a), psi.value(b), node_norms[a], node_norms[b], p, kk
-            )
-        for a, b in comp:
-            f = psi.value(b) - psi.value(a)
-            total = total + _sigma1_pair(
-                f, psi.value(b), partial(_vnorm, f, p), node_norms[b], p, kk
-            )
-        out = lamperti_constant(p, kk) * total
+        total = DyadicInterval.sum(sigma_pair_terms(psi, pairs, kk))
+        out = lamperti_constant(psi.p, kk) * total
         return out if out.width <= _width_target(k) else None
 
     return refine(
         attempt,
-        k + count.bit_length() + 2,
+        k + len(pairs).bit_length() + 2,
         what="sigma on tree maps exceeded the precision cap",
     )
 

@@ -60,7 +60,6 @@ from lpiso.tree_maps import (
 from conftest import (
     projection_instances,
     random_disintegration,
-    random_partial_disintegration,
     rational_vector,
 )
 

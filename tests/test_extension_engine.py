@@ -1,5 +1,6 @@
 """Search machinery: certificates, approximate extension, staged builds."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from lpiso.presentations import (
     RotatedPresentation,
     StandardPresentation,
     build_adversarial,
+    presentation_from_descriptor,
 )
 from lpiso.scalar_core import GaussianRational, PExponent
 from lpiso.tree_maps import (
@@ -31,7 +33,7 @@ from lpiso.tree_maps import (
     success_index,
     validate_partial_disintegration,
 )
-from lpiso import extension_engine
+from lpiso import extension_engine, tree_maps
 from lpiso.extension_engine import (
     RationalBall,
     _pick_radius_bits,
@@ -41,6 +43,8 @@ from lpiso.extension_engine import (
     certify_ball,
     empty_map,
 )
+
+from lpiso.iso_cli import main as cli_main
 
 from conftest import OpaqueStandard
 
@@ -317,6 +321,108 @@ class TestBuildDisintegration:
         pres = StandardPresentation(PExponent.from_fraction(2))
         with pytest.raises(PEqualsTwoError):
             build_disintegration(pres, 1)
+
+
+class TestPairLedger:
+    """Pair bounds carried from stage to stage: read only while both exact
+    centers are unchanged, and never in a printed certificate."""
+
+    def test_sigma_pair_growth_is_below_cubic(self, monkeypatch, capsys):
+        # re-certifying every pair at every stage made 120, 816 and 5984
+        # calls at 8, 16 and 32 units: a ratio of 7.3 per doubling
+        calls = []
+        inner = tree_maps._sigma1_pair
+
+        def counted(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(tree_maps, "_sigma1_pair", counted)
+        counts = {}
+        for units in (8, 16, 32):
+            calls.clear()
+            assert cli_main(["synthesize", "--units", str(units)]) == 0
+            counts[units] = len(calls)
+        capsys.readouterr()
+        assert counts[32] / counts[16] < 6, counts
+
+    def test_moved_center_is_not_reused(self):
+        pres = StandardPresentation(P1)
+        a, b = TreeNode.of(0), TreeNode.of(1)
+        tree, radius, beta = FiniteTree([a, b]), Fraction(1, 64), identity_beta(1)
+        ledger = {}
+        disjoint = RationalBall(tree, {a: GenCombo.single(0), b: GenCombo.single(1)}, radius)
+        assert certify_ball(disjoint, None, 1, 6, pres, beta=beta, ledger=ledger).all_granted(
+            need_restriction=False
+        )
+        assert ledger[(a, b)].gap_lo > 1 and ledger[(a, b)].sigma_hi is not None
+        # (1) moves onto e_0 + e_1, which is not disjoint from (0)'s e_0,
+        # then onto e_0 itself; the carried bounds (a gap near 2, a sigma1
+        # term near 0) would grant both balls
+        overlap = GenCombo.single(0) + GenCombo.single(1)
+        for moved, flag in ((overlap, "meets_hom"), (GenCombo.single(0), "injective_nonzero")):
+            ball = RationalBall(tree, {a: GenCombo.single(0), b: moved}, radius)
+            full = certify_ball(ball, None, 1, 6, pres, beta=beta)
+            carried = certify_ball(ball, None, 1, 6, pres, beta=beta, ledger=ledger)
+            assert not getattr(full, flag)
+            assert not getattr(carried, flag)
+
+    @pytest.mark.parametrize(
+        "make_pres",
+        [
+            lambda: StandardPresentation(P1),
+            lambda: RotatedPresentation(P3, GaussianRational.parse("3/5+4/5i")),
+            lambda: build_adversarial(CeSet.explicit([2, 5]), P1),
+        ],
+        ids=["standard-p1", "rotated-p3", "adversarial-p1"],
+    )
+    def test_ledger_decides_as_the_full_pass(self, monkeypatch, make_pres):
+        full_pass = extension_engine.certify_ball
+        decisions = []
+
+        def decide(cert, ball, restricted):
+            return (
+                cert.all_granted(need_restriction=restricted),
+                Fraction(cert.margins["hom_upper"]) < ball.radius / 4,
+            )
+
+        def checked(ball, phi, n_index, k, pres, *, beta=None, precision=None, ledger=None):
+            cert = full_pass(
+                ball, phi, n_index, k, pres, beta=beta, precision=precision, ledger=ledger
+            )
+            if ledger is not None:
+                full = full_pass(ball, phi, n_index, k, pres, beta=beta, precision=precision)
+                restricted = phi is not None
+                decisions.append((decide(cert, ball, restricted), decide(full, ball, restricted)))
+            return cert
+
+        monkeypatch.setattr(extension_engine, "certify_ball", checked)
+        build_disintegration(make_pres(), 8)
+        assert len(decisions) >= 8
+        assert all(carried == full for carried, full in decisions)
+
+    @pytest.mark.parametrize(
+        "descriptor",
+        [
+            {"type": "standard", "p": "1"},
+            {"type": "rotated", "p": "3/2", "zeta": "3/5+4/5i"},
+            {"type": "adversarial", "p": "1", "ce": {"kind": "explicit", "elements": [2, 5]}},
+        ],
+        ids=["standard-p1", "rotated-p3/2", "adversarial-p1"],
+    )
+    def test_printed_certificates_are_the_full_pass(self, capsys, descriptor):
+        assert cli_main(["disintegrate", "--stages", "5", "--pres", json.dumps(descriptor)]) == 0
+        printed = json.loads(capsys.readouterr().out)["result"]["stages"]
+        pres = presentation_from_descriptor(descriptor)
+        staged = build_disintegration(pres, 5)
+        assert printed[0]["certificate"] is None
+        for rec, stage in zip(staged.stages[1:], printed[1:]):
+            acc = rec.accepted
+            rerun = certify_ball(
+                acc.ball, acc.phi, acc.n_index, acc.k, pres, beta=acc.beta, precision=acc.precision
+            ).to_json()
+            assert all(rerun["flags"].values())
+            assert stage["certificate"] == rerun
 
 
 class TestCertificateSoundness:

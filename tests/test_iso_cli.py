@@ -253,7 +253,7 @@ class TestCli:
         assert code == 2
         assert out == {
             "command": "adversarial",
-            "detail": "a staged adapter cannot certify the tail cut-off for e_0",
+            "detail": "a staged set cannot certify the tail cut-off for e_0",
             "status": "provisional",
         }
 
@@ -417,8 +417,15 @@ class TestCliInputErrors:
             (["synthesize", "--k", "3"], "synthesize"),
             (["disintegrate", "--k", "3"], "disintegrate"),
             ([], None),
+            # only the identity reduction reads --n
+            (["adversarial", "e0", "--n", "7"], "adversarial"),
+            (["adversarial", "scale", "--n", "7"], "adversarial"),
+            (["adversarial"], "adversarial"),
         ],
-        ids=["not-an-integer", "missing-option", "synthesize-k", "disintegrate-k", "no-command"],
+        ids=[
+            "not-an-integer", "missing-option", "synthesize-k", "disintegrate-k", "no-command",
+            "e0-n", "scale-n", "no-reduction",
+        ],
     )
     def test_argument_error(self, capsys, argv, command):
         # used to exit 2, the provisional code, with usage text on stderr

@@ -12,6 +12,9 @@ standard: they must be read, so an assignment or a keyword argument that
 sets one does not count as a use.  A class field counts as read only when
 it is loaded as an attribute, so a local variable of the same name does
 not hide it.
+
+Every name a module under src/ or tests/ imports must be loaded in that
+module.  The package's __init__ is exempt: its imports are the public API.
 """
 
 import ast
@@ -158,3 +161,41 @@ def test_guard_sees_a_field_hidden_by_a_local():
         "def build(part):\n    explored = LIMIT\n    return Partition(explored, part.chains)\n"
     )
     assert _unread([tree], [tree]) == ["Partition.explored"]
+
+
+def _unused_imports(tree: ast.Module) -> list:
+    """Names a module imports and never loads; a __future__ import is a
+    compiler directive, not a name."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    loaded = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(imported - loaded)
+
+
+def test_no_unused_imports():
+    unused = {}
+    for top in ("src", "tests"):
+        for path in sorted((REPO / top).rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            names = _unused_imports(_parse(path))
+            if names:
+                unused[str(path.relative_to(REPO))] = names
+    assert not unused, f"imported and never used: {unused}"
+
+
+def test_guard_sees_an_unused_import():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\nimport json as js\nfrom math import gcd, lcm\n"
+        "print(os.path.sep, js.dumps(lcm(2, 3)))\n"
+    )
+    assert _unused_imports(tree) == ["gcd"]
