@@ -80,6 +80,7 @@ from .tree_maps import (
     FiniteTree,
     TreeMap,
     TreeNode,
+    _round_gauss,
     distance_bound,
     project_to_strong_hom,
     residual_norm,
@@ -167,6 +168,86 @@ def _transparent_atom_peek(
     return None, None
 
 
+# the generator norm bounds only scale the rounding grid: a coarse query
+# certifies them
+_GEN_BOUND_PREC = 4
+
+
+def _generator_bounds(pres: Presentation) -> Callable[[int], Fraction]:
+    """j -> a certified upper bound on ||f_j||: the top of one
+    low-precision oracle query, asked once per generator."""
+    memo: Dict[int, Fraction] = {}
+
+    def bound(j: int) -> Fraction:
+        if j not in memo:
+            memo[j] = pres.norm_enclosure(GenCombo.single(j), _GEN_BOUND_PREC).hi
+        return memo[j]
+
+    return bound
+
+
+def _rounded_norm(
+    vec: ComputableVector, k: int, gen_bound: Callable[[int], Fraction]
+) -> DyadicInterval:
+    """Enclosure of ||vec||, width <= 2**-k, queried on a dyadic rounding.
+
+    Reads vec.approx(k + 2), as vec.norm_enclosure(k) does, and rounds each
+    real and imaginary part to the nearest multiple of 2^-m with
+    m = k + 3 + ceil_log2(B), B the sum of gen_bound over the support.
+    Each coefficient moves by at most 2^-(m+1) sqrt(2) < 2^-m, so the
+    combination moves by less than 2^-m B <= 2^-(k+3).  The oracle's
+    enclosure of the rounded combination at k + 2, padded by 2^-(k+2)
+    (approximation) plus 2^-(k+3) (rounding), therefore holds the true
+    norm, and its width is 2^-(k+2) + 2^-(k+1) + 2^-(k+2) = 2^-k.
+    """
+    combo = vec.approx(k + 2)
+    m = k + 3 + ceil_log2(sum(gen_bound(j) for j in combo.entries))
+    rounded = GenCombo({j: _round_gauss(z, m) for j, z in combo.entries.items()})
+    inner = vec.pres.norm_enclosure(rounded, k + 2)
+    pad = _width_target(k + 2) + _width_target(k + 3)
+    return DyadicInterval(max(inner.lo - pad, Fraction(0)), inner.hi + pad)
+
+
+def _certify_pairwise(
+    units: Sequence[UnitRecord], pres: Presentation, cert_bits: int
+) -> None:
+    """Certify every pair of units disjoint: its sigma1, computed from norm
+    queries only, must clear 2^-cert_bits; PrecisionExhaustedError if not.
+
+    Every norm read here (each unit's, once per precision and shared by its
+    pairs, and those of a - b and a + b) comes from `_rounded_norm`, so the
+    oracle sees short dyadic coefficients instead of the unit's long
+    rationals, and the whole loop shares one `pow_enclosure` memo.  Only
+    this check rounds.  `ComputableVector.norm_enclosure`,
+    `reciprocal_norm`, `scale_creal`, `_normalize`, the atom peek and the
+    generation witnesses read the unrounded approximations: they make the
+    unit coefficients and the witness strings the report prints, which the
+    rounding therefore leaves unchanged.
+    """
+    gen_bound = _generator_bounds(pres)
+
+    def norm_of(vec: ComputableVector) -> Callable[[int], DyadicInterval]:
+        return lambda kk: _rounded_norm(vec, kk, gen_bound)
+
+    with pres.p.shared_powers():
+        unit_norms = [norm_per_precision(norm_of(rec.vector)) for rec in units]
+        for i in range(len(units)):
+            for j in range(i + 1, len(units)):
+                a, b = units[i].vector, units[j].vector
+                box = sigma1_from_norms(
+                    unit_norms[i],
+                    unit_norms[j],
+                    norm_of(a - b),
+                    norm_of(a + b),
+                    pres.p,
+                    cert_bits + 2,
+                )
+                if box.hi >= _width_target(cert_bits):
+                    raise PrecisionExhaustedError(
+                        f"pairwise sigma1 certificate failed for units {i}, {j}"
+                    )
+
+
 def synthesize_isometry(
     pres: Presentation,
     n_units: int,
@@ -180,10 +261,13 @@ def synthesize_isometry(
     filtering, normalization.  Certificates: every unit's norm encloses 1
     within 2^-cert_bits, every pairwise sigma1 upper bound clears
     2^-cert_bits, and each of the first n_units generators is approximated
-    within 2^-generation_bits (default: n_units) by an explicitly witnessed
-    combination.
+    within 2^-generation_bits (n_units when None) by an explicitly
+    witnessed combination.  The pairwise check reads its norms
+    on dyadic roundings of the units' approximations, inside one shared
+    power memo (see `_certify_pairwise`); the other certificates and the
+    report read the unrounded approximations.
     """
-    gen_bits = generation_bits or n_units
+    gen_bits = n_units if generation_bits is None else generation_bits
     peek_prec = max(gen_bits, cert_bits) + 8
 
     # a couple of spare stages keep the normalized root's tail bound ahead
@@ -221,25 +305,7 @@ def synthesize_isometry(
             budget=n_units,
         )
 
-    # pairwise disjointness through sigma1 (norm queries only); each unit's
-    # norm is taken once per precision and shared by all its pairs
-    unit_norms = [norm_per_precision(rec.vector.norm_enclosure) for rec in units]
-    for i in range(len(units)):
-        for j in range(i + 1, len(units)):
-            a, b = units[i].vector, units[j].vector
-            diff, total = a - b, a + b
-            box = sigma1_from_norms(
-                unit_norms[i],
-                unit_norms[j],
-                diff.norm_enclosure,
-                total.norm_enclosure,
-                pres.p,
-                cert_bits + 2,
-            )
-            if box.hi >= _width_target(cert_bits):
-                raise PrecisionExhaustedError(
-                    f"pairwise sigma1 certificate failed for units {i}, {j}"
-                )
+    _certify_pairwise(units, pres, cert_bits)
 
     # generator coverage with explicit witnesses, certified on the flat
     # map sending node (m) to unit m

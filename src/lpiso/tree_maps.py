@@ -503,10 +503,17 @@ class SuccessIndex:
 
 
 def _round_gauss(z: GaussianRational, bits: int) -> GaussianRational:
+    """Each part to the nearest multiple of 2^-bits, ties to even."""
     scale = 1 << bits
 
     def snap(q: Fraction) -> Fraction:
-        return Fraction(round(q * scale), scale)
+        # round(q * scale) in integers: the pairwise sigma1 check rounds
+        # coefficients of hundreds of bits
+        d = q.denominator
+        n, rem = divmod(q.numerator << bits, d)
+        if 2 * rem > d or (2 * rem == d and n & 1):
+            n += 1
+        return Fraction(n, scale)
 
     return GaussianRational.of(snap(z.re), snap(z.im))
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import lpiso
-from lpiso.errors import IndexOutOfRangeError, NoBackdoorError
+from lpiso.errors import IndexOutOfRangeError, NoBackdoorError, PrecisionExhaustedError
 from lpiso.lp_vectors import FinSuppVector, norm_p
 from lpiso import iso_cli
 from lpiso.presentations import (
@@ -21,7 +21,13 @@ from lpiso.presentations import (
     _entry_bound_bits,
     build_adversarial,
 )
-from lpiso.scalar_core import GaussianRational, PExponent, _width_target
+from lpiso.scalar_core import (
+    DyadicInterval,
+    GaussianRational,
+    PExponent,
+    _width_target,
+    ceil_log2,
+)
 from lpiso.tree_maps import residual_norm
 from lpiso.iso_cli import (
     apply_isometry,
@@ -271,6 +277,13 @@ class TestCli:
             "detail": "a staged set cannot certify the scale (1-gamma)^(-1/p)",
             "status": "provisional",
         }
+
+    def test_generation_bits_zero_is_kept(self, capsys):
+        # 0 is a precision, not a request for the default
+        code = self.run_cli("synthesize", "--units", "2", "--generation-bits", "0")
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert code == 0
+        assert result["generation_bits"] == result["ledger"]["generation_bits"] == 0
 
     def test_hypothesis_violation_exit_error(self, capsys):
         phi = json.dumps({"tree": [[0]], "map": {"[0]": {"entries": {"0": "1/4"}}}})
@@ -660,28 +673,226 @@ class TestSharedWork:
         assert SHARED_P1._pow_memo is None
 
     def test_pairwise_phase_reads_each_unit_norm_once_per_precision(self, monkeypatch):
+        # every norm the pairwise phase reads goes through _rounded_norm
         queries = []
-        in_pairwise = []
 
-        def spy_norm(self, k):
-            if in_pairwise:
-                queries.append((id(self), k))
-            return norm_enclosure(self, k)
+        def spy_norm(vec, k, gen_bound):
+            queries.append((id(vec), k))
+            return rounded_norm(vec, k, gen_bound)
 
-        def spy_sigma1(*args, **kwargs):
-            in_pairwise.append(True)
-            try:
-                return sigma1(*args, **kwargs)
-            finally:
-                in_pairwise.pop()
-
-        norm_enclosure = ComputableVector.norm_enclosure
-        sigma1 = iso_cli.sigma1_from_norms
-        monkeypatch.setattr(ComputableVector, "norm_enclosure", spy_norm)
-        monkeypatch.setattr(iso_cli, "sigma1_from_norms", spy_sigma1)
+        rounded_norm = iso_cli._rounded_norm
+        monkeypatch.setattr(iso_cli, "_rounded_norm", spy_norm)
         iso = synthesize_isometry(StandardPresentation(P1), 4)
         unit_ids = {id(u.vector) for u in iso.units}
         unit_queries = [q for q in queries if q[0] in unit_ids]
         # every unit takes part in pairs, each (unit, precision) is read once
         assert {uid for uid, _ in unit_queries} == unit_ids
         assert len(unit_queries) == len(set(unit_queries))
+
+    def test_power_memo_closed_when_the_pairwise_check_fails(self, monkeypatch):
+        pres = StandardPresentation(PExponent.from_fraction(1))
+        memo_open = []
+
+        def spy_sigma1(*args, **kwargs):
+            memo_open.append(pres.p._pow_memo is not None)
+            return sigma1(*args, **kwargs)
+
+        sigma1 = iso_cli.sigma1_from_norms
+        monkeypatch.setattr(iso_cli, "sigma1_from_norms", spy_sigma1)
+        with pytest.raises(PrecisionExhaustedError, match="units 0, 1"):
+            iso_cli._certify_pairwise(_overlapping_units(pres, 1), pres, 12)
+        assert memo_open == [True]
+        assert pres.p._pow_memo is None
+
+    def test_oracle_sees_short_dyadic_coefficients(self, monkeypatch, capsys):
+        # the pairwise check must not hand the oracle the units' long
+        # rationals: every coefficient it sends is a dyadic with at most
+        # k + 8 fractional bits at oracle precision k, whatever the unit.
+        # Queries made while a unit computes an approximation (its
+        # normalization) are the unit's own and are not counted.
+        seen = []
+        in_pairwise = []
+        in_approx = []
+
+        def spy_pairwise(*args):
+            in_pairwise.append(True)
+            try:
+                return certify_pairwise(*args)
+            finally:
+                in_pairwise.pop()
+
+        def spy_approx(self, k):
+            in_approx.append(True)
+            try:
+                return approx(self, k)
+            finally:
+                in_approx.pop()
+
+        def spy_norm_approx(self, combo, k):
+            if in_pairwise and not in_approx:
+                seen.append((combo, k))
+            return norm_approx(self, combo, k)
+
+        certify_pairwise = iso_cli._certify_pairwise
+        approx = ComputableVector.approx
+        norm_approx = StandardPresentation.norm_approx
+        monkeypatch.setattr(iso_cli, "_certify_pairwise", spy_pairwise)
+        monkeypatch.setattr(ComputableVector, "approx", spy_approx)
+        monkeypatch.setattr(StandardPresentation, "norm_approx", spy_norm_approx)
+        assert main(["synthesize", "--units", "16"]) == 0
+        capsys.readouterr()
+        # all 16 unit norms and 120 pairs' a - b, a + b, at least once
+        assert len(seen) >= 16 + 2 * 120
+        for combo, k in seen:
+            for z in combo.entries.values():
+                for part in (z.re, z.im):
+                    den = part.denominator
+                    assert den & (den - 1) == 0, f"{part} is not dyadic"
+                    assert den <= 2 ** (k + 8), f"{part} is too long at k={k}"
+
+
+# a perturbation that gives a coefficient more than 200 bits
+_LONG = Fraction(1, 3**130)
+
+
+def _overlapping_units(pres, first, overlap=Fraction(1, 2**10)):
+    """Unit records on generators first and first + 1 that share `overlap`
+    of generator first, with coefficients of more than 200 bits."""
+    a = GenCombo({first: GaussianRational.of(1 - _LONG)})
+    b = GenCombo(
+        {
+            first: GaussianRational.of(overlap + _LONG),
+            first + 1: GaussianRational.of(1 - overlap - _LONG),
+        }
+    )
+    return [
+        iso_cli.UnitRecord(m, m, None, 12, ComputableVector.constant(combo, pres))
+        for m, combo in enumerate((a, b))
+    ]
+
+
+class _SkewedStandard(StandardPresentation):
+    """The standard oracle at p = 1, off by almost its whole allowance of
+    2^-k: low when side is "hi" (pushing the true norm to the top of an
+    enclosure), high when side is "lo"."""
+
+    def __init__(self, side):
+        super().__init__(P1)
+        self.side = side
+
+    def norm_approx(self, combo, k):
+        tight = norm_p(FinSuppVector(combo.entries), self.p, k + 60)
+        slack = _width_target(k) - _width_target(k + 30)
+        return tight.lo - slack if self.side == "hi" else tight.hi + slack
+
+
+def _long_combo_case(case):
+    """(presentation, combination with 200+-bit coefficients, k -> a tight
+    enclosure of the combination's true norm)."""
+    if case == "standard-p1":
+        pres = StandardPresentation(P1)
+        combo = GenCombo(
+            {
+                0: GaussianRational.of(Fraction(1, 3) + _LONG),
+                2: GaussianRational.of(Fraction(-5, 7) - _LONG),
+                3: GaussianRational.of(Fraction(1, 2**9) + _LONG),
+            }
+        )
+        exact = sum(abs(z.re) for z in combo.entries.values())
+        return pres, combo, lambda k: DyadicInterval.point(exact)
+    if case == "rotated-p3/2":
+        pres = RotatedPresentation(P32, GaussianRational.parse("3/5+4/5i"))
+        combo = GenCombo(
+            {
+                0: GaussianRational.of(Fraction(2, 3) + _LONG, Fraction(-1, 5) - _LONG),
+                1: GaussianRational.of(-_LONG, Fraction(3, 11) + _LONG),
+            }
+        )
+        return pres, combo, lambda k: norm_p(FinSuppVector(combo.entries), P32, k + 40)
+    pres = build_adversarial(CeSet.explicit([2, 5]), P1)
+    combo = GenCombo(
+        {
+            0: GaussianRational.of(Fraction(3, 4) + _LONG),
+            1: GaussianRational.of(Fraction(-1, 3) - _LONG),
+            3: GaussianRational.of(Fraction(1, 7) + _LONG, _LONG),
+        }
+    )
+    return pres, combo, lambda k: pres.norm_enclosure(combo, k + 40)
+
+
+class TestRoundedNorm:
+    """The pairwise phase's norm: an enclosure of the true norm, width at
+    most 2^-k, although the oracle sees a dyadic rounding."""
+
+    @pytest.mark.parametrize("k", [6, 14, 20])
+    @pytest.mark.parametrize("case", ["standard-p1", "rotated-p3/2", "adversarial-p1"])
+    def test_encloses_the_norm(self, case, k):
+        pres, combo, tight_norm = _long_combo_case(case)
+        assert max(
+            part.denominator.bit_length()
+            for z in combo.entries.values()
+            for part in (z.re, z.im)
+        ) > 200
+        # approximations off by a third of their allowance on f_0, a
+        # generator of norm 1 in all three presentations
+        vec = ComputableVector(
+            lambda kk: combo + GenCombo.single(0, GaussianRational.of(Fraction(1, 3 * 2**kk))),
+            pres,
+        )
+        enc = iso_cli._rounded_norm(vec, k, iso_cli._generator_bounds(pres))
+        tight = tight_norm(k)
+        assert enc.lo <= tight.lo and tight.hi <= enc.hi
+        assert enc.width <= _width_target(k)
+
+    @pytest.mark.parametrize("grid", ["own", "coarser"])
+    @pytest.mark.parametrize("side", ["hi", "lo"])
+    def test_encloses_the_norm_when_every_error_lines_up(self, side, grid):
+        # a legal oracle and an approximation that each use almost their
+        # whole allowance, and coefficients along 1 + i that the rounding
+        # (at its own grid, or one step coarser) moves by almost half a
+        # step in both parts, all pushing the true norm to one end of the
+        # enclosure: a grid one step too coarse, or a missing rounding
+        # pad, leaves the norm outside
+        k, n = 10, 7
+        pres = _SkewedStandard(side)
+        gen_bound = iso_cli._generator_bounds(pres)
+        m = k + 3 + ceil_log2(sum(gen_bound(j) for j in range(n)))
+        g = m if grid == "own" else m - 1
+        s = 1 if side == "hi" else -1
+        # just below (s = 1) or above (s = -1) an odd multiple of 2^-(g+1),
+        # so rounding to 2^-g shrinks (grows) every coefficient
+        approx = {
+            j: (Fraction((j + 1) << (g - 3)) + Fraction(1, 2) - s * _LONG) / 2**g
+            for j in range(n)
+        }
+        # the true vector lies (1 - _LONG) r sqrt(2) 2^-(k+2) away along
+        # 1 + i, r < 1/sqrt(2): approx(k + 2) is within its allowance
+        eps = Fraction(7071067, 10**7) * (1 - _LONG) / (n * 2 ** (k + 2))
+
+        def along_diagonal(coeffs):
+            return GenCombo({j: GaussianRational.of(a, a) for j, a in coeffs.items()})
+
+        approx_combo = along_diagonal(approx)
+        true_combo = along_diagonal({j: a + s * eps for j, a in approx.items()})
+        vec = ComputableVector(
+            lambda kk: approx_combo if kk == k + 2 else true_combo, pres
+        )
+        enc = iso_cli._rounded_norm(vec, k, gen_bound)
+        tight = norm_p(FinSuppVector(true_combo.entries), P1, k + 60)
+        assert enc.lo <= tight.lo and tight.hi <= enc.hi
+        assert enc.width <= _width_target(k)
+
+    @pytest.mark.parametrize(
+        "pres,first",
+        [
+            (StandardPresentation(P1), 0),
+            (build_adversarial(CeSet.explicit([2, 5]), P1), 1),
+        ],
+        ids=["standard-p1", "adversarial-p1"],
+    )
+    def test_overlap_of_2_to_minus_10_is_refused(self, pres, first):
+        # sigma1 of the pair is about 2^-9, above the 2^-12 the check allows
+        iso_cli._certify_pairwise(_overlapping_units(pres, first, Fraction(0)), pres, 12)
+        with pytest.raises(PrecisionExhaustedError, match="units 0, 1"):
+            iso_cli._certify_pairwise(_overlapping_units(pres, first), pres, 12)
+

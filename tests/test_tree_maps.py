@@ -28,6 +28,7 @@ from lpiso.tree_maps import (
     TreeMap,
     TreeNode,
     _coordinate_carriers,
+    _round_gauss,
     check_extension_hypothesis,
     check_strong_hom_exact,
     distance_bound,
@@ -599,3 +600,32 @@ class TestSuccessIndexEvidence:
         assert result.value >= 3
         for j in range(result.value):
             assert result.distance_uppers[j] < Fraction(1, 2**result.value)
+
+
+class TestRoundGauss:
+    @staticmethod
+    def reference(z, bits):
+        scale = 1 << bits
+        return GaussianRational.of(
+            Fraction(round(z.re * scale), scale), Fraction(round(z.im * scale), scale)
+        )
+
+    def test_matches_fraction_round(self):
+        rng = random.Random(11)
+        for _ in range(400):
+            bits = rng.randint(0, 40)
+            parts = [
+                Fraction(rng.getrandbits(rng.randint(1, 600)) * rng.choice((-1, 1)),
+                         rng.getrandbits(rng.randint(1, 600)) | 1)
+                for _ in range(2)
+            ]
+            z = GaussianRational.of(*parts)
+            assert _round_gauss(z, bits) == self.reference(z, bits)
+
+    @pytest.mark.parametrize("bits", [0, 1, 7])
+    def test_ties_go_to_even(self, bits):
+        for n in range(-9, 10):
+            half = Fraction(2 * n + 1, 2 << bits)
+            z = GaussianRational.of(half, -half)
+            assert _round_gauss(z, bits) == self.reference(z, bits)
+
