@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 logger = logging.getLogger(__name__)
 
@@ -38,7 +38,6 @@ from .chain_partition import LazyDisintegration, norm_power_value
 from .errors import (
     BudgetExhaustedError,
     NoBackdoorError,
-    NotPartialDisintegrationError,
     PrecisionExhaustedError,
 )
 from .lp_vectors import FinSuppVector, norm_p
@@ -62,6 +61,7 @@ from .tree_maps import (
     _coordinate_carriers,
     distance_bound,
     project_to_strong_hom,
+    require_partial_disintegration,
     sigma_pair_terms,
     sigma_pairs,
     validate_partial_disintegration,
@@ -106,7 +106,7 @@ class BallCertificate:
     distance: bool = False
     restriction: bool = False
     meets_hom: bool = False
-    margins: Dict[str, str] = field(default_factory=dict)
+    margins: Dict[str, Fraction] = field(default_factory=dict)
 
     def all_granted(self, *, need_restriction: bool = True) -> bool:
         core = self.injective_nonzero and self.summativity and self.distance and self.meets_hom
@@ -123,7 +123,9 @@ class BallCertificate:
                 "restriction": self.restriction,
                 "meets_hom": self.meets_hom,
             },
-            "margins": dict(sorted(self.margins.items())),
+            "margins": {
+                name: format_fraction(margin) for name, margin in sorted(self.margins.items())
+            },
         }
 
 
@@ -139,12 +141,6 @@ def _gauss_abs_upper(z: GaussianRational) -> Fraction:
 
 def empty_map(pres: Presentation) -> TreeMap:
     return TreeMap(FiniteTree.trivial(), {}, pres.p)
-
-
-def _as_cv(value, pres: Presentation, prec: int) -> ComputableVector:
-    if isinstance(value, ComputableVector):
-        return value
-    return ComputableVector.constant(pres.encode_vector(value, prec), pres)
 
 
 @dataclass(slots=True)
@@ -184,39 +180,35 @@ def _ball_constraints(
     k: int,
     pres: Presentation,
     prec: int,
-    ledger: Optional[_PairLedger] = None,
-    settled_above: Optional[Callable[[], Fraction]] = None,
+    ledger: Optional[_PairLedger],
+    skip_above: Fraction,
 ):
     """Every inequality a ball certificate checks, each once, as
     (flag, slack, weight): it holds on the closed ball of radius r around
     center exactly when slack - weight * r > 0 (Lipschitz slack).
 
     Norms are read at prec; coverage is skipped without witnesses beta,
-    restriction without a nonempty base map phi.
+    restriction without a nonempty base map phi, whose values must be
+    computable vectors over pres.
 
-    With a ledger, every pairwise gap read is recorded there.  Gaps whose
-    pairs already have a carried lower bound come last: settled_above() is
-    asked once, after every other inequality has been yielded, and a gap
-    whose carried bound exceeds it is settled and not read or yielded.
+    With a ledger, every pairwise gap read is recorded there, and a gap
+    whose carried lower bound is above the fixed bar skip_above is settled:
+    it is neither read nor yielded.  Every other gap is read in pair order.
+    The caller picks a bar above which the gap cannot decide its answer.
     """
     nodes = tree.nonroot_nodes()
     for node in nodes:
         yield "injective_nonzero", pres.norm_enclosure(center[node], prec).lo, 1
 
-    def gap(a: TreeNode, b: TreeNode, entry: Optional[_PairBounds]) -> Fraction:
-        lo = pres.norm_enclosure(center[a] - center[b], prec).lo
-        if entry is not None:
-            entry.gap_lo = lo if entry.gap_lo is None else max(entry.gap_lo, lo)
-        return lo
-
-    carried = []
     for i, a in enumerate(nodes):
         for b in nodes[i + 1 :]:
             entry = None if ledger is None else _pair_bounds(ledger, a, b, center)
-            if entry is not None and entry.gap_lo is not None:
-                carried.append((a, b, entry))
-            else:
-                yield "injective_nonzero", gap(a, b, entry), 2
+            if entry is not None and entry.gap_lo is not None and entry.gap_lo > skip_above:
+                continue
+            lo = pres.norm_enclosure(center[a] - center[b], prec).lo
+            if entry is not None:
+                entry.gap_lo = lo if entry.gap_lo is None else max(entry.gap_lo, lo)
+            yield "injective_nonzero", lo, 2
     bound = _width_target(n_index)
     for node in nodes:
         kids = tree.children(node)
@@ -237,13 +229,8 @@ def _ball_constraints(
     if phi is not None and not phi.is_empty:
         center_map = _center_map(tree, center, pres)
         for node in phi.nodes():
-            diff = center_map.value(node) - _as_cv(phi.value(node), pres, prec)
+            diff = center_map.value(node) - phi.value(node)
             yield "restriction", _width_target(k) - diff.norm_enclosure(prec).hi, 1
-    if carried:
-        bar = settled_above()
-        for a, b, entry in carried:
-            if entry.gap_lo <= bar:
-                yield "injective_nonzero", gap(a, b, entry), 2
 
 
 def _hom_root_upper(err_hi: Fraction, p: PExponent, prec: int) -> Fraction:
@@ -314,18 +301,20 @@ def certify_ball(
     slack - weight * r > 0 at the ball's radius r, and the family's least
     such value is its margin ("separation" for injective_nonzero).  The
     summativity and coverage bounds are read at 2**-n_index; coverage
-    needs explicit witness coefficients.  Absent flags are simply not
+    needs explicit witness coefficients.  The base map phi, when given,
+    holds computable vectors over pres.  Absent flags are simply not
     granted; callers escalate by re-proposing, which keeps runs
-    reproducible.
+    reproducible.  Margins are kept as exact fractions; only to_json
+    formats them.
 
     Without a ledger this is the full pass, and its margins are the ones
     reports print.  With the staged builder's pair ledger, bounds carried
     for pairs whose exact centers did not change stand in for fresh reads:
-    a pairwise gap whose carried lower bound already clears 2r is not read
-    again, and hom_upper comes from the carried sigma1 terms (see
-    _ledger_hom_upper).  Every inequality and threshold stays the same and
-    every carried bound is certified, so a granted flag means what it
-    means in the full pass; but the margins then come from whichever
+    a pairwise gap whose carried lower bound is above the fixed bar 2r
+    already holds across the ball and is not read again, and hom_upper
+    comes from the carried sigma1 terms (see _ledger_hom_upper).  Every
+    inequality and threshold stays the same and every carried bound is
+    certified, so a granted flag means what it means in the full pass; but the margins then come from whichever
     bounds were read, so such a certificate decides and is never printed.
     """
     prec = precision or max(n_index + 6, k + 4, bits_for(ball.radius) + 6)
@@ -350,7 +339,7 @@ def certify_ball(
             pres,
             prec,
             ledger,
-            lambda: 2 * r,
+            2 * r,
         ):
             margin = slack - weight * r
             worst[flag] = min(worst.get(flag, margin), margin)
@@ -363,15 +352,14 @@ def certify_ball(
     separation = worst.pop("injective_nonzero", None)
     cert.injective_nonzero = separation is None or separation > 0
     if separation is not None:
-        cert.margins["separation"] = format_fraction(separation)
+        cert.margins["separation"] = separation
     cert.summativity = worst["summativity"] > 0
     cert.distance = beta is not None and worst["distance"] > 0
     cert.restriction = not restricted or worst["restriction"] > 0
-    for flag, margin in worst.items():
-        cert.margins[flag] = format_fraction(margin)
+    cert.margins.update(worst)
     cert.meets_hom = root_upper < r
-    cert.margins["hom_gap"] = format_fraction(r - root_upper)
-    cert.margins["hom_upper"] = format_fraction(root_upper)
+    cert.margins["hom_gap"] = r - root_upper
+    cert.margins["hom_upper"] = root_upper
     return cert
 
 
@@ -635,11 +623,13 @@ class BallCheck:
 @dataclass
 class ExtendResult:
     psi: TreeMap
-    tree: FiniteTree
     accepted: BallCheck
     radius_bits: int       # maps within 2^-radius_bits of psi keep the properties
-    exact: bool
     atom_support: Dict[TreeNode, int]
+
+    @property
+    def exact(self) -> bool:
+        return self.accepted.pres.exact_arithmetic
 
     @cached_property
     def certificate(self) -> BallCertificate:
@@ -647,7 +637,7 @@ class ExtendResult:
 
     def to_json(self) -> dict:
         return {
-            "tree": self.tree.to_json(),
+            "tree": self.psi.tree.to_json(),
             "certificate": self.certificate.to_json(),
             "radius_bits": self.radius_bits,
             "exact": self.exact,
@@ -668,18 +658,15 @@ def _pick_radius_bits(
     when one already fails at the center, else the bits of half the least
     of 2^-(k+1) and each slack / (2 max(weight, 1)).
 
-    A pairwise gap with a carried lower bound lo is skipped when it cannot
-    bind: the read at the snapshot precision would be at least
-    lo - 2^-snapshot_prec (an enclosure's width contract), so once that
-    is positive and its quarter exceeds the limit the other inequalities
-    set, the result is the same without the read.
+    A pairwise gap whose carried lower bound lo is above the bar
+    2^-snapshot_prec + 4 * 2^-(k+1) is skipped: its read at the snapshot
+    precision would be at least lo - 2^-snapshot_prec (an enclosure's
+    width contract): positive, and with a quarter above the starting
+    limit.  The limit only falls, so such a gap cannot bind and the result
+    is the same without the read.
     """
     limit = _width_target(k + 1)
-
-    def settled_above() -> Fraction:
-        # the limit is positive and only falls from here on
-        return _width_target(proposal.snapshot_prec) + 4 * limit
-
+    skip_above = _width_target(proposal.snapshot_prec) + 4 * limit
     with pres.p.shared_powers():
         for _, slack, weight in _ball_constraints(
             proposal.structure.tree,
@@ -691,7 +678,7 @@ def _pick_radius_bits(
             pres,
             proposal.snapshot_prec,
             ledger,
-            settled_above,
+            skip_above,
         ):
             if slack <= 0:
                 return None
@@ -715,13 +702,20 @@ def approximate_extend(
 
     This is the entry point for untrusted input: phi is validated first,
     and NotPartialDisintegrationError is raised when the validation
-    refutes it.  build_disintegration, whose stages are certified by
-    construction, skips that check.  Raises NoBackdoorError when pres has
-    no transparent backdoor.
+    refutes it.  A transparent phi is decided exactly (a zero value or a
+    repeated value is refuted), and only then encoded over pres, each value
+    within 2**-(k+6), which is what the search reads as the base map.
+    build_disintegration, whose stages are certified by construction,
+    skips that check.  Raises NoBackdoorError when pres has no transparent
+    backdoor.
     """
-    verdict = validate_partial_disintegration(phi)
-    if verdict.is_no:
-        raise NotPartialDisintegrationError(verdict.witness)
+    require_partial_disintegration(phi)
+    if phi.is_transparent:
+        values = {
+            node: ComputableVector.constant(pres.encode_vector(phi.value(node), k + 6), pres)
+            for node in phi.nodes()
+        }
+        phi = TreeMap(phi.tree, values, phi.p)
     return _extend(phi, n_index, k, pres, {})
 
 
@@ -793,21 +787,13 @@ def _extend(
         if not cert.all_granted(need_restriction=not phi.is_empty):
             continue
         # the refinement must converge inside half the certified radius
-        hom_upper = Fraction(cert.margins["hom_upper"])
-        if hom_upper >= ball.radius / 4:
+        if cert.margins["hom_upper"] >= ball.radius / 4:
             continue
         if pres.exact_arithmetic:
             psi = _center_map(ball.tree, ball.center, pres)
         else:
             psi = TreeMap(ball.tree, _refined_values(proposal, phi, pres, ball), phi.p)
-        return ExtendResult(
-            psi,
-            ball.tree,
-            check,
-            radius_bits + 1,
-            pres.exact_arithmetic,
-            dict(proposal.atom_support),
-        )
+        return ExtendResult(psi, check, radius_bits + 1, dict(proposal.atom_support))
     raise BudgetExhaustedError(
         f"no certifiable extension within {SEARCH_ROUNDS} rounds", budget=SEARCH_ROUNDS
     )
@@ -1079,9 +1065,8 @@ def build_disintegration(
     for n in range(n_target):
         prev = stages[-1]
         result = _extend(prev.phi_hat, n, prev.ball_bits + 1, pres, ledger, force_growth=True)
-        if not prev.phi_hat.tree.is_subtree_of(result.tree) or len(result.tree) <= len(
-            prev.phi_hat.tree
-        ):
+        tree = result.psi.tree
+        if not prev.phi_hat.tree.is_subtree_of(tree) or len(tree) <= len(prev.phi_hat.tree):
             raise BudgetExhaustedError("the extension did not grow the tree")
         stages.append(
             StageRecord(

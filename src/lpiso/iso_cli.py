@@ -640,17 +640,7 @@ def _cmd_project_hom(args) -> int:
 
 def _cmd_extend(args) -> int:
     pres = _pres_from_args(args)
-    if args.phi:
-        phi_map = _parse("--phi", _tree_map_arg, args.phi, pres.p)
-        values = {
-            node: ComputableVector.constant(
-                pres.encode_vector(phi_map.value(node), args.k + 6), pres
-            )
-            for node in phi_map.nodes()
-        }
-        phi = TreeMap(phi_map.tree, values, pres.p)
-    else:
-        phi = empty_map(pres)
+    phi = _parse("--phi", _tree_map_arg, args.phi, pres.p) if args.phi else empty_map(pres)
     result = approximate_extend(phi, args.n, args.k, pres)
     report = {
         "command": "extend",
@@ -779,16 +769,15 @@ def _cmd_adversarial(args) -> int:
             "status": "ok",
         }
         return _emit(report)
-    if args.what == "identity":
-        iso = identity_reduction(ce, p, args.n, args.k)
-        report = {
-            "command": "adversarial-identity",
-            "inputs": {"p": args.p, "k": args.k, "n": args.n, "ce": ce.to_json()},
-            "result": iso.to_json(),
-            "status": "ok",
-        }
-        return _emit(report)
-    raise ValueError(f"unknown adversarial subcommand {args.what!r}")
+    # args.what == "identity": each reduction has its own required subparser
+    iso = identity_reduction(ce, p, args.n, args.k)
+    report = {
+        "command": "adversarial-identity",
+        "inputs": {"p": args.p, "k": args.k, "n": args.n, "ce": ce.to_json()},
+        "result": iso.to_json(),
+        "status": "ok",
+    }
+    return _emit(report)
 
 
 def _cmd_recover_p(args) -> int:

@@ -35,6 +35,8 @@ from lpiso.tree_maps import (
 )
 from lpiso import extension_engine, tree_maps
 from lpiso.extension_engine import (
+    Proposal,
+    ProposalStructure,
     RationalBall,
     _pick_radius_bits,
     approximate_extend,
@@ -275,7 +277,7 @@ class TestApproximateExtend:
         pres = StandardPresentation(P1)
         a = approximate_extend(empty_map(pres), 1, 4, pres)
         b = approximate_extend(empty_map(StandardPresentation(P1)), 1, 4, StandardPresentation(P1))
-        assert a.tree.to_json() == b.tree.to_json()
+        assert a.psi.tree.to_json() == b.psi.tree.to_json()
         assert a.certificate.to_json() == b.certificate.to_json()
         for n in a.psi.nodes():
             assert a.psi.value(n).approx(8).entries == b.psi.value(n).approx(8).entries
@@ -400,6 +402,64 @@ class TestPairLedger:
         build_disintegration(make_pres(), 8)
         assert len(decisions) >= 8
         assert all(carried == full for carried, full in decisions)
+
+    def test_carried_gap_that_binds_is_read(self):
+        # two centers 2^-10 apart: their gap is the least slack, so a
+        # carried bound on it must not stand in for the read
+        pres = StandardPresentation(P1)
+        a, b = TreeNode.of(0), TreeNode.of(1)
+        tree, delta = FiniteTree([a, b]), Fraction(1, 2**10)
+        center = {
+            a: GenCombo.single(0),
+            b: GenCombo({0: GaussianRational.one(), 1: GaussianRational.of(delta)}),
+        }
+        proposal = Proposal(
+            ProposalStructure(tree, {}, {}, {}, {}, 0), center, identity_beta(1), {}, 20
+        )
+        phi, n_index, k = empty_map(pres), 0, 4
+        full = _pick_radius_bits(proposal, phi, n_index, k, pres)
+        assert full > k + 2  # below the 2^-(k+1) cap: the gap binds
+
+        ledger = {}
+        small = RationalBall(tree, center, Fraction(1, 2**full))
+        assert certify_ball(
+            small, None, n_index + 1, k, pres, beta=proposal.beta, ledger=ledger
+        ).injective_nonzero
+        assert 0 < ledger[(a, b)].gap_lo < delta
+        assert _pick_radius_bits(proposal, phi, n_index, k, pres, ledger) == full
+
+        # at radius delta the gap no longer clears 2r, but the nodes clear r
+        for radius, granted in ((delta / 4, True), (delta, False)):
+            ball = RationalBall(tree, center, radius)
+            plain = certify_ball(ball, None, n_index + 1, k, pres, beta=proposal.beta)
+            carried = certify_ball(
+                ball, None, n_index + 1, k, pres, beta=proposal.beta, ledger=ledger
+            )
+            assert plain.injective_nonzero is carried.injective_nonzero is granted
+
+    @pytest.mark.parametrize(
+        "make_pres",
+        [
+            lambda: StandardPresentation(P1),
+            lambda: RotatedPresentation(P3, GaussianRational.parse("3/5+4/5i")),
+            lambda: build_adversarial(CeSet.explicit([2, 5]), P1),
+        ],
+        ids=["standard-p1", "rotated-p3", "adversarial-p1"],
+    )
+    def test_radius_bits_match_without_the_ledger(self, monkeypatch, make_pres):
+        pick = extension_engine._pick_radius_bits
+        picks = []
+
+        def checked(proposal, phi, n_index, k, pres, ledger=None):
+            bits = pick(proposal, phi, n_index, k, pres, ledger)
+            if ledger is not None:
+                picks.append((bits, pick(proposal, phi, n_index, k, pres)))
+            return bits
+
+        monkeypatch.setattr(extension_engine, "_pick_radius_bits", checked)
+        build_disintegration(make_pres(), 8)
+        assert len(picks) >= 8
+        assert all(carried == full for carried, full in picks)
 
     @pytest.mark.parametrize(
         "descriptor",

@@ -1,7 +1,9 @@
 """Synthesis pipeline, oracle reductions, and the CLI surface."""
 
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,7 +13,7 @@ import pytest
 import lpiso
 from lpiso.errors import IndexOutOfRangeError, NoBackdoorError, PrecisionExhaustedError
 from lpiso.lp_vectors import FinSuppVector, norm_p
-from lpiso import iso_cli
+from lpiso import extension_engine, iso_cli
 from lpiso.presentations import (
     CeSet,
     ComputableVector,
@@ -581,6 +583,110 @@ class TestCliPipelineCommands:
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert out["result"]["argmin"]["theta_over_pi"] == "1/2"
+
+
+_STANDARD_P1 = '{"type":"standard","p":"1"}'
+_BASE_ONE_NODE = '{"tree":[[0]],"map":{"[0]":{"entries":{"0":"1","1":"1"}}}}'
+_BASE_THREE_NODES = (
+    '{"tree":[[0],[0,0],[1]],"map":{"[0]":{"entries":{"0":"1","1":"1/2"}},'
+    '"[0,0]":{"entries":{"0":"1"}},"[1]":{"entries":{"2":"1/4"}}}}'
+)
+
+
+class TestExtendBaseMap:
+    """extend validates a transparent --phi exactly, before it encodes it."""
+
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            '{"tree":[[0]],"map":{"[0]":{"entries":{}}}}',
+            '{"tree":[[0],[0,0]],"map":{"[0]":{"entries":{"0":"1"}},'
+            '"[0,0]":{"entries":{"0":"1"}}}}',
+        ],
+        ids=["zero-node", "child-equals-parent"],
+    )
+    def test_invalid_base_map_gets_the_validate_tree_witness(self, capsys, tree):
+        # encoded first, the map was checked through interval evidence,
+        # which cannot certify a zero or a repeated value: the search ran
+        # all its rounds and ended in BudgetExhaustedError
+        assert main(["validate-tree", "--tree", tree]) == 1
+        witness = json.loads(capsys.readouterr().out)["result"]["witness"]
+        code = main(["extend", "--pres", _STANDARD_P1, "--phi", tree, "--n", "1", "--k", "4"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert out["error"] == {"type": "NotPartialDisintegrationError", "message": witness}
+
+    @pytest.mark.parametrize(
+        "pres, phi, digest",
+        [
+            (
+                _STANDARD_P1,
+                _BASE_THREE_NODES,
+                "96147db5a12029f0c0e9f56eef33d0a46d6391012c74cd84e6b1101883ff6384",
+            ),
+            (
+                '{"type":"rotated","p":"3","zeta":"3/5+4/5i"}',
+                _BASE_ONE_NODE,
+                "537a2ed5111594a9c4fc7364e86cba017eb8b513e2ed3af55db62e858dbfe2f6",
+            ),
+            (
+                '{"type":"adversarial","p":"1","ce":{"kind":"explicit","elements":[1,3]}}',
+                _BASE_THREE_NODES,
+                "64b4cef37839cbd5094e6e99dc83678326cc1f857e6f37110f6dcef34fa98a21",
+            ),
+        ],
+        ids=["standard-p1", "rotated-p3", "adversarial-p1"],
+    )
+    def test_valid_base_map_report_is_unchanged(self, capsys, pres, phi, digest):
+        # the digests are of the reports printed while the CLI encoded the
+        # base map at k + 6 itself
+        code = main(["extend", "--pres", pres, "--phi", phi, "--n", "1", "--k", "4"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestVerbose:
+    """--verbose traces each tried ball on stderr and leaves stdout alone.
+
+    The runs are subprocesses: logging.basicConfig does nothing once the
+    test runner has installed its own logging handlers."""
+
+    ARGV = ["disintegrate", "--pres", _STANDARD_P1, "--stages", "3"]
+
+    @staticmethod
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "lpiso.iso_cli", *argv],
+            capture_output=True,
+            text=True,
+            env=cli_env(),
+        )
+
+    def test_one_line_per_tried_ball(self, monkeypatch, capsys):
+        # a tried ball is one certification with the search's pair ledger;
+        # the printed certificates are reruns without it
+        tried = []
+        certify = extension_engine.certify_ball
+
+        def counted(*args, ledger=None, **kwargs):
+            if ledger is not None:
+                tried.append(1)
+            return certify(*args, ledger=ledger, **kwargs)
+
+        monkeypatch.setattr(extension_engine, "certify_ball", counted)
+        assert main(self.ARGV) == 0
+        capsys.readouterr()
+
+        quiet = self.run(*self.ARGV)
+        verbose = self.run("--verbose", *self.ARGV)
+        assert quiet.returncode == verbose.returncode == 0
+        assert quiet.stderr == ""
+        assert verbose.stdout == quiet.stdout
+        lines = verbose.stderr.splitlines()
+        assert len(lines) == len(tried) >= 3
+        shape = re.compile(r"ball tree=\{.*\} radius=2\^-\d+ flags=[01]{5} precision=\d+")
+        assert all(shape.fullmatch(line) for line in lines), lines
 
 
 def _old_generation_upper(iso, j):
