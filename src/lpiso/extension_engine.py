@@ -180,8 +180,8 @@ def _ball_constraints(
     k: int,
     pres: Presentation,
     prec: int,
-    ledger: Optional[_PairLedger],
-    skip_above: Fraction,
+    ledger: Optional[_PairLedger] = None,
+    skip_above: Optional[Fraction] = None,
 ):
     """Every inequality a ball certificate checks, each once, as
     (flag, slack, weight): it holds on the closed ball of radius r around
@@ -191,10 +191,11 @@ def _ball_constraints(
     restriction without a nonempty base map phi, whose values must be
     computable vectors over pres.
 
-    With a ledger, every pairwise gap read is recorded there, and a gap
-    whose carried lower bound is above the fixed bar skip_above is settled:
-    it is neither read nor yielded.  Every other gap is read in pair order.
-    The caller picks a bar above which the gap cannot decide its answer.
+    With a ledger (only the radius pick passes one), every pairwise gap
+    read is recorded there, and a gap whose carried lower bound is above
+    the fixed bar skip_above is settled: it is neither read nor yielded.
+    Every other gap is read in pair order.  The caller picks a bar above
+    which the gap cannot decide its answer.
     """
     nodes = tree.nonroot_nodes()
     for node in nodes:
@@ -243,16 +244,19 @@ def _hom_root_upper(err_hi: Fraction, p: PExponent, prec: int) -> Fraction:
 def _ledger_hom_upper(
     ball: RationalBall, pres: Presentation, prec: int, ledger: _PairLedger
 ) -> Fraction:
-    """The hom_upper of certify_ball, from the ledger's pair terms.
+    """An upper bound on the distance from the ball's center map to the
+    strong homomorphisms, from the ledger's pair terms: the search's one
+    hom read per tried ball.
 
-    It bounds the same quantity as the full pass, 2^p c_p times the sum of
-    the sigma1 terms of the center map, from per-pair enclosures carried
-    while both centers stay the same.  New pairs are evaluated at twice the
-    precision sigma_tree would start at inside distance_bound(..., prec).
-    The ball shrinks from stage to stage, so a carried term can outgrow the
-    budget: when the bound misses radius/4 (what _extend accepts), the
-    pairs evaluated below that doubled precision are re-evaluated at it,
-    and when it still misses, the full distance_bound decides.
+    It bounds the quantity certify_ball's hom_upper bounds, the p-th root
+    of 2^p c_p times the sum of the sigma1 terms of the center map, from
+    per-pair enclosures carried while both centers stay the same.  New
+    pairs are evaluated at twice the precision sigma_tree would start at
+    inside distance_bound(..., prec).  The ball shrinks from stage to
+    stage, so a carried term can outgrow the budget: when the bound misses
+    radius/4 (what _extend accepts), the pairs evaluated below that doubled
+    precision are re-evaluated at it, and when it still misses, the full
+    distance_bound decides.
     """
     p = pres.p
     psi = ball.center_map(pres)
@@ -270,16 +274,17 @@ def _ledger_hom_upper(
         scale = pow_enclosure(DyadicInterval.point(2), p, kk) * lamperti_constant(p, kk)
         return _hom_root_upper(scale.hi * sum(e.sigma_hi for e in entries), p, prec)
 
-    evaluate([i for i, e in enumerate(entries) if e.sigma_hi is None])
-    bound = upper()
-    if bound >= ball.radius / 4:
-        stale = [i for i, e in enumerate(entries) if e.sigma_prec < kk]
-        if stale:
-            evaluate(stale)
-            bound = upper()
-    if bound >= ball.radius / 4:
-        err = distance_bound(empty_map(pres), psi, prec)
-        bound = _hom_root_upper(err.hi, p, prec)
+    with p.shared_powers():
+        evaluate([i for i, e in enumerate(entries) if e.sigma_hi is None])
+        bound = upper()
+        if bound >= ball.radius / 4:
+            stale = [i for i, e in enumerate(entries) if e.sigma_prec < kk]
+            if stale:
+                evaluate(stale)
+                bound = upper()
+        if bound >= ball.radius / 4:
+            err = distance_bound(empty_map(pres), psi, prec)
+            bound = _hom_root_upper(err.hi, p, prec)
     return bound
 
 
@@ -292,9 +297,9 @@ def certify_ball(
     *,
     beta: Optional[Dict[int, Dict[TreeNode, GaussianRational]]] = None,
     precision: Optional[int] = None,
-    ledger: Optional[_PairLedger] = None,
 ) -> BallCertificate:
-    """Check each flag at one working precision.
+    """Check each flag at one working precision: the certificate that
+    disintegrate and extend print.
 
     A flag is granted when every inequality of its family holds across the
     ball: each (flag, slack, weight) from _ball_constraints must have
@@ -302,20 +307,15 @@ def certify_ball(
     such value is its margin ("separation" for injective_nonzero).  The
     summativity and coverage bounds are read at 2**-n_index; coverage
     needs explicit witness coefficients.  The base map phi, when given,
-    holds computable vectors over pres.  Absent flags are simply not
-    granted; callers escalate by re-proposing, which keeps runs
-    reproducible.  Margins are kept as exact fractions; only to_json
-    formats them.
+    holds computable vectors over pres.  hom_upper bounds the distance to
+    the strong homomorphisms through distance_bound on the center map.
+    Absent flags are simply not granted; callers escalate by re-proposing,
+    which keeps runs reproducible.  Margins are kept as exact fractions;
+    only to_json formats them.
 
-    Without a ledger this is the full pass, and its margins are the ones
-    reports print.  With the staged builder's pair ledger, bounds carried
-    for pairs whose exact centers did not change stand in for fresh reads:
-    a pairwise gap whose carried lower bound is above the fixed bar 2r
-    already holds across the ball and is not read again, and hom_upper
-    comes from the carried sigma1 terms (see _ledger_hom_upper).  Every
-    inequality and threshold stays the same and every carried bound is
-    certified, so a granted flag means what it means in the full pass; but the margins then come from whichever
-    bounds were read, so such a certificate decides and is never printed.
+    The search does not call this: its radius pick already reads every
+    inequality here (see _pick_radius_bits), so it runs only when a report
+    renders an accepted ball.
     """
     prec = precision or max(n_index + 6, k + 4, bits_for(ball.radius) + 6)
     r = ball.radius
@@ -330,25 +330,13 @@ def certify_ball(
         worst["restriction"] = _width_target(k)
     with pres.p.shared_powers():
         for flag, slack, weight in _ball_constraints(
-            ball.tree,
-            ball.center,
-            beta,
-            phi,
-            n_index,
-            k,
-            pres,
-            prec,
-            ledger,
-            2 * r,
+            ball.tree, ball.center, beta, phi, n_index, k, pres, prec
         ):
             margin = slack - weight * r
             worst[flag] = min(worst.get(flag, margin), margin)
         # intersection with the strong homomorphisms
-        if ledger is None:
-            err = distance_bound(empty_map(pres), ball.center_map(pres), prec)
-            root_upper = _hom_root_upper(err.hi, pres.p, prec)
-        else:
-            root_upper = _ledger_hom_upper(ball, pres, prec, ledger)
+        err = distance_bound(empty_map(pres), ball.center_map(pres), prec)
+        root_upper = _hom_root_upper(err.hi, pres.p, prec)
     separation = worst.pop("injective_nonzero", None)
     cert.injective_nonzero = separation is None or separation > 0
     if separation is not None:
@@ -478,10 +466,9 @@ def build_guided_proposal(
                 break
             level += 1
 
+    # chi is a strong homomorphism by construction; the proposal map keeps
+    # its values, so that map's validation refutes a zero or repeated one
     chi = _truncated_hom(snap, level, pres, prec)
-    if not validate_partial_disintegration(chi).is_yes:
-        return None
-
     size = len(chi.tree)
     carriers = _coordinate_carriers(chi)
     atom_nodes: Dict[TreeNode, Tuple[TreeNode, int]] = {}
@@ -595,7 +582,8 @@ REFINEMENT_CAP = 192
 
 @dataclass(frozen=True)
 class BallCheck:
-    """A candidate ball with the arguments certify_ball checks it under."""
+    """An accepted ball with the arguments its printed certificate is
+    checked under."""
 
     ball: RationalBall
     phi: Optional[TreeMap]
@@ -605,9 +593,8 @@ class BallCheck:
     beta: Dict[int, Dict[TreeNode, GaussianRational]]
     precision: int
 
-    def certify(self, ledger: Optional[_PairLedger] = None) -> BallCertificate:
-        """certify_ball on the ball; without a ledger, the full pass that
-        reports print."""
+    def certify(self) -> BallCertificate:
+        """certify_ball on the ball: the certificate reports print."""
         return certify_ball(
             self.ball,
             self.phi,
@@ -616,7 +603,6 @@ class BallCheck:
             self.pres,
             beta=self.beta,
             precision=self.precision,
-            ledger=ledger,
         )
 
 
@@ -652,18 +638,26 @@ def _pick_radius_bits(
     pres: Presentation,
     ledger: Optional[_PairLedger] = None,
 ) -> Optional[int]:
-    """Largest power-of-two radius the margins plausibly support.
+    """The search's constraint check: the bits of a radius on whose whole
+    closed ball the proposal keeps every certificate inequality but the
+    hom test, or None.
 
-    Reads the certificate's inequalities at the snapshot precision: None
-    when one already fails at the center, else the bits of half the least
-    of 2^-(k+1) and each slack / (2 max(weight, 1)).
+    Reads each inequality of _ball_constraints once, at the snapshot
+    precision: None unless every slack read is positive, else the bits of
+    half the least of 2^-(k+1) and each slack / (2 max(weight, 1)).  So
+    the radius r satisfies r <= slack / (4 max(weight, 1)), and
+    slack - weight * r >= 3 slack / 4 > 0 for every inequality read.  Each
+    read is a certified bound, so injectivity and nonvanishing,
+    summativity, coverage and restriction hold on the whole closed ball,
+    and the search reads none of them again.
 
     A pairwise gap whose carried lower bound lo is above the bar
-    2^-snapshot_prec + 4 * 2^-(k+1) is skipped: its read at the snapshot
+    2^-snapshot_prec + 4 * 2^-(k+1) is skipped.  Its read at the snapshot
     precision would be at least lo - 2^-snapshot_prec (an enclosure's
     width contract): positive, and with a quarter above the starting
     limit.  The limit only falls, so such a gap cannot bind and the result
-    is the same without the read.
+    is the same without the read.  It holds on the ball too: r <= 2^-(k+2),
+    so lo > 2r.
     """
     limit = _width_target(k + 1)
     skip_above = _width_target(proposal.snapshot_prec) + 4 * limit
@@ -731,13 +725,17 @@ def _extend(
     """approximate_extend without validating phi: the caller vouches that
     phi is a partial disintegration.
 
-    Round r certifies the guided proposal built from a snapshot 6r bits
-    finer than round 0's; the first certified proposal wins.  The ledger
-    holds the pair bounds earlier rounds and stages certified; this call
-    reads them where both centers are unchanged and adds its own, so only
-    pairs touching a new or moved node cost fresh reads.  The accepted
-    ball is kept with its arguments, and the certificate a report prints
-    is the full certify_ball pass on it.
+    Round r tries the guided proposal built from a snapshot 6r bits finer
+    than round 0's, and the first ball that passes wins.  A ball is decided
+    once: _pick_radius_bits proves every inequality but the hom test on it,
+    and _ledger_hom_upper must then bound the distance to the strong
+    homomorphisms below a quarter of the radius, so the refinement
+    converges inside half of it.  The ledger holds the pair bounds earlier
+    rounds and stages certified; this call reads them where both centers
+    are unchanged and adds its own, so only pairs touching a new or moved
+    node cost fresh reads.  The accepted ball is kept with its arguments,
+    and the certificate a report prints is the full certify_ball pass on
+    it.
     """
     if not pres.has_backdoor:
         raise NoBackdoorError(
@@ -767,27 +765,15 @@ def _extend(
             proposal.beta,
             max(n_index + 8, k + 6, p_ceil * (radius_bits + 4) + 8),
         )
-        cert = check.certify(ledger)
+        hom_upper = _ledger_hom_upper(ball, pres, check.precision, ledger)
         logger.info(
-            "ball tree=%s radius=2^-%d flags=%s precision=%d",
+            "ball tree=%s radius=2^-%d hom_upper=%s precision=%d",
             ball.tree,
             radius_bits,
-            "".join(
-                "1" if flag else "0"
-                for flag in (
-                    cert.injective_nonzero,
-                    cert.summativity,
-                    cert.distance,
-                    cert.restriction,
-                    cert.meets_hom,
-                )
-            ),
-            cert.precision,
+            format_fraction(hom_upper),
+            check.precision,
         )
-        if not cert.all_granted(need_restriction=not phi.is_empty):
-            continue
-        # the refinement must converge inside half the certified radius
-        if cert.margins["hom_upper"] >= ball.radius / 4:
+        if hom_upper >= ball.radius / 4:
             continue
         if pres.exact_arithmetic:
             psi = _center_map(ball.tree, ball.center, pres)
@@ -1028,18 +1014,20 @@ def build_disintegration(
     geometric moduli.
 
     Stages are not re-validated before they are extended: stage 0 is
-    certified nonzero and every later stage comes out of certify_ball, so
-    validation could never refute them.  Use approximate_extend to extend
-    a map of unknown provenance.
+    certified nonzero and every later stage comes out of a ball the search
+    certified, so validation could never refute them.  Use
+    approximate_extend to extend a map of unknown provenance.
 
     One pair ledger lives for the whole call and is handed to every stage's
     _extend.  It stores, per node pair, a certified lower bound on the
-    centers' gap and an enclosure of the pair's sigma1 term, each valid only
-    for the exact center combinations it was computed from (every read
-    compares them), so a stage re-reads only the O(n) pairs that touch a new
-    or moved node.  Sigma terms are refreshed at doubled precision when the
-    shrinking radius outgrows them.  The certificates the report prints are
-    the full certify_ball pass, rerun on each stage's accepted ball.
+    centers' gap (read by the radius pick) and an enclosure of the pair's
+    sigma1 term (read by the hom test), each valid only for the exact
+    center combinations it was computed from (every read compares them),
+    so a stage re-reads only the O(n) pairs that touch a new or moved node.
+    Sigma terms are refreshed at doubled precision when the shrinking
+    radius outgrows them.  The certificates the report prints are the full
+    certify_ball pass, run on each stage's accepted ball when the report is
+    rendered.
     """
     pres.p.side_of_two()  # raises PEqualsTwoError up front
 

@@ -807,7 +807,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certified arithmetic and isometry synthesis over norm-oracle presentations",
     )
     parser.add_argument(
-        "--verbose", action="store_true", help="trace certified balls on stderr"
+        "--verbose", action="store_true", help="trace tried balls on stderr"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

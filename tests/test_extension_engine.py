@@ -38,6 +38,7 @@ from lpiso.extension_engine import (
     Proposal,
     ProposalStructure,
     RationalBall,
+    _ledger_hom_upper,
     _pick_radius_bits,
     approximate_extend,
     build_disintegration,
@@ -64,6 +65,17 @@ def atom_ball(pres, count, radius):
 
 def identity_beta(count):
     return {j: {TreeNode.of(j): GaussianRational.one()} for j in range(count)}
+
+
+def two_node_proposal(second):
+    """Nodes (0) and (1) centered on e_0 and second, read at 2^-20;
+    (0) covers generator 0."""
+    a, b = TreeNode.of(0), TreeNode.of(1)
+    tree = FiniteTree([a, b])
+    center = {a: GenCombo.single(0), b: second}
+    return Proposal(
+        ProposalStructure(tree, {}, {}, {}, {}, 0), center, identity_beta(1), {}, 20
+    )
 
 
 class TestErrorFunctional:
@@ -349,25 +361,33 @@ class TestPairLedger:
         assert counts[32] / counts[16] < 6, counts
 
     def test_moved_center_is_not_reused(self):
+        # the bounds carried for (0) on e_0 and (1) on e_1, a gap near 2
+        # and a sigma1 term near 0, would pass (1) moved onto e_0 + e_1,
+        # which is not disjoint from e_0, and onto e_0 itself
         pres = StandardPresentation(P1)
         a, b = TreeNode.of(0), TreeNode.of(1)
-        tree, radius, beta = FiniteTree([a, b]), Fraction(1, 64), identity_beta(1)
+        phi, n_index, k = empty_map(pres), 0, 4
         ledger = {}
-        disjoint = RationalBall(tree, {a: GenCombo.single(0), b: GenCombo.single(1)}, radius)
-        assert certify_ball(disjoint, None, 1, 6, pres, beta=beta, ledger=ledger).all_granted(
-            need_restriction=False
-        )
+
+        def hom_upper(proposal, bits, ledger):
+            ball = RationalBall(proposal.structure.tree, proposal.center, Fraction(1, 2**bits))
+            return _ledger_hom_upper(ball, pres, 20, ledger)
+
+        disjoint = two_node_proposal(GenCombo.single(1))
+        bits = _pick_radius_bits(disjoint, phi, n_index, k, pres, ledger)
+        assert hom_upper(disjoint, bits, ledger) < Fraction(1, 2**bits) / 4
         assert ledger[(a, b)].gap_lo > 1 and ledger[(a, b)].sigma_hi is not None
-        # (1) moves onto e_0 + e_1, which is not disjoint from (0)'s e_0,
-        # then onto e_0 itself; the carried bounds (a gap near 2, a sigma1
-        # term near 0) would grant both balls
-        overlap = GenCombo.single(0) + GenCombo.single(1)
-        for moved, flag in ((overlap, "meets_hom"), (GenCombo.single(0), "injective_nonzero")):
-            ball = RationalBall(tree, {a: GenCombo.single(0), b: moved}, radius)
-            full = certify_ball(ball, None, 1, 6, pres, beta=beta)
-            carried = certify_ball(ball, None, 1, 6, pres, beta=beta, ledger=ledger)
-            assert not getattr(full, flag)
-            assert not getattr(carried, flag)
+
+        overlap = two_node_proposal(GenCombo.single(0) + GenCombo.single(1))
+        bits = _pick_radius_bits(overlap, phi, n_index, k, pres, ledger)
+        assert bits == _pick_radius_bits(overlap, phi, n_index, k, pres)
+        carried = hom_upper(overlap, bits, ledger)
+        assert carried == hom_upper(overlap, bits, {}) >= Fraction(1, 2**bits) / 4
+
+        coincident = two_node_proposal(GenCombo.single(0))
+        skip_above = Fraction(1, 2**20) + 4 * Fraction(1, 2 ** (k + 1))
+        assert ledger[(a, b)].gap_lo > skip_above  # a gap the pick would skip
+        assert _pick_radius_bits(coincident, phi, n_index, k, pres, ledger) is None
 
     @pytest.mark.parametrize(
         "make_pres",
@@ -379,63 +399,51 @@ class TestPairLedger:
         ids=["standard-p1", "rotated-p3", "adversarial-p1"],
     )
     def test_ledger_decides_as_the_full_pass(self, monkeypatch, make_pres):
-        full_pass = extension_engine.certify_ball
-        decisions = []
+        # every tried ball: the search accepts it exactly when the full
+        # certificate grants every flag with hom_upper below a quarter radius
+        pick, hom_upper = extension_engine._pick_radius_bits, extension_engine._ledger_hom_upper
+        picked, decisions = [], []
 
-        def decide(cert, ball, restricted):
-            return (
-                cert.all_granted(need_restriction=restricted),
-                Fraction(cert.margins["hom_upper"]) < ball.radius / 4,
+        def recording_pick(proposal, phi, n_index, k, pres, ledger=None):
+            picked.append((proposal, phi, n_index, k))
+            return pick(proposal, phi, n_index, k, pres, ledger)
+
+        def checked(ball, pres, prec, ledger):
+            bound = hom_upper(ball, pres, prec, ledger)
+            proposal, phi, n_index, k = picked[-1]
+            assert ball.center is proposal.center
+            base = None if phi.is_empty else phi
+            full = certify_ball(
+                ball, base, n_index + 1, k, pres, beta=proposal.beta, precision=prec
             )
+            granted = full.all_granted(need_restriction=base is not None)
+            full_accepts = granted and full.margins["hom_upper"] < ball.radius / 4
+            decisions.append((bound < ball.radius / 4, full_accepts))
+            return bound
 
-        def checked(ball, phi, n_index, k, pres, *, beta=None, precision=None, ledger=None):
-            cert = full_pass(
-                ball, phi, n_index, k, pres, beta=beta, precision=precision, ledger=ledger
-            )
-            if ledger is not None:
-                full = full_pass(ball, phi, n_index, k, pres, beta=beta, precision=precision)
-                restricted = phi is not None
-                decisions.append((decide(cert, ball, restricted), decide(full, ball, restricted)))
-            return cert
-
-        monkeypatch.setattr(extension_engine, "certify_ball", checked)
+        monkeypatch.setattr(extension_engine, "_pick_radius_bits", recording_pick)
+        monkeypatch.setattr(extension_engine, "_ledger_hom_upper", checked)
         build_disintegration(make_pres(), 8)
         assert len(decisions) >= 8
-        assert all(carried == full for carried, full in decisions)
+        assert all(search == full for search, full in decisions), decisions
 
     def test_carried_gap_that_binds_is_read(self):
         # two centers 2^-10 apart: their gap is the least slack, so a
         # carried bound on it must not stand in for the read
         pres = StandardPresentation(P1)
         a, b = TreeNode.of(0), TreeNode.of(1)
-        tree, delta = FiniteTree([a, b]), Fraction(1, 2**10)
-        center = {
-            a: GenCombo.single(0),
-            b: GenCombo({0: GaussianRational.one(), 1: GaussianRational.of(delta)}),
-        }
-        proposal = Proposal(
-            ProposalStructure(tree, {}, {}, {}, {}, 0), center, identity_beta(1), {}, 20
+        delta = Fraction(1, 2**10)
+        proposal = two_node_proposal(
+            GenCombo({0: GaussianRational.one(), 1: GaussianRational.of(delta)})
         )
         phi, n_index, k = empty_map(pres), 0, 4
         full = _pick_radius_bits(proposal, phi, n_index, k, pres)
         assert full > k + 2  # below the 2^-(k+1) cap: the gap binds
 
         ledger = {}
-        small = RationalBall(tree, center, Fraction(1, 2**full))
-        assert certify_ball(
-            small, None, n_index + 1, k, pres, beta=proposal.beta, ledger=ledger
-        ).injective_nonzero
+        assert _pick_radius_bits(proposal, phi, n_index, k, pres, ledger) == full
         assert 0 < ledger[(a, b)].gap_lo < delta
         assert _pick_radius_bits(proposal, phi, n_index, k, pres, ledger) == full
-
-        # at radius delta the gap no longer clears 2r, but the nodes clear r
-        for radius, granted in ((delta / 4, True), (delta, False)):
-            ball = RationalBall(tree, center, radius)
-            plain = certify_ball(ball, None, n_index + 1, k, pres, beta=proposal.beta)
-            carried = certify_ball(
-                ball, None, n_index + 1, k, pres, beta=proposal.beta, ledger=ledger
-            )
-            assert plain.injective_nonzero is carried.injective_nonzero is granted
 
     @pytest.mark.parametrize(
         "make_pres",
@@ -668,6 +676,39 @@ class TestBackdoorReads:
         assert counts["snapshot"] == counts["projection"] == counts["structure"]
 
 
+class TestGuidedProposalValidation:
+    """A round validates its proposal map once; that check also refutes a
+    projection with a zero or a repeated value, whose values the map keeps."""
+
+    @pytest.mark.parametrize("fault", [None, "zero", "repeated"])
+    def test_one_validation_refutes_a_bad_projection(self, monkeypatch, fault):
+        pres = StandardPresentation(P1)
+        stage = build_disintegration(pres, 2).last()
+        phi, n, k = stage.phi_hat, 2, stage.ball_bits + 1
+        truncated = extension_engine._truncated_hom
+        validate = extension_engine.validate_partial_disintegration
+        verdicts = []
+
+        def faulty(snap, level, pres_, prec):
+            chi = truncated(snap, level, pres_, prec)
+            if fault is None:
+                return chi
+            nodes = chi.nodes()
+            values = {node: chi.value(node) for node in nodes}
+            values[nodes[-1]] = FinSuppVector.zero() if fault == "zero" else values[nodes[0]]
+            return TreeMap(chi.tree, values, chi.p)
+
+        def recording(psi):
+            verdicts.append(validate(psi))
+            return verdicts[-1]
+
+        monkeypatch.setattr(extension_engine, "_truncated_hom", faulty)
+        monkeypatch.setattr(extension_engine, "validate_partial_disintegration", recording)
+        proposal = build_guided_proposal(phi, n, k, pres, 0, force_growth=True)
+        assert len(verdicts) == 1
+        assert (proposal is None) is verdicts[0].is_no is (fault is not None)
+
+
 class TestInexactRefinement:
     """The adversarial presentation at p = 3/2 has irrational encodings, so
     proposals are only near the homomorphisms and outputs are genuine
@@ -716,6 +757,36 @@ class TestSearchConstants:
         assert rounds == list(range(6))
         assert str(info.value) == "no certifiable extension within 6 rounds"
         assert info.value.budget == 6
+
+    @pytest.mark.parametrize(
+        "second, picked",
+        [(GenCombo.single(0), False), (GenCombo.single(0) + GenCombo.single(1), True)],
+        ids=["coincident-centers", "overlapping-centers"],
+    )
+    def test_every_round_refused(self, monkeypatch, second, picked):
+        # coincident centers fail the radius pick; overlapping ones pass it
+        # but sit too far from the strong homomorphisms for the hom test
+        pres = StandardPresentation(P1)
+        phi, n_index, k = empty_map(pres), 0, 4
+        proposal = two_node_proposal(second)
+        assert (_pick_radius_bits(proposal, phi, n_index, k, pres) is not None) is picked
+        rounds, hom_reads = [], []
+        hom_upper = extension_engine._ledger_hom_upper
+
+        def fixed(phi, n_index, k, pres, round_idx, *, force_growth=False):
+            rounds.append(round_idx)
+            return proposal
+
+        def counted(*args):
+            hom_reads.append(1)
+            return hom_upper(*args)
+
+        monkeypatch.setattr(extension_engine, "build_guided_proposal", fixed)
+        monkeypatch.setattr(extension_engine, "_ledger_hom_upper", counted)
+        with pytest.raises(BudgetExhaustedError):
+            approximate_extend(phi, n_index, k, pres)
+        assert rounds == list(range(extension_engine.SEARCH_ROUNDS))
+        assert len(hom_reads) == (len(rounds) if picked else 0)
 
     def test_refinement_cap(self, monkeypatch):
         pres = build_adversarial(CeSet.explicit([1]), P32)

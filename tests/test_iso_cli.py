@@ -664,17 +664,15 @@ class TestVerbose:
         )
 
     def test_one_line_per_tried_ball(self, monkeypatch, capsys):
-        # a tried ball is one certification with the search's pair ledger;
-        # the printed certificates are reruns without it
+        # a tried ball is one hom read after a granted radius pick
         tried = []
-        certify = extension_engine.certify_ball
+        hom_upper = extension_engine._ledger_hom_upper
 
-        def counted(*args, ledger=None, **kwargs):
-            if ledger is not None:
-                tried.append(1)
-            return certify(*args, ledger=ledger, **kwargs)
+        def counted(*args):
+            tried.append(1)
+            return hom_upper(*args)
 
-        monkeypatch.setattr(extension_engine, "certify_ball", counted)
+        monkeypatch.setattr(extension_engine, "_ledger_hom_upper", counted)
         assert main(self.ARGV) == 0
         capsys.readouterr()
 
@@ -685,7 +683,9 @@ class TestVerbose:
         assert verbose.stdout == quiet.stdout
         lines = verbose.stderr.splitlines()
         assert len(lines) == len(tried) >= 3
-        shape = re.compile(r"ball tree=\{.*\} radius=2\^-\d+ flags=[01]{5} precision=\d+")
+        shape = re.compile(
+            r"ball tree=\{.*\} radius=2\^-\d+ hom_upper=\d+(/\d+)? precision=\d+"
+        )
         assert all(shape.fullmatch(line) for line in lines), lines
 
 
