@@ -816,8 +816,13 @@ def _refined_values(
                 gens = {j: pres.generator_vector(j, prec) for j in structure.residual_nodes.values()}
                 _, center = _values_on_structure(structure, chi, gens, pres, prec)
                 ok = True
+                # nodes often share a step difference: certify each one once
+                gaps: Dict[GenCombo, Fraction] = {}
                 for node, combo in center.items():
-                    gap = pres.norm_enclosure(combo - steps[-1][node], prec).hi
+                    diff = combo - steps[-1][node]
+                    gap = gaps.get(diff)
+                    if gap is None:
+                        gap = gaps[diff] = pres.norm_enclosure(diff, prec).hi
                     if gap >= _width_target(m + idx + 2):
                         ok = False
                         break

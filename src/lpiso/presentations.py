@@ -21,7 +21,7 @@ The opaque surface never touches it.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     EnumerationStalledError,
@@ -188,10 +188,10 @@ class CeSet:
         if self.decide is None:
             raise NoBackdoorError(f"{self.label}: gamma needs decidable membership")
         bound = k + 1
-        low = Fraction(0)
-        for n in range(1, bound + 1):
-            if self.decide(n):
-                low += Fraction(1, 2**n)
+        # the members up to `bound`, summed as one integer over 2^bound
+        low = Fraction(
+            sum(1 << (bound - n) for n in range(1, bound + 1) if self.decide(n)), 1 << bound
+        )
         if self.complete_size is not None:
             known = self.elements_prefix(self.complete_size)
             if all(c <= bound for c in known):
@@ -373,6 +373,9 @@ class AdversarialPresentation(Presentation):
             raise ZeroInCeSetError(f"{ce.label} contains 0")
         self.ce = ce
         self.p = p
+        # (k, e0_combo_info(k)) of the last call: encoding a snapshot's nodes
+        # asks for the same k over and over, and one entry cannot grow
+        self._e0_last: Optional[tuple] = None
 
     # -- oracle ---------------------------------------------------------------
 
@@ -380,13 +383,19 @@ class AdversarialPresentation(Presentation):
         """Enclosure of 2^(-c/p), width <= 2**-k."""
         return pow_enclosure(DyadicInterval.point(Fraction(1, 2**c)), self.p, k, over_p=True)
 
-    def _interaction_term(self, a0: GaussianRational, aj: GaussianRational, c: int, k: int) -> DyadicInterval:
-        """E_j enclosure at s = 2^(-c/p): |a0 s + aj|^p - |a0|^p 2^-c."""
+    def _interaction_term(
+        self, a0: GaussianRational, quad: Tuple[Fraction, Fraction, Fraction], c: int, k: int
+    ) -> DyadicInterval:
+        """E_j enclosure at s = 2^(-c/p): |a0 s + aj|^p - |a0|^p 2^-c.
+
+        quad holds the exact coefficients of |a0 s + aj|^2 =
+        |a0|^2 s^2 + 2 Re(a0 conj(aj)) s + |aj|^2, highest first.
+        """
+        s2, s1, s0 = quad
 
         def attempt(kk: int) -> Optional[DyadicInterval]:
             s = self._scale_factor(c, kk)
-            # |a0 s + aj|^2 = |a0|^2 s^2 + 2 Re(a0 conj(aj)) s + |aj|^2
-            sq = (s * s).scale(a0.abs_sq()) + s.scale(2 * (a0 * aj.conj()).re) + DyadicInterval.point(aj.abs_sq())
+            sq = (s * s).scale(s2) + s.scale(s1) + DyadicInterval.point(s0)
             if sq.lo < 0:
                 sq = DyadicInterval(Fraction(0), max(sq.hi, Fraction(0)))
             main = pow_enclosure(sq, self.p, kk, num=Fraction(1, 2))
@@ -401,21 +410,31 @@ class AdversarialPresentation(Presentation):
         if combo.is_zero():
             return ZERO_INTERVAL
         a0 = combo[0]
+        a0_sq = a0.abs_sq()
         top = combo.max_index()
+        # the nonzero terms j >= 1 in coordinate order, as (c, aj, quad):
+        # c is None where f_0 does not overlap coordinate j and the term is
+        # |aj|^p; otherwise quad holds _interaction_term's constants
+        terms: List[tuple] = []
+        for j in range(1, top + 1):
+            aj = combo[j]
+            c = self.ce.element(j - 1) if not a0.is_zero() else None
+            if c is None:
+                # no overlap with f_0 at this coordinate
+                if not aj.is_zero():
+                    terms.append((None, aj, None))
+                continue
+            if aj.is_zero():
+                continue  # E_j = |a0 s|^p - |a0|^p 2^-c = 0 exactly
+            terms.append((c, aj, (a0_sq, 2 * (a0 * aj.conj()).re, aj.abs_sq())))
 
         def attempt(kk: int) -> Optional[DyadicInterval]:
             total = abs_pow(a0, self.p, kk)
-            for j in range(1, top + 1):
-                aj = combo[j]
-                c = self.ce.element(j - 1) if not a0.is_zero() else None
+            for c, aj, quad in terms:
                 if c is None:
-                    # no overlap with f_0 at this coordinate
-                    if not aj.is_zero():
-                        total = total + abs_pow(aj, self.p, kk)
-                    continue
-                if aj.is_zero():
-                    continue  # E_j = |a0 s|^p - |a0|^p 2^-c = 0 exactly
-                total = total + self._interaction_term(a0, aj, c, kk)
+                    total = total + abs_pow(aj, self.p, kk)
+                else:
+                    total = total + self._interaction_term(a0, quad, c, kk)
             if total.lo < 0:
                 total = DyadicInterval(Fraction(0), max(total.hi, Fraction(0)))
             return total if total.width <= _width_target(k) else None
@@ -427,6 +446,12 @@ class AdversarialPresentation(Presentation):
         )
 
     def norm_approx(self, combo: GenCombo, k: int) -> Fraction:
+        """Rational within 2**-k of ||combo||.
+
+        The query runs in one shared_powers() block, so every power
+        enclosure its refinement repeats (2^(-c/p), |a0|^p) is computed once
+        per precision; the memo is dropped when the query returns.
+        """
         if combo.is_zero():
             return Fraction(0)
 
@@ -435,7 +460,8 @@ class AdversarialPresentation(Presentation):
             box = pow_enclosure(power, self.p, kk, over_p=True)
             return box.mid if box.width <= _width_target(k + 1) else None
 
-        return refine(attempt, k + 2, what="adversarial norm root exceeded the precision cap")
+        with self.p.shared_powers():
+            return refine(attempt, k + 2, what="adversarial norm root exceeded the precision cap")
 
     # -- backdoor ---------------------------------------------------------------
 
@@ -460,13 +486,19 @@ class AdversarialPresentation(Presentation):
         gb = bits_for(tail_power_tol) + 4
         gamma_hi = self.ce.gamma_enclosure(gb).hi
         prefix: List[int] = []
-        partial = Fraction(0)
-        while gamma_hi - partial > tail_power_tol:
+        # the prefix's weight is partial / 2^bound, one integer over the
+        # largest element so far; loop while gamma_hi - weight > tail_power_tol
+        need = gamma_hi - tail_power_tol
+        partial, bound = 0, 0
+        while partial * need.denominator < need.numerator << bound:
             c = self.ce.element(len(prefix))
             if c is None:
                 break  # complete set fully enumerated; remaining tail is 0
             prefix.append(c)
-            partial += Fraction(1, 2**c)
+            if c > bound:
+                partial <<= c - bound
+                bound = c
+            partial += 1 << (bound - c)
             if len(prefix) > 1 << 16:
                 raise PrecisionExhaustedError("tail of gamma did not shrink")
         return prefix
@@ -539,8 +571,12 @@ class AdversarialPresentation(Presentation):
         Realizes q1 [f_0 - sum_{n=1}^{N1-1} r_n f_n] with rational r_n close
         to 2^(-c_(n-1)/p) and q1 close to (1-gamma)^(-1/p); decidable
         membership stands in for the oracle the construction relativizes to.
+        The result is shared with the next call at the same k; callers must
+        not mutate it.
         """
         self._require_backdoor()
+        if self._e0_last is not None and self._e0_last[0] == k:
+            return self._e0_last[1]
         target = _width_target(k)
         m_bound = self._root_one_minus_gamma(Fraction(1, 4), invert=True).hi + 1
         ph = self.p.upper_int()
@@ -565,7 +601,8 @@ class AdversarialPresentation(Presentation):
             "N1": n1,
             "prefix": list(prefix),
         }
-        return GenCombo(coeffs), info
+        self._e0_last = (k, (GenCombo(coeffs), info))
+        return self._e0_last[1]
 
     def encode_vector(self, v: FinSuppVector, k: int) -> GenCombo:
         self._require_backdoor()

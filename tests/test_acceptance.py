@@ -428,8 +428,29 @@ class TestCriterion10Determinism:
                 ["disintegrate", "--stages", "3"],
                 "b41c02b828f93115491cbbcf197c132aa32a2f6cada5ce38528cb4df01f2610a",
             ),
+            # two reports on the inexact path, whose stage values are
+            # refined vectors (_refined_values) read through the oracle
+            (
+                [
+                    "disintegrate", "--stages", "2",
+                    "--pres",
+                    '{"type":"adversarial","p":"3/2","ce":{"kind":"explicit","elements":[1,3]}}',
+                ],
+                "49b037511f8df506a1be1fc5fe57ae7df1afa46cbdda6c077f4e3f82a02651de",
+            ),
+            (
+                [
+                    "disintegrate", "--stages", "2",
+                    "--pres",
+                    '{"type":"adversarial","p":"1","ce":{"kind":"named","name":"evens-from-2"}}',
+                ],
+                "8e2b809fcef51c3b1a906d3eb10887bc1bd116c4984f31afeedf378556916539",
+            ),
         ],
-        ids=["standard-p1-u6", "rotated-p3/2-u4", "adversarial-p1-u4", "disintegrate-3"],
+        ids=[
+            "standard-p1-u6", "rotated-p3/2-u4", "adversarial-p1-u4", "disintegrate-3",
+            "disintegrate-adversarial-p3/2-s2", "disintegrate-evens-p1-s2",
+        ],
     )
     def test_pinned_report_digests(self, argv, digest, capsys):
         assert cli_main(argv) == 0

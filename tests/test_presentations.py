@@ -15,6 +15,7 @@ from lpiso.presentations import (
     RotatedPresentation,
     StandardPresentation,
     adversarial_norm,
+    bits_for,
     build_adversarial,
     norm_approx,
     presentation_from_descriptor,
@@ -270,6 +271,115 @@ class TestEnumerationStall:
         wide = GenCombo({0: GaussianRational.one(), 3: GaussianRational.one()})
         with pytest.raises(EnumerationStalledError):
             pres.norm_approx(wide, 6)
+        # the query's power memo is dropped on the way out
+        assert pres.p._pow_memo is None
+
+
+class TestOracleMemoScope:
+    """An adversarial norm query runs in its own shared_powers() block."""
+
+    def _pres(self):
+        return build_adversarial(CeSet.explicit([1, 3]), PExponent.from_fraction(Fraction(3, 2)))
+
+    def test_memo_open_during_query_and_dropped_after(self, monkeypatch):
+        import lpiso.presentations as presentations
+
+        pres = self._pres()
+        open_at_call = []
+        inner = presentations.pow_enclosure
+
+        def spy(base, p, k, **kw):
+            open_at_call.append(p._pow_memo is not None)
+            return inner(base, p, k, **kw)
+
+        monkeypatch.setattr(presentations, "pow_enclosure", spy)
+        pres.norm_approx(combo(1, Fraction(1, 2), Fraction(-1, 3)), 12)
+        assert open_at_call and all(open_at_call)
+        assert pres.p._pow_memo is None
+
+    def test_query_nests_into_an_outer_block(self):
+        pres = self._pres()
+        c = combo(1, Fraction(1, 2), Fraction(-1, 3))
+        alone = pres.norm_approx(c, 12)
+        with pres.p.shared_powers():
+            memo = pres.p._pow_memo
+            assert pres.norm_approx(c, 12) == alone
+            # the query filled the outer memo and left it open
+            assert pres.p._pow_memo is memo and memo
+            size = len(memo)
+            # a repeated query finds every power it needs there
+            assert pres.norm_approx(c, 12) == alone
+            assert len(memo) == size
+        assert pres.p._pow_memo is None
+
+
+class TestE0Cache:
+    """e0_combo_info remembers one (k, result); answers never depend on it."""
+
+    CE = [1, 3]
+
+    def _pres(self):
+        return build_adversarial(CeSet.explicit(self.CE), PExponent.from_fraction(Fraction(3, 2)))
+
+    def test_alternating_precisions_match_fresh_presentations(self):
+        pres = self._pres()
+        for k in (8, 11, 8):
+            got_combo, got_info = pres.e0_combo_info(k)
+            fresh_combo, fresh_info = self._pres().e0_combo_info(k)
+            assert got_combo == fresh_combo
+            assert got_info == fresh_info
+
+    def test_encoding_twice_leaves_the_cached_combination_alone(self):
+        pres = self._pres()
+        v = FinSuppVector({
+            0: GaussianRational.of(Fraction(-3, 2), Fraction(1, 2)),
+            2: GaussianRational.of(Fraction(1, 4)),
+        })
+        first = pres.encode_vector(v, 10)
+        k, (cached, _) = pres._e0_last
+        entries = dict(cached.entries)
+        assert pres.encode_vector(v, 10) == first
+        assert cached.entries == entries
+        assert cached == self._pres().e0_combo(k)
+
+
+class TestIntegerPartialSums:
+    """The dyadic sums over a set's members equal their Fraction-by-Fraction sums."""
+
+    SETS = (
+        lambda: CeSet.explicit([10, 7, 8, 6]),
+        lambda: CeSet.explicit([1, 3]),
+        lambda: CeSet.from_json({"kind": "named", "name": "odds"}),
+        lambda: CeSet.from_json({"kind": "named", "name": "evens-from-2"}),
+    )
+
+    @pytest.mark.parametrize("make", SETS)
+    def test_gamma_enclosure(self, make):
+        ce = make()
+        for k in (0, 3, 9, 40):
+            bound = k + 1
+            low = Fraction(0)
+            for n in range(1, bound + 1):
+                if ce.decide(n):
+                    low += Fraction(1, 2**n)
+            box = ce.gamma_enclosure(k)
+            assert box.lo == low
+            assert box.hi in (low, low + Fraction(1, 2**bound))
+
+    @pytest.mark.parametrize("make", SETS)
+    def test_prefix_for_tail(self, make):
+        pres = build_adversarial(make(), P32)
+        for tol in (Fraction(1, 2), Fraction(1, 100), Fraction(1, 2**30)):
+            gamma_hi = pres.ce.gamma_enclosure(bits_for(tol) + 4).hi
+            want = []
+            partial = Fraction(0)
+            while gamma_hi - partial > tol:
+                c = pres.ce.element(len(want))
+                if c is None:
+                    break
+                want.append(c)
+                partial += Fraction(1, 2**c)
+            assert pres._prefix_for_tail(tol) == want
 
 
 class TestNonTrivialRotation:
