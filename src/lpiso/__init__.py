@@ -42,8 +42,6 @@ from .presentations import (
     Presentation,
     RotatedPresentation,
     StandardPresentation,
-    adversarial_norm,
-    build_adversarial,
     norm_approx,
     presentation_from_descriptor,
     transparent_eval,
@@ -53,11 +51,9 @@ from .tree_maps import (
     TreeMap,
     TreeNode,
     distance_bound,
-    extend_existence,
     project_to_strong_hom,
     sigma_tree,
     success_index,
-    tree_norm,
     validate_partial_disintegration,
 )
 from .extension_engine import (
@@ -83,7 +79,6 @@ from .chain_partition import (
 _CLI_EXPORTS = (
     "IsometryApprox",
     "apply_isometry",
-    "compute_e0_wrt_F",
     "identity_reduction",
     "recover_p",
     "recover_scale_from_atom",

@@ -255,8 +255,8 @@ def _ledger_hom_upper(
     inside distance_bound(..., prec).  The ball shrinks from stage to
     stage, so a carried term can outgrow the budget: when the bound misses
     radius/4 (what _extend accepts), the pairs evaluated below that doubled
-    precision are re-evaluated at it, and when it still misses, the full
-    distance_bound decides.
+    precision are re-evaluated at it, and a bound that still misses refuses
+    the ball.
     """
     p = pres.p
     psi = ball.center_map(pres)
@@ -282,9 +282,6 @@ def _ledger_hom_upper(
             if stale:
                 evaluate(stale)
                 bound = upper()
-        if bound >= ball.radius / 4:
-            err = distance_bound(empty_map(pres), psi, prec)
-            bound = _hom_root_upper(err.hi, p, prec)
     return bound
 
 

@@ -51,12 +51,12 @@ from .extension_engine import (
 )
 from .lp_vectors import FinSuppVector, norm_p, norm_per_precision, sigma1_from_norms
 from .presentations import (
+    AdversarialPresentation,
     CeSet,
     ComputableVector,
     GenCombo,
     Presentation,
     bits_for,
-    build_adversarial,
     presentation_from_descriptor,
 )
 from .scalar_core import (
@@ -362,16 +362,6 @@ def apply_isometry(iso: IsometryApprox, x: FinSuppVector, k: int) -> GenCombo:
 # ---------------------------------------------------------------------------
 
 
-def compute_e0_wrt_F(ce: CeSet, p: PExponent, k: int) -> GenCombo:
-    """A combination within 2**-k of the zeroth coordinate vector, over the
-    adversarial presentation of the set.
-
-    The cut-off and the characteristic-real bounds need the set's
-    membership oracle: a set without one ends in NoBackdoorError.
-    """
-    return build_adversarial(ce, p).e0_combo(k)
-
-
 def recover_scale_from_atom(
     v: ComputableVector, q0: Fraction, k: int
 ) -> Fraction:
@@ -397,7 +387,7 @@ def identity_reduction(
     adversarial presentation: the identity map, computed relative to the
     enumerated set (a set without a membership oracle ends in
     NoBackdoorError)."""
-    pres = build_adversarial(ce, p)
+    pres = AdversarialPresentation(ce, p)
     units: List[UnitRecord] = []
     witnesses: Dict[int, Dict[int, GaussianRational]] = {}
     for j in range(n_units):
@@ -735,7 +725,7 @@ def _cmd_adversarial(args) -> int:
     if args.staged:
         raise ProvisionalError(_STAGED_REFUSALS[args.what])
     if args.what == "e0":
-        pres = build_adversarial(ce, p)
+        pres = AdversarialPresentation(ce, p)
         combo, info = pres.e0_combo_info(args.k)
         vec = pres.transparent_eval(combo, args.k + 4)
         resid = norm_p(vec - FinSuppVector.basis(0), p, args.k + 4)
@@ -752,7 +742,7 @@ def _cmd_adversarial(args) -> int:
         }
         return _emit(report)
     if args.what == "scale":
-        pres = build_adversarial(ce, p)
+        pres = AdversarialPresentation(ce, p)
         combo = pres.e0_combo(args.k + 2)
         vec = ComputableVector.constant(combo, pres)
         inv_root = pres._root_one_minus_gamma(Fraction(1, 4), invert=True)

@@ -6,7 +6,7 @@ elsewhere") is decidable, and norms come back as certified enclosures.
 
 sigma1 on vectors is deliberately computed from the four norms
 ||f||, ||g||, ||f-g||, ||f+g|| only, so the identical formula can be run
-against an opaque norm oracle (see presentations.sigma1_oracle).
+against an opaque norm oracle (sigma1_from_norms).
 """
 
 from __future__ import annotations

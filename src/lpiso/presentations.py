@@ -29,7 +29,7 @@ from .errors import (
     PrecisionExhaustedError,
     ZeroInCeSetError,
 )
-from .lp_vectors import FinSuppVector, norm_p, sigma1_from_norms
+from .lp_vectors import FinSuppVector, norm_p
 from .scalar_core import (
     MAX_WORKING_PREC,
     CReal,
@@ -629,31 +629,8 @@ def norm_approx(pres: Presentation, f: GenCombo, k: int) -> Fraction:
     return pres.norm_approx(f, k)
 
 
-def adversarial_norm(ce: CeSet, p: PExponent, coeffs: Sequence[GaussianRational], k: int) -> Fraction:
-    """Norm of sum alpha_j f_j over the adversarial presentation of `ce`."""
-    pres = AdversarialPresentation(ce, p)
-    combo = GenCombo({j: z for j, z in enumerate(coeffs)})
-    return pres.norm_approx(combo, k)
-
-
-def build_adversarial(ce: CeSet, p: PExponent) -> AdversarialPresentation:
-    return AdversarialPresentation(ce, p)
-
-
 def transparent_eval(pres: Presentation, f: GenCombo, k: int) -> FinSuppVector:
     return pres.transparent_eval(f, k)
-
-
-def sigma1_oracle(pres: Presentation, f: GenCombo, g: GenCombo, k: int) -> DyadicInterval:
-    """sigma1 through the norm oracle only: the vector formula verbatim."""
-    return sigma1_from_norms(
-        lambda kk: pres.norm_enclosure(f, kk),
-        lambda kk: pres.norm_enclosure(g, kk),
-        lambda kk: pres.norm_enclosure(f - g, kk),
-        lambda kk: pres.norm_enclosure(f + g, kk),
-        pres.p,
-        k,
-    )
 
 
 def presentation_from_descriptor(data: dict, default_p: Optional[PExponent] = None) -> Presentation:

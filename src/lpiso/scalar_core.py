@@ -72,8 +72,12 @@ def _to_fraction(x: RationalLike) -> Fraction:
 
 
 def parse_fraction(text: str) -> Fraction:
-    """Parse 'num/den' or 'num' (unicode minus tolerated)."""
-    return Fraction(text.strip().replace("−", "-"))
+    """Parse 'num/den' or 'num' (unicode minus tolerated); a zero
+    denominator is a ValueError like any other malformed literal."""
+    try:
+        return Fraction(text.strip().replace("−", "-"))
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
 
 
 def ceil_log2(q: RationalLike) -> int:

@@ -290,15 +290,6 @@ def union_map(phi: TreeMap, psi: TreeMap) -> TreeMap:
 # ---------------------------------------------------------------------------
 
 
-def tree_norm(psi: TreeMap, k: int) -> DyadicInterval:
-    """max over non-root nodes of the value norms; [0,0] for an empty map."""
-    out: Optional[DyadicInterval] = None
-    for node in psi.nodes():
-        box = _vnorm(psi.value(node), psi.p, k)
-        out = box if out is None else out.max_with(box)
-    return out if out is not None else ZERO_INTERVAL
-
-
 def tree_distance(phi: TreeMap, psi: TreeMap, k: int) -> DyadicInterval:
     """max-node norm of (phi - psi) over phi's domain (a common subtree)."""
     out: Optional[DyadicInterval] = None
@@ -612,17 +603,13 @@ def success_index(
     psi: TreeMap,
     pres: Presentation,
     n_max: int,
-    *,
-    fallback_rounds: int = 0,
 ) -> SuccessIndex:
     """Certified lower bound on the success index with respect to `pres`.
 
     The distance clause d(f_j, span of the range) < 2**-N is witnessed by
     explicit coefficients; a missing witness caps the result, it never
     refutes.  Summativity clauses are certified by strict norm bounds.
-    Returns max(0, largest certified N <= n_max).  Each of fallback_rounds
-    extra rounds adds a blind grid of single-node coefficients, finer and
-    wider each round.
+    Returns max(0, largest certified N <= n_max).
     """
     prec = max(WITNESS_PRECISION, n_max + 2)
 
@@ -648,16 +635,6 @@ def success_index(
             candidates.append(_greedy_witness(target, basis, WITNESS_DENOM_BITS))
         for node in psi.nodes():
             candidates.append({node: GaussianRational.one()})
-        for r in range(1, fallback_rounds + 1):
-            # blind single-node slice: real/imaginary grid with denominator
-            # 2^r and magnitude up to 2^r, growing towards completeness
-            grid = [Fraction(n, 1 << r) for n in range(-(1 << (2 * r)), (1 << (2 * r)) + 1)]
-            for node in psi.nodes():
-                for re in grid:
-                    for im in grid:
-                        if re == 0 and im == 0:
-                            continue
-                        candidates.append({node: GaussianRational.of(re, im)})
         for beta in candidates:
             try:
                 upper = residual_norm(psi, pres, j, beta, prec).hi
@@ -822,7 +799,7 @@ def project_to_strong_hom(
 
 
 # ---------------------------------------------------------------------------
-# constructive extension
+# coordinate carriers
 # ---------------------------------------------------------------------------
 
 
@@ -839,57 +816,3 @@ def _coordinate_carriers(phi: TreeMap) -> Dict[int, TreeNode]:
             if cur is None or len(node) > len(cur):
                 carriers[coord] = node
     return carriers
-
-
-def extend_existence(
-    phi: TreeMap,
-    n0: int,
-    pres: Presentation,
-) -> TreeMap:
-    """Extend a transparent partial disintegration to success index >= n0.
-
-    Picks a coverage level so the first n0 generators and every current
-    value are approximated within 2**-(n0+1) by the span of the coordinate
-    vectors up to that level, then attaches one child per covered
-    coordinate: under the deepest carrier (splitting off its restriction)
-    when the carrier has at least two support points, or as a fresh
-    top-level atom when no node carries the coordinate.  Labels are offset
-    by the node count of the current tree, which keeps them fresh.
-    """
-    if not phi.is_transparent:
-        raise NoBackdoorError("the constructive extension needs transparent values")
-    require_partial_disintegration(phi)
-
-    target = _width_target(n0 + 1)
-    n1 = max((phi.value(n).max_index() for n in phi.nodes()), default=-1)
-    n1 = max(n1, 0)
-    while True:
-        if all(pres.generator_tail_norm_bound(j, n1) < target for j in range(n0)):
-            break
-        n1 += 1
-        if n1 > 1 << 16:
-            raise PrecisionExhaustedError("coverage level did not stabilize")
-
-    size = len(phi.tree)
-    new_values: Dict[TreeNode, TreeValue] = dict(phi.values)
-    new_nodes: List[TreeNode] = []
-    carriers = _coordinate_carriers(phi)
-    for coord in range(n1 + 1):
-        carrier = carriers.get(coord)
-        if carrier is None:
-            fresh = ROOT.child(coord + size)
-            if fresh in phi.tree:
-                raise NotPartialDisintegrationError(f"label collision at {fresh}")
-            new_nodes.append(fresh)
-            new_values[fresh] = FinSuppVector.basis(coord)
-        elif len(phi.value(carrier).support()) >= 2:
-            fresh = carrier.child(coord + size)
-            if fresh in phi.tree:
-                raise NotPartialDisintegrationError(f"label collision at {fresh}")
-            new_nodes.append(fresh)
-            new_values[fresh] = phi.value(carrier).restrict([coord])
-        # a single-support carrier already exposes the coordinate as an atom
-
-    out = TreeMap(phi.tree.union(new_nodes), new_values, phi.p)
-    require_partial_disintegration(out)
-    return out

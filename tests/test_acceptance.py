@@ -16,11 +16,11 @@ import pytest
 from lpiso.errors import HypothesisViolatedError
 from lpiso.lp_vectors import FinSuppVector, norm_p, norm_power_p
 from lpiso.presentations import (
+    AdversarialPresentation,
     CeSet,
     ComputableVector,
     GenCombo,
     StandardPresentation,
-    build_adversarial,
 )
 from lpiso.scalar_core import (
     GaussianRational,
@@ -38,7 +38,6 @@ from lpiso.chain_partition import (
 )
 from lpiso.extension_engine import approximate_extend
 from lpiso.iso_cli import (
-    compute_e0_wrt_F,
     main as cli_main,
     recover_p,
     recover_scale_from_atom,
@@ -214,7 +213,7 @@ class TestCriterion4ProjectionSoundness:
 class TestCriterion5ApproximateExtension:
     def test_hidden_atom_extension_golden(self):
         start = time.time()
-        pres = build_adversarial(CeSet.explicit([1, 3]), P1)
+        pres = AdversarialPresentation(CeSet.explicit([1, 3]), P1)
         node = TreeNode.of(0)
 
         def seed(kk):
@@ -287,13 +286,13 @@ class TestCriterion6EndToEndSynthesis:
 class TestCriterion7OracleReductions:
     def test_compute_e0(self):
         ce = CeSet.explicit([1, 2])
-        g = compute_e0_wrt_F(ce, P32, 10)
-        pres = build_adversarial(ce, P32)
+        pres = AdversarialPresentation(ce, P32)
+        g = pres.e0_combo(10)
         v = pres.transparent_eval(g, 14)
         assert norm_p(v - FinSuppVector.basis(0), P32, 14).hi < Fraction(1, 2**10)
 
     def test_recover_scale(self):
-        pres = build_adversarial(CeSet.explicit([1]), P1)
+        pres = AdversarialPresentation(CeSet.explicit([1]), P1)
         v = ComputableVector.constant(pres.e0_combo(12), pres)
         value = recover_scale_from_atom(v, Fraction(3), 8)
         assert abs(value - 2) <= Fraction(1, 2**8)
@@ -301,8 +300,8 @@ class TestCriterion7OracleReductions:
     def test_round_trip(self):
         for p, expect in ((P1, Fraction(2)), (P32, Fraction(15874010519681994, 10**16))):
             ce = CeSet.explicit([1])
-            g = compute_e0_wrt_F(ce, p, 10)
-            pres = build_adversarial(ce, p)
+            pres = AdversarialPresentation(ce, p)
+            g = pres.e0_combo(10)
             value = recover_scale_from_atom(
                 ComputableVector.constant(g, pres), Fraction(3), 9
             )
@@ -360,7 +359,7 @@ class TestCriterion9ChainMachinery:
 
 class TestCriterion10Determinism:
     def _extension_report(self):
-        pres = build_adversarial(CeSet.explicit([1, 3]), P1)
+        pres = AdversarialPresentation(CeSet.explicit([1, 3]), P1)
         node = TreeNode.of(0)
 
         def seed(kk):

@@ -11,8 +11,8 @@ from lpiso.errors import (
     PrecisionExhaustedError,
 )
 from lpiso.lp_vectors import FinSuppVector, norm_power_p
-from lpiso.presentations import (CeSet, ComputableVector, GenCombo,
-    StandardPresentation, build_adversarial)
+from lpiso.presentations import (AdversarialPresentation, CeSet, ComputableVector,
+    GenCombo, StandardPresentation)
 from lpiso.scalar_core import GaussianRational, PExponent
 from lpiso.chain_partition import (
     FiniteDisintegration,
@@ -152,7 +152,7 @@ class TestChainLimit:
     def test_infinite_descent_with_known_limit(self):
         # chain boring into the e_0 component of the adversarial generator,
         # desk-scale infinite set of odd numbers: gamma = 2/3
-        pres = build_adversarial(CeSet.from_json({"kind": "named", "name": "odds"}), P1)
+        pres = AdversarialPresentation(CeSet.from_json({"kind": "named", "name": "odds"}), P1)
         atom = fs({0: Fraction(1, 3)})
 
         def value(node):

@@ -15,12 +15,12 @@ from lpiso.errors import (
 )
 from lpiso.lp_vectors import FinSuppVector, norm_p
 from lpiso.presentations import (
+    AdversarialPresentation,
     CeSet,
     ComputableVector,
     GenCombo,
     RotatedPresentation,
     StandardPresentation,
-    build_adversarial,
     presentation_from_descriptor,
 )
 from lpiso.scalar_core import GaussianRational, PExponent
@@ -159,7 +159,7 @@ class TestBallConstraints:
         [
             lambda: StandardPresentation(P32),
             lambda: RotatedPresentation(P3, GaussianRational.parse("3/5+4/5i")),
-            lambda: build_adversarial(CeSet.explicit([1, 3]), P1),
+            lambda: AdversarialPresentation(CeSet.explicit([1, 3]), P1),
         ],
         ids=["standard-p3/2", "rotated-p3", "adversarial-p1"],
     )
@@ -255,7 +255,7 @@ class TestApproximateExtend:
 
     def test_criterion_five_shape(self):
         # geometric seed over the adversarial presentation of {1, 3} at p = 1
-        pres = build_adversarial(CeSet.explicit([1, 3]), P1)
+        pres = AdversarialPresentation(CeSet.explicit([1, 3]), P1)
         node = TreeNode.of(0)
 
         def seed(kk):
@@ -320,7 +320,7 @@ class TestBuildDisintegration:
             assert si.value >= n
 
     def test_adversarial_atom_emerges(self):
-        pres = build_adversarial(CeSet.explicit([1]), P1)
+        pres = AdversarialPresentation(CeSet.explicit([1]), P1)
         staged = build_disintegration(pres, 3)
         atoms = {m for rec in staged.stages for m in rec.atom_support.values()}
         assert 0 in atoms  # the e_0 direction split out of f_0
@@ -394,7 +394,7 @@ class TestPairLedger:
         [
             lambda: StandardPresentation(P1),
             lambda: RotatedPresentation(P3, GaussianRational.parse("3/5+4/5i")),
-            lambda: build_adversarial(CeSet.explicit([2, 5]), P1),
+            lambda: AdversarialPresentation(CeSet.explicit([2, 5]), P1),
         ],
         ids=["standard-p1", "rotated-p3", "adversarial-p1"],
     )
@@ -450,7 +450,7 @@ class TestPairLedger:
         [
             lambda: StandardPresentation(P1),
             lambda: RotatedPresentation(P3, GaussianRational.parse("3/5+4/5i")),
-            lambda: build_adversarial(CeSet.explicit([2, 5]), P1),
+            lambda: AdversarialPresentation(CeSet.explicit([2, 5]), P1),
         ],
         ids=["standard-p1", "rotated-p3", "adversarial-p1"],
     )
@@ -594,7 +594,7 @@ class TestStagesStayValid:
         [
             lambda: StandardPresentation(P32),
             lambda: RotatedPresentation(P3, GaussianRational.parse("3/5+4/5i")),
-            lambda: build_adversarial(CeSet.explicit([1, 3]), P1),
+            lambda: AdversarialPresentation(CeSet.explicit([1, 3]), P1),
         ],
         ids=["standard-p3/2", "rotated-p3", "adversarial-p1"],
     )
@@ -613,7 +613,7 @@ class TestBackdoorReads:
         [
             lambda: StandardPresentation(P32),
             lambda: RotatedPresentation(P3, GaussianRational.parse("3/5+4/5i")),
-            lambda: build_adversarial(CeSet.explicit([1, 3]), P1),
+            lambda: AdversarialPresentation(CeSet.explicit([1, 3]), P1),
         ],
         ids=["standard-p3/2", "rotated-p3", "adversarial-p1"],
     )
@@ -649,7 +649,7 @@ class TestBackdoorReads:
         assert {j for j, _ in generator_reads} <= set(range(n + 1))
 
     def test_one_structure_pass_per_refinement_step(self, monkeypatch):
-        pres = build_adversarial(CeSet.explicit([1]), P32)
+        pres = AdversarialPresentation(CeSet.explicit([1]), P32)
         res = approximate_extend(empty_map(pres), 1, 4, pres)
         assert not res.exact
         counts = {"snapshot": 0, "projection": 0, "structure": 0}
@@ -715,7 +715,7 @@ class TestInexactRefinement:
     refinement limits rather than constants."""
 
     def test_staged_build_and_success(self):
-        pres = build_adversarial(CeSet.explicit([1]), P32)
+        pres = AdversarialPresentation(CeSet.explicit([1]), P32)
         res = approximate_extend(empty_map(pres), 1, 4, pres)
         assert not res.exact
         assert success_index(res.psi, pres, 2).value >= 2
@@ -725,7 +725,7 @@ class TestInexactRefinement:
         assert pres.norm_enclosure(c8 - c16, 12).hi < Fraction(1, 2**7)
 
     def test_hidden_atom_norm_at_p32(self):
-        pres = build_adversarial(CeSet.explicit([1]), P32)
+        pres = AdversarialPresentation(CeSet.explicit([1]), P32)
         staged = build_disintegration(pres, 2)
         # the split-off e_0 atom carries (1 - gamma)^(1/p) = 2^(-2/3)
         truth = Fraction(62996052494743658238360530363911, 10**32)
@@ -789,7 +789,7 @@ class TestSearchConstants:
         assert len(hom_reads) == (len(rounds) if picked else 0)
 
     def test_refinement_cap(self, monkeypatch):
-        pres = build_adversarial(CeSet.explicit([1]), P32)
+        pres = AdversarialPresentation(CeSet.explicit([1]), P32)
         proposals = []
         build = extension_engine.build_guided_proposal
 

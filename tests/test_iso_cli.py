@@ -15,13 +15,13 @@ from lpiso.errors import IndexOutOfRangeError, NoBackdoorError, PrecisionExhaust
 from lpiso.lp_vectors import FinSuppVector, norm_p
 from lpiso import extension_engine, iso_cli
 from lpiso.presentations import (
+    AdversarialPresentation,
     CeSet,
     ComputableVector,
     GenCombo,
     RotatedPresentation,
     StandardPresentation,
     _entry_bound_bits,
-    build_adversarial,
 )
 from lpiso.scalar_core import (
     DyadicInterval,
@@ -33,7 +33,6 @@ from lpiso.scalar_core import (
 from lpiso.tree_maps import residual_norm
 from lpiso.iso_cli import (
     apply_isometry,
-    compute_e0_wrt_F,
     identity_reduction,
     main,
     recover_p,
@@ -85,7 +84,7 @@ class TestSynthesize:
         assert imaginary_seen
 
     def test_adversarial_units(self):
-        pres = build_adversarial(CeSet.explicit([1]), P1)
+        pres = AdversarialPresentation(CeSet.explicit([1]), P1)
         iso = synthesize_isometry(pres, 3)
         coords = {u.atom_coordinate for u in iso.units}
         assert 0 in coords  # the hidden direction is reachable: the set is decidable here
@@ -127,39 +126,39 @@ def staged_only_set():
 class TestComputeE0:
     def test_c1_p1(self):
         ce = CeSet.explicit([1])
-        g = compute_e0_wrt_F(ce, P1, 6)
-        pres = build_adversarial(ce, P1)
+        pres = AdversarialPresentation(ce, P1)
+        g = pres.e0_combo(6)
         v = pres.transparent_eval(g, 10)
         assert norm_p(v - FinSuppVector.basis(0), P1, 10).hi < Fraction(1, 2**6)
 
     def test_c12_p32(self):
         ce = CeSet.explicit([1, 2])
-        g = compute_e0_wrt_F(ce, P32, 4)
-        pres = build_adversarial(ce, P32)
+        pres = AdversarialPresentation(ce, P32)
+        g = pres.e0_combo(4)
         v = pres.transparent_eval(g, 10)
         assert norm_p(v - FinSuppVector.basis(0), P32, 10).hi < Fraction(1, 2**4)
 
     def test_coarsest_precision(self):
         ce = CeSet.explicit([1])
-        g = compute_e0_wrt_F(ce, P1, 0)
-        pres = build_adversarial(ce, P1)
+        pres = AdversarialPresentation(ce, P1)
+        g = pres.e0_combo(0)
         v = pres.transparent_eval(g, 8)
         assert norm_p(v - FinSuppVector.basis(0), P1, 8).hi < 1
 
     def test_staged_rejected(self):
         with pytest.raises(NoBackdoorError):
-            compute_e0_wrt_F(staged_only_set(), P1, 4)
+            AdversarialPresentation(staged_only_set(), P1).e0_combo(4)
 
 
 class TestRecoverScale:
     def test_c1_p1(self):
-        pres = build_adversarial(CeSet.explicit([1]), P1)
+        pres = AdversarialPresentation(CeSet.explicit([1]), P1)
         v = ComputableVector.constant(pres.e0_combo(12), pres)
         value = recover_scale_from_atom(v, Fraction(3), 8)
         assert abs(value - 2) < Fraction(1, 2**8)
 
     def test_c1_p32(self):
-        pres = build_adversarial(CeSet.explicit([1]), P32)
+        pres = AdversarialPresentation(CeSet.explicit([1]), P32)
         v = ComputableVector.constant(pres.e0_combo(12), pres)
         value = recover_scale_from_atom(v, Fraction(2), 8)
         # (1 - 1/2)^(-2/3) = 2^(2/3) = 1.5874010519...
@@ -167,7 +166,7 @@ class TestRecoverScale:
         assert abs(value - truth) < Fraction(1, 2**7)
 
     def test_unimodular_invariance(self):
-        pres = build_adversarial(CeSet.explicit([1]), P1)
+        pres = AdversarialPresentation(CeSet.explicit([1]), P1)
         base = ComputableVector.constant(pres.e0_combo(12), pres)
         rotated = base.scale_gauss(GaussianRational.of(0, 1))  # i * e_0
         a = recover_scale_from_atom(base, Fraction(3), 8)
@@ -175,11 +174,11 @@ class TestRecoverScale:
         assert abs(a - b) < Fraction(1, 2**6)
 
     def test_round_trip_with_e0(self):
-        # compute_e0's output feeds recover_scale: the scale is (1-gamma)^(-1/p)
+        # e0_combo's output feeds recover_scale: the scale is (1-gamma)^(-1/p)
         for p, expect in ((P1, Fraction(2)), (P32, Fraction(15874010519681994, 10**16))):
             ce = CeSet.explicit([1])
-            g = compute_e0_wrt_F(ce, p, 10)
-            pres = build_adversarial(ce, p)
+            pres = AdversarialPresentation(ce, p)
+            g = pres.e0_combo(10)
             v = ComputableVector.constant(g, pres)
             value = recover_scale_from_atom(v, Fraction(3), 8)
             assert abs(value - expect) < Fraction(1, 2**7)
@@ -363,6 +362,36 @@ class TestCliInputErrors:
         message = self.assert_input_error(capsys, "sigma", "--z", "abc", "--w", "1")
         assert "--z" in message
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["sigma", "--z", "1/0", "--w", "1"], "--z"),
+            (["sigma", "--p", "1/0", "--z", "1", "--w", "1"], "--p"),
+            (["lamperti-grid", "--t-step", "1/0"], "--t-step"),
+            (
+                ["validate-tree", "--tree",
+                 '{"tree": [[0]], "map": {"[0]": {"entries": {"0": "1/0"}}}}'],
+                "--tree",
+            ),
+            (
+                ["extend", "--phi",
+                 '{"tree": [[0]], "map": {"[0]": {"entries": {"0": "1/0"}}}}'],
+                "--phi",
+            ),
+            (["synthesize", "--pres", '{"type": "standard", "p": "1/0"}'], "--pres"),
+            (["synthesize", "--pres", '{"type": "rotated", "p": "1", "zeta": "1/0i"}'], "--pres"),
+            (["apply", "--vector", '{"entries": {"0": "1/0"}}'], "--vector"),
+        ],
+        ids=[
+            "sigma-z", "sigma-p", "lamperti-grid-t-step", "validate-tree-map", "extend-phi",
+            "descriptor-p", "descriptor-zeta", "apply-vector",
+        ],
+    )
+    def test_zero_denominator(self, capsys, argv, option):
+        # used to end in a ZeroDivisionError traceback
+        message = self.assert_input_error(capsys, *argv)
+        assert message == f"bad {option}: zero denominator in '1/0'"
+
     def test_negative_precision(self, capsys):
         message = self.assert_input_error(capsys, "sigma", "--z", "1", "--w", "1", "--k", "-5")
         assert "--k" in message
@@ -506,8 +535,8 @@ class TestIsometricProperty:
             assert abs(image_norm - source_norm) < Fraction(1, 2**9)
 
     def test_blind_fallback_witness(self):
-        # without a transparent backdoor, only the blind coefficient grid
-        # can discover the scaling witness
+        # without a transparent backdoor the identity-style candidates miss
+        # the scaling witness: the missing witness caps the index at 0
         from lpiso.presentations import GenCombo
         from conftest import OpaqueStandard
         from lpiso.tree_maps import FiniteTree, TreeMap, TreeNode, success_index
@@ -518,11 +547,8 @@ class TestIsometricProperty:
             GenCombo({0: GaussianRational.of(Fraction(1, 2))}), pres
         )
         psi = TreeMap(FiniteTree([node]), {node: half}, P1)
-        starved = success_index(psi, pres, 1, fallback_rounds=0)
-        assert starved.value == 0  # identity-style candidates miss the scale
-        out = success_index(psi, pres, 1, fallback_rounds=1)
-        assert out.value >= 1
-        assert out.witnesses[0] == {node: GaussianRational.of(2)}
+        starved = success_index(psi, pres, 1)
+        assert starved.value == 0
 
 
 class TestCliPipelineCommands:
@@ -711,7 +737,7 @@ class TestGenerationWitness:
         [
             StandardPresentation(P1),
             RotatedPresentation(P32, GaussianRational.parse("3/5+4/5i")),
-            build_adversarial(CeSet.explicit([2, 5]), P1),
+            AdversarialPresentation(CeSet.explicit([2, 5]), P1),
         ],
         ids=["standard-p1", "rotated-p3/2", "adversarial-p1"],
     )
@@ -915,7 +941,7 @@ def _long_combo_case(case):
             }
         )
         return pres, combo, lambda k: norm_p(FinSuppVector(combo.entries), P32, k + 40)
-    pres = build_adversarial(CeSet.explicit([2, 5]), P1)
+    pres = AdversarialPresentation(CeSet.explicit([2, 5]), P1)
     combo = GenCombo(
         {
             0: GaussianRational.of(Fraction(3, 4) + _LONG),
@@ -992,7 +1018,7 @@ class TestRoundedNorm:
         "pres,first",
         [
             (StandardPresentation(P1), 0),
-            (build_adversarial(CeSet.explicit([2, 5]), P1), 1),
+            (AdversarialPresentation(CeSet.explicit([2, 5]), P1), 1),
         ],
         ids=["standard-p1", "adversarial-p1"],
     )

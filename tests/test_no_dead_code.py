@@ -13,6 +13,11 @@ sets one does not count as a use.  A class field counts as read only when
 it is loaded as an attribute, so a local variable of the same name does
 not hide it.
 
+A definition that only tests/ names must be a test reference: an
+independent check or fixture a test measures the program against, listed
+in TEST_REFERENCES with its reason.  Names in the package's __init__ do not
+count as program uses, so a re-export does not keep a definition alive.
+
 Every name a module under src/ or tests/ imports must be loaded in that
 module.  The package's __init__ is exempt: its imports are the public API.
 """
@@ -26,6 +31,19 @@ PACKAGE = REPO / "src" / "lpiso"
 
 #: names allowed to stay defined without a use; keep it empty
 UNUSED_ALLOWED: frozenset = frozenset()
+
+#: definitions that only tests name, each with why the library keeps it
+TEST_REFERENCES = {
+    "FiniteDisintegration": "materialized chain source, the fixture the chain tests partition",
+    "dyadic_fixture": "the textbook disintegration criterion 9 checks partitions against",
+    "success_index": "certified success-index bound the extension tests check results with",
+    "check_strong_hom_exact": "exact strong-homomorphism check behind the projection tests",
+    "signed_sigma1_scalar": "sigma1 without the absolute value, the sign check of criterion 1",
+    "all_granted": "the every-flag verdict the certificate tests assert",
+    "from_creal": "irrational exponents, which no CLI input can spell yet",
+    "encloses": "interval nesting, the refinement tests' monotonicity check",
+    "is_atom": "atom predicate the chain-limit tests check limits with",
+}
 
 
 def _parse(path: Path) -> ast.Module:
@@ -78,6 +96,50 @@ def test_every_package_definition_is_named_elsewhere():
             named.update(_references(_parse(path)))
     unused = sorted(defined - named - UNUSED_ALLOWED)
     assert not unused, f"defined in src/lpiso but never named: {unused}"
+
+
+def _test_only(defining, program, tests) -> set:
+    """Definitions of the `defining` modules that the `tests` modules name
+    and the `program` modules do not."""
+    defined = set()
+    for tree in defining:
+        defined.update(_definitions(tree))
+    program_names = {name for tree in program for name in _references(tree)}
+    test_names = {name for tree in tests for name in _references(tree)}
+    return (defined & test_names) - program_names
+
+
+def test_test_only_definitions_are_declared_references():
+    defining = [_parse(path) for path in sorted(PACKAGE.glob("*.py"))]
+    program = [
+        _parse(path)
+        for top in ("src", "bench")
+        for path in sorted((REPO / top).rglob("*.py"))
+        if path.name != "__init__.py"
+    ]
+    # this file's own strings would name every listed reference
+    tests = [
+        _parse(path)
+        for path in sorted((REPO / "tests").rglob("*.py"))
+        if path != Path(__file__).resolve()
+    ]
+    test_only = _test_only(defining, program, tests)
+    undeclared = sorted(test_only - TEST_REFERENCES.keys())
+    stale = sorted(TEST_REFERENCES.keys() - test_only)
+    assert not undeclared, f"defined in src/lpiso but named only by tests: {undeclared}"
+    assert not stale, f"listed in TEST_REFERENCES but not a test-only name: {stale}"
+
+
+def test_guard_sees_a_test_only_definition():
+    src = ast.parse(
+        "def used():\n    pass\n"
+        "def reference():\n    pass\n"
+        "def wrapper():\n    return used()\n"
+    )
+    init = ast.parse("__all__ = ['reference']\nfrom .mod import reference\n")
+    tests = ast.parse("reference()\nwrapper()\n")
+    assert _test_only([src], [src], [tests]) == {"reference", "wrapper"}
+    assert _test_only([src], [src, init], [tests]) == {"wrapper"}
 
 
 def test_guard_sees_an_unused_definition():
@@ -199,3 +261,13 @@ def test_guard_sees_an_unused_import():
         "print(os.path.sep, js.dumps(lcm(2, 3)))\n"
     )
     assert _unused_imports(tree) == ["gcd"]
+
+
+def test_every_export_resolves():
+    import lpiso
+
+    for name in lpiso.__all__:
+        assert getattr(lpiso, name) is not None, name
+    namespace: dict = {}
+    exec("from lpiso import *", namespace)
+    assert set(lpiso.__all__) <= namespace.keys()

@@ -7,19 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpiso.errors import NoBackdoorError, ZeroInCeSetError
-from lpiso.lp_vectors import FinSuppVector, norm_p
+from lpiso.lp_vectors import FinSuppVector, norm_p, sigma1_from_norms
 from lpiso.presentations import (
+    AdversarialPresentation,
     CeSet,
     ComputableVector,
     GenCombo,
     RotatedPresentation,
     StandardPresentation,
-    adversarial_norm,
     bits_for,
-    build_adversarial,
     norm_approx,
     presentation_from_descriptor,
-    sigma1_oracle,
     transparent_eval,
 )
 from lpiso.scalar_core import GaussianRational, PExponent
@@ -116,52 +114,48 @@ class TestStandardAndRotated:
 class TestAdversarialNorm:
     def test_f0_has_unit_norm(self):
         ce = CeSet.explicit([1])
-        q = adversarial_norm(ce, P1, [GaussianRational.one()], 10)
+        q = AdversarialPresentation(ce, P1).norm_approx(combo(1), 10)
         assert q == 1
 
     def test_lemma_combination(self):
         ce = CeSet.explicit([1])
-        q = adversarial_norm(
-            ce, P1, [GaussianRational.one(), GaussianRational.of(Fraction(-1, 2))], 10
-        )
+        q = AdversarialPresentation(ce, P1).norm_approx(combo(1, Fraction(-1, 2)), 10)
         assert abs(q - Fraction(1, 2)) < Fraction(1, 2**10)
 
     def test_pure_tail_generator(self):
         ce = CeSet.explicit([1])
-        q = adversarial_norm(
-            ce, P32, [GaussianRational.zero(), GaussianRational.of(Fraction(3, 4))], 10
-        )
+        q = AdversarialPresentation(ce, P32).norm_approx(combo(0, Fraction(3, 4)), 10)
         assert abs(q - Fraction(3, 4)) < Fraction(1, 2**10)
 
     def test_finite_set_degenerate_terms(self):
         # coefficient far beyond the single element of C: no f_0 overlap
         ce = CeSet.explicit([1])
         c = GenCombo({0: GaussianRational.one(), 5: GaussianRational.of(2)})
-        pres = build_adversarial(ce, P1)
+        pres = AdversarialPresentation(ce, P1)
         q = pres.norm_approx(c, 10)
         assert abs(q - 3) < Fraction(1, 2**10)
 
     def test_zero_in_c_rejected(self):
         with pytest.raises(ZeroInCeSetError):
-            build_adversarial(CeSet.explicit([0, 1]), P1)
+            AdversarialPresentation(CeSet.explicit([0, 1]), P1)
 
 
 class TestAdversarialBackdoor:
     def test_f0_vector_p1(self):
-        pres = build_adversarial(CeSet.explicit([1]), P1)
+        pres = AdversarialPresentation(CeSet.explicit([1]), P1)
         v = pres.f0_vector(12)
         assert v[0] == GaussianRational.of(Fraction(1, 2))
         assert v[1] == GaussianRational.of(Fraction(1, 2))
 
     def test_f0_vector_p32_head(self):
-        pres = build_adversarial(CeSet.explicit([1]), P32)
+        pres = AdversarialPresentation(CeSet.explicit([1]), P32)
         v = pres.f0_vector(20)
         # (1/2)^(2/3) = 0.6299605249...
         truth = Fraction(62996052494743658238, 10**20)
         assert abs(v[0].re - truth) < Fraction(1, 2**16)
 
     def test_transparent_eval_cancellation(self):
-        pres = build_adversarial(CeSet.explicit([1]), P1)
+        pres = AdversarialPresentation(CeSet.explicit([1]), P1)
         c = GenCombo({0: GaussianRational.one(), 1: GaussianRational.of(Fraction(-1, 2))})
         v = transparent_eval(pres, c, 10)
         assert v == FinSuppVector({0: GaussianRational.of(Fraction(1, 2))})
@@ -169,14 +163,14 @@ class TestAdversarialBackdoor:
     def test_opaque_presentation_refuses_backdoor(self):
         stages = [frozenset([1]), frozenset([1, 4])]
         ce = CeSet(lambda t: stages[min(t, 1)], decide=None, complete_size=2)
-        pres = build_adversarial(ce, P1)
+        pres = AdversarialPresentation(ce, P1)
         with pytest.raises(NoBackdoorError):
             transparent_eval(pres, combo(1), 4)
 
     @given(c=small_combos())
     @settings(max_examples=15, deadline=None)
     def test_oracle_consistent_with_backdoor(self, c):
-        pres = build_adversarial(CeSet.explicit([1, 3]), P1)
+        pres = AdversarialPresentation(CeSet.explicit([1, 3]), P1)
         k = 12
         q = pres.norm_approx(c, k)
         v = pres.transparent_eval(c, k + 2)
@@ -186,7 +180,7 @@ class TestAdversarialBackdoor:
 
     def test_e0_combo_close_to_e0(self):
         for p, kk in ((P1, 8), (P32, 8)):
-            pres = build_adversarial(CeSet.explicit([1, 2]), p)
+            pres = AdversarialPresentation(CeSet.explicit([1, 2]), p)
             g = pres.e0_combo(kk)
             v = pres.transparent_eval(g, kk + 3)
             diff = v - FinSuppVector.basis(0)
@@ -198,7 +192,7 @@ class TestOracleProperties:
     @given(c=small_combos(), d=small_combos())
     @settings(max_examples=10, deadline=None)
     def test_triangle_inequality_within_tolerance(self, c, d):
-        pres = build_adversarial(CeSet.explicit([2]), P32)
+        pres = AdversarialPresentation(CeSet.explicit([2]), P32)
         k = 10
         tol = Fraction(3, 2**k)
         assert pres.norm_approx(c + d, k) <= pres.norm_approx(c, k) + pres.norm_approx(d, k) + tol
@@ -214,10 +208,20 @@ class TestOracleProperties:
 
     def test_sigma1_oracle_matches_vector_sigma1(self):
         pres = StandardPresentation(P1)
-        box = sigma1_oracle(pres, combo(1), combo(0, 1), 12)
-        assert box.contains(0)
-        box2 = sigma1_oracle(pres, combo(1), combo(1), 12)
-        assert box2.contains(2)
+
+        def oracle_sigma1(f, g):
+            # the vector formula, read through the norm oracle only
+            return sigma1_from_norms(
+                lambda kk: pres.norm_enclosure(f, kk),
+                lambda kk: pres.norm_enclosure(g, kk),
+                lambda kk: pres.norm_enclosure(f - g, kk),
+                lambda kk: pres.norm_enclosure(f + g, kk),
+                pres.p,
+                12,
+            )
+
+        assert oracle_sigma1(combo(1), combo(0, 1)).contains(0)
+        assert oracle_sigma1(combo(1), combo(1)).contains(2)
 
 
 class TestComputableVector:
@@ -243,7 +247,7 @@ class TestComputableVector:
         assert box.contains(2)  # sum 2^-n = 2
 
     def test_f0_expansion_over_standard(self):
-        adv = build_adversarial(CeSet.explicit([1, 3]), P1)
+        adv = AdversarialPresentation(CeSet.explicit([1, 3]), P1)
         std = StandardPresentation(P1)
 
         def approx(k):
@@ -267,7 +271,7 @@ class TestEnumerationStall:
 
         ce = CeSet(lambda t: frozenset([1]), decide=None, complete_size=None,
                    label="stalled", max_stage=128)
-        pres = build_adversarial(ce, P1)
+        pres = AdversarialPresentation(ce, P1)
         wide = GenCombo({0: GaussianRational.one(), 3: GaussianRational.one()})
         with pytest.raises(EnumerationStalledError):
             pres.norm_approx(wide, 6)
@@ -279,7 +283,7 @@ class TestOracleMemoScope:
     """An adversarial norm query runs in its own shared_powers() block."""
 
     def _pres(self):
-        return build_adversarial(CeSet.explicit([1, 3]), PExponent.from_fraction(Fraction(3, 2)))
+        return AdversarialPresentation(CeSet.explicit([1, 3]), PExponent.from_fraction(Fraction(3, 2)))
 
     def test_memo_open_during_query_and_dropped_after(self, monkeypatch):
         import lpiso.presentations as presentations
@@ -319,7 +323,7 @@ class TestE0Cache:
     CE = [1, 3]
 
     def _pres(self):
-        return build_adversarial(CeSet.explicit(self.CE), PExponent.from_fraction(Fraction(3, 2)))
+        return AdversarialPresentation(CeSet.explicit(self.CE), PExponent.from_fraction(Fraction(3, 2)))
 
     def test_alternating_precisions_match_fresh_presentations(self):
         pres = self._pres()
@@ -368,7 +372,7 @@ class TestIntegerPartialSums:
 
     @pytest.mark.parametrize("make", SETS)
     def test_prefix_for_tail(self, make):
-        pres = build_adversarial(make(), P32)
+        pres = AdversarialPresentation(make(), P32)
         for tol in (Fraction(1, 2), Fraction(1, 100), Fraction(1, 2**30)):
             gamma_hi = pres.ce.gamma_enclosure(bits_for(tol) + 4).hi
             want = []
@@ -399,7 +403,7 @@ class TestNonTrivialRotation:
 class TestInfiniteDecidableSet:
     def test_e0_over_odds(self):
         ce = CeSet.from_json({"kind": "named", "name": "odds"})
-        pres = build_adversarial(ce, P1)
+        pres = AdversarialPresentation(ce, P1)
         g = pres.e0_combo(8)
         v = pres.transparent_eval(g, 12)
         diff = v - FinSuppVector({0: GaussianRational.one()})
@@ -408,7 +412,7 @@ class TestInfiniteDecidableSet:
     @given(c=small_combos(max_index=3))
     @settings(max_examples=10, deadline=None)
     def test_oracle_consistency_p32(self, c):
-        pres = build_adversarial(CeSet.explicit([1, 3]), P32)
+        pres = AdversarialPresentation(CeSet.explicit([1, 3]), P32)
         k = 10
         q = pres.norm_approx(c, k)
         v = pres.transparent_eval(c, k + 2)

@@ -7,14 +7,15 @@ from fractions import Fraction
 import pytest
 
 from lpiso.errors import HypothesisViolatedError, NotPartialDisintegrationError
+from lpiso.extension_engine import approximate_extend
 from lpiso.lp_vectors import FinSuppVector, norm_p, sigma1_from_norms
 from lpiso.presentations import (
+    AdversarialPresentation,
     CeSet,
     ComputableVector,
     GenCombo,
     StandardPresentation,
     bits_for,
-    build_adversarial,
 )
 from lpiso.scalar_core import (
     ZERO_INTERVAL,
@@ -32,12 +33,10 @@ from lpiso.tree_maps import (
     check_extension_hypothesis,
     check_strong_hom_exact,
     distance_bound,
-    extend_existence,
     project_to_strong_hom,
     sigma_tree,
     success_index,
     summativity_defect,
-    tree_norm,
     validate_partial_disintegration,
 )
 
@@ -89,21 +88,6 @@ class TestTreeBasics:
             check_extension_hypothesis(base, bad)
         # trivial base: anything goes
         check_extension_hypothesis(FiniteTree.trivial(), bad)
-
-
-class TestTreeNorm:
-    def test_single(self):
-        box = tree_norm(rmap({(0,): E[0]}), 10)
-        assert box.contains(1)
-
-    def test_max(self):
-        box = tree_norm(rmap({(0,): E[0], (1,): scaled(2, 1)}), 10)
-        assert box.contains(2) and box.lo > 1
-
-    def test_empty_map(self):
-        psi = TreeMap(FiniteTree.trivial(), {}, P1)
-        assert tree_norm(psi, 10).is_point()
-        assert tree_norm(psi, 10).lo == 0
 
 
 class TestSigmaTree:
@@ -241,41 +225,50 @@ class TestProjection:
 
 
 class TestExtendExistence:
+    """The paper's extension step, as approximate_extend runs it: atoms
+    cover the generators, a value with two support points splits into its
+    coordinates, and an atom stays a leaf."""
+
+    @staticmethod
+    def extend(phi, n_index, pres):
+        psi = approximate_extend(phi, n_index, 4, pres).psi
+        return psi, psi.transparent_snapshot(20)
+
     def test_from_empty(self):
         pres = StandardPresentation(P1)
         phi = TreeMap(FiniteTree.trivial(), {}, P1)
-        psi = extend_existence(phi, 2, pres)
-        values = [psi.value(n) for n in psi.nodes()]
-        assert E[0] in values and E[1] in values
-        assert success_index(psi, pres, 2).value >= 2
+        psi, snap = self.extend(phi, 2, pres)
+        assert {snap.value(n) for n in snap.nodes()} == {E[0], E[1], E[2]}
+        assert success_index(psi, pres, 2).value == 2
 
     def test_split_two_support_node(self):
         pres = StandardPresentation(P1)
         phi = rmap({(0,): E[0] + E[1]})
-        psi = extend_existence(phi, 1, pres)
-        child_vals = {psi.value(n) for n in psi.nodes() if len(n) == 2}
-        assert E[0] in child_vals and E[1] in child_vals
-        assert psi.extends(phi)
+        _, snap = self.extend(phi, 1, pres)
+        child_vals = {snap.value(n) for n in snap.nodes() if len(n) == 2}
+        assert child_vals == {E[0], E[1]}
+        assert snap.extends(phi)
 
     def test_singleton_support_not_split(self):
         pres = StandardPresentation(P1)
         phi = rmap({(0,): E[0]})
-        psi = extend_existence(phi, 1, pres)
+        psi, snap = self.extend(phi, 1, pres)
         # no child under (0): its value is already an atom
-        assert all(len(n) == 1 for n in psi.nodes())
+        assert all(len(n) == 1 for n in snap.nodes())
+        assert snap.extends(phi)
         assert success_index(psi, pres, 1).value >= 1
 
     def test_adversarial_coverage(self):
-        pres = build_adversarial(CeSet.explicit([1]), P1)
+        pres = AdversarialPresentation(CeSet.explicit([1]), P1)
         phi = TreeMap(FiniteTree.trivial(), {}, P1)
-        psi = extend_existence(phi, 2, pres)
-        assert success_index(psi, pres, 2).value >= 2
+        psi, _ = self.extend(phi, 2, pres)
+        assert success_index(psi, pres, 3).value == 3
 
     def test_rejects_invalid_input(self):
         pres = StandardPresentation(P1)
         phi = rmap({(0,): E[0], (1,): E[0]})
         with pytest.raises(NotPartialDisintegrationError):
-            extend_existence(phi, 1, pres)
+            approximate_extend(phi, 1, 4, pres)
 
 
 class TestJson:
@@ -498,7 +491,7 @@ class TestSigmaTreeEquivalence:
             assert sigma_tree(opaque, 16) == reference_sigma_tree(opaque, 16)
 
     def test_opaque_maps_over_adversarial(self):
-        pres = build_adversarial(CeSet.explicit([1, 3]), P1)
+        pres = AdversarialPresentation(CeSet.explicit([1, 3]), P1)
         half = GaussianRational.of(Fraction(1, 2))
         combos = {
             (0,): GenCombo.single(0),
@@ -554,8 +547,8 @@ class TestProjectionEquivalence:
 
 
 def _old_coordinate_carrier(phi, coord):
-    """The per-coordinate lookup extend_existence ran before the carrier
-    index: the deepest carrier, checked to extend every other one."""
+    """The per-coordinate lookup the carrier index replaced: the deepest
+    carrier, checked to extend every other one."""
     carriers = [n for n in phi.nodes() if coord in phi.value(n).support()]
     if not carriers:
         return None
@@ -590,12 +583,12 @@ class TestCoordinateCarriers:
 class TestSuccessIndexEvidence:
     @pytest.mark.parametrize(
         "pres",
-        [StandardPresentation(P1), build_adversarial(CeSet.explicit([1]), P1)],
+        [StandardPresentation(P1), AdversarialPresentation(CeSet.explicit([1]), P1)],
         ids=["standard", "adversarial"],
     )
     def test_distance_uppers_witness_the_value(self, pres):
         phi = TreeMap(FiniteTree.trivial(), {}, P1)
-        psi = extend_existence(phi, 3, pres)
+        psi = approximate_extend(phi, 2, 4, pres).psi
         result = success_index(psi, pres, 3)
         assert result.value >= 3
         for j in range(result.value):
