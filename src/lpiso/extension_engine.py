@@ -234,6 +234,17 @@ def _ball_constraints(
             yield "restriction", _width_target(k) - diff.norm_enclosure(prec).hi, 1
 
 
+def _exact_sum(values: List[Fraction]) -> Fraction:
+    """sum(values), exactly: when every denominator is a power of two, as one
+    integer over the largest of them, which skips a gcd per addition."""
+    dens = [v.denominator for v in values]
+    if any(d & (d - 1) for d in dens):
+        return sum(values, Fraction(0))
+    shift = max(dens, default=1).bit_length()
+    total = sum(v.numerator << (shift - d.bit_length()) for v, d in zip(values, dens))
+    return Fraction(total, 1 << (shift - 1))
+
+
 def _hom_root_upper(err_hi: Fraction, p: PExponent, prec: int) -> Fraction:
     """Upper bound on d(center, strong homs) from an upper bound on its p-th power."""
     return pow_enclosure(
@@ -272,7 +283,7 @@ def _ledger_hom_upper(
     def upper() -> Fraction:
         # every factor is nonnegative, so the product of upper bounds bounds it
         scale = pow_enclosure(DyadicInterval.point(2), p, kk) * lamperti_constant(p, kk)
-        return _hom_root_upper(scale.hi * sum(e.sigma_hi for e in entries), p, prec)
+        return _hom_root_upper(scale.hi * _exact_sum([e.sigma_hi for e in entries]), p, prec)
 
     with p.shared_powers():
         evaluate([i for i, e in enumerate(entries) if e.sigma_hi is None])

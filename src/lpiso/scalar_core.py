@@ -8,9 +8,10 @@ Ground rules that the rest of the package relies on:
   * precision requests are integers k meaning "width at most 2**-k";
   * refinement is monotone: asking for a larger k yields a sub-interval.
 
-Transcendental enclosures (exp, log, sin, cos, pi) are delegated to mpmath's
-interval context, whose endpoints are binary floats, i.e. dyadic rationals;
-they are converted back to exact Fractions, so no precision is lost in
+Transcendental enclosures (exp, log, cos, pi) call mpmath.libmp.libmpi's
+interval functions on (lo, hi) tuples of binary floats at an explicit
+precision, and set no mpmath global precision; the endpoints, dyadic
+rationals, come back as exact Fractions, so no precision is lost in
 transit.  Rational fast paths bypass mpmath entirely.
 """
 
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, Optional, Tuple, TypeVar, Union
 
-from mpmath import iv as _iv
-from mpmath.libmp import from_rational, round_ceiling, round_floor, to_rational
+from mpmath.libmp import from_int, from_rational, mpf_div, round_ceiling, round_floor
+from mpmath.libmp.libmpi import mpi_cos, mpi_div, mpi_exp, mpi_log, mpi_mul, mpi_pi
 
 from .errors import PEqualsTwoError, PrecisionExhaustedError
 
@@ -269,13 +270,13 @@ class DyadicInterval:
     # -- arithmetic (exact, containment-preserving) --------------------------
 
     def __add__(self, other: "DyadicInterval") -> "DyadicInterval":
-        return DyadicInterval(self.lo + other.lo, self.hi + other.hi)
+        return _trusted(self.lo + other.lo, self.hi + other.hi)
 
     def __sub__(self, other: "DyadicInterval") -> "DyadicInterval":
-        return DyadicInterval(self.lo - other.hi, self.hi - other.lo)
+        return _trusted(self.lo - other.hi, self.hi - other.lo)
 
     def __neg__(self) -> "DyadicInterval":
-        return DyadicInterval(-self.hi, -self.lo)
+        return _trusted(-self.hi, -self.lo)
 
     def __mul__(self, other: "DyadicInterval") -> "DyadicInterval":
         products = (
@@ -284,36 +285,36 @@ class DyadicInterval:
             self.hi * other.lo,
             self.hi * other.hi,
         )
-        return DyadicInterval(min(products), max(products))
+        return _trusted(min(products), max(products))
 
     def scale(self, q: RationalLike) -> "DyadicInterval":
         q = _to_fraction(q)
         if q >= 0:
-            return DyadicInterval(self.lo * q, self.hi * q)
-        return DyadicInterval(self.hi * q, self.lo * q)
+            return _trusted(self.lo * q, self.hi * q)
+        return _trusted(self.hi * q, self.lo * q)
 
     def shift(self, q: RationalLike) -> "DyadicInterval":
         q = _to_fraction(q)
-        return DyadicInterval(self.lo + q, self.hi + q)
+        return _trusted(self.lo + q, self.hi + q)
 
     def abs(self) -> "DyadicInterval":
         if self.lo >= 0:
             return self
         if self.hi <= 0:
             return -self
-        return DyadicInterval(Fraction(0), max(-self.lo, self.hi))
+        return _trusted(Fraction(0), max(-self.lo, self.hi))
 
     def reciprocal(self) -> "DyadicInterval":
         if not self.separated_from_zero():
             raise ZeroDivisionError("reciprocal of an interval containing 0")
-        return DyadicInterval(1 / self.hi, 1 / self.lo)
+        return _trusted(1 / self.hi, 1 / self.lo)
 
     def max_with(self, other: "DyadicInterval") -> "DyadicInterval":
         """Enclosure of max(x, y) for x in self, y in other."""
-        return DyadicInterval(max(self.lo, other.lo), max(self.hi, other.hi))
+        return _trusted(max(self.lo, other.lo), max(self.hi, other.hi))
 
     def min_with(self, other: "DyadicInterval") -> "DyadicInterval":
-        return DyadicInterval(min(self.lo, other.lo), min(self.hi, other.hi))
+        return _trusted(min(self.lo, other.lo), min(self.hi, other.hi))
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
@@ -325,7 +326,15 @@ class DyadicInterval:
         for it in items:
             lo += it.lo
             hi += it.hi
-        return DyadicInterval(lo, hi)
+        return _trusted(lo, hi)
+
+
+def _trusted(lo: Fraction, hi: Fraction) -> DyadicInterval:
+    """DyadicInterval(lo, hi) unchecked, for Fractions with lo <= hi by construction."""
+    out = object.__new__(DyadicInterval)
+    fields = out.__dict__
+    fields["lo"], fields["hi"] = lo, hi
+    return out
 
 
 ZERO_INTERVAL = DyadicInterval.point(0)
@@ -340,37 +349,27 @@ def _width_target(k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _iv_from_fraction(q: Fraction, prec: int):
-    lo = from_rational(q.numerator, q.denominator, prec, round_floor)
-    hi = from_rational(q.numerator, q.denominator, prec, round_ceiling)
-    return _iv.make_mpf((lo, hi))
+def _mpi_from_fraction(q: Fraction, prec: int):
+    """The (lo, hi) mpf tuple enclosing q at prec bits, rounded outward
+    exactly as from_rational rounds each endpoint."""
+    num, den = from_int(q.numerator), from_int(q.denominator)
+    return mpf_div(num, den, prec, round_floor), mpf_div(num, den, prec, round_ceiling)
 
 
-def _fraction_from_mpf_tuple(t) -> Fraction:
-    num, den = to_rational(t)
-    return Fraction(int(num), int(den))
+def _fraction_from_mpf(t) -> Fraction:
+    """The exact value of an mpf tuple; PrecisionExhaustedError on inf, -inf
+    or nan (a zero mantissa with a nonzero exponent), which no bound stands for."""
+    sign, man, exp, _ = t
+    if not man:
+        if exp:
+            raise PrecisionExhaustedError("an mpmath enclosure has an infinite or nan endpoint")
+        return Fraction(0)
+    man = -int(man) if sign else int(man)
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
-def _interval_from_iv(x) -> DyadicInterval:
-    lo_t, hi_t = x._mpi_
-    return DyadicInterval(_fraction_from_mpf_tuple(lo_t), _fraction_from_mpf_tuple(hi_t))
-
-
-class _IvPrec:
-    """Temporarily set the mpmath interval context precision."""
-
-    def __init__(self, prec: int):
-        self.prec = prec
-        self.saved = None
-
-    def __enter__(self):
-        self.saved = _iv.prec
-        _iv.prec = self.prec
-        return _iv
-
-    def __exit__(self, *exc):
-        _iv.prec = self.saved
-        return False
+def _interval_from_mpi(x) -> DyadicInterval:
+    return _trusted(_fraction_from_mpf(x[0]), _fraction_from_mpf(x[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -547,24 +546,19 @@ class PExponent:
 # ---------------------------------------------------------------------------
 
 
-def _exponent_iv(p: PExponent, num: Fraction, over_p: bool, prec: int):
-    """Interval for num*p (over_p=False) or num/p (over_p=True) at mpmath prec."""
-    scale = _iv_from_fraction(num, prec)
+def _exponent_mpi(p: PExponent, num: Fraction, over_p: bool, prec: int):
+    """mpf interval for num*p (over_p=False) or num/p (over_p=True) at prec."""
     if p.exact is not None:
-        p_iv = _iv_from_fraction(p.exact, prec)
+        p_mpi = _mpi_from_fraction(p.exact, prec)
     else:
         # translate mpmath bits to a 2**-k enclosure request
-        p_iv_box = p.enclosure(prec)
-        lo = from_rational(p_iv_box.lo.numerator, p_iv_box.lo.denominator, prec, round_floor)
-        hi = from_rational(p_iv_box.hi.numerator, p_iv_box.hi.denominator, prec, round_ceiling)
-        p_iv = _iv.make_mpf((lo, hi))
-    return scale / p_iv if over_p else scale * p_iv
-
-
-def _exponent_exact(p: PExponent, num: Fraction, over_p: bool) -> Optional[Fraction]:
-    if p.exact is None:
-        return None
-    return num / p.exact if over_p else num * p.exact
+        box = p.enclosure(prec)
+        p_mpi = (
+            from_rational(box.lo.numerator, box.lo.denominator, prec, round_floor),
+            from_rational(box.hi.numerator, box.hi.denominator, prec, round_ceiling),
+        )
+    scale = _mpi_from_fraction(num, prec)
+    return mpi_div(scale, p_mpi, prec) if over_p else mpi_mul(scale, p_mpi, prec)
 
 
 def _int_nth_root_exact(n: int, v: int) -> Optional[int]:
@@ -602,16 +596,13 @@ def _fraction_power_exact(base: Fraction, e: Fraction) -> Optional[Fraction]:
 
 def _pow_positive_fraction(base: Fraction, p: PExponent, num: Fraction, over_p: bool, prec: int) -> DyadicInterval:
     """Enclosure of base**e at mpmath precision prec, base > 0, e = num*p or num/p."""
-    e_exact = _exponent_exact(p, num, over_p)
-    if e_exact is not None:
-        exact = _fraction_power_exact(base, e_exact)
+    if p.exact is not None:
+        exact = _fraction_power_exact(base, num / p.exact if over_p else num * p.exact)
         if exact is not None:
             return DyadicInterval.point(exact)
-    with _IvPrec(prec):
-        b = _iv_from_fraction(base, prec)
-        e = _exponent_iv(p, num, over_p, prec)
-        res = _iv.exp(e * _iv.log(b))
-        return _interval_from_iv(res)
+    log_b = mpi_log(_mpi_from_fraction(base, prec), prec)
+    e = _exponent_mpi(p, num, over_p, prec)
+    return _interval_from_mpi(mpi_exp(mpi_mul(e, log_b, prec), prec))
 
 
 def pow_enclosure(
@@ -665,7 +656,7 @@ def _monotone_enclosure(
         lo_box = endpoint(base.lo, prec)
         hi_box = lo_box if base.is_point() else endpoint(base.hi, prec)
         if lo_box.width <= half_target and hi_box.width <= half_target:
-            return DyadicInterval(lo_box.lo, hi_box.hi)
+            return _trusted(lo_box.lo, hi_box.hi)  # f increasing: lo <= hi
         prec *= 2
         if prec > MAX_WORKING_PREC:
             raise PrecisionExhaustedError(what)
@@ -805,9 +796,9 @@ def log2_enclosure(box: DyadicInterval, k: int) -> DyadicInterval:
             exact_log = inv.numerator.bit_length() - 1
             if inv == Fraction(2) ** exact_log:
                 return DyadicInterval.point(-exact_log)
-        with _IvPrec(prec):
-            out = _iv.log(_iv_from_fraction(x, prec)) / _iv.log(_iv.mpf(2))
-            return _interval_from_iv(out)
+        log_x = mpi_log(_mpi_from_fraction(x, prec), prec)
+        log_2 = mpi_log(_mpi_from_fraction(Fraction(2), prec), prec)
+        return _interval_from_mpi(mpi_div(log_x, log_2, prec))
 
     return _monotone_enclosure(box, k, endpoint, "log2 enclosure exceeded the precision cap")
 
@@ -827,9 +818,8 @@ def _cos_of_pi_multiple(theta_over_pi: Fraction, prec: int) -> DyadicInterval:
     reduced = theta_over_pi % 2
     if reduced in _EXACT_COS:
         return DyadicInterval.point(_EXACT_COS[reduced])
-    with _IvPrec(prec):
-        theta = _iv.pi * _iv_from_fraction(reduced, prec)
-        return _interval_from_iv(_iv.cos(theta))
+    theta = mpi_mul(mpi_pi(prec), _mpi_from_fraction(reduced, prec), prec)
+    return _interval_from_mpi(mpi_cos(theta, prec))
 
 
 def lamperti_objective(theta_over_pi: RationalLike, t: RationalLike, p: PExponent, k: int) -> DyadicInterval:

@@ -38,6 +38,7 @@ from lpiso.extension_engine import (
     Proposal,
     ProposalStructure,
     RationalBall,
+    _exact_sum,
     _ledger_hom_upper,
     _pick_radius_bits,
     approximate_extend,
@@ -359,6 +360,14 @@ class TestPairLedger:
             counts[units] = len(calls)
         capsys.readouterr()
         assert counts[32] / counts[16] < 6, counts
+
+    def test_carried_bounds_sum_exactly(self):
+        # the hom read sums dyadic bounds as one integer: the same rational
+        dyadic = [Fraction(3, 8), Fraction(-5, 2**70), Fraction(7), Fraction(1, 2**3000)]
+        mixed = dyadic + [Fraction(1, 3)]
+        for values in (dyadic, mixed, dyadic[:1], []):
+            assert _exact_sum(values) == sum(values, Fraction(0))
+            assert type(_exact_sum(values)) is Fraction
 
     def test_moved_center_is_not_reused(self):
         # the bounds carried for (0) on e_0 and (1) on e_1, a gap near 2

@@ -10,24 +10,42 @@ import inspect
 import math
 import random
 import re
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import iv
+from mpmath.libmp import (
+    finf,
+    fnan,
+    fninf,
+    from_rational,
+    fzero,
+    round_ceiling,
+    round_floor,
+    to_rational,
+)
 
 import lpiso
 from lpiso.errors import PEqualsTwoError, PrecisionExhaustedError
 from lpiso.scalar_core import (
+    GUARD_BITS,
     CReal,
     DyadicInterval,
     GaussianRational,
     PExponent,
+    _cos_of_pi_multiple,
+    _fraction_from_mpf,
+    _fraction_power_exact,
+    _mpi_from_fraction,
     abs_pow,
     ceil_log2,
     lamperti_constant,
     lamperti_objective,
+    log2_enclosure,
     pow_enclosure,
     refine,
     sigma1_scalar,
@@ -504,3 +522,191 @@ class TestSharedPowers:
                 pow_enclosure(DyadicInterval.point(5), p, 30)
             assert p._pow_memo is outer and len(outer) == 2
         assert p._pow_memo is None
+
+
+# -- the mpmath interval context, as the kernel called it before it moved onto
+# raw libmpi tuples: the reference the identity guard measures against -------
+
+
+@contextmanager
+def iv_prec(prec):
+    saved = iv.prec
+    iv.prec = prec
+    try:
+        yield
+    finally:
+        iv.prec = saved
+
+
+def iv_from_fraction(q, prec):
+    lo = from_rational(q.numerator, q.denominator, prec, round_floor)
+    hi = from_rational(q.numerator, q.denominator, prec, round_ceiling)
+    return iv.make_mpf((lo, hi))
+
+
+def iv_endpoints(x):
+    return tuple(Fraction(*(int(v) for v in to_rational(t))) for t in x._mpi_)
+
+
+def iv_pow_endpoint(x, p, num, over_p, prec):
+    if x == 0:
+        return (Fraction(0), Fraction(0))
+    if p.exact is not None:
+        exact = _fraction_power_exact(x, num / p.exact if over_p else num * p.exact)
+        if exact is not None:
+            return (exact, exact)
+    with iv_prec(prec):
+        scale = iv_from_fraction(num, prec)
+        if p.exact is not None:
+            p_iv = iv_from_fraction(p.exact, prec)
+        else:
+            box = p.enclosure(prec)
+            p_iv = iv.make_mpf((
+                from_rational(box.lo.numerator, box.lo.denominator, prec, round_floor),
+                from_rational(box.hi.numerator, box.hi.denominator, prec, round_ceiling),
+            ))
+        e = scale / p_iv if over_p else scale * p_iv
+        return iv_endpoints(iv.exp(e * iv.log(iv_from_fraction(x, prec))))
+
+
+def iv_log2_endpoint(x, prec):
+    for sign, y in ((1, x), (-1, 1 / x)):
+        if y.denominator == 1 and y.numerator & (y.numerator - 1) == 0:
+            return (sign * (y.numerator.bit_length() - 1),) * 2
+    with iv_prec(prec):
+        return iv_endpoints(iv.log(iv_from_fraction(x, prec)) / iv.log(iv.mpf(2)))
+
+
+def iv_monotone(base, k, endpoint):
+    """The image endpoints at the first precision where both are 2**-(k+1) tight."""
+    prec = max(64, k + GUARD_BITS)
+    while True:
+        lo, hi = endpoint(base.lo, prec), endpoint(base.hi, prec)
+        if max(lo[1] - lo[0], hi[1] - hi[0]) <= Fraction(1, 2 ** (k + 1)):
+            return (lo[0], hi[1])
+        prec *= 2
+
+
+def irrational_exponent(root_of):
+    root = CReal.sqrt_of_fraction(root_of)
+    return PExponent.from_creal(CReal(lambda k: 1 + root.approx(k), f"1+sqrt({root_of})"))
+
+
+class TestKernelMatchesIvContext:
+    """The libmpi kernel returns the endpoints mpmath's iv context returned.
+
+    pyproject allows any mpmath >= 1.3; a release whose iv context stops
+    calling the libmpi functions the kernel calls fails here."""
+
+    EXPONENTS = [
+        PExponent.from_fraction(q) for q in (1, Fraction(5, 4), Fraction(3, 2), 3, Fraction(7, 3))
+    ] + [irrational_exponent(Fraction(1, 2))]
+
+    def test_pow_enclosure(self):
+        rng = random.Random(17)
+        checked = 0
+        for p in self.EXPONENTS:
+            for num in (Fraction(1), Fraction(1, 2), Fraction(2)):
+                for over_p in (False, True):
+                    for k in (0, 10, 40, 200):
+                        lo = Fraction(rng.randint(1, 10**12), rng.randint(1, 10**12))
+                        for base in (
+                            DyadicInterval.point(lo),
+                            DyadicInterval(lo, lo + Fraction(rng.randint(1, 99), 100)),
+                            DyadicInterval(Fraction(0), lo),
+                            DyadicInterval.point(Fraction(9, 4)),
+                        ):
+                            out = pow_enclosure(base, p, k, num=num, over_p=over_p)
+                            ref = iv_monotone(
+                                base, k, lambda x, prec: iv_pow_endpoint(x, p, num, over_p, prec)
+                            )
+                            assert (out.lo, out.hi) == ref
+                            checked += 1
+        assert checked == 6 * 3 * 2 * 4 * 4
+
+    def test_log2_enclosure(self):
+        rng = random.Random(29)
+        for k in (0, 10, 40, 200):
+            for _ in range(10):
+                lo = Fraction(rng.randint(1, 10**9), rng.randint(1, 10**9))
+                for box in (DyadicInterval.point(lo), DyadicInterval(lo, 2 * lo + 1)):
+                    out = log2_enclosure(box, k)
+                    assert (out.lo, out.hi) == iv_monotone(box, k, iv_log2_endpoint)
+
+    def test_cos_of_pi_multiple(self):
+        rng = random.Random(31)
+        for prec in (64, 100, 257, 1024):
+            for _ in range(20):
+                theta = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+                reduced = theta % 2
+                if reduced in (0, Fraction(1, 2), 1, Fraction(3, 2)):
+                    continue
+                with iv_prec(prec):
+                    ref = iv_endpoints(iv.cos(iv.pi * iv_from_fraction(reduced, prec)))
+                out = _cos_of_pi_multiple(theta, prec)
+                assert (out.lo, out.hi) == ref
+
+
+class TestMpfBridge:
+    def test_special_values_raise(self):
+        # to_rational reads inf as (0, 2**456), a finite and wrong bound
+        for special in (finf, fninf, fnan):
+            with pytest.raises(PrecisionExhaustedError):
+                _fraction_from_mpf(special)
+
+    def test_finite_values_are_exact(self):
+        assert _fraction_from_mpf(fzero) == 0
+        for q in (Fraction(3, 8), Fraction(-5, 1024), Fraction(96), Fraction(-7)):
+            lo, hi = _mpi_from_fraction(q, 64)
+            assert lo == hi and _fraction_from_mpf(lo) == q
+        lo, hi = _mpi_from_fraction(Fraction(1, 3), 64)
+        assert _fraction_from_mpf(lo) < Fraction(1, 3) < _fraction_from_mpf(hi)
+
+
+def _valid_interval(rng):
+    lo = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+    return DyadicInterval(lo, lo + Fraction(rng.randint(0, 10**6), rng.randint(1, 10**4)))
+
+
+class TestTrustedResults:
+    """Operations that skip the constructor's checks still return Fraction
+    endpoints with lo <= hi."""
+
+    @staticmethod
+    def assert_valid(box):
+        assert type(box) is DyadicInterval
+        assert type(box.lo) is Fraction and type(box.hi) is Fraction
+        assert box.lo <= box.hi
+        assert box == DyadicInterval(box.lo, box.hi)
+
+    def test_operations_on_random_intervals(self):
+        rng = random.Random(43)
+        for _ in range(300):
+            a, b = _valid_interval(rng), _valid_interval(rng)
+            q = Fraction(rng.randint(-50, 50), rng.randint(1, 7))
+            n = rng.randint(-5, 5)
+            results = [
+                a + b, a - b, -a, a * b, a.scale(q), a.scale(n), a.shift(q), a.shift(n),
+                a.abs(), a.min_with(b), a.max_with(b),
+                DyadicInterval.sum([a, b, a]), DyadicInterval.sum([]),
+            ]
+            if a.separated_from_zero():
+                results.append(a.reciprocal())
+            for box in results:
+                self.assert_valid(box)
+
+    def test_kernel_results(self):
+        p = PExponent.from_fraction(Fraction(5, 4))
+        self.assert_valid(pow_enclosure(DyadicInterval.of(Fraction(1, 3), 5), p, 30))
+        self.assert_valid(log2_enclosure(DyadicInterval.of(Fraction(1, 3), 5), 30))
+        self.assert_valid(_cos_of_pi_multiple(Fraction(1, 3), 64))
+
+    def test_constructor_still_checks(self):
+        with pytest.raises(ValueError):
+            DyadicInterval(2, 1)
+        with pytest.raises(TypeError):
+            DyadicInterval(0.5, 1)
+        with pytest.raises(ValueError):
+            DyadicInterval.of(Fraction(1, 2), Fraction(1, 3))
+        with pytest.raises(TypeError):
+            DyadicInterval.point(0.5)
