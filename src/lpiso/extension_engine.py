@@ -139,6 +139,19 @@ def _gauss_abs_upper(z: GaussianRational) -> Fraction:
     return Fraction(num, scale)
 
 
+def _triangle_norm_bound(combo: GenCombo, pres: Presentation) -> Fraction:
+    """sum_j (|Re a_j| + |Im a_j|) B_j >= ||sum_j a_j f_j||, with B_j the
+    presentation's certified bound on ||f_j||: the triangle inequality, and
+    |a_j| <= |Re a_j| + |Im a_j|."""
+    return sum(
+        (
+            (abs(z.re) + abs(z.im)) * pres.generator_norm_bound(j)
+            for j, z in combo.entries.items()
+        ),
+        Fraction(0),
+    )
+
+
 def empty_map(pres: Presentation) -> TreeMap:
     return TreeMap(FiniteTree.trivial(), {}, pres.p)
 
@@ -586,6 +599,8 @@ def build_guided_proposal(
 SEARCH_ROUNDS = 6
 # bits _refined_values may add past the accepted proposal's snapshot
 REFINEMENT_CAP = 192
+# bits each _refined_values attempt adds to the last snapshot precision
+REFINEMENT_STEP_BITS = 4
 
 
 @dataclass(frozen=True)
@@ -802,8 +817,10 @@ def _refined_values(
     """Computable vectors converging into the homomorphisms inside the ball.
 
     Step s re-derives the center on the pinned skeleton from an ever-finer
-    snapshot; each step distance is oracle-certified below 2^-(m+s+2), so
-    the limits stay within half the ball radius of the accepted center.
+    snapshot; each step distance is certified below 2^-(m+s+2), by the
+    triangle bound over oracle-certified generator norms, or by an oracle
+    read, so the limits stay within half the ball radius of the accepted
+    center.
     """
     m = bits_for(ball.radius)
     steps: List[Dict[TreeNode, GenCombo]] = [dict(ball.center)]
@@ -813,7 +830,8 @@ def _refined_values(
     def ensure(s: int) -> None:
         while len(steps) <= s:
             idx = len(steps)
-            prec = precs[-1] + 4
+            bar = _width_target(m + idx + 2)
+            prec = precs[-1] + REFINEMENT_STEP_BITS
             while True:
                 if prec - proposal.snapshot_prec > REFINEMENT_CAP:
                     raise PrecisionExhaustedError(
@@ -824,21 +842,30 @@ def _refined_values(
                 gens = {j: pres.generator_vector(j, prec) for j in structure.residual_nodes.values()}
                 _, center = _values_on_structure(structure, chi, gens, pres, prec)
                 ok = True
-                # nodes often share a step difference: certify each one once
+                # nodes often share a step difference: certify each one once.
+                # The oracle's enclosure at prec holds ||diff|| and is at
+                # most 2^-prec wide, so it tops out below ||diff|| + 2^-prec,
+                # and ||diff|| is at most the triangle bound: when the bound
+                # plus 2^-prec is below the bar, the read would pass too.
+                # Only the other gaps are read, so every step is decided as
+                # reading every gap would decide it.
                 gaps: Dict[GenCombo, Fraction] = {}
                 for node, combo in center.items():
                     diff = combo - steps[-1][node]
                     gap = gaps.get(diff)
                     if gap is None:
-                        gap = gaps[diff] = pres.norm_enclosure(diff, prec).hi
-                    if gap >= _width_target(m + idx + 2):
+                        gap = _triangle_norm_bound(diff, pres) + _width_target(prec)
+                        if gap >= bar:
+                            gap = pres.norm_enclosure(diff, prec).hi
+                        gaps[diff] = gap
+                    if gap >= bar:
                         ok = False
                         break
                 if ok:
                     steps.append(center)
                     precs.append(prec)
                     break
-                prec += 4
+                prec += REFINEMENT_STEP_BITS
 
     values: Dict[TreeNode, ComputableVector] = {}
     for node in ball.tree.nonroot_nodes():

@@ -168,32 +168,13 @@ def _transparent_atom_peek(
     return None, None
 
 
-# the generator norm bounds only scale the rounding grid: a coarse query
-# certifies them
-_GEN_BOUND_PREC = 4
-
-
-def _generator_bounds(pres: Presentation) -> Callable[[int], Fraction]:
-    """j -> a certified upper bound on ||f_j||: the top of one
-    low-precision oracle query, asked once per generator."""
-    memo: Dict[int, Fraction] = {}
-
-    def bound(j: int) -> Fraction:
-        if j not in memo:
-            memo[j] = pres.norm_enclosure(GenCombo.single(j), _GEN_BOUND_PREC).hi
-        return memo[j]
-
-    return bound
-
-
-def _rounded_norm(
-    vec: ComputableVector, k: int, gen_bound: Callable[[int], Fraction]
-) -> DyadicInterval:
+def _rounded_norm(vec: ComputableVector, k: int) -> DyadicInterval:
     """Enclosure of ||vec||, width <= 2**-k, queried on a dyadic rounding.
 
     Reads vec.approx(k + 2), as vec.norm_enclosure(k) does, and rounds each
     real and imaginary part to the nearest multiple of 2^-m with
-    m = k + 3 + ceil_log2(B), B the sum of gen_bound over the support.
+    m = k + 3 + ceil_log2(B), B the sum of the presentation's
+    generator_norm_bound over the support.
     Each coefficient moves by at most 2^-(m+1) sqrt(2) < 2^-m, so the
     combination moves by less than 2^-m B <= 2^-(k+3).  The oracle's
     enclosure of the rounded combination at k + 2, padded by 2^-(k+2)
@@ -201,7 +182,7 @@ def _rounded_norm(
     norm, and its width is 2^-(k+2) + 2^-(k+1) + 2^-(k+2) = 2^-k.
     """
     combo = vec.approx(k + 2)
-    m = k + 3 + ceil_log2(sum(gen_bound(j) for j in combo.entries))
+    m = k + 3 + ceil_log2(sum(vec.pres.generator_norm_bound(j) for j in combo.entries))
     rounded = GenCombo({j: _round_gauss(z, m) for j, z in combo.entries.items()})
     inner = vec.pres.norm_enclosure(rounded, k + 2)
     pad = _width_target(k + 2) + _width_target(k + 3)
@@ -224,10 +205,8 @@ def _certify_pairwise(
     unit coefficients and the witness strings the report prints, which the
     rounding therefore leaves unchanged.
     """
-    gen_bound = _generator_bounds(pres)
-
     def norm_of(vec: ComputableVector) -> Callable[[int], DyadicInterval]:
-        return lambda kk: _rounded_norm(vec, kk, gen_bound)
+        return lambda kk: _rounded_norm(vec, kk)
 
     with pres.p.shared_powers():
         unit_norms = [norm_per_precision(norm_of(rec.vector)) for rec in units]

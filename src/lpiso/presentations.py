@@ -229,10 +229,18 @@ NAMED_CE_SETS = {
 # ---------------------------------------------------------------------------
 
 
+# the generator norm bounds only scale rounding grids and triangle bounds:
+# a coarse query certifies them
+_GEN_BOUND_PREC = 4
+
+
 class Presentation:
     """Interface: an exponent plus a norm oracle over formal combinations."""
 
-    p: PExponent
+    def __init__(self, p: PExponent):
+        self.p = p
+        # j -> generator_norm_bound(j), one entry per generator asked about
+        self._gen_bounds: Dict[int, Fraction] = {}
 
     def norm_approx(self, combo: GenCombo, k: int) -> Fraction:
         """Rational q with |q - ||combo|| | < 2**-k."""
@@ -243,6 +251,16 @@ class Presentation:
         q = self.norm_approx(combo, k + 1)
         w = _width_target(k + 1)
         return DyadicInterval(max(q - w, Fraction(0)), q + w)
+
+    def generator_norm_bound(self, j: int) -> Fraction:
+        """A certified upper bound on ||f_j||: the top of one low-precision
+        oracle enclosure, asked once per generator."""
+        bound = self._gen_bounds.get(j)
+        if bound is None:
+            bound = self._gen_bounds[j] = self.norm_enclosure(
+                GenCombo.single(j), _GEN_BOUND_PREC
+            ).hi
+        return bound
 
     @property
     def has_backdoor(self) -> bool:
@@ -286,9 +304,6 @@ def _entry_bound_bits(z: GaussianRational) -> int:
 
 class StandardPresentation(Presentation):
     """Generators are the coordinate vectors themselves."""
-
-    def __init__(self, p: PExponent):
-        self.p = p
 
     def norm_approx(self, combo: GenCombo, k: int) -> Fraction:
         box = norm_p(FinSuppVector(combo.entries), self.p, k + 2)
@@ -371,8 +386,8 @@ class AdversarialPresentation(Presentation):
     def __init__(self, ce: CeSet, p: PExponent):
         if ce.contains_zero():
             raise ZeroInCeSetError(f"{ce.label} contains 0")
+        super().__init__(p)
         self.ce = ce
-        self.p = p
         # (k, e0_combo_info(k)) of the last call: encoding a snapshot's nodes
         # asks for the same k over and over, and one entry cannot grow
         self._e0_last: Optional[tuple] = None

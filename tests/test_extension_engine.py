@@ -1,9 +1,12 @@
 """Search machinery: certificates, approximate extension, staged builds."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpiso.errors import (
     BudgetExhaustedError,
@@ -21,6 +24,7 @@ from lpiso.presentations import (
     GenCombo,
     RotatedPresentation,
     StandardPresentation,
+    bits_for,
     presentation_from_descriptor,
 )
 from lpiso.scalar_core import GaussianRational, PExponent
@@ -41,6 +45,7 @@ from lpiso.extension_engine import (
     _exact_sum,
     _ledger_hom_upper,
     _pick_radius_bits,
+    _triangle_norm_bound,
     approximate_extend,
     build_disintegration,
     build_guided_proposal,
@@ -718,6 +723,77 @@ class TestGuidedProposalValidation:
         assert (proposal is None) is verdicts[0].is_no is (fault is not None)
 
 
+def _record_step_gap_reads(monkeypatch, pres, on_read):
+    """Call on_read(diff, prec, hi) for every norm read that a refinement
+    step's gap check makes on pres: a norm_enclosure call made straight
+    from _refined_values' ensure."""
+    enclosure = pres.norm_enclosure
+
+    def spy(combo, k):
+        box = enclosure(combo, k)
+        if sys._getframe(1).f_code.co_name == "ensure":
+            on_read(combo, k, box.hi)
+        return box
+
+    monkeypatch.setattr(pres, "norm_enclosure", spy)
+
+
+def _spy_refinement(monkeypatch, pres):
+    """Log every _refined_values call from here on, in call order, as
+    (snapshot_prec, ball, attempts), each attempt a [prec, center, gap
+    reads] list.  A step's gap reads follow the snapshot it derived and
+    come before the next snapshot, so each read goes to the latest
+    attempt."""
+    runs, owners, latest = [], {}, []
+    refined_values = extension_engine._refined_values
+    on_structure = extension_engine._values_on_structure
+
+    def spy_refined(proposal, phi, pres_, ball):
+        runs.append((proposal.snapshot_prec, ball, []))
+        # holding the proposal keeps its structure's id from being reused
+        owners[id(proposal.structure)] = (proposal, runs[-1][2])
+        return refined_values(proposal, phi, pres_, ball)
+
+    def spy_structure(structure, chi, gens, pres_, prec):
+        values, center = on_structure(structure, chi, gens, pres_, prec)
+        if id(structure) in owners:
+            attempts = owners[id(structure)][1]
+            attempts.append([prec, center, []])
+            latest[:] = [attempts[-1]]
+        return values, center
+
+    monkeypatch.setattr(extension_engine, "_refined_values", spy_refined)
+    monkeypatch.setattr(extension_engine, "_values_on_structure", spy_structure)
+    _record_step_gap_reads(monkeypatch, pres, lambda *read: latest[0][2].append(read))
+    return runs
+
+
+def _refine_everything(monkeypatch, pres, stages, top_k):
+    """Build `stages` stages over pres, then read approx(k) of every refined
+    value for k <= top_k, up to its first error.
+
+    Returns (reads, errors, runs): reads[stage][node] lists the
+    approximations read, errors[stage][node] the first error's message or
+    None, and runs is _spy_refinement's log."""
+    runs = _spy_refinement(monkeypatch, pres)
+    staged = build_disintegration(pres, stages)
+    reads, errors = [], []
+    for rec in staged.stages[1:]:
+        reads.append({})
+        errors.append({})
+        for node in rec.phi_hat.nodes():
+            vec, got = rec.phi_hat.value(node), []
+            errors[-1][node] = None
+            for k in range(top_k + 1):
+                try:
+                    got.append(vec.approx(k))
+                except PrecisionExhaustedError as exc:
+                    errors[-1][node] = str(exc)
+                    break
+            reads[-1][node] = got
+    return reads, errors, runs
+
+
 class TestInexactRefinement:
     """The adversarial presentation at p = 3/2 has irrational encodings, so
     proposals are only near the homomorphisms and outputs are genuine
@@ -746,6 +822,97 @@ class TestInexactRefinement:
                     assert abs(vec[0].re - truth) < Fraction(1, 2**10)
                     found = True
         assert found
+
+    def test_triangle_bound_decides_every_step_as_the_oracle(self, monkeypatch):
+        pres = AdversarialPresentation(CeSet.explicit([1]), P32)
+        reads, errors, runs = _refine_everything(monkeypatch, pres, 3, 60)
+        assert len(runs) == 3 and sum(len(attempts) for _, _, attempts in runs) > 40
+        # the triangle bound settles every step gap here: no oracle read
+        assert all(not gap_reads for _, _, attempts in runs for _, _, gap_reads in attempts)
+
+        # a fresh build whose triangle bound settles nothing reads every gap
+        # (a bound on the generators alone would still settle the zero gaps)
+        monkeypatch.undo()
+        slow = AdversarialPresentation(CeSet.explicit([1]), P32)
+        monkeypatch.setattr(
+            extension_engine, "_triangle_norm_bound", lambda combo, pres_: Fraction(2**64)
+        )
+        slow_reads, slow_errors, slow_runs = _refine_everything(monkeypatch, slow, 3, 60)
+        # the same combinations at every k, the same errors (the cap ends
+        # the deep reads of later stages) and the same step precisions
+        assert slow_reads == reads and slow_errors == errors
+        assert [[a[0] for a in attempts] for _, _, attempts in slow_runs] == [
+            [a[0] for a in attempts] for _, _, attempts in runs
+        ]
+        # replay each run: an attempt reads each distinct difference from the
+        # last accepted step once, in node order, up to the first one that
+        # misses the bar 2^-(m+idx+2)
+        for _, ball, attempts in slow_runs:
+            m, last, idx = bits_for(ball.radius), ball.center, 1
+            for prec, center, gap_reads in attempts:
+                bar = Fraction(1, 2 ** (m + idx + 2))
+                diffs = list(dict.fromkeys(combo - last[n] for n, combo in center.items()))
+                assert gap_reads and all(k == prec for _, k, _ in gap_reads)
+                assert [d for d, _, _ in gap_reads] == diffs[: len(gap_reads)]
+                his = [hi for _, _, hi in gap_reads]
+                if all(hi < bar for hi in his):
+                    assert len(gap_reads) == len(diffs)
+                    last, idx = center, idx + 1
+                else:
+                    assert his[-1] >= bar and all(hi < bar for hi in his[:-1])
+
+    def test_step_schedule_over_four_stages(self, monkeypatch):
+        pres = AdversarialPresentation(CeSet.explicit([1]), P32)
+        runs = _spy_refinement(monkeypatch, pres)
+        try:
+            build_disintegration(pres, 4)
+        except PrecisionExhaustedError:
+            pass  # the refinement cap still ends 4-stage builds at p = 3/2
+        assert len(runs) >= 3
+        step = extension_engine.REFINEMENT_STEP_BITS
+        for snapshot_prec, _, attempts in runs:
+            precs = [snapshot_prec] + [prec for prec, _, _ in attempts]
+            for before, after in zip(precs, precs[1:]):
+                assert step <= after - before <= 4 * step
+        assert sum(len(attempts) > 1 for _, _, attempts in runs) >= 2
+
+
+class TestTriangleNormBound:
+    """The bound that settles refinement step gaps without an oracle read."""
+
+    PRESENTATIONS = {
+        "standard": lambda p: StandardPresentation(p),
+        "rotated": lambda p: RotatedPresentation(p, GaussianRational.parse("3/5+4/5i")),
+        "adversarial-explicit": lambda p: AdversarialPresentation(CeSet.explicit([1, 3, 4]), p),
+        "adversarial-odds": lambda p: presentation_from_descriptor(
+            {"type": "adversarial", "ce": {"kind": "named", "name": "odds"}}, p
+        ),
+    }
+
+    @staticmethod
+    @st.composite
+    def combos(draw):
+        def part():
+            if draw(st.booleans()):
+                return Fraction(0)
+            size = Fraction(2) ** draw(st.integers(-200, 8))
+            return draw(st.sampled_from([-1, 1])) * size * Fraction(draw(st.integers(1, 255)), 255)
+
+        indices = draw(st.lists(st.integers(0, 7), max_size=6, unique=True))
+        return GenCombo({j: GaussianRational.of(part(), part()) for j in indices})
+
+    @pytest.mark.parametrize("p", [P1, P32, P3], ids=["p1", "p3/2", "p3"])
+    @pytest.mark.parametrize("kind", sorted(PRESENTATIONS))
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_bounds_the_norm(self, kind, p, data):
+        pres = self.PRESENTATIONS[kind](p)
+        combo = data.draw(self.combos())
+        bound = _triangle_norm_bound(combo, pres)
+        if combo.is_zero():
+            assert bound == 0
+        else:
+            assert bound >= pres.norm_enclosure(combo, 30).lo
 
 
 class TestSearchConstants:
@@ -821,6 +988,8 @@ class TestSearchConstants:
             return values, {node: combo + GenCombo.single(0) for node, combo in center.items()}
 
         monkeypatch.setattr(extension_engine, "_values_on_structure", drifting)
+        reads = []
+        _record_step_gap_reads(monkeypatch, pres, lambda *read: reads.append(read))
         node = res.psi.nodes()[0]
         with pytest.raises(
             PrecisionExhaustedError, match="^refinement cap hit before the target precision$"
@@ -831,7 +1000,11 @@ class TestSearchConstants:
         assert precs == sorted(set(precs)) and precs[0] > snapshot_prec
         # the last snapshot read is within the cap, and one more step would not be
         step = precs[-1] - precs[-2]
+        assert step == extension_engine.REFINEMENT_STEP_BITS == 4
         assert precs[-1] <= snapshot_prec + cap < precs[-1] + step
+        # a step a whole f_0 away is beyond the triangle bound's reach: each
+        # try reads its first gap through the oracle, and that read fails it
+        assert [k for _, k, _ in reads] == precs
 
 
 class TestChainSourceRoot:

@@ -808,9 +808,9 @@ class TestSharedWork:
         # every norm the pairwise phase reads goes through _rounded_norm
         queries = []
 
-        def spy_norm(vec, k, gen_bound):
+        def spy_norm(vec, k):
             queries.append((id(vec), k))
-            return rounded_norm(vec, k, gen_bound)
+            return rounded_norm(vec, k)
 
         rounded_norm = iso_cli._rounded_norm
         monkeypatch.setattr(iso_cli, "_rounded_norm", spy_norm)
@@ -971,7 +971,7 @@ class TestRoundedNorm:
             lambda kk: combo + GenCombo.single(0, GaussianRational.of(Fraction(1, 3 * 2**kk))),
             pres,
         )
-        enc = iso_cli._rounded_norm(vec, k, iso_cli._generator_bounds(pres))
+        enc = iso_cli._rounded_norm(vec, k)
         tight = tight_norm(k)
         assert enc.lo <= tight.lo and tight.hi <= enc.hi
         assert enc.width <= _width_target(k)
@@ -987,8 +987,7 @@ class TestRoundedNorm:
         # pad, leaves the norm outside
         k, n = 10, 7
         pres = _SkewedStandard(side)
-        gen_bound = iso_cli._generator_bounds(pres)
-        m = k + 3 + ceil_log2(sum(gen_bound(j) for j in range(n)))
+        m = k + 3 + ceil_log2(sum(pres.generator_norm_bound(j) for j in range(n)))
         g = m if grid == "own" else m - 1
         s = 1 if side == "hi" else -1
         # just below (s = 1) or above (s = -1) an odd multiple of 2^-(g+1),
@@ -1009,7 +1008,7 @@ class TestRoundedNorm:
         vec = ComputableVector(
             lambda kk: approx_combo if kk == k + 2 else true_combo, pres
         )
-        enc = iso_cli._rounded_norm(vec, k, gen_bound)
+        enc = iso_cli._rounded_norm(vec, k)
         tight = norm_p(FinSuppVector(true_combo.entries), P1, k + 60)
         assert enc.lo <= tight.lo and tight.hi <= enc.hi
         assert enc.width <= _width_target(k)
