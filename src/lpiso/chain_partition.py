@@ -56,7 +56,7 @@ def norm_power_value(value: TreeValue, p: PExponent, k: int) -> DyadicInterval:
 
     def attempt(kk: int) -> Optional[DyadicInterval]:
         out = pow_enclosure(value.norm_enclosure(kk), p, kk)
-        return out if out.width <= _width_target(k) else None
+        return out if out.fits(k) else None
 
     return refine(attempt, k + 2, what="norm power refinement exceeded the cap")
 

@@ -47,6 +47,7 @@ from .scalar_core import (
     DyadicInterval,
     GaussianRational,
     PExponent,
+    _exact_sum,
     _width_target,
     format_fraction,
     lamperti_constant,
@@ -245,17 +246,6 @@ def _ball_constraints(
         for node in phi.nodes():
             diff = center_map.value(node) - phi.value(node)
             yield "restriction", _width_target(k) - diff.norm_enclosure(prec).hi, 1
-
-
-def _exact_sum(values: List[Fraction]) -> Fraction:
-    """sum(values), exactly: when every denominator is a power of two, as one
-    integer over the largest of them, which skips a gcd per addition."""
-    dens = [v.denominator for v in values]
-    if any(d & (d - 1) for d in dens):
-        return sum(values, Fraction(0))
-    shift = max(dens, default=1).bit_length()
-    total = sum(v.numerator << (shift - d.bit_length()) for v, d in zip(values, dens))
-    return Fraction(total, 1 << (shift - 1))
 
 
 def _hom_root_upper(err_hi: Fraction, p: PExponent, prec: int) -> Fraction:
@@ -1001,7 +991,6 @@ def _normalized_norm_power(staged: StagedDisintegration, node: TreeNode, t: int)
     """
     p = staged.p
     rec = staged.last()
-    target = _width_target(t + 2)
     if node.is_root():
         # the midpoint of [sum, sum + widths + tail] lands within 2^-(t+1)
         # of the true power as long as widths + tail stay below 2^-t
@@ -1032,7 +1021,7 @@ def _normalized_norm_power(staged: StagedDisintegration, node: TreeNode, t: int)
         box = pow_enclosure(DyadicInterval.point(Fraction(1, 2**a)), p, kk) * (
             num * den.reciprocal()
         )
-        return box.mid if box.width <= target else None
+        return box.mid if box.fits(t + 2) else None
 
     return refine(
         attempt,

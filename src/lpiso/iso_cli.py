@@ -65,6 +65,7 @@ from .scalar_core import (
     DyadicInterval,
     GaussianRational,
     PExponent,
+    _padded_norm,
     _width_target,
     ceil_log2,
     format_fraction,
@@ -185,8 +186,7 @@ def _rounded_norm(vec: ComputableVector, k: int) -> DyadicInterval:
     m = k + 3 + ceil_log2(sum(vec.pres.generator_norm_bound(j) for j in combo.entries))
     rounded = GenCombo({j: _round_gauss(z, m) for j, z in combo.entries.items()})
     inner = vec.pres.norm_enclosure(rounded, k + 2)
-    pad = _width_target(k + 2) + _width_target(k + 3)
-    return DyadicInterval(max(inner.lo - pad, Fraction(0)), inner.hi + pad)
+    return _padded_norm(inner.lo, inner.hi, _width_target(k + 2) + _width_target(k + 3))
 
 
 def _certify_pairwise(
@@ -407,7 +407,7 @@ def recover_p(
         if log_box.lo <= 0:
             return None
         out = log_box.reciprocal()
-        return out if out.width <= _width_target(k_bits) else None
+        return out if out.fits(k_bits) else None
 
     return refine(
         attempt,

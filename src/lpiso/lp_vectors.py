@@ -19,7 +19,6 @@ from .scalar_core import (
     GaussianRational,
     PExponent,
     ZERO_INTERVAL,
-    _width_target,
     abs_pow,
     pow_enclosure,
     refine,
@@ -67,24 +66,37 @@ class FinSuppVector:
     def __hash__(self):
         return hash(frozenset(self.entries.items()))
 
-    def __add__(self, other: "FinSuppVector") -> "FinSuppVector":
+    def _built(self, entries: Dict[int, GaussianRational]) -> "FinSuppVector":
+        """A vector of this type on validated indices holding no zero."""
+        out = object.__new__(type(self))
+        out.entries = entries
+        return out
+
+    def _plus(self, items) -> "FinSuppVector":
+        """This vector plus nonzero entries at validated indices; an entry
+        whose sum cancels is dropped, so no zero is stored."""
         out = dict(self.entries)
-        for n, z in other.entries.items():
+        for n, z in items:
             s = out.get(n)
-            out[n] = z if s is None else s + z
-        return type(self)(out)
+            if s is None:
+                out[n] = z
+            elif (s := s + z).is_zero():
+                del out[n]
+            else:
+                out[n] = s
+        return self._built(out)
+
+    def __add__(self, other: "FinSuppVector") -> "FinSuppVector":
+        return self._plus(other.entries.items())
 
     def __sub__(self, other: "FinSuppVector") -> "FinSuppVector":
-        out = dict(self.entries)
-        for n, z in other.entries.items():
-            s = out.get(n)
-            out[n] = -z if s is None else s - z
-        return type(self)(out)
+        return self._plus((n, -z) for n, z in other.entries.items())
 
     def scale(self, z: GaussianRational) -> "FinSuppVector":
         if z.is_zero():
-            return type(self)({})
-        return type(self)({n: v * z for n, v in self.entries.items()})
+            return self._built({})
+        # a product of nonzero Gaussian rationals is nonzero
+        return self._built({n: v * z for n, v in self.entries.items()})
 
     def restrict(self, indices: Iterable[int]) -> "FinSuppVector":
         keep = set(indices)
@@ -150,7 +162,7 @@ def norm_power_p(f: FinSuppVector, p: PExponent, k: int) -> DyadicInterval:
 
     def attempt(kk: int) -> Optional[DyadicInterval]:
         out = DyadicInterval.sum(abs_pow(z, p, kk) for z in f.entries.values())
-        return out if out.width <= _width_target(k) else None
+        return out if out.fits(k) else None
 
     return refine(attempt, k + shift, what="norm^p refinement exceeded the precision cap")
 
@@ -162,7 +174,7 @@ def norm_p(f: FinSuppVector, p: PExponent, k: int) -> DyadicInterval:
 
     def attempt(kk: int) -> Optional[DyadicInterval]:
         out = pow_enclosure(norm_power_p(f, p, kk), p, kk, over_p=True)
-        return out if out.width <= _width_target(k) else None
+        return out if out.fits(k) else None
 
     return refine(attempt, k + 2, what="norm refinement exceeded the precision cap")
 
@@ -206,7 +218,7 @@ def sigma1_from_norms(
             terms.append(pow_enclosure(box, p, kk))
         a, b, c, d = terms
         out = ((a + b).scale(2) - (c + d)).abs()
-        return out if out.width <= _width_target(k) else None
+        return out if out.fits(k) else None
 
     return refine(attempt, k + 4, what="sigma1-from-norms exceeded the precision cap")
 

@@ -37,6 +37,7 @@ from .scalar_core import (
     GaussianRational,
     PExponent,
     ZERO_INTERVAL,
+    _padded_norm,
     _width_target,
     abs_pow,
     ceil_log2,
@@ -249,8 +250,7 @@ class Presentation:
     def norm_enclosure(self, combo: GenCombo, k: int) -> DyadicInterval:
         """Enclosure of ||combo||, width <= 2**-k, built from one oracle call."""
         q = self.norm_approx(combo, k + 1)
-        w = _width_target(k + 1)
-        return DyadicInterval(max(q - w, Fraction(0)), q + w)
+        return _padded_norm(q, q, _width_target(k + 1))
 
     def generator_norm_bound(self, j: int) -> Fraction:
         """A certified upper bound on ||f_j||: the top of one low-precision
@@ -416,7 +416,7 @@ class AdversarialPresentation(Presentation):
             main = pow_enclosure(sq, self.p, kk, num=Fraction(1, 2))
             sub = abs_pow(a0, self.p, kk).scale(Fraction(1, 2**c))
             out = main - sub
-            return out if out.width <= _width_target(k) else None
+            return out if out.fits(k) else None
 
         return refine(attempt, k + 3, what="interaction term exceeded the precision cap")
 
@@ -452,7 +452,7 @@ class AdversarialPresentation(Presentation):
                     total = total + self._interaction_term(a0, quad, c, kk)
             if total.lo < 0:
                 total = DyadicInterval(Fraction(0), max(total.hi, Fraction(0)))
-            return total if total.width <= _width_target(k) else None
+            return total if total.fits(k) else None
 
         return refine(
             attempt,
@@ -473,7 +473,7 @@ class AdversarialPresentation(Presentation):
         def attempt(kk: int) -> Optional[Fraction]:
             power = self.norm_power_enclosure(combo, kk)
             box = pow_enclosure(power, self.p, kk, over_p=True)
-            return box.mid if box.width <= _width_target(k + 1) else None
+            return box.mid if box.fits(k + 1) else None
 
         with self.p.shared_powers():
             return refine(attempt, k + 2, what="adversarial norm root exceeded the precision cap")
@@ -697,8 +697,7 @@ class ComputableVector:
     def norm_enclosure(self, k: int) -> DyadicInterval:
         combo = self.approx(k + 2)
         inner = self.pres.norm_enclosure(combo, k + 2)
-        pad = _width_target(k + 2)
-        return DyadicInterval(max(inner.lo - pad, Fraction(0)), inner.hi + pad)
+        return _padded_norm(inner.lo, inner.hi, _width_target(k + 2))
 
     def reciprocal_norm(self, k: int) -> DyadicInterval:
         """Enclosure of 1/||self||, width <= 2**-k; the norm must be nonzero."""
@@ -708,7 +707,7 @@ class ComputableVector:
             if box.lo <= 0:
                 return None
             out = box.reciprocal()
-            return out if out.width <= _width_target(k) else None
+            return out if out.fits(k) else None
 
         return refine(
             attempt,

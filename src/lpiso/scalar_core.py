@@ -21,7 +21,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, Optional, Tuple, TypeVar, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, TypeVar, Union
 
 from mpmath.libmp import from_int, from_rational, mpf_div, round_ceiling, round_floor
 from mpmath.libmp.libmpi import mpi_cos, mpi_div, mpi_exp, mpi_log, mpi_mul, mpi_pi
@@ -120,23 +120,23 @@ class GaussianRational:
 
     @staticmethod
     def zero() -> "GaussianRational":
-        return GaussianRational(Fraction(0), Fraction(0))
+        return _gauss(Fraction(0), Fraction(0))
 
     @staticmethod
     def one() -> "GaussianRational":
-        return GaussianRational(Fraction(1), Fraction(0))
+        return _gauss(Fraction(1), Fraction(0))
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        return _gauss(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return _gauss(self.re - other.re, self.im - other.im)
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _gauss(-self.re, -self.im)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
+        return _gauss(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -147,17 +147,17 @@ class GaussianRational:
 
     def scale(self, q: RationalLike) -> "GaussianRational":
         q = _to_fraction(q)
-        return GaussianRational(self.re * q, self.im * q)
+        return _gauss(self.re * q, self.im * q)
 
     def conj(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _gauss(self.re, -self.im)
 
     def abs_sq(self) -> Fraction:
         """|z|^2, exact."""
         return self.re * self.re + self.im * self.im
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.re.numerator and not self.im.numerator
 
     def __str__(self) -> str:
         if self.im == 0:
@@ -199,6 +199,14 @@ class GaussianRational:
         return GaussianRational(re, im)
 
 
+def _gauss(re: Fraction, im: Fraction) -> GaussianRational:
+    """GaussianRational(re, im) unchecked, for parts that are Fractions by construction."""
+    out = object.__new__(GaussianRational)
+    fields = out.__dict__
+    fields["re"], fields["im"] = re, im
+    return out
+
+
 GAUSS_ONE = GaussianRational.one()
 GAUSS_I = GaussianRational.of(0, 1)
 
@@ -238,7 +246,7 @@ class DyadicInterval:
     @staticmethod
     def point(q: RationalLike) -> "DyadicInterval":
         q = _to_fraction(q)
-        return DyadicInterval(q, q)
+        return _trusted(q, q)
 
     @staticmethod
     def of(lo: RationalLike, hi: RationalLike) -> "DyadicInterval":
@@ -249,6 +257,12 @@ class DyadicInterval:
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
+
+    def fits(self, k: int) -> bool:
+        """width <= 2**-k, decided on the endpoints' integers."""
+        lo, hi = self.lo, self.hi
+        lo_d, hi_d = lo.denominator, hi.denominator
+        return (hi.numerator * lo_d - lo.numerator * hi_d) << k <= hi_d * lo_d
 
     @property
     def mid(self) -> Fraction:
@@ -262,7 +276,8 @@ class DyadicInterval:
         return self.lo <= other.lo and other.hi <= self.hi
 
     def is_point(self) -> bool:
-        return self.lo == self.hi
+        lo, hi = self.lo, self.hi
+        return lo.numerator == hi.numerator and lo.denominator == hi.denominator
 
     def separated_from_zero(self) -> bool:
         return self.lo > 0 or self.hi < 0
@@ -321,12 +336,8 @@ class DyadicInterval:
 
     @staticmethod
     def sum(items) -> "DyadicInterval":
-        lo = Fraction(0)
-        hi = Fraction(0)
-        for it in items:
-            lo += it.lo
-            hi += it.hi
-        return _trusted(lo, hi)
+        items = list(items)
+        return _trusted(_exact_sum([it.lo for it in items]), _exact_sum([it.hi for it in items]))
 
 
 def _trusted(lo: Fraction, hi: Fraction) -> DyadicInterval:
@@ -342,6 +353,26 @@ ZERO_INTERVAL = DyadicInterval.point(0)
 
 def _width_target(k: int) -> Fraction:
     return Fraction(1, 2**k)
+
+
+def _exact_sum(values: List[Fraction]) -> Fraction:
+    """sum(values), exactly: when every denominator is a power of two, as one
+    integer over the largest of them, which skips a gcd per addition."""
+    dens = [v.denominator for v in values]
+    if any(d & (d - 1) for d in dens):
+        return sum(values, Fraction(0))
+    shift = max(dens, default=1).bit_length()
+    total = sum(v.numerator << (shift - d.bit_length()) for v, d in zip(values, dens))
+    return Fraction(total, 1 << (shift - 1))
+
+
+def _padded_norm(lo: Fraction, hi: Fraction, pad: Fraction) -> DyadicInterval:
+    """[max(lo - pad, 0), hi + pad] for lo <= hi and pad >= 0, a widened
+    norm enclosure; ValueError when even its top is negative."""
+    low, top = lo - pad, hi + pad
+    if top.numerator < 0:
+        raise ValueError(f"inverted interval [0, {top}]")
+    return _trusted(low if low.numerator > 0 else Fraction(0), top)
 
 
 # ---------------------------------------------------------------------------
@@ -623,14 +654,17 @@ def pow_enclosure(
     repeated argument tuple returns the enclosure computed first.
     """
     num = _to_fraction(num)
-    if num <= 0:
+    if num.numerator <= 0:
         raise ValueError("exponent multiplier must be positive")
-    if base.lo < 0:
+    lo, hi = base.lo, base.hi
+    if lo.numerator < 0:
         raise ValueError("pow_enclosure needs a nonnegative base interval")
     memo = p._pow_memo
     if memo is None:
         return _pow_enclosure(base, p, k, num, over_p)
-    key = (base.lo, base.hi, k, num, over_p)
+    # integer keys: hashing a Fraction costs a modular inverse
+    key = (lo.numerator, lo.denominator, hi.numerator, hi.denominator, k,
+           num.numerator, num.denominator, over_p)
     out = memo.get(key)
     if out is None:
         out = memo[key] = _pow_enclosure(base, p, k, num, over_p)
@@ -650,12 +684,11 @@ def _monotone_enclosure(
     endpoint enclosures are at most 2**-(k+1) wide; past MAX_WORKING_PREC
     it raises PrecisionExhaustedError(what).
     """
-    half_target = _width_target(k + 1)
     prec = max(64, k + GUARD_BITS)
     while True:
         lo_box = endpoint(base.lo, prec)
         hi_box = lo_box if base.is_point() else endpoint(base.hi, prec)
-        if lo_box.width <= half_target and hi_box.width <= half_target:
+        if lo_box.fits(k + 1) and hi_box.fits(k + 1):
             return _trusted(lo_box.lo, hi_box.hi)  # f increasing: lo <= hi
         prec *= 2
         if prec > MAX_WORKING_PREC:
@@ -666,7 +699,7 @@ def _pow_enclosure(
     base: DyadicInterval, p: PExponent, k: int, num: Fraction, over_p: bool
 ) -> DyadicInterval:
     def endpoint(x: Fraction, prec: int) -> DyadicInterval:
-        if x == 0:
+        if not x.numerator:
             return ZERO_INTERVAL
         return _pow_positive_fraction(x, p, num, over_p, prec)
 
@@ -718,7 +751,7 @@ def sigma1_scalar(z: GaussianRational, w: GaussianRational, p: PExponent, k: int
 
     def attempt(kk: int) -> Optional[DyadicInterval]:
         out = _signed_sigma1_terms(z, w, p, kk).abs()
-        return out if out.width <= _width_target(k) else None
+        return out if out.fits(k) else None
 
     return refine(attempt, k + 3, what="sigma1 refinement exceeded the precision cap")
 
@@ -731,7 +764,7 @@ def signed_sigma1_scalar(z: GaussianRational, w: GaussianRational, p: PExponent,
 
     def attempt(kk: int) -> Optional[DyadicInterval]:
         out = _signed_sigma1_terms(z, w, p, kk)
-        return out if out.width <= _width_target(k) else None
+        return out if out.fits(k) else None
 
     return refine(attempt, k + 3, what="sigma1 refinement exceeded the precision cap")
 
@@ -744,7 +777,7 @@ def lamperti_denominator(p: PExponent, k: int) -> DyadicInterval:
         two_pow = pow_enclosure(DyadicInterval.point(2), p, kk, num=Fraction(1, 2))
         raw = DyadicInterval.point(4) - two_pow.scale(2)
         box = raw if side < 0 else -raw
-        return box if box.lo > 0 and box.width <= _width_target(k) else None
+        return box if box.lo > 0 and box.fits(k) else None
 
     # p separated from 2 but the denominator still straddling 0 at the cap
     # cannot happen mathematically, so the error is defensive
@@ -765,7 +798,7 @@ def lamperti_constant(p: PExponent, k: int) -> DyadicInterval:
 
     def attempt(kk: int) -> Optional[DyadicInterval]:
         out = lamperti_denominator(p, kk).reciprocal()
-        return out if out.width <= _width_target(k) else None
+        return out if out.fits(k) else None
 
     out = refine(attempt, k + 2, what="lamperti constant refinement exceeded the cap")
     cache[k] = out
@@ -777,7 +810,7 @@ def sigma_scalar(z: GaussianRational, w: GaussianRational, p: PExponent, k: int)
 
     def attempt(kk: int) -> Optional[DyadicInterval]:
         out = lamperti_constant(p, kk) * sigma1_scalar(z, w, p, kk)
-        return out if out.width <= _width_target(k) else None
+        return out if out.fits(k) else None
 
     return refine(attempt, k + 3, what="sigma refinement exceeded the precision cap")
 
@@ -835,7 +868,6 @@ def lamperti_objective(theta_over_pi: RationalLike, t: RationalLike, p: PExponen
     if t < 1:
         raise ValueError("the objective is only defined for t >= 1")
     side = p.side_of_two()
-    target = _width_target(k)
 
     def attempt(kk: int) -> Optional[DyadicInterval]:
         prec = max(64, kk + GUARD_BITS)
@@ -850,6 +882,6 @@ def lamperti_objective(theta_over_pi: RationalLike, t: RationalLike, p: PExponen
         out = DyadicInterval.point(2) + tp.scale(2) - term_plus - term_minus
         if side > 0:
             out = -out
-        return out if out.width <= target else None
+        return out if out.fits(k) else None
 
     return refine(attempt, k + 4, what="objective refinement exceeded the precision cap")

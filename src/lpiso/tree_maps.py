@@ -52,6 +52,7 @@ from .scalar_core import (
     GaussianRational,
     PExponent,
     ZERO_INTERVAL,
+    _padded_norm,
     _width_target,
     abs_pow,
     lamperti_constant,
@@ -377,7 +378,7 @@ def sigma_tree(psi: TreeMap, k: int) -> DyadicInterval:
     def attempt(kk: int) -> Optional[DyadicInterval]:
         total = DyadicInterval.sum(sigma_pair_terms(psi, pairs, kk))
         out = lamperti_constant(psi.p, kk) * total
-        return out if out.width <= _width_target(k) else None
+        return out if out.fits(k) else None
 
     return refine(
         attempt,
@@ -560,9 +561,8 @@ def residual_norm(
             for node, coeff in beta.items():
                 approx = approx - psi.value(node).scale(coeff)
             box = norm_p(approx, psi.p, kk)
-            pad = _width_target(kk)  # generator approximation error
-            out = DyadicInterval(max(box.lo - pad, Fraction(0)), box.hi + pad)
-            return out if out.width <= _width_target(k) else None
+            out = _padded_norm(box.lo, box.hi, _width_target(kk))  # generator approximation error
+            return out if out.fits(k) else None
 
         return refine(
             transparent_attempt, k + 2, what="residual norm exceeded the precision cap"
@@ -582,8 +582,8 @@ def residual_norm(
             combo = combo - val.approx(inner_k).scale(coeff)
             pad += _width_target(kk + size_bits)  # |coeff| 2^-inner_k <= this
         box = pres.norm_enclosure(combo, kk)
-        out = DyadicInterval(max(box.lo - pad, Fraction(0)), box.hi + pad)
-        return out if out.width <= _width_target(k) else None
+        out = _padded_norm(box.lo, box.hi, pad)
+        return out if out.fits(k) else None
 
     return refine(attempt, k + 2, what="residual norm exceeded the precision cap")
 
@@ -679,7 +679,7 @@ def distance_bound(phi: TreeMap, psi: TreeMap, k: int) -> DyadicInterval:
         sig = sigma_tree(merged, kk)
         two_pow = pow_enclosure(DyadicInterval.point(2), phi.p, kk)
         out = dist_pow + two_pow * sig
-        return out if out.width <= _width_target(k) else None
+        return out if out.fits(k) else None
 
     return refine(attempt, k + 4, what="distance bound exceeded the precision cap")
 

@@ -27,7 +27,7 @@ from lpiso.presentations import (
     bits_for,
     presentation_from_descriptor,
 )
-from lpiso.scalar_core import GaussianRational, PExponent
+from lpiso.scalar_core import GaussianRational, PExponent, _exact_sum
 from lpiso.tree_maps import (
     ROOT,
     FiniteTree,
@@ -42,7 +42,6 @@ from lpiso.extension_engine import (
     Proposal,
     ProposalStructure,
     RationalBall,
-    _exact_sum,
     _ledger_hom_upper,
     _pick_radius_bits,
     _triangle_norm_bound,

@@ -3,6 +3,7 @@
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -160,3 +161,30 @@ class TestJson:
             {0: GaussianRational.parse("1/1"), 3: GaussianRational.parse("-1/2+1/2i")}
         )
         assert FinSuppVector.from_json(v.to_json()) == v
+
+
+class TestInternalResults:
+    """+, - and scale skip index validation but still store no zero; the
+    public constructor still validates."""
+
+    def test_constructor_rejects_bad_indices(self):
+        z = GaussianRational.one()
+        with pytest.raises(ValueError):
+            FinSuppVector({-1: z})
+        with pytest.raises(ValueError):
+            FinSuppVector({Fraction(1, 2): z})
+
+    @given(v=small_vectors(), w=small_vectors())
+    @settings(max_examples=100, deadline=None)
+    def test_no_stored_zeros(self, v, w):
+        for out in (v - v, v.scale(GaussianRational.zero()), v + w, v - w, (v + w) - w):
+            assert type(out) is FinSuppVector
+            assert all(not z.is_zero() for z in out.entries.values())
+        assert (v - v).entries == {} and v.scale(GaussianRational.zero()).entries == {}
+        assert ((v + w) - w) == v and (v + w) == FinSuppVector((v + w).entries)
+
+    def test_cancelling_sum(self):
+        a = vec(x0=1, x2=Fraction(1, 3))
+        b = vec(x0=-1, x2=Fraction(-1, 3), x5=2)
+        assert (a + b).entries == {5: GaussianRational.of(2)}
+        assert (a - a.scale(GaussianRational.one())).is_zero()

@@ -418,3 +418,35 @@ class TestInfiniteDecidableSet:
         v = pres.transparent_eval(c, k + 2)
         box = norm_p(v, P32, k + 2)
         assert abs(q - box.mid) < Fraction(1, 2 ** (k - 1))
+
+
+class _ContractBreaker(StandardPresentation):
+    """An oracle that answers -1: no norm is negative."""
+
+    def norm_approx(self, combo, k):
+        return Fraction(-1)
+
+
+class TestNormPads:
+    """Both norm pads widen one oracle answer by 2**-k and clip at 0."""
+
+    def test_broken_oracle_still_raises(self):
+        pres = _ContractBreaker(P1)
+        with pytest.raises(ValueError):
+            pres.norm_enclosure(combo(1), 4)
+        with pytest.raises(ValueError):
+            ComputableVector.constant(combo(1), pres).norm_enclosure(4)
+
+    @given(c=small_combos(), k=st.integers(0, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_pads(self, c, k):
+        pres = StandardPresentation(P32)
+        q = pres.norm_approx(c, k + 1)
+        w = Fraction(1, 2 ** (k + 1))
+        box = pres.norm_enclosure(c, k)
+        assert (box.lo, box.hi) == (max(q - w, Fraction(0)), q + w)
+        inner = pres.norm_enclosure(c, k + 2)
+        outer = ComputableVector.constant(c, pres).norm_enclosure(k)
+        pad = Fraction(1, 2 ** (k + 2))
+        assert (outer.lo, outer.hi) == (max(inner.lo - pad, Fraction(0)), inner.hi + pad)
+        assert type(box.lo) is Fraction and type(outer.lo) is Fraction

@@ -31,6 +31,7 @@ from mpmath.libmp import (
 
 import lpiso
 from lpiso.errors import PEqualsTwoError, PrecisionExhaustedError
+from lpiso.presentations import GenCombo
 from lpiso.scalar_core import (
     GUARD_BITS,
     CReal,
@@ -38,6 +39,7 @@ from lpiso.scalar_core import (
     GaussianRational,
     PExponent,
     _cos_of_pi_multiple,
+    _exact_sum,
     _fraction_from_mpf,
     _fraction_power_exact,
     _mpi_from_fraction,
@@ -57,6 +59,78 @@ P1 = PExponent.from_fraction(1)
 P32 = PExponent.from_fraction(Fraction(3, 2))
 P3 = PExponent.from_fraction(3)
 P4 = PExponent.from_fraction(4)
+
+
+def rationals(dyadic: bool):
+    """Fractions whose denominators are powers of two, or any up to 10**4."""
+    dens = st.integers(0, 80).map(lambda b: 1 << b) if dyadic else st.integers(1, 10**4)
+    return st.builds(Fraction, st.integers(-(10**9), 10**9), dens)
+
+
+@st.composite
+def intervals(draw):
+    lo = draw(rationals(draw(st.booleans())))
+    if draw(st.integers(0, 4)) == 0:
+        return DyadicInterval.point(lo)
+    return DyadicInterval(lo, lo + abs(draw(rationals(draw(st.booleans())))))
+
+
+class TestIntegerDecisions:
+    """Width tests, sums and memo keys decided on the Fractions' integers
+    answer what the Fraction comparisons answered."""
+
+    @given(box=intervals(), k=st.integers(0, 120))
+    @settings(max_examples=300, deadline=None)
+    def test_fits_is_the_width_test(self, box, k):
+        assert box.fits(k) == (box.width <= Fraction(1, 2**k))
+        assert box.fits(0) == (box.width <= 1)
+
+    def test_fits_at_the_boundary(self):
+        for k in (0, 1, 5, 64):
+            edge = DyadicInterval(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 2**k))
+            assert edge.fits(k) and not edge.fits(k + 1)
+            assert DyadicInterval.point(Fraction(-7, 3)).fits(k)
+
+    @given(values=st.lists(st.one_of(rationals(True), rationals(False)), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_sum_is_the_fraction_sum(self, values):
+        assert _exact_sum(values) == sum(values, Fraction(0))
+        boxes = [DyadicInterval(v, v + abs(v)) for v in values]
+        total = DyadicInterval.sum(iter(boxes))
+        assert total.lo == sum((b.lo for b in boxes), Fraction(0))
+        assert total.hi == sum((b.hi for b in boxes), Fraction(0))
+        assert type(total.lo) is Fraction and type(total.hi) is Fraction
+
+    def test_empty_sum(self):
+        assert DyadicInterval.sum([]) == DyadicInterval.point(0)
+        assert DyadicInterval.sum(iter(())) == DyadicInterval.point(0)
+
+    def test_spellings_are_equal_and_hash_equal(self):
+        half = GaussianRational.of(Fraction(1, 2))
+        spellings = [
+            (GaussianRational(Fraction(2, 4), Fraction(-6, 3)), GaussianRational.of(half.re, -2)),
+            (GaussianRational.of(3), GaussianRational(Fraction(3), Fraction(0))),
+            (GaussianRational.of(1, 1) * GaussianRational.of(1, -1), GaussianRational.of(2)),
+            (half - half, GaussianRational.zero()),
+        ]
+        for a, b in spellings:
+            assert a == b and hash(a) == hash(b)
+            ca, cb = GenCombo({0: a, 3: a}), GenCombo({3: b, 0: b})
+            assert ca == cb and hash(ca) == hash(cb)
+        assert GaussianRational.of(1, 2) != GaussianRational.of(2, 1)
+
+    def test_memo_serves_both_spellings_from_one_entry(self):
+        p = PExponent.from_fraction(Fraction(3, 2))
+        spellings = [
+            (DyadicInterval(Fraction(2, 4), Fraction(6, 4)), 30, Fraction(2, 2)),
+            (DyadicInterval.of(Fraction(1, 2), Fraction(3, 2)), 30, 1),
+            (DyadicInterval(Fraction(1, 2), Fraction(3, 2)), 30, Fraction(1)),
+        ]
+        direct = pow_enclosure(spellings[0][0], p, 30)
+        with p.shared_powers():
+            served = [pow_enclosure(box, p, k, num=num) for box, k, num in spellings]
+            assert len(p._pow_memo) == 1
+        assert all(out is served[0] for out in served) and served[0] == direct
 
 
 def gauss(re, im=0):
@@ -701,9 +775,24 @@ class TestTrustedResults:
         self.assert_valid(log2_enclosure(DyadicInterval.of(Fraction(1, 3), 5), 30))
         self.assert_valid(_cos_of_pi_multiple(Fraction(1, 3), 64))
 
+    def test_gaussian_results(self):
+        a, b = GaussianRational.of(Fraction(1, 3), -2), GaussianRational.of(5, Fraction(7, 2))
+        for z in (a + b, a - b, -a, a * b, a / b, a.scale(3), a.conj(),
+                  GaussianRational.zero(), GaussianRational.one()):
+            assert type(z.re) is Fraction and type(z.im) is Fraction
+            assert z == GaussianRational(z.re, z.im)
+
     def test_constructor_still_checks(self):
         with pytest.raises(ValueError):
             DyadicInterval(2, 1)
+        with pytest.raises(ValueError):
+            DyadicInterval(1, 0)
+        with pytest.raises(ValueError):
+            DyadicInterval.of(1, 0)
+        with pytest.raises(TypeError):
+            GaussianRational(0.5, 0)
+        with pytest.raises(TypeError):
+            GaussianRational.of(0, 0.5)
         with pytest.raises(TypeError):
             DyadicInterval(0.5, 1)
         with pytest.raises(ValueError):
