@@ -190,7 +190,7 @@ def _rounded_norm(vec: ComputableVector, k: int) -> DyadicInterval:
 
 
 def _certify_pairwise(
-    units: Sequence[UnitRecord], pres: Presentation, cert_bits: int
+    units: Sequence[ComputableVector], pres: Presentation, cert_bits: int
 ) -> None:
     """Certify every pair of units disjoint: its sigma1, computed from norm
     queries only, must clear 2^-cert_bits; PrecisionExhaustedError if not.
@@ -203,16 +203,17 @@ def _certify_pairwise(
     `reciprocal_norm`, `scale_creal`, `_normalize`, the atom peek and the
     generation witnesses read the unrounded approximations: they make the
     unit coefficients and the witness strings the report prints, which the
-    rounding therefore leaves unchanged.
+    rounding therefore leaves unchanged.  `synthesize_isometry` hands in
+    views that read each unit at one precision (see there).
     """
     def norm_of(vec: ComputableVector) -> Callable[[int], DyadicInterval]:
         return lambda kk: _rounded_norm(vec, kk)
 
     with pres.p.shared_powers():
-        unit_norms = [norm_per_precision(norm_of(rec.vector)) for rec in units]
+        unit_norms = [norm_per_precision(norm_of(vec)) for vec in units]
         for i in range(len(units)):
             for j in range(i + 1, len(units)):
-                a, b = units[i].vector, units[j].vector
+                a, b = units[i], units[j]
                 box = sigma1_from_norms(
                     unit_norms[i],
                     unit_norms[j],
@@ -241,10 +242,13 @@ def synthesize_isometry(
     within 2^-cert_bits, every pairwise sigma1 upper bound clears
     2^-cert_bits, and each of the first n_units generators is approximated
     within 2^-generation_bits (n_units when None) by an explicitly
-    witnessed combination.  The pairwise check reads its norms
-    on dyadic roundings of the units' approximations, inside one shared
-    power memo (see `_certify_pairwise`); the other certificates and the
-    report read the unrounded approximations.
+    witnessed combination.  Every certificate reads a unit through
+    `unit.at_least(peek_prec + 1)`, so all of them, the atom peek included,
+    share the one approximation the peek makes; a finer request still
+    reaches the unit.  The pairwise check reads its norms on dyadic
+    roundings of those approximations, inside one shared power memo (see
+    `_certify_pairwise`).  The records hold the raw units, which `apply`
+    reads at its own precisions.
     """
     gen_bits = n_units if generation_bits is None else generation_bits
     peek_prec = max(gen_bits, cert_bits) + 8
@@ -261,6 +265,7 @@ def synthesize_isometry(
     # one backdoor peek per unit: its atom coordinate, and the coefficient
     # the generation witnesses divide by (first unit on each coordinate)
     atom_of: Dict[int, Tuple[int, GaussianRational]] = {}
+    views: List[ComputableVector] = []
     for cid in range(len(partition.chains)):
         if len(units) >= n_units:
             break
@@ -271,20 +276,22 @@ def synthesize_isometry(
             provisional = True
             continue
         unit, inv_bits = _normalize(lim.vector, cert_bits)
-        box = unit.norm_enclosure(cert_bits + 2)
+        view = unit.at_least(peek_prec + 1)  # the precision the peek reads
+        box = view.norm_enclosure(cert_bits + 2)
         if not (box.lo >= 1 - _width_target(cert_bits) and box.hi <= 1 + _width_target(cert_bits)):
             raise PrecisionExhaustedError("unit norm certificate failed")
         atom_coord, coeff = _transparent_atom_peek(unit, peek_prec)
         if atom_coord is not None and atom_coord not in atom_of:
             atom_of[atom_coord] = (len(units), coeff)
         units.append(UnitRecord(len(units), cid, atom_coord, cert_bits, unit))
+        views.append(view)
     if len(units) < n_units:
         raise BudgetExhaustedError(
             f"only {len(units)} nonzero chain limits at {n_units} stages",
             budget=n_units,
         )
 
-    _certify_pairwise(units, pres, cert_bits)
+    _certify_pairwise(views, pres, cert_bits)
 
     # generator coverage with explicit witnesses, certified on the flat
     # map sending node (m) to unit m
@@ -292,7 +299,7 @@ def synthesize_isometry(
     unit_nodes = [TreeNode.of(rec.index) for rec in units]
     unit_map = TreeMap(
         FiniteTree(unit_nodes),
-        {node: rec.vector for node, rec in zip(unit_nodes, units)},
+        dict(zip(unit_nodes, views)),
         pres.p,
     )
     for j in range(n_units):

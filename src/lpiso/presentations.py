@@ -694,6 +694,11 @@ class ComputableVector:
     def constant(combo: GenCombo, pres: Presentation) -> "ComputableVector":
         return ComputableVector(lambda k: combo, pres)
 
+    def at_least(self, floor: int) -> "ComputableVector":
+        """This vector read no coarser than approx(floor), through its memo:
+        an approximation within 2**-floor is within 2**-k for every k <= floor."""
+        return ComputableVector(lambda k: self.approx(max(k, floor)), self.pres)
+
     def norm_enclosure(self, k: int) -> DyadicInterval:
         combo = self.approx(k + 2)
         inner = self.pres.norm_enclosure(combo, k + 2)

@@ -365,6 +365,44 @@ class TestPairLedger:
         capsys.readouterr()
         assert counts[32] / counts[16] < 6, counts
 
+    def test_hom_read_evaluates_o_n_new_terms_per_stage(self, monkeypatch):
+        # outside stale rounds, a stage's hom reads evaluate at most one pair
+        # term per non-root node: the pairs that touch the new node.  A
+        # 16-stage flat build evaluates n terms at stage n and re-reads stale
+        # terms in one round (45 pairs, at the tenth extension)
+        new_terms, stale_rounds = [], []
+        calls = {}
+        extend = extension_engine._extend
+        hom_upper = extension_engine._ledger_hom_upper
+        pair_terms = extension_engine.sigma_pair_terms
+
+        def staged(*args, **kwargs):
+            new_terms.append([0, None])
+            return extend(*args, **kwargs)
+
+        def hom_read(ball, pres, prec, ledger):
+            calls["round"] = 0
+            new_terms[-1][1] = len(ball.tree.nonroot_nodes())
+            return hom_upper(ball, pres, prec, ledger)
+
+        def evaluated(psi, pairs, kk):
+            # a hom read's first evaluation takes its new pairs; a second
+            # re-reads its stale ones
+            if calls["round"] == 0:
+                new_terms[-1][0] += len(pairs)
+            else:
+                stale_rounds.append(len(pairs))
+            calls["round"] += 1
+            return pair_terms(psi, pairs, kk)
+
+        monkeypatch.setattr(extension_engine, "_extend", staged)
+        monkeypatch.setattr(extension_engine, "_ledger_hom_upper", hom_read)
+        monkeypatch.setattr(extension_engine, "sigma_pair_terms", evaluated)
+        build_disintegration(StandardPresentation(P1), 16)
+        assert len(new_terms) == 16
+        assert all(terms <= nodes for terms, nodes in new_terms), new_terms
+        assert len(stale_rounds) <= 2, stale_rounds
+
     def test_carried_bounds_sum_exactly(self):
         # the hom read sums dyadic bounds as one integer: the same rational
         dyadic = [Fraction(3, 8), Fraction(-5, 2**70), Fraction(7), Fraction(1, 2**3000)]

@@ -718,15 +718,18 @@ class TestVerbose:
 def _old_generation_upper(iso, j):
     """The padded flattening synthesize_isometry ran inline before it called
     tree_maps.residual_norm: one query at generation_bits + 4, each witness
-    term approximated finely enough to stay inside the padding."""
+    term approximated finely enough to stay inside the padding, and never
+    coarser than the atom peek's read at peek_prec + 1, as the program's
+    unit views read it."""
     gen_bits = iso.generation_bits
+    peek_prec = max(gen_bits, iso.pairwise_sigma1_bits) + 8
     beta = iso.witnesses[j]
     size_bits = max(1, len(beta)).bit_length()
     combo = GenCombo.single(j)
     pad = Fraction(0)
     for m, z in beta.items():
         inner_k = gen_bits + 4 + size_bits + _entry_bound_bits(z)
-        combo = combo - iso.units[m].vector.approx(inner_k).scale(z)
+        combo = combo - iso.units[m].vector.approx(max(inner_k, peek_prec + 1)).scale(z)
         pad += _width_target(gen_bits + 4 + size_bits)
     return iso.pres.norm_enclosure(combo, gen_bits + 4).hi + pad
 
@@ -786,6 +789,45 @@ class TestAtomPeek:
         }
 
 
+class TestOneApproximationPerUnit:
+    @pytest.mark.parametrize(
+        "pres,n_units",
+        [
+            (StandardPresentation(P1), 8),
+            (RotatedPresentation(P32, GaussianRational.parse("3/5+4/5i")), 4),
+            (AdversarialPresentation(CeSet.explicit([2, 5]), P1), 4),
+        ],
+        ids=["standard-p1-u8", "rotated-p3/2-u4", "adversarial-p1-u4"],
+    )
+    def test_every_certificate_reads_the_peek_approximation(self, pres, n_units, monkeypatch):
+        # the norm, pairwise and witness checks read each unit at the atom
+        # peek's precision, so each unit's approximator is asked exactly once
+        asked = {}
+        normalize = iso_cli._normalize
+
+        def counting_normalize(vec, cert_bits):
+            unit, inv_bits = normalize(vec, cert_bits)
+            inner = unit._approx
+            precs = asked[id(unit)] = []
+
+            def counted(k):
+                precs.append(k)
+                return inner(k)
+
+            unit._approx = counted
+            return unit, inv_bits
+
+        monkeypatch.setattr(iso_cli, "_normalize", counting_normalize)
+        iso = synthesize_isometry(pres, n_units)
+        peek_prec = max(iso.generation_bits, iso.pairwise_sigma1_bits) + 8
+        assert len(asked) == n_units
+        assert [asked[id(u.vector)] for u in iso.units] == [[peek_prec + 1]] * n_units
+        # apply reads the raw unit, at a precision below the peek's
+        unit = iso.units[0].vector
+        apply_isometry(iso, FinSuppVector.basis(0), 4)
+        assert len(asked[id(unit)]) == 2 and asked[id(unit)][1] < peek_prec + 1
+
+
 class TestSharedWork:
     def test_no_power_memo_left_on_the_exponent(self):
         # conftest.P1 is shared by many tests: a memo left open would leak
@@ -805,17 +847,26 @@ class TestSharedWork:
         assert SHARED_P1._pow_memo is None
 
     def test_pairwise_phase_reads_each_unit_norm_once_per_precision(self, monkeypatch):
-        # every norm the pairwise phase reads goes through _rounded_norm
+        # every norm the pairwise phase reads goes through _rounded_norm; the
+        # units reach it as the views synthesize_isometry hands in
         queries = []
+        views = []
 
         def spy_norm(vec, k):
             queries.append((id(vec), k))
             return rounded_norm(vec, k)
 
+        def spy_pairwise(units, pres, cert_bits):
+            views.extend(units)
+            return certify_pairwise(units, pres, cert_bits)
+
         rounded_norm = iso_cli._rounded_norm
+        certify_pairwise = iso_cli._certify_pairwise
         monkeypatch.setattr(iso_cli, "_rounded_norm", spy_norm)
-        iso = synthesize_isometry(StandardPresentation(P1), 4)
-        unit_ids = {id(u.vector) for u in iso.units}
+        monkeypatch.setattr(iso_cli, "_certify_pairwise", spy_pairwise)
+        synthesize_isometry(StandardPresentation(P1), 4)
+        assert len(views) == 4
+        unit_ids = {id(v) for v in views}
         unit_queries = [q for q in queries if q[0] in unit_ids]
         # every unit takes part in pairs, each (unit, precision) is read once
         assert {uid for uid, _ in unit_queries} == unit_ids
@@ -888,7 +939,7 @@ _LONG = Fraction(1, 3**130)
 
 
 def _overlapping_units(pres, first, overlap=Fraction(1, 2**10)):
-    """Unit records on generators first and first + 1 that share `overlap`
+    """Units on generators first and first + 1 that share `overlap`
     of generator first, with coefficients of more than 200 bits."""
     a = GenCombo({first: GaussianRational.of(1 - _LONG)})
     b = GenCombo(
@@ -897,10 +948,7 @@ def _overlapping_units(pres, first, overlap=Fraction(1, 2**10)):
             first + 1: GaussianRational.of(1 - overlap - _LONG),
         }
     )
-    return [
-        iso_cli.UnitRecord(m, m, None, 12, ComputableVector.constant(combo, pres))
-        for m, combo in enumerate((a, b))
-    ]
+    return [ComputableVector.constant(combo, pres) for combo in (a, b)]
 
 
 class _SkewedStandard(StandardPresentation):

@@ -262,6 +262,39 @@ class TestComputableVector:
         v = ComputableVector.constant(combo(1), pres).scale_gauss(GaussianRational.of(3))
         assert v.approx(4) == combo(3)
 
+    @pytest.mark.parametrize("side", ["below", "above"])
+    @pytest.mark.parametrize(
+        "make_pres",
+        [
+            lambda: StandardPresentation(P1),
+            lambda: RotatedPresentation(P32, GaussianRational.parse("3/5+4/5i")),
+            lambda: AdversarialPresentation(CeSet.explicit([2, 5]), P1),
+        ],
+        ids=["standard-p1", "rotated-p3/2", "adversarial-p1"],
+    )
+    @given(
+        c=small_combos(max_index=3),
+        off=st.integers(-4, 4),
+        floor=st.integers(2, 24),
+        d=st.integers(0, 10),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_at_least_reads_the_floor_approximation(self, make_pres, side, c, off, floor, d):
+        pres = make_pres()
+        # within 2^-k of c: f_0 has norm 1 in all three presentations
+        v = ComputableVector(
+            lambda k: c + GenCombo.single(0, GaussianRational.of(Fraction(off, 8 * 2**k))),
+            pres,
+        )
+        view = v.at_least(floor)
+        # below: the norm's approx(k + 2) read is still at most the floor
+        k = max(0, floor - 2 - d) if side == "below" else floor + d
+        assert view.approx(k) is v.approx(max(k, floor))
+        box = view.norm_enclosure(k)
+        fine = v.norm_enclosure(k + 20)
+        assert box.fits(k)
+        assert box.lo <= fine.hi and fine.lo <= box.hi
+
 
 class TestEnumerationStall:
     def test_norm_query_beyond_available_elements(self):
