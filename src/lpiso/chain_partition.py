@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .errors import (
     BudgetExhaustedError,
@@ -139,14 +139,12 @@ class LazyDisintegration(ChainSource):
         value_fn: Callable[[TreeNode], TreeValue],
         stage_fn: Callable[[int], FiniteTree],
         terminal_fn: Callable[[TreeNode], bool] = lambda node: False,
-        limit_fn: Optional[Callable[[Tuple[TreeNode, ...]], Optional[TreeValue]]] = None,
         norm_power_fn: Optional[Callable[[TreeNode, int], Fraction]] = None,
     ):
         self.p = p
         self._value_fn = value_fn
         self._stage_fn = stage_fn
         self._terminal_fn = terminal_fn
-        self._limit_fn = limit_fn
         self._norm_power_fn = norm_power_fn
         self._value_memo: Dict[TreeNode, TreeValue] = {}
 
@@ -165,11 +163,6 @@ class LazyDisintegration(ChainSource):
 
     def certified_terminal(self, node: TreeNode) -> bool:
         return self._terminal_fn(node)
-
-    def limit_vector(self, chain: Sequence[TreeNode]) -> Optional[TreeValue]:
-        if self._limit_fn is None:
-            return None
-        return self._limit_fn(tuple(chain))
 
 
 def dyadic_fixture(pres: Presentation) -> LazyDisintegration:
@@ -251,12 +244,7 @@ class AnmCertificate:
 CHAIN_SEARCH_STAGES = 4096
 
 
-def find_anm_child(
-    source: ChainSource,
-    mu: TreeNode,
-    *,
-    max_stage: int = CHAIN_SEARCH_STAGES,
-) -> AnmCertificate:
+def find_anm_child(source: ChainSource, mu: TreeNode) -> AnmCertificate:
     """An almost norm-maximizing child of mu, with a stage certificate.
 
     Searches stages t >= |mu| + 2 so the certified slack 2**-t is at most
@@ -268,7 +256,7 @@ def find_anm_child(
         raise NonterminalRequiredError(f"{mu} is terminal")
     t = len(mu) + 2
     precision_failures = 0
-    while t <= max_stage:
+    while t <= CHAIN_SEARCH_STAGES:
         tree = source.stage_tree(t)
         if mu in tree:
             kids = tree.children(mu)
@@ -294,8 +282,8 @@ def find_anm_child(
                     return AnmCertificate(mu, best, t, kid_bounds[best].m, _width_target(t))
         t += 1
     raise BudgetExhaustedError(
-        f"almost norm-maximizing child of {mu} not certified by stage {max_stage}",
-        budget=max_stage,
+        f"almost norm-maximizing child of {mu} not certified by stage {CHAIN_SEARCH_STAGES}",
+        budget=CHAIN_SEARCH_STAGES,
     )
 
 
@@ -389,10 +377,6 @@ class ChainLimit:
     vector: Optional[TreeValue]
     norm_power: DyadicInterval
     status: str  # "exact" | "zero" | "provisional"
-
-    @property
-    def is_zero(self) -> bool:
-        return self.status == "zero"
 
 
 def chain_limit(

@@ -34,10 +34,6 @@ class HypothesisViolatedError(LpisoError):
     extends no non-root node of the smaller tree (and the smaller tree is
     not trivial)."""
 
-    def __init__(self, node, message=None):
-        self.node = node
-        super().__init__(message or f"node {node} extends no non-root node of the base tree")
-
 
 class NotPartialDisintegrationError(LpisoError):
     """An operation required a certified partial disintegration and the

@@ -31,6 +31,7 @@ from .errors import (
 )
 from .lp_vectors import FinSuppVector, norm_p
 from .scalar_core import (
+    GAUSS_ONE,
     MAX_WORKING_PREC,
     CReal,
     DyadicInterval,
@@ -66,13 +67,16 @@ class GenCombo(FinSuppVector):
         return {"coeffs": {str(n): str(z) for n, z in sorted(self.entries.items())}}
 
     @staticmethod
-    def single(j: int, coeff: GaussianRational = GaussianRational.one()) -> "GenCombo":
-        return GenCombo({j: coeff})
+    def single(j: int) -> "GenCombo":
+        return GenCombo({j: GAUSS_ONE})
 
 
 # ---------------------------------------------------------------------------
 # enumerated sets
 # ---------------------------------------------------------------------------
+
+# the last stage an enumeration is asked for before it counts as stalled
+ENUMERATION_STAGES = 1 << 16
 
 
 class CeSet:
@@ -90,13 +94,11 @@ class CeSet:
         decide: Optional[Callable[[int], bool]] = None,
         complete_size: Optional[int] = None,
         label: str = "ce-set",
-        max_stage: int = 1 << 16,
     ):
         self._stage_fn = stage_fn
         self.decide = decide
         self.complete_size = complete_size
         self.label = label
-        self.max_stage = max_stage
         self._enumerated: List[int] = []
         self._seen: set = set()
         self._cursor = 0
@@ -149,9 +151,9 @@ class CeSet:
         while len(self._enumerated) < count:
             if self.complete_size is not None and len(self._enumerated) >= self.complete_size:
                 return
-            if self._cursor > self.max_stage:
+            if self._cursor > ENUMERATION_STAGES:
                 raise EnumerationStalledError(
-                    f"{self.label}: fewer than {count} elements after stage {self.max_stage}"
+                    f"{self.label}: fewer than {count} elements after stage {ENUMERATION_STAGES}"
                 )
             for n in sorted(self.stage(self._cursor)):
                 if n not in self._seen:

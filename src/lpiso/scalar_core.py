@@ -450,7 +450,7 @@ class CReal:
         return CReal(approx, name)
 
     @staticmethod
-    def sqrt_of_fraction(a: RationalLike, name: Optional[str] = None) -> "CReal":
+    def sqrt_of_fraction(a: RationalLike) -> "CReal":
         """sqrt(a) for rational a >= 0 via integer square roots (no floats)."""
         a = _to_fraction(a)
         if a < 0:
@@ -465,7 +465,7 @@ class CReal:
             hi = Fraction(root_lo + 1, 2**m)
             return DyadicInterval(lo, hi)
 
-        return CReal.from_interval_fn(box, name or f"sqrt({format_fraction(a)})")
+        return CReal.from_interval_fn(box, f"sqrt({format_fraction(a)})")
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ the bound fails.
 
 from __future__ import annotations
 
-import re
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -187,7 +187,9 @@ def check_extension_hypothesis(base: FiniteTree, larger: FiniteTree) -> None:
     level_one = {n.path[0] for n in base_nonroot}
     for node in larger.nonroot_nodes():
         if node.path[0] not in level_one:
-            raise HypothesisViolatedError(node)
+            raise HypothesisViolatedError(
+                f"node {node} extends no non-root node of the base tree"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +264,24 @@ class TreeMap:
 
     @staticmethod
     def from_json(data: dict, p: PExponent) -> "TreeMap":
-        tree = FiniteTree.from_paths(data["tree"])
+        """The inverse of `to_json`: each map key is a JSON list of naturals,
+        and no two keys may name one node."""
+        tree = FiniteTree.from_paths(_natural_path(path) for path in data["tree"])
         values: Dict[TreeNode, TreeValue] = {}
         for key, vec in data["map"].items():
-            path = tuple(int(x) for x in re.findall(r"-?\d+", key))
-            values[TreeNode(path)] = FinSuppVector.from_json(vec)
+            node = TreeNode(_natural_path(json.loads(key)))
+            if node in values:
+                raise ValueError(f"two map keys name the node {list(node.path)}")
+            values[node] = FinSuppVector.from_json(vec)
         return TreeMap(tree, values, p)
+
+
+def _natural_path(labels) -> Tuple[int, ...]:
+    if not isinstance(labels, list) or any(
+        isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in labels
+    ):
+        raise ValueError(f"a node path is a list of naturals, got {labels!r}")
+    return tuple(labels)
 
 
 def _vnorm(value: TreeValue, p: PExponent, k: int) -> DyadicInterval:
@@ -548,25 +562,13 @@ def residual_norm(
     beta: Dict[TreeNode, GaussianRational],
     k: int,
 ) -> DyadicInterval:
-    """Enclosure of || f_j - sum_nu beta(nu) psi(nu) ||.
+    """Enclosure of || f_j - sum_nu beta(nu) psi(nu) ||, psi's values
+    computable vectors over `pres`.
 
-    The opaque route flattens the combination into one exact-coefficient
-    formal sum (one approximation query per node) instead of nesting
-    computable-vector wrappers, which keeps the precision requests shallow.
+    The combination is flattened into one exact-coefficient formal sum (one
+    approximation query per node) instead of nesting computable-vector
+    wrappers, which keeps the precision requests shallow.
     """
-    if psi.is_transparent and pres.has_backdoor:
-
-        def transparent_attempt(kk: int) -> Optional[DyadicInterval]:
-            approx = pres.generator_vector(j, kk)
-            for node, coeff in beta.items():
-                approx = approx - psi.value(node).scale(coeff)
-            box = norm_p(approx, psi.p, kk)
-            out = _padded_norm(box.lo, box.hi, _width_target(kk))  # generator approximation error
-            return out if out.fits(k) else None
-
-        return refine(
-            transparent_attempt, k + 2, what="residual norm exceeded the precision cap"
-        )
     size_bits = max(1, len(beta)).bit_length()
 
     def attempt(kk: int) -> Optional[DyadicInterval]:
@@ -576,7 +578,7 @@ def residual_norm(
             val = psi.value(node)
             if not isinstance(val, ComputableVector):
                 raise NoBackdoorError(
-                    "certifying a transparent map against a backdoor-less oracle is not supported"
+                    "residual norms read computable values; encode a transparent map first"
                 )
             inner_k = kk + size_bits + _entry_bound_bits(coeff)
             combo = combo - val.approx(inner_k).scale(coeff)

@@ -15,6 +15,7 @@ from lpiso.presentations import (AdversarialPresentation, CeSet, ComputableVecto
     GenCombo, StandardPresentation)
 from lpiso.scalar_core import GaussianRational, PExponent
 from lpiso.chain_partition import (
+    CHAIN_SEARCH_STAGES,
     FiniteDisintegration,
     LazyDisintegration,
     StageBound,
@@ -34,6 +35,17 @@ P32 = PExponent.from_fraction(Fraction(3, 2))
 
 def fs(entries):
     return FinSuppVector({n: GaussianRational.of(Fraction(q)) for n, q in entries.items()})
+
+
+class SpineLimit(LazyDisintegration):
+    """A lazy source that knows the limit of its all-zeros spine."""
+
+    def __init__(self, limit, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._limit = limit
+
+    def limit_vector(self, chain):
+        return self._limit if set(chain[-1].path) == {0} else None
 
 
 def two_level_fixture():
@@ -175,12 +187,12 @@ class TestChainLimit:
             atoms = [TreeNode(tuple([0] * d + [1])) for d in range(0, t + 1)]
             return FiniteTree(zeros + atoms)
 
-        src = LazyDisintegration(
+        src = SpineLimit(
+            atom,
             P1,
             value,
             stage,
             terminal_fn=lambda node: bool(node.path) and node.path[-1] == 1,
-            limit_fn=lambda chain: atom if set(chain[-1].path) == {0} else None,
         )
         part = partition_chains(src, stage_budget=4)
         zero_chain = part.assignment[TreeNode.of(0, 0)]
@@ -221,14 +233,12 @@ class TestZeroLimit:
             atoms = [TreeNode(tuple([0] * d + [1])) for d in range(0, t + 1)]
             return FiniteTree(zeros + atoms)
 
-        src = LazyDisintegration(
+        src = SpineLimit(
+            FinSuppVector.zero(),
             P1,
             value,
             stage,
             terminal_fn=lambda node: bool(node.path) and node.path[-1] == 1,
-            limit_fn=lambda chain: FinSuppVector.zero()
-            if set(chain[-1].path) == {0}
-            else None,
         )
         part = partition_chains(src, stage_budget=4)
         spine_chains = [
@@ -253,7 +263,7 @@ class TestZeroLimit:
                 val = src.value(node)
                 if isinstance(val, FinSuppVector):
                     assert precedes(lim.vector, val)
-            if not lim.is_zero:
+            if lim.status != "zero":
                 assert is_atom(lim.vector)
 
 
@@ -278,10 +288,12 @@ class TestAnmBudget:
             return Fraction(1, 4)
 
         src = LazyDisintegration(P1, _no_value, lambda t: self.KIDS, norm_power_fn=norm_power)
-        with pytest.raises(BudgetExhaustedError, match="not certified by stage 12") as info:
-            find_anm_child(src, ROOT, max_stage=12)
-        assert info.value.budget == 12
-        assert parent_queries == list(range(2, 13))
+        with pytest.raises(
+            BudgetExhaustedError, match=f"not certified by stage {CHAIN_SEARCH_STAGES}"
+        ) as info:
+            find_anm_child(src, ROOT)
+        assert info.value.budget == CHAIN_SEARCH_STAGES
+        assert parent_queries == list(range(2, CHAIN_SEARCH_STAGES + 1))
 
     def test_capped_source_asks_for_more_stages(self):
         stages = []

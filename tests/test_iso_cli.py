@@ -342,6 +342,9 @@ class TestCli:
         assert stderr == ""
 
 
+_ONE_NODE_MAP = '{"tree": [[0]], "map": {"[0]": {"entries": {"0": "1"}}}}'
+
+
 class TestCliInputErrors:
     """Malformed input ends in the documented JSON error with exit code 1."""
 
@@ -391,6 +394,33 @@ class TestCliInputErrors:
         # used to end in a ZeroDivisionError traceback
         message = self.assert_input_error(capsys, *argv)
         assert message == f"bad {option}: zero denominator in '1/0'"
+
+    @pytest.mark.parametrize(
+        "tree_map",
+        [
+            '{"tree": [[-1]], "map": {"[-1]": {"entries": {"0": "1"}}}}',
+            '{"tree": [[true]], "map": {"[1]": {"entries": {"0": "1"}}}}',
+            '{"tree": [[0]], "map": {"0x": {"entries": {"0": "1"}}}}',
+            '{"tree": [[0]], "map": {"(0)": {"entries": {"0": "1"}}}}',
+            '{"tree": [[0]], "map": {"[0]": {"entries": {"0": "1"}}, '
+            '"[ 0 ]": {"entries": {"1": "1"}}}}',
+        ],
+        ids=["negative-label", "boolean-label", "key-0x", "key-parenthesized", "two-keys-one-node"],
+    )
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["validate-tree", "--tree"], "--tree"),
+            (["project-hom", "--psi", _ONE_NODE_MAP, "--phi"], "--phi"),
+            (["project-hom", "--phi", '{"tree": [], "map": {}}', "--psi"], "--psi"),
+            (["extend", "--pres", '{"type": "standard", "p": "1"}', "--phi"], "--phi"),
+        ],
+        ids=["validate-tree", "project-hom-phi", "project-hom-psi", "extend-phi"],
+    )
+    def test_malformed_tree_map(self, capsys, argv, option, tree_map):
+        # each used to be read as some well-formed map and certified
+        message = self.assert_input_error(capsys, *argv, tree_map)
+        assert message.startswith(f"bad {option}: ")
 
     def test_negative_precision(self, capsys):
         message = self.assert_input_error(capsys, "sigma", "--z", "1", "--w", "1", "--k", "-5")
@@ -1016,7 +1046,7 @@ class TestRoundedNorm:
         # approximations off by a third of their allowance on f_0, a
         # generator of norm 1 in all three presentations
         vec = ComputableVector(
-            lambda kk: combo + GenCombo.single(0, GaussianRational.of(Fraction(1, 3 * 2**kk))),
+            lambda kk: combo + GenCombo({0: GaussianRational.of(Fraction(1, 3 * 2**kk))}),
             pres,
         )
         enc = iso_cli._rounded_norm(vec, k)

@@ -1,11 +1,12 @@
 """Source guard: every function, class and method defined in the package is
 named somewhere in the package, its tests or the benchmark harness.
 
-A definition counts as used when its name appears as a variable, an
-attribute or a word inside a string literal (the benchmark tracer names
-functions by their qualified names) anywhere under src/, tests/ or bench/.
-Docstrings do not count, so a name that only documentation mentions is
-still reported.
+A definition counts as used when its name appears as a variable or an
+attribute anywhere under src/, tests/ or bench/, or as a word inside a
+string literal under bench/ (the benchmark tracer names functions by their
+qualified names).  Strings elsewhere, docstrings included, do not count,
+so a name that only an error message or documentation mentions is still
+reported.
 
 Module-level constants and annotated class fields are held to a stricter
 standard: they must be read, so an assignment or a keyword argument that
@@ -17,6 +18,12 @@ A definition that only tests/ names must be a test reference: an
 independent check or fixture a test measures the program against, listed
 in TEST_REFERENCES with its reason.  Names in the package's __init__ do not
 count as program uses, so a re-export does not keep a definition alive.
+
+Every defaulted parameter of a package function, method or constructor
+must be passed, by keyword or by position, by some call under src/
+(outside __init__) or bench/, unless PARAMETER_REFERENCES lists it with
+its reason.  Calls resolve by the called name, as definitions do above; a
+constructor's parameters resolve by its class name.
 
 Every name a module under src/ or tests/ imports must be loaded in that
 module.  The package's __init__ is exempt: its imports are the public API.
@@ -43,6 +50,19 @@ TEST_REFERENCES = {
     "from_creal": "irrational exponents, which no CLI input can spell yet",
     "encloses": "interval nesting, the refinement tests' monotonicity check",
     "is_atom": "atom predicate the chain-limit tests check limits with",
+    "contains": "point membership, the enclosure check of the interval and norm tests",
+}
+
+#: defaulted parameters that no program call passes, each with why the
+#: library keeps it
+PARAMETER_REFERENCES = {
+    "FiniteDisintegration.schedule": "the reveal schedule the chain tests stage a fixture with",
+    "all_granted.need_restriction": "the verdict without the restriction flag, which the certificate tests assert",
+    "presentation_from_descriptor.default_p": "passed by position through iso_cli._parse's *args, which no call shows",
+    "project_to_strong_hom.enforce_hypothesis": (
+        "the projection on the errata's counterexample shape, where the "
+        "extension hypothesis fails"
+    ),
 }
 
 
@@ -72,13 +92,19 @@ def _docstring_ids(tree: ast.Module) -> set:
 
 
 def _references(tree: ast.Module):
-    docstrings = _docstring_ids(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
-        elif (
+
+
+def _string_words(tree: ast.Module):
+    """Words of the string literals that are not docstrings: how the
+    benchmark tracer names functions."""
+    docstrings = _docstring_ids(tree)
+    for node in ast.walk(tree):
+        if (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
             and id(node) not in docstrings
@@ -93,37 +119,42 @@ def test_every_package_definition_is_named_elsewhere():
     named = set()
     for top in ("src", "tests", "bench"):
         for path in sorted((REPO / top).rglob("*.py")):
-            named.update(_references(_parse(path)))
+            tree = _parse(path)
+            named.update(_references(tree))
+            if top == "bench":
+                named.update(_string_words(tree))
     unused = sorted(defined - named - UNUSED_ALLOWED)
     assert not unused, f"defined in src/lpiso but never named: {unused}"
 
 
-def _test_only(defining, program, tests) -> set:
+def _test_only(defining, program, tests, bench=()) -> set:
     """Definitions of the `defining` modules that the `tests` modules name
-    and the `program` modules do not."""
+    and neither the `program` modules nor the `bench` modules (with the
+    words of their strings) do."""
     defined = set()
     for tree in defining:
         defined.update(_definitions(tree))
     program_names = {name for tree in program for name in _references(tree)}
+    for tree in bench:
+        program_names.update(_references(tree), _string_words(tree))
     test_names = {name for tree in tests for name in _references(tree)}
     return (defined & test_names) - program_names
 
 
-def test_test_only_definitions_are_declared_references():
-    defining = [_parse(path) for path in sorted(PACKAGE.glob("*.py"))]
-    program = [
+def _program_modules(top: str) -> list:
+    return [
         _parse(path)
-        for top in ("src", "bench")
         for path in sorted((REPO / top).rglob("*.py"))
         if path.name != "__init__.py"
     ]
-    # this file's own strings would name every listed reference
-    tests = [
-        _parse(path)
-        for path in sorted((REPO / "tests").rglob("*.py"))
-        if path != Path(__file__).resolve()
-    ]
-    test_only = _test_only(defining, program, tests)
+
+
+def test_test_only_definitions_are_declared_references():
+    defining = [_parse(path) for path in sorted(PACKAGE.glob("*.py"))]
+    tests = [_parse(path) for path in sorted((REPO / "tests").rglob("*.py"))]
+    test_only = _test_only(
+        defining, _program_modules("src"), tests, _program_modules("bench")
+    )
     undeclared = sorted(test_only - TEST_REFERENCES.keys())
     stale = sorted(TEST_REFERENCES.keys() - test_only)
     assert not undeclared, f"defined in src/lpiso but named only by tests: {undeclared}"
@@ -139,7 +170,9 @@ def test_guard_sees_a_test_only_definition():
     init = ast.parse("__all__ = ['reference']\nfrom .mod import reference\n")
     tests = ast.parse("reference()\nwrapper()\n")
     assert _test_only([src], [src], [tests]) == {"reference", "wrapper"}
-    assert _test_only([src], [src, init], [tests]) == {"wrapper"}
+    # a string in the program is no use; one in the benchmark tracer is
+    assert _test_only([src], [src, init], [tests]) == {"reference", "wrapper"}
+    assert _test_only([src], [src], [tests], [init]) == {"wrapper"}
 
 
 def test_guard_sees_an_unused_definition():
@@ -171,29 +204,25 @@ def _constants_and_fields(tree: ast.Module):
 
 
 def _reads(tree: ast.Module, names: set, attrs: set) -> None:
-    """Add the names loaded and the words of non-docstring strings to
-    `names`, and the attributes loaded to `attrs`: an assignment or a
-    keyword argument is not a read."""
-    docstrings = _docstring_ids(tree)
+    """Add the names loaded to `names` and the attributes loaded to
+    `attrs`: an assignment or a keyword argument is not a read."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             attrs.add(node.attr)
-        elif (
-            isinstance(node, ast.Constant)
-            and isinstance(node.value, str)
-            and id(node) not in docstrings
-        ):
-            names.update(re.findall(r"[A-Za-z_]\w*", node.value))
 
 
-def _unread(defining, reading) -> list:
+def _unread(defining, reading, bench=()) -> list:
     """Constants and fields of the `defining` modules that no `reading`
-    module reads; a field is read only as a loaded attribute."""
+    module reads, nor a `bench` module (with the words of its strings);
+    a field is read only as a loaded attribute."""
     names, attrs = set(), set()
     for tree in reading:
         _reads(tree, names, attrs)
+    for tree in bench:
+        _reads(tree, names, attrs)
+        names.update(_string_words(tree))
     unread = []
     for tree in defining:
         for qualified, name in _constants_and_fields(tree):
@@ -209,10 +238,11 @@ def test_every_package_constant_and_field_is_read():
     defining = [_parse(path) for path in sorted(PACKAGE.glob("*.py"))]
     reading = [
         _parse(path)
-        for top in ("src", "tests", "bench")
+        for top in ("src", "tests")
         for path in sorted((REPO / top).rglob("*.py"))
     ]
-    unread = _unread(defining, reading)
+    bench = [_parse(path) for path in sorted((REPO / "bench").rglob("*.py"))]
+    unread = _unread(defining, reading, bench)
     assert not unread, f"defined in src/lpiso but never read: {unread}"
 
 
@@ -223,6 +253,115 @@ def test_guard_sees_a_field_hidden_by_a_local():
         "def build(part):\n    explored = LIMIT\n    return Partition(explored, part.chains)\n"
     )
     assert _unread([tree], [tree]) == ["Partition.explored"]
+
+
+def _function_defaults(fn, owner):
+    """(callee, parameter, position) for each defaulted parameter of `fn`,
+    a method of class `owner` or a plain function (owner None)."""
+    if fn.name == "__init__" and owner is not None:
+        callee = owner
+    elif fn.name.startswith("__") and fn.name.endswith("__"):
+        return  # called by syntax, not by name
+    else:
+        callee = fn.name
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    bound = owner is not None and not any(
+        isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list
+    )
+    first_default = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[first_default:], first_default):
+        yield callee, arg.arg, i - bound
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield callee, arg.arg, None
+
+
+def _defaulted_parameters(node, owner=None):
+    """(callee, parameter, position) for each defaulted parameter defined
+    under `node`: the callee is the name a call resolves by, a
+    constructor's being its class name, and the position is the index a
+    positional argument takes (None for a keyword-only parameter)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _defaulted_parameters(child, child.name)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _function_defaults(child, owner)
+            yield from _defaulted_parameters(child)
+        else:
+            yield from _defaulted_parameters(child, owner)
+
+
+def _unpassed(defining, program) -> list:
+    """Defaulted parameters of the `defining` modules that no call in the
+    `program` modules passes, as "callee.parameter"."""
+    keywords, positions = set(), {}
+    for tree in program:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name):
+                callee = node.func.id
+            elif isinstance(node.func, ast.Attribute):
+                callee = node.func.attr
+            else:
+                continue
+            keywords.update((callee, kw.arg) for kw in node.keywords if kw.arg)
+            count = sum(not isinstance(arg, ast.Starred) for arg in node.args)
+            positions[callee] = max(positions.get(callee, 0), count)
+    return sorted(
+        f"{callee}.{name}"
+        for tree in defining
+        for callee, name, position in _defaulted_parameters(tree)
+        if (callee, name) not in keywords
+        and (position is None or positions.get(callee, 0) <= position)
+    )
+
+
+def test_every_defaulted_parameter_is_passed_or_declared():
+    defining = [_parse(path) for path in sorted(PACKAGE.glob("*.py"))]
+    unpassed = set(_unpassed(defining, _program_modules("src") + _program_modules("bench")))
+    undeclared = sorted(unpassed - PARAMETER_REFERENCES.keys())
+    stale = sorted(PARAMETER_REFERENCES.keys() - unpassed)
+    assert not undeclared, f"defaulted parameters no program call passes: {undeclared}"
+    assert not stale, f"listed in PARAMETER_REFERENCES but passed by the program: {stale}"
+
+
+PARAMETER_SOURCE = (
+    "def scan(x, depth=4, *, budget=8, trace=None):\n    pass\n"
+    "class Source:\n"
+    "    def __init__(self, p, schedule=None, label='s'):\n        pass\n"
+    "    def read(self, k, pad=0):\n        pass\n"
+    "    @staticmethod\n    def of(j, coeff=1):\n        pass\n"
+)
+
+
+def test_guard_sees_a_parameter_no_program_call_passes():
+    src = ast.parse(PARAMETER_SOURCE)
+    # calls that pass only the required arguments leave every default unpassed
+    program = ast.parse("scan(1)\nSource(3).read(1)\nSource.of(0)\n")
+    assert _unpassed([src], [program]) == [
+        "Source.label", "Source.schedule", "of.coeff", "read.pad",
+        "scan.budget", "scan.depth", "scan.trace",
+    ]
+
+
+def test_guard_counts_a_parameter_passed_by_keyword_or_position():
+    src = ast.parse(PARAMETER_SOURCE)
+    program = ast.parse(
+        "scan(1, 2, trace=print)\n"  # depth by position, trace by keyword
+        "Source(3, label='x').read(1, 0)\n"  # self takes no position
+        "Source.of(0, *extra)\n"  # a starred argument fills no known position
+    )
+    assert _unpassed([src], [program]) == ["Source.schedule", "of.coeff", "scan.budget"]
+
+
+def test_guard_resolves_a_constructor_by_its_class_name():
+    src = ast.parse(PARAMETER_SOURCE)
+    by_class = ast.parse("Source(3, None, 's')\n")
+    by_init = ast.parse("Source.__init__(obj, 3, None, label='s')\n")
+    assert not any(name.startswith("Source.") for name in _unpassed([src], [by_class]))
+    assert {"Source.label", "Source.schedule"} <= set(_unpassed([src], [by_init]))
 
 
 def _unused_imports(tree: ast.Module) -> list:

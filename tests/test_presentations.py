@@ -283,7 +283,7 @@ class TestComputableVector:
         pres = make_pres()
         # within 2^-k of c: f_0 has norm 1 in all three presentations
         v = ComputableVector(
-            lambda k: c + GenCombo.single(0, GaussianRational.of(Fraction(off, 8 * 2**k))),
+            lambda k: c + GenCombo({0: GaussianRational.of(Fraction(off, 8 * 2**k))}),
             pres,
         )
         view = v.at_least(floor)
@@ -303,7 +303,7 @@ class TestEnumerationStall:
         from lpiso.errors import EnumerationStalledError
 
         ce = CeSet(lambda t: frozenset([1]), decide=None, complete_size=None,
-                   label="stalled", max_stage=128)
+                   label="stalled")
         pres = AdversarialPresentation(ce, P1)
         wide = GenCombo({0: GaussianRational.one(), 3: GaussianRational.one()})
         with pytest.raises(EnumerationStalledError):

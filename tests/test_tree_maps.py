@@ -135,14 +135,24 @@ class TestSuccessIndex:
         psi = TreeMap(FiniteTree.trivial(), {}, P1)
         assert success_index(psi, pres, 4).value == 0
 
+    @staticmethod
+    def encoded(assignments, pres):
+        # residual norms read computable values, as synthesis hands them over
+        return rmap(
+            {
+                path: ComputableVector.constant(pres.encode_vector(v, 30), pres)
+                for path, v in assignments.items()
+            }
+        )
+
     def test_eight_atoms(self):
         pres = StandardPresentation(P1)
-        psi = rmap({(n,): E[n] for n in range(8)})
+        psi = self.encoded({(n,): E[n] for n in range(8)}, pres)
         assert success_index(psi, pres, 8).value == 8
 
     def test_summativity_defect_caps(self):
         pres = StandardPresentation(P1)
-        psi = rmap({(0,): E[0] + E[1], (0, 0): E[0]})
+        psi = self.encoded({(0,): E[0] + E[1], (0, 0): E[0]}, pres)
         result = success_index(psi, pres, 4)
         assert result.value == 0
         assert result.summativity_uppers[TreeNode.of(0)] >= 1
