@@ -19,6 +19,7 @@ from .scalar_core import (
     GaussianRational,
     PExponent,
     ZERO_INTERVAL,
+    _exact_sum,
     abs_pow,
     pow_enclosure,
     refine,
@@ -168,9 +169,24 @@ def norm_power_p(f: FinSuppVector, p: PExponent, k: int) -> DyadicInterval:
 
 
 def norm_p(f: FinSuppVector, p: PExponent, k: int) -> DyadicInterval:
-    """Enclosure of ||f||_p, width <= 2**-k."""
+    """Enclosure of ||f||_p, width <= 2**-k.
+
+    Exact lane: at p = 1 exactly with every entry real, the norm is the
+    rational sum of |f(n)|, returned as a point without refinement.  The
+    general path returns that same point there (each |f(n)|^1 is an exact
+    point and the 1/p root of a rational sum is the sum), so the lane moves
+    no answer; any imaginary part or any other p takes the general path.
+    """
     if f.is_zero():
         return ZERO_INTERVAL
+    if p.exact == 1:
+        moduli = []
+        for z in f.entries.values():
+            if z.im:
+                break  # a complex entry: |z| may be irrational
+            moduli.append(abs(z.re))
+        else:
+            return DyadicInterval.point(_exact_sum(moduli))
 
     def attempt(kk: int) -> Optional[DyadicInterval]:
         out = pow_enclosure(norm_power_p(f, p, kk), p, kk, over_p=True)

@@ -211,6 +211,9 @@ class CeSet:
     @staticmethod
     def from_json(data: dict) -> "CeSet":
         kind = data.get("kind", "explicit")
+        keys = _CE_SET_KEYS.get(kind) if isinstance(kind, str) else None
+        if keys is not None and not data.keys() <= keys:
+            raise ValueError(f"unknown {kind} ce-set keys {sorted(data.keys() - keys)}")
         if kind == "explicit":
             return CeSet.explicit(data["elements"], data.get("stages"))
         if kind == "named":
@@ -220,6 +223,12 @@ class CeSet:
             return NAMED_CE_SETS[name]()
         raise ValueError(f"unknown ce-set kind {kind!r}")
 
+
+# the keys each ce-set kind reads; any other key is refused
+_CE_SET_KEYS = {
+    "explicit": {"kind", "elements", "stages"},
+    "named": {"kind", "name"},
+}
 
 NAMED_CE_SETS = {
     "odds": lambda: CeSet.from_predicate(lambda n: n % 2 == 1, "odds"),
@@ -308,7 +317,7 @@ class StandardPresentation(Presentation):
     """Generators are the coordinate vectors themselves."""
 
     def norm_approx(self, combo: GenCombo, k: int) -> Fraction:
-        box = norm_p(FinSuppVector(combo.entries), self.p, k + 2)
+        box = norm_p(combo, self.p, k + 2)
         return box.mid
 
     @property
@@ -650,8 +659,19 @@ def transparent_eval(pres: Presentation, f: GenCombo, k: int) -> FinSuppVector:
     return pres.transparent_eval(f, k)
 
 
+# the keys each presentation type reads; any other key is refused
+_DESCRIPTOR_KEYS = {
+    "standard": {"type", "p"},
+    "rotated": {"type", "p", "zeta"},
+    "adversarial": {"type", "p", "ce"},
+}
+
+
 def presentation_from_descriptor(data: dict, default_p: Optional[PExponent] = None) -> Presentation:
     kind = data.get("type", "standard")
+    keys = _DESCRIPTOR_KEYS.get(kind) if isinstance(kind, str) else None
+    if keys is not None and not data.keys() <= keys:
+        raise ValueError(f"unknown {kind} descriptor keys {sorted(data.keys() - keys)}")
     if "p" in data:
         p = PExponent.from_fraction(parse_fraction(data["p"]))
     elif default_p is not None:

@@ -72,11 +72,28 @@ def _to_fraction(x: RationalLike) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+#: largest |exponent| a decimal literal such as '1e3' may carry: Fraction
+#: builds 10**exponent in full, and 10**2466 < 2**MAX_WORKING_PREC.
+MAX_DECIMAL_EXPONENT = 2466
+
+
 def parse_fraction(text: str) -> Fraction:
     """Parse 'num/den' or 'num' (unicode minus tolerated); a zero
-    denominator is a ValueError like any other malformed literal."""
+    denominator, or a decimal exponent past MAX_DECIMAL_EXPONENT, is a
+    ValueError like any other malformed literal."""
+    text = text.strip().replace("−", "-")
+    mark = max(text.rfind("e"), text.rfind("E"))
+    if mark >= 0:
+        try:
+            exponent = int(text[mark + 1:])
+        except ValueError:
+            exponent = 0  # not an exponent: Fraction refuses the literal
+        if abs(exponent) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(
+                f"decimal exponent {exponent} in {text!r} is past {MAX_DECIMAL_EXPONENT}"
+            )
     try:
-        return Fraction(text.strip().replace("−", "-"))
+        return Fraction(text)
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in {text!r}") from exc
 
@@ -266,6 +283,8 @@ class DyadicInterval:
 
     @property
     def mid(self) -> Fraction:
+        if self.is_point():
+            return self.lo
         return (self.lo + self.hi) / 2
 
     def contains(self, q: RationalLike) -> bool:

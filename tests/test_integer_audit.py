@@ -1,0 +1,126 @@
+"""Power enclosures checked with integer arithmetic alone.
+
+The other kernel checks compare against mpmath; these share none of its
+assumptions.  For rational p = a/b and x >= 0, x**p lies in [lo, hi]
+(lo >= 0) exactly when lo**b <= x**a <= hi**b, and every power below is a
+Fraction raised to a positive integer, so each claim is decided exactly.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lpiso.lp_vectors import FinSuppVector, norm_p
+from lpiso.presentations import GenCombo, StandardPresentation
+from lpiso.scalar_core import (
+    DyadicInterval,
+    GaussianRational,
+    PExponent,
+    _width_target,
+    abs_pow,
+    pow_enclosure,
+)
+
+EXPONENTS = [Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(3), Fraction(7, 3)]
+
+precisions = st.integers(0, 300)
+
+
+def nonneg_rationals():
+    """0, integers, long dyadic fractions and non-dyadic fractions, all >= 0."""
+    return st.one_of(
+        st.just(Fraction(0)),
+        st.integers(1, 10**6).map(Fraction),
+        st.builds(Fraction, st.integers(1, 2**80), st.integers(0, 120).map(lambda e: 2**e)),
+        st.builds(Fraction, st.integers(1, 10**9), st.integers(1, 10**9)),
+    )
+
+
+def rationals():
+    return st.builds(lambda q, neg: -q if neg else q, nonneg_rationals(), st.booleans())
+
+
+def gaussians():
+    return st.builds(GaussianRational.of, rationals(), rationals())
+
+
+def root_between(lo: Fraction, x: Fraction, hi: Fraction, a: int, b: int) -> bool:
+    """lo <= x**(a/b) <= hi for x >= 0 and a, b >= 1, on integers only."""
+    return lo >= 0 and lo**b <= x**a <= hi**b
+
+
+def slop_at_most(lo: Fraction, x: Fraction, y: Fraction, hi: Fraction, a: int, b: int, k: int) -> bool:
+    """x**(a/b) - lo <= 2**-k and hi - y**(a/b) <= 2**-k, on integers only."""
+    t = _width_target(k)
+    return x**a <= (lo + t) ** b and (hi <= t or (hi - t) ** b <= y**a)
+
+
+@pytest.mark.parametrize("p", EXPONENTS, ids=str)
+class TestPowEnclosure:
+    @given(x=nonneg_rationals(), k=precisions)
+    @settings(max_examples=30, deadline=None)
+    def test_power_of_a_point(self, p, x, k):
+        # x**p = x**(a/b)
+        box = pow_enclosure(DyadicInterval.point(x), PExponent.from_fraction(p), k)
+        assert root_between(box.lo, x, box.hi, p.numerator, p.denominator)
+        assert box.fits(k)
+
+    @given(x=nonneg_rationals(), k=precisions)
+    @settings(max_examples=30, deadline=None)
+    def test_root_of_a_point(self, p, x, k):
+        # over_p: x**(1/p) = x**(b/a)
+        box = pow_enclosure(DyadicInterval.point(x), PExponent.from_fraction(p), k, over_p=True)
+        assert root_between(box.lo, x, box.hi, p.denominator, p.numerator)
+        assert box.fits(k)
+
+    @given(x=nonneg_rationals(), y=nonneg_rationals(), k=precisions, over_p=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_wide_base(self, p, x, y, k, over_p):
+        lo, hi = min(x, y), max(x, y)
+        a, b = (p.denominator, p.numerator) if over_p else (p.numerator, p.denominator)
+        box = pow_enclosure(DyadicInterval(lo, hi), PExponent.from_fraction(p), k, over_p=over_p)
+        assert root_between(box.lo, lo, box.hi, a, b) and root_between(box.lo, hi, box.hi, a, b)
+        assert slop_at_most(box.lo, lo, hi, box.hi, a, b, k)
+
+
+@pytest.mark.parametrize("p", EXPONENTS, ids=str)
+class TestAbsPow:
+    @given(z=gaussians(), k=precisions)
+    @settings(max_examples=30, deadline=None)
+    def test_encloses_the_modulus_power(self, p, z, k):
+        # |z|**p = (|z|**2)**(a/(2b))
+        box = abs_pow(z, PExponent.from_fraction(p), k)
+        assert root_between(box.lo, z.abs_sq(), box.hi, p.numerator, 2 * p.denominator)
+        assert box.fits(k)
+
+
+@pytest.mark.parametrize("p", EXPONENTS, ids=str)
+class TestSingleCoordinateNorms:
+    """The norm of z e_j is |z| at every p: lo**2 <= |z|**2 <= hi**2."""
+
+    @given(z=gaussians(), j=st.integers(0, 6), k=precisions)
+    @settings(max_examples=30, deadline=None)
+    def test_oracle_enclosure(self, p, z, j, k):
+        pres = StandardPresentation(PExponent.from_fraction(p))
+        box = pres.norm_enclosure(GenCombo({j: z}), k)
+        assert root_between(box.lo, z.abs_sq(), box.hi, 1, 2)
+        assert box.fits(k)
+
+    @given(z=gaussians(), j=st.integers(0, 6), k=precisions)
+    @settings(max_examples=30, deadline=None)
+    def test_oracle_answer_within_its_precision(self, p, z, j, k):
+        # |q - |z|| < 2**-k
+        q = StandardPresentation(PExponent.from_fraction(p)).norm_approx(GenCombo({j: z}), k)
+        t = _width_target(k)
+        s = z.abs_sq()
+        assert q + t > 0 and s < (q + t) ** 2
+        assert q - t < 0 or (q - t) ** 2 < s
+
+    @given(z=gaussians(), j=st.integers(0, 6), k=precisions)
+    @settings(max_examples=30, deadline=None)
+    def test_norm_p(self, p, z, j, k):
+        box = norm_p(FinSuppVector({j: z}), PExponent.from_fraction(p), k)
+        assert root_between(box.lo, z.abs_sq(), box.hi, 1, 2)
+        assert box.fits(k)

@@ -11,9 +11,15 @@ from fractions import Fraction
 import pytest
 
 import lpiso
-from lpiso.errors import IndexOutOfRangeError, NoBackdoorError, PrecisionExhaustedError
+from lpiso.chain_partition import ChainLimit
+from lpiso.errors import (
+    BudgetExhaustedError,
+    IndexOutOfRangeError,
+    NoBackdoorError,
+    PrecisionExhaustedError,
+)
 from lpiso.lp_vectors import FinSuppVector, norm_p
-from lpiso import extension_engine, iso_cli
+from lpiso import extension_engine, iso_cli, lp_vectors
 from lpiso.presentations import (
     AdversarialPresentation,
     CeSet,
@@ -539,6 +545,70 @@ class TestCliInputErrors:
             capsys, "project-hom", "--p", "1", "--phi", phi, "--psi", psi
         )
         assert "--phi" in message and "--psi" in message
+
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["sigma", "--z", "1e2467", "--w", "1"], "--z"),
+            (["sigma", "--p", "1e-2467", "--z", "1", "--w", "1"], "--p"),
+            (["sigma", "--z", "1", "--w", "2E+5000"], "--w"),
+            (["lamperti-grid", "--t-step", "1.5e-3000"], "--t-step"),
+            (["synthesize", "--pres", '{"type": "standard", "p": "1e2467"}'], "--pres"),
+            (["apply", "--vector", '{"entries": {"0": "1/2+3e2467i"}}'], "--vector"),
+        ],
+        ids=["sigma-z", "sigma-p", "sigma-w", "lamperti-grid-t-step", "descriptor-p", "apply-vector"],
+    )
+    def test_decimal_exponent_past_the_bound(self, capsys, argv, option):
+        # Fraction builds 10**exponent in full, so '1e1000000000' used to
+        # ask for a 3.3-billion-bit integer
+        message = self.assert_input_error(capsys, *argv)
+        assert message.startswith(f"bad {option}: decimal exponent ")
+        assert "past 2466" in message
+
+    @pytest.mark.parametrize(
+        "pres, key",
+        [
+            ('{"type": "standard", "P": "3/2"}', "P"),
+            ('{"type": "standard", "p": "1", "extra": 3}', "extra"),
+            ('{"p": "1", "zeta": "i"}', "zeta"),
+            ('{"type": "rotated", "p": "1", "zeta": "i", "ce": {"elements": [1]}}', "ce"),
+            ('{"type": "adversarial", "p": "1", "ce": {"elements": [1]}, "zeta": "i"}', "zeta"),
+            ('{"type": "adversarial", "p": "1", "ce": {"elements": [1], "name": "odds"}}', "name"),
+            ('{"type": "adversarial", "p": "1", "ce": {"kind": "named", "name": "odds", '
+             '"elements": [1]}}', "elements"),
+        ],
+        ids=[
+            "standard-P", "standard-extra", "untyped-zeta", "rotated-ce", "adversarial-zeta",
+            "explicit-set-name", "named-set-elements",
+        ],
+    )
+    def test_unknown_descriptor_key(self, capsys, pres, key):
+        # each used to be ignored: '"P": "3/2"' ran at the --p exponent
+        message = self.assert_input_error(
+            capsys, "synthesize", "--units", "2", "--p", "3", "--pres", pres
+        )
+        assert message.startswith("bad --pres: unknown ") and f"'{key}'" in message
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["synthesize", "--pres", '{"type": ["standard"], "p": "1"}'],
+             "bad --pres: unknown presentation type ['standard']"),
+            (["adversarial", "e0", "--ce", '{"kind": ["explicit"], "elements": [1]}'],
+             "bad --ce: unknown ce-set kind ['explicit']"),
+        ],
+        ids=["presentation-type", "ce-set-kind"],
+    )
+    def test_list_typed_kind_is_unknown(self, capsys, argv, message):
+        # the key check looks the kind up only when it is a string
+        assert self.assert_input_error(capsys, *argv) == message
+
+    def test_unknown_ce_set_key(self, capsys):
+        message = self.assert_input_error(
+            capsys, "adversarial", "e0", "--ce", '{"kind": "explicit", "elements": [1], "extra": 3}'
+        )
+        assert message == "bad --ce: unknown explicit ce-set keys ['extra']"
 
 
 class TestIsometricProperty:
@@ -1105,3 +1175,78 @@ class TestRoundedNorm:
         with pytest.raises(PrecisionExhaustedError, match="units 0, 1"):
             iso_cli._certify_pairwise(_overlapping_units(pres, first), pres, 12)
 
+
+
+class TestExactNormLane:
+    def test_standard_p1_oracle_queries_reach_no_norm_power(self, monkeypatch, capsys):
+        # every standard p = 1 query is a real combination, so norm_p
+        # answers it with one exact sum and never enters the refine loops
+        oracle = StandardPresentation.norm_approx
+        norm_power = lp_vectors.norm_power_p
+        seen = {"queries": 0, "norm_power": 0}
+        inside = []
+
+        def counted_oracle(self, combo, k):
+            seen["queries"] += 1
+            inside.append(combo)
+            try:
+                return oracle(self, combo, k)
+            finally:
+                inside.pop()
+
+        def counted_norm_power(f, p, k):
+            if inside:
+                seen["norm_power"] += 1
+            return norm_power(f, p, k)
+
+        monkeypatch.setattr(StandardPresentation, "norm_approx", counted_oracle)
+        monkeypatch.setattr(lp_vectors, "norm_power_p", counted_norm_power)
+        code = main(["synthesize", "--units", "8", "--pres", '{"type":"standard","p":"1"}'])
+        assert code == 0 and json.loads(capsys.readouterr().out)["status"] == "ok"
+        assert seen["queries"] > 0
+        assert seen["norm_power"] == 0
+
+
+class TestChainLimitStatus:
+    """synthesize_isometry skips a zero chain limit and a provisional one;
+    a provisional limit taints the result."""
+
+    @staticmethod
+    def limits_with(monkeypatch, statuses):
+        """chain_limit reporting `statuses` on the first chains, with the
+        real limits following that many chains later.  Over the standard
+        presentation chain c carries coordinate c, so the shifted units
+        still cover every generator the witnesses ask for."""
+        real = iso_cli.chain_limit
+
+        def chain_limit(source, partition, cid, k):
+            if cid < len(statuses):
+                lim = real(source, partition, 0, k)
+                return ChainLimit(cid, lim.vector, lim.norm_power, statuses[cid])
+            return real(source, partition, cid - len(statuses), k)
+
+        monkeypatch.setattr(iso_cli, "chain_limit", chain_limit)
+
+    def test_zero_limit_is_skipped(self, monkeypatch):
+        # standard p = 1 at 2 units builds 3 stages and 4 chains
+        self.limits_with(monkeypatch, ["zero"])
+        iso = synthesize_isometry(StandardPresentation(P1), 2)
+        assert [(u.index, u.chain_id, u.atom_coordinate) for u in iso.units] == [(0, 1, 0), (1, 2, 1)]
+        assert iso.provisional is False
+
+    def test_provisional_limit_is_skipped_and_taints(self, monkeypatch, capsys):
+        self.limits_with(monkeypatch, ["provisional"])
+        iso = synthesize_isometry(StandardPresentation(P1), 2)
+        assert [(u.chain_id, u.atom_coordinate) for u in iso.units] == [(1, 0), (2, 1)]
+        assert iso.provisional is True
+        code = main(["synthesize", "--units", "2", "--pres", '{"type":"standard","p":"1"}'])
+        out = json.loads(capsys.readouterr().out)
+        assert (code, out["status"], out["result"]["provisional"]) == (2, "provisional", True)
+        assert [u["chain"] for u in out["result"]["units"]] == [1, 2]
+
+    def test_too_few_units_left(self, monkeypatch):
+        # 4 chains, 3 of them skipped: one unit for two requested
+        self.limits_with(monkeypatch, ["zero", "provisional", "zero"])
+        with pytest.raises(BudgetExhaustedError, match="only 1 nonzero chain limits at 2 stages") as info:
+            synthesize_isometry(StandardPresentation(P1), 2)
+        assert info.value.budget == 2

@@ -16,7 +16,8 @@ from lpiso.lp_vectors import (
     precedes,
     sigma1_vec,
 )
-from lpiso.scalar_core import GaussianRational, PExponent, UNIMODULAR_UNITS
+from lpiso.presentations import GenCombo, StandardPresentation
+from lpiso.scalar_core import GaussianRational, PExponent, UNIMODULAR_UNITS, pow_enclosure
 
 P1 = PExponent.from_fraction(1)
 P32 = PExponent.from_fraction(Fraction(3, 2))
@@ -70,6 +71,49 @@ class TestNorm:
             lhs = norm_power_p(f + g, p, 30)
             rhs = norm_power_p(f, p, 30) + norm_power_p(g, p, 30)
             assert lhs.lo <= rhs.hi and rhs.lo <= lhs.hi  # overlap within widths
+
+
+@st.composite
+def real_vectors(draw):
+    """Real vectors mixing zero, integer, negative, long dyadic and
+    non-dyadic rational entries."""
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.integers(-(10**6), 10**6).map(Fraction),
+        st.builds(
+            Fraction,
+            st.integers(-(2**300), 2**300),
+            st.integers(0, 300).map(lambda e: 2**e),
+        ),
+        st.builds(Fraction, st.integers(-(10**9), 10**9), st.integers(1, 10**9)),
+    )
+    values = draw(st.lists(entry, max_size=6))
+    return FinSuppVector({n: GaussianRational.of(q) for n, q in enumerate(values)})
+
+
+class TestExactLane:
+    """At p = 1 with real entries norm_p is one exact sum; the answer is the
+    point the general refine-and-root composition returns."""
+
+    @given(f=real_vectors(), k=st.integers(0, 200), kk=st.integers(0, 200))
+    @settings(max_examples=100, deadline=None)
+    def test_lane_equals_the_general_composition(self, f, k, kk):
+        box = norm_p(f, P1, k)
+        general = pow_enclosure(norm_power_p(f, P1, kk), P1, kk, over_p=True)
+        assert (box.lo, box.hi) == (general.lo, general.hi)
+        assert box.is_point() and box.lo == sum(abs(z.re) for z in f.entries.values())
+
+    def test_an_imaginary_part_takes_the_general_path(self):
+        # ||1 + (1+i)e_1||_1 = 1 + sqrt 2, which no exact sum can give
+        f = FinSuppVector({0: GaussianRational.of(1), 1: GaussianRational.of(1, 1)})
+        box = norm_p(f, P1, 40)
+        assert not box.is_point() and box.fits(40)
+        assert box.lo >= 1 and (box.lo - 1) ** 2 <= 2 <= (box.hi - 1) ** 2
+
+    def test_standard_oracle_answers_the_exact_sum(self):
+        combo = GenCombo({0: GaussianRational.of(3), 4: GaussianRational.of(Fraction(-1, 3))})
+        for k in (0, 10, 60):
+            assert StandardPresentation(P1).norm_approx(combo, k) == Fraction(10, 3)
 
 
 class TestSupportCalculus:

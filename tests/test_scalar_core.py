@@ -34,6 +34,7 @@ from lpiso.errors import PEqualsTwoError, PrecisionExhaustedError
 from lpiso.presentations import GenCombo
 from lpiso.scalar_core import (
     GUARD_BITS,
+    MAX_DECIMAL_EXPONENT,
     CReal,
     DyadicInterval,
     GaussianRational,
@@ -48,6 +49,7 @@ from lpiso.scalar_core import (
     lamperti_constant,
     lamperti_objective,
     log2_enclosure,
+    parse_fraction,
     pow_enclosure,
     refine,
     sigma1_scalar,
@@ -347,6 +349,40 @@ class TestIntervalBasics:
             z = GaussianRational.parse(text)
             again = GaussianRational.parse(str(z))
             assert z == again
+
+
+    def test_mid_of_a_point_is_its_endpoint(self):
+        q = Fraction(-7, 3)
+        assert DyadicInterval.point(q).mid == q
+        assert DyadicInterval.of(q, 1).mid == Fraction(-2, 3)
+
+
+class TestParseFraction:
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("1e2466", Fraction(10**2466)),
+            ("1E-2466", Fraction(1, 10**2466)),
+            ("-2.5e+2466", Fraction(-25 * 10**2465)),
+            ("1_0e1_0", Fraction(10**11)),
+            (" \u22127/4 ", Fraction(-7, 4)),
+            ("0.125", Fraction(1, 8)),
+        ],
+    )
+    def test_literals_at_the_bound_parse(self, text, value):
+        assert MAX_DECIMAL_EXPONENT == 2466
+        assert parse_fraction(text) == value
+
+    @pytest.mark.parametrize("text", ["1e2467", "1E-2467", "2.5e+5000", "1e-0002467", "7e3_000"])
+    def test_exponent_past_the_bound_is_refused(self, text):
+        # checked on the text: Fraction would build 10**exponent first
+        with pytest.raises(ValueError, match=f"past {MAX_DECIMAL_EXPONENT}"):
+            parse_fraction(text)
+
+    @pytest.mark.parametrize("text", ["e5", "1e", "1e+", "1/0", "abc"])
+    def test_malformed_literals_still_refused(self, text):
+        with pytest.raises(ValueError):
+            parse_fraction(text)
 
 
 class TestIrrationalExponent:
