@@ -1060,18 +1060,17 @@ def build_disintegration(
     """
     pres.p.side_of_two()  # raises PEqualsTwoError up front
 
-    j0 = None
-    for j in range(64):
-        if pres.norm_enclosure(GenCombo.single(j), 10).lo > 0:
-            j0 = j
+    for j0 in range(64):
+        combo0 = GenCombo.single(j0)
+        norm_lo = pres.norm_enclosure(combo0, 10).lo
+        if norm_lo > 0:
             break
-    if j0 is None:
+    else:
         raise BudgetExhaustedError("no generator certified nonzero among the first 64")
 
     first = TreeNode.of(0)
-    combo0 = GenCombo.single(j0)
     phi0 = TreeMap(FiniteTree([first]), {first: ComputableVector.constant(combo0, pres)}, pres.p)
-    k0 = bits_for(pres.norm_enclosure(combo0, 10).lo / 2)
+    k0 = bits_for(norm_lo / 2)
     atoms0: Dict[TreeNode, int] = {}
     gen_atom = pres.generator_atom(j0)
     if gen_atom is not None:

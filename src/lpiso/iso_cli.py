@@ -502,23 +502,18 @@ def _check_counts(args) -> None:
             raise InvalidInputError(f"{option} must be <= {MAX_WORKING_PREC}, got {value}")
 
 
-def _cmd_sigma(args) -> int:
+def _cmd_sigma(args) -> dict:
     p = _p_from_args(args)
     z = _parse("--z", GaussianRational.parse, args.z)
     w = _parse("--w", GaussianRational.parse, args.w)
     s1 = sigma1_scalar(z, w, p, args.k)
-    report = {
-        "command": "sigma",
-        "inputs": {"p": args.p, "z": str(z), "w": str(w), "k": args.k},
-        "result": {"sigma1": _interval_json(s1)},
-        "status": "ok",
-    }
+    result = {"sigma1": _interval_json(s1)}
     if p.exact != 2:
-        report["result"]["sigma"] = _interval_json(sigma_scalar(z, w, p, args.k))
-    return _emit(report)
+        result["sigma"] = _interval_json(sigma_scalar(z, w, p, args.k))
+    return {"inputs": {"p": args.p, "z": str(z), "w": str(w), "k": args.k}, "result": result}
 
 
-def _cmd_lamperti_check(args) -> int:
+def _cmd_lamperti_check(args) -> dict:
     p = _p_from_args(args)
     z = _parse("--z", GaussianRational.parse, args.z)
     w = _parse("--w", GaussianRational.parse, args.w)
@@ -526,8 +521,7 @@ def _cmd_lamperti_check(args) -> int:
     m = abs_pow(z, p, args.k).min_with(abs_pow(w, p, args.k))
     certified = m.lo <= s.hi + 4 * _width_target(args.k)
     strict = m.hi <= s.lo
-    report = {
-        "command": "lamperti-check",
+    return {
         "inputs": {"p": args.p, "z": str(z), "w": str(w), "k": args.k},
         "result": {
             "sigma": _interval_json(s),
@@ -537,10 +531,9 @@ def _cmd_lamperti_check(args) -> int:
         "certificates": [{"name": "min_below_sigma", "granted": bool(certified)}],
         "status": "ok" if certified else "error",
     }
-    return _emit(report)
 
 
-def _cmd_lamperti_grid(args) -> int:
+def _cmd_lamperti_grid(args) -> dict:
     p = _p_from_args(args)
     theta_steps = args.theta_steps
     t_step = _parse("--t-step", parse_fraction, args.t_step)
@@ -562,8 +555,7 @@ def _cmd_lamperti_grid(args) -> int:
             if best_box is None or box.mid < best_box.mid:
                 best_box, best = box, (theta, t)
             t += t_step
-    report = {
-        "command": "lamperti-grid",
+    return {
         "inputs": {
             "p": args.p,
             "theta_steps": theta_steps,
@@ -576,25 +568,21 @@ def _cmd_lamperti_grid(args) -> int:
             "minimum": _interval_json(best_box),
             "argmin": {"theta_over_pi": format_fraction(best[0]), "t": format_fraction(best[1])},
         },
-        "status": "ok",
     }
-    return _emit(report)
 
 
-def _cmd_validate_tree(args) -> int:
+def _cmd_validate_tree(args) -> dict:
     p = _p_from_args(args)
     psi = _parse("--tree", _tree_map_arg, args.tree, p)
-    verdict = validate_partial_disintegration(psi, args.k)
-    report = {
-        "command": "validate-tree",
-        "inputs": {"p": args.p, "k": args.k},
+    verdict = validate_partial_disintegration(psi)
+    return {
+        "inputs": {"p": args.p},
         "result": {"status": verdict.status, "witness": verdict.witness},
         "status": "ok" if not verdict.is_no else "error",
     }
-    return _emit(report)
 
 
-def _cmd_project_hom(args) -> int:
+def _cmd_project_hom(args) -> dict:
     p = _p_from_args(args)
     phi = _parse("--phi", _tree_map_arg, args.phi, p)
     psi = _parse("--psi", _tree_map_arg, args.psi, p)
@@ -602,44 +590,35 @@ def _cmd_project_hom(args) -> int:
         raise InvalidInputError("the --phi tree is not a subtree of the --psi tree")
     bound = distance_bound(phi, psi, args.k)
     out = project_to_strong_hom(phi, psi, args.k)
-    report = {
-        "command": "project-hom",
+    return {
         "inputs": {"p": args.p, "k": args.k},
         "result": {
             "bound_power": _interval_json(bound),
             "projection": out.to_json(),
         },
-        "status": "ok",
     }
-    return _emit(report)
 
 
-def _cmd_extend(args) -> int:
+def _cmd_extend(args) -> dict:
     pres = _pres_from_args(args)
     phi = _parse("--phi", _tree_map_arg, args.phi, pres.p) if args.phi else empty_map(pres)
     result = approximate_extend(phi, args.n, args.k, pres)
-    report = {
-        "command": "extend",
+    return {
         "inputs": {"n": args.n, "k": args.k, "pres": pres.descriptor()},
         "result": result.to_json(),
-        "status": "ok",
     }
-    return _emit(report)
 
 
-def _cmd_disintegrate(args) -> int:
+def _cmd_disintegrate(args) -> dict:
     pres = _pres_from_args(args)
     staged = build_disintegration(pres, args.stages)
-    report = {
-        "command": "disintegrate",
+    return {
         "inputs": {"stages": args.stages, "pres": pres.descriptor()},
         "result": staged.report(),
-        "status": "ok",
     }
-    return _emit(report)
 
 
-def _cmd_chains(args) -> int:
+def _cmd_chains(args) -> dict:
     pres = _pres_from_args(args)
     staged = build_disintegration(pres, args.stages)
     source = staged.chain_source()
@@ -656,8 +635,7 @@ def _cmd_chains(args) -> int:
                 "norm_power": _interval_json(lim.norm_power),
             }
         )
-    report = {
-        "command": "chains",
+    return {
         "inputs": {"stages": args.stages, "k": args.k, "pres": pres.descriptor()},
         "result": {
             "chains": partition.report(source, args.k),
@@ -665,35 +643,30 @@ def _cmd_chains(args) -> int:
         },
         "status": "provisional" if provisional else "ok",
     }
-    return _emit(report)
 
 
-def _cmd_synthesize(args) -> int:
+def _cmd_synthesize(args) -> dict:
     pres = _pres_from_args(args)
     iso = synthesize_isometry(
         pres, args.units, cert_bits=args.cert_bits, generation_bits=args.generation_bits
     )
-    report = {
-        "command": "synthesize",
+    return {
         "inputs": {"units": args.units, "pres": pres.descriptor()},
         "result": iso.to_json(),
         "status": "provisional" if iso.provisional else "ok",
     }
-    return _emit(report)
 
 
-def _cmd_apply(args) -> int:
+def _cmd_apply(args) -> dict:
     pres = _pres_from_args(args)
     x = _parse("--vector", lambda text: FinSuppVector.from_json(_load_json_arg(text)), args.vector)
     iso = synthesize_isometry(pres, args.units, cert_bits=args.cert_bits)
     combo = apply_isometry(iso, x, args.k)
-    report = {
-        "command": "apply",
+    return {
         "inputs": {"vector": x.to_json(), "k": args.k, "pres": pres.descriptor()},
         "result": {"combo": combo.to_json()},
         "status": "provisional" if iso.provisional else "ok",
     }
-    return _emit(report)
 
 
 # every reduction reads the set's membership oracle, which a set declared
@@ -705,11 +678,12 @@ _STAGED_REFUSALS = {
 }
 
 
-def _cmd_adversarial(args) -> int:
+def _cmd_adversarial(args) -> dict:
     ce = _parse("--ce", lambda text: CeSet.from_json(_load_json_arg(text)), args.ce)
     p = _p_from_args(args)
     if args.staged:
         raise ProvisionalError(_STAGED_REFUSALS[args.what])
+    inputs = {"p": args.p, "k": args.k, "ce": ce.to_json()}
     if args.what == "e0":
         pres = AdversarialPresentation(ce, p)
         combo, info = pres.e0_combo_info(args.k)
@@ -720,13 +694,7 @@ def _cmd_adversarial(args) -> int:
             "constants": info,
             "transparent_residual": _interval_json(resid),
         }
-        report = {
-            "command": "adversarial-e0",
-            "inputs": {"p": args.p, "k": args.k, "ce": ce.to_json()},
-            "result": result,
-            "status": "ok",
-        }
-        return _emit(report)
+        return {"inputs": inputs, "result": result}
     if args.what == "scale":
         pres = AdversarialPresentation(ce, p)
         combo = pres.e0_combo(args.k + 2)
@@ -734,38 +702,24 @@ def _cmd_adversarial(args) -> int:
         inv_root = pres._root_one_minus_gamma(Fraction(1, 4), invert=True)
         q0 = inv_root.hi + 1
         value = recover_scale_from_atom(vec, q0, args.k)
-        report = {
-            "command": "adversarial-scale",
-            "inputs": {"p": args.p, "k": args.k, "ce": ce.to_json()},
-            "result": {
-                "scale": format_fraction(value),
-                "q0": format_fraction(q0),
-                "target": _interval_json(inv_root),
-            },
-            "status": "ok",
+        result = {
+            "scale": format_fraction(value),
+            "q0": format_fraction(q0),
+            "target": _interval_json(inv_root),
         }
-        return _emit(report)
+        return {"inputs": inputs, "result": result}
     # args.what == "identity": each reduction has its own required subparser
     iso = identity_reduction(ce, p, args.n, args.k)
-    report = {
-        "command": "adversarial-identity",
-        "inputs": {"p": args.p, "k": args.k, "n": args.n, "ce": ce.to_json()},
-        "result": iso.to_json(),
-        "status": "ok",
-    }
-    return _emit(report)
+    return {"inputs": {**inputs, "n": args.n}, "result": iso.to_json()}
 
 
-def _cmd_recover_p(args) -> int:
+def _cmd_recover_p(args) -> dict:
     pres = _pres_from_args(args)
     box = recover_p(pres, args.k_bits)
-    report = {
-        "command": "recover-p",
+    return {
         "inputs": {"pres": pres.descriptor(), "k_bits": args.k_bits},
         "result": {"p": _interval_json(box)},
-        "status": "ok",
     }
-    return _emit(report)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -812,7 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_lamperti_grid, k=14)
 
     sp = sub.add_parser("validate-tree", help="partial-disintegration verdict")
-    add_common(sp)
+    add_common(sp, precision=False)
     sp.add_argument("--tree", required=True, help="JSON or @file")
     sp.set_defaults(fn=_cmd_validate_tree)
 
@@ -886,6 +840,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command and print its report.  A handler returns only its
+    `inputs`, `result`, any `certificates` and the `status` it decides
+    (else "ok"); this adds `command` (`adversarial-<what>` for a reduction)."""
     parser = build_parser()
     # the subcommand is recorded before its own options are parsed, so an
     # argument error names it; it stays None when argv names none
@@ -895,7 +852,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.verbose:
             logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
         _check_counts(args)
-        return args.fn(args)
+        report = args.fn(args)
     except ProvisionalError as exc:
         return _emit({"command": args.command, "status": "provisional", "detail": str(exc)})
     except LpisoError as exc:
@@ -906,6 +863,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "error": {"type": type(exc).__name__, "message": str(exc)},
             }
         )
+    command = f"adversarial-{args.what}" if args.command == "adversarial" else args.command
+    return _emit({"command": command, "status": "ok", **report})
 
 
 if __name__ == "__main__":

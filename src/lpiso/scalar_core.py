@@ -187,18 +187,18 @@ class GaussianRational:
 
     @staticmethod
     def parse(text: str) -> "GaussianRational":
-        """Parse '3', '1/2', 'i', '-1/2+1/2i', '2i', '1/4-3i'."""
+        """Parse '3', '1/2', 'i', '-1/2+1/2i', '2i', '1/4-3i', '1e-5i'."""
         s = text.strip().replace("−", "-").replace(" ", "")
         if not s:
             raise ValueError("empty scalar literal")
         if not s.endswith("i"):
             return GaussianRational(parse_fraction(s), Fraction(0))
         body = s[:-1]
-        # find the split between real and imaginary parts: the last +/- not
-        # inside the leading sign and not part of a fraction
+        # find the split between real and imaginary parts: the last +/- that
+        # is neither the leading sign nor a decimal exponent's sign
         split = -1
         for idx in range(len(body) - 1, 0, -1):
-            if body[idx] in "+-":
+            if body[idx] in "+-" and body[idx - 1] not in "eE":
                 split = idx
                 break
         if split == -1:

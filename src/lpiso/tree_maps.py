@@ -440,12 +440,17 @@ def check_strong_hom_exact(psi: TreeMap) -> bool:
     return _strong_hom_defect_exact(psi) is None
 
 
-def validate_partial_disintegration(psi: TreeMap, k: int = 20) -> Verdict:
+# the precision an opaque map's defect and norms are enclosed at
+OPAQUE_VALIDATION_BITS = 20
+
+
+def validate_partial_disintegration(psi: TreeMap) -> Verdict:
     """Strong reverse-order monomorphism with nonzero values.
 
     Transparent maps are decided exactly.  Opaque maps can be refuted
-    (certified defect) or left undecided at precision k; they are never
-    certified YES, since interval evidence cannot witness exact equalities.
+    (certified defect) or left undecided at OPAQUE_VALIDATION_BITS; they are
+    never certified YES, since interval evidence cannot witness exact
+    equalities.
     """
     if psi.is_transparent:
         defect = _strong_hom_defect_exact(psi)
@@ -465,6 +470,7 @@ def validate_partial_disintegration(psi: TreeMap, k: int = 20) -> Verdict:
         return Verdict("certified_yes")
 
     # opaque: try to refute, otherwise report what was certified
+    k = OPAQUE_VALIDATION_BITS
     sigma_box = sigma_tree(psi, k)
     if sigma_box.lo > 0:
         return Verdict("certified_no", f"sigma certified positive: {sigma_box}")

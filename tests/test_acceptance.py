@@ -484,7 +484,7 @@ class TestCriterion10Determinism:
                     '"[0, 2]": {"entries": {"1": "1/2"}}, '
                     '"[3]": {"entries": {"2": "1/4"}}}}',
                 ],
-                "c64faba8ecd1c14f63ceefcd4f0648f972e8781a6375dbd0784737aa8f694d6b",
+                "cc5e8472d42d89a06114c6a5fdd1e64f2a6710497f93e822f1e28875ba06189e",
             ),
             (
                 [

@@ -309,6 +309,21 @@ class TestBuildDisintegration:
         assert rec.phi_hat.nodes() == [TreeNode.of(0)]
         assert rec.phi_hat.value(TreeNode.of(0)).approx(4) == GenCombo.single(0)
 
+    def test_stage_zero_reads_its_generator_once(self):
+        # the search's enclosure of f_0 also sets stage 0's ball bits
+        class CountingStandard(StandardPresentation):
+            queries = 0
+
+            def norm_approx(self, combo, k):
+                self.queries += 1
+                return super().norm_approx(combo, k)
+
+        pres = CountingStandard(P1)
+        staged = build_disintegration(pres, 0)
+        assert pres.queries == 1
+        # bits_for(lo / 2), lo the enclosure's lower end, just below ||f_0|| = 1
+        assert staged.last().ball_bits == 2
+
     def test_monotone_radii_and_growth(self):
         pres = StandardPresentation(P1)
         staged = build_disintegration(pres, 3)

@@ -222,6 +222,12 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert code == 0 and out["status"] == "ok"
 
+    def test_sigma_reads_an_imaginary_part_with_a_negative_exponent(self, capsys):
+        # used to fail with "bad --z: Invalid literal for Fraction: '1e'"
+        code = self.run_cli("sigma", "--z", "1e-5i", "--w", "1")
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0 and out["inputs"]["z"] == "1/100000i"
+
     def test_lamperti_check_at_coarsest_precision(self, capsys):
         code = self.run_cli("lamperti-check", "--z", "1", "--w", "1", "--k", "0")
         out = json.loads(capsys.readouterr().out)
@@ -496,6 +502,7 @@ class TestCliInputErrors:
             (["sigma", "--z", "1"], "sigma"),
             (["synthesize", "--k", "3"], "synthesize"),
             (["disintegrate", "--k", "3"], "disintegrate"),
+            (["validate-tree", "--k", "3", "--tree", _ONE_NODE_MAP], "validate-tree"),
             ([], None),
             # only the identity reduction reads --n
             (["adversarial", "e0", "--n", "7"], "adversarial"),
@@ -503,7 +510,8 @@ class TestCliInputErrors:
             (["adversarial"], "adversarial"),
         ],
         ids=[
-            "not-an-integer", "missing-option", "synthesize-k", "disintegrate-k", "no-command",
+            "not-an-integer", "missing-option", "synthesize-k", "disintegrate-k",
+            "validate-tree-k", "no-command",
             "e0-n", "scale-n", "no-reduction",
         ],
     )
@@ -609,6 +617,110 @@ class TestCliInputErrors:
             capsys, "adversarial", "e0", "--ce", '{"kind": "explicit", "elements": [1], "extra": 3}'
         )
         assert message == "bad --ce: unknown explicit ce-set keys ['extra']"
+
+
+_STAGED_CE = '{"kind":"explicit","elements":[1],"stages":[[1]]}'
+_REPEATED_VALUE_MAP = (
+    '{"tree": [[0], [1]], "map": {"[0]": {"entries": {"0": "1"}}, '
+    '"[1]": {"entries": {"0": "1"}}}}'
+)
+
+
+class TestReportEnvelope:
+    """Every command prints one envelope, written in one place: `command`,
+    `inputs`, `result`, any `certificates` and `status`, or one of the two
+    failure shapes; the status alone decides the exit code."""
+
+    # per command: a valid argv, the command its report names, a failing argv
+    CASES = [
+        (["sigma", "--z", "1/2+i", "--w", "1"], "sigma", ["sigma", "--z", "abc", "--w", "1"]),
+        (
+            ["lamperti-check", "--z", "1", "--w", "1/2", "--k", "8"],
+            "lamperti-check",
+            ["lamperti-check", "--z", "1", "--w", "1", "--k", "-1"],
+        ),
+        (
+            ["lamperti-grid", "--theta-steps", "1", "--t-max", "1"],
+            "lamperti-grid",
+            ["lamperti-grid", "--t-max", "1/2"],
+        ),
+        (
+            ["validate-tree", "--tree", _ONE_NODE_MAP],
+            "validate-tree",
+            ["validate-tree", "--tree", _REPEATED_VALUE_MAP],
+        ),
+        (
+            ["project-hom", "--phi", _ONE_NODE_MAP, "--psi", _ONE_NODE_MAP],
+            "project-hom",
+            ["project-hom", "--phi", _REPEATED_VALUE_MAP, "--psi", _ONE_NODE_MAP],
+        ),
+        (["extend", "--n", "1", "--k", "4"], "extend", ["extend", "--phi", _REPEATED_VALUE_MAP]),
+        (
+            ["disintegrate", "--stages", "1"],
+            "disintegrate",
+            ["disintegrate", "--pres", '{"type":"standard","p":"2"}'],
+        ),
+        (["chains", "--stages", "3", "--k", "4"], "chains", ["chains", "--stages", "-1"]),
+        (
+            ["synthesize", "--units", "2"],
+            "synthesize",
+            ["synthesize", "--units", "2", "--pres", '{"type":"standard","p":"2"}'],
+        ),
+        (
+            ["apply", "--units", "2", "--vector", '{"entries":{"1":"1"}}'],
+            "apply",
+            ["apply", "--units", "2", "--vector", '{"entries":{"2":"1"}}'],
+        ),
+        (
+            ["adversarial", "e0", "--k", "4"],
+            "adversarial-e0",
+            ["adversarial", "e0", "--ce", _STAGED_CE, "--staged"],
+        ),
+        (
+            ["adversarial", "scale", "--k", "4"],
+            "adversarial-scale",
+            ["adversarial", "scale", "--ce", _STAGED_CE, "--staged"],
+        ),
+        (
+            ["adversarial", "identity", "--n", "2", "--k", "4"],
+            "adversarial-identity",
+            ["adversarial", "identity", "--ce", _STAGED_CE, "--staged"],
+        ),
+        (
+            ["recover-p", "--pres", '{"type":"standard","p":"3"}', "--k-bits", "2"],
+            "recover-p",
+            ["recover-p"],
+        ),
+    ]
+    IDS = [command for _, command, _ in CASES]
+
+    @staticmethod
+    def envelope(capsys, argv):
+        code = main(argv)
+        out = json.loads(capsys.readouterr().out)
+        assert code == {"ok": 0, "provisional": 2}.get(out["status"], 1)
+        if "error" in out:
+            assert out.keys() == {"command", "status", "error"}
+            assert out["status"] == "error"
+            assert out["error"].keys() == {"type", "message"}
+        elif "detail" in out:
+            assert out.keys() == {"command", "status", "detail"}
+            assert out["status"] == "provisional"
+        else:
+            assert {"command", "inputs", "result", "status"} <= out.keys()
+            assert out.keys() <= {"command", "inputs", "result", "certificates", "status"}
+        return code, out
+
+    @pytest.mark.parametrize("argv, command, failing", CASES, ids=IDS)
+    def test_a_valid_run(self, capsys, argv, command, failing):
+        code, out = self.envelope(capsys, argv)
+        assert (code, out["command"], out["status"]) == (0, command, "ok")
+
+    @pytest.mark.parametrize("valid, command, argv", CASES, ids=IDS)
+    def test_a_failing_run(self, capsys, valid, command, argv):
+        code, out = self.envelope(capsys, argv)
+        # a failure names the subcommand, so every reduction reads "adversarial"
+        assert code != 0 and out["command"] == argv[0]
 
 
 class TestIsometricProperty:

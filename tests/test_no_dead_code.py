@@ -12,7 +12,8 @@ Module-level constants and annotated class fields are held to a stricter
 standard: they must be read, so an assignment or a keyword argument that
 sets one does not count as a use.  A class field counts as read only when
 it is loaded as an attribute, so a local variable of the same name does
-not hide it.
+not hide it.  One that only tests/ reads must be listed in TEST_READS with
+its reason.
 
 A definition that only tests/ names must be a test reference: an
 independent check or fixture a test measures the program against, listed
@@ -51,6 +52,18 @@ TEST_REFERENCES = {
     "encloses": "interval nesting, the refinement tests' monotonicity check",
     "is_atom": "atom predicate the chain-limit tests check limits with",
     "contains": "point membership, the enclosure check of the interval and norm tests",
+}
+
+#: constants and fields that only tests read, each with why the library
+#: keeps it
+TEST_READS = {
+    "AnmCertificate.m_child": "the chosen child's stage bound, which the chain tests check against",
+    "AnmCertificate.slack": "the certified 2^-stage slack the chain tests check the choice within",
+    "ChainPartition.assignment": "node -> chain map the chain tests read a node's chain from",
+    "ChainPartition.certificates": "per-parent child certificates criterion 9 re-checks exactly",
+    "SuccessIndex.distance_uppers": "the distance bounds that witness a success index's value",
+    "SuccessIndex.summativity_uppers": "the summativity bounds that cap a success index's value",
+    "UNIMODULAR_UNITS": "the four Gaussian-integer units the isometry-invariance tests scale by",
 }
 
 #: defaulted parameters that no program call passes, each with why the
@@ -234,16 +247,24 @@ def _unread(defining, reading, bench=()) -> list:
     return sorted(unread)
 
 
+def _read_only_by_tests(defining, program, tests, bench=()) -> set:
+    """Constants and fields of the `defining` modules that the `tests`
+    modules read and neither the `program` nor the `bench` modules do."""
+    return set(_unread(defining, program, bench)) - set(_unread(defining, program + tests, bench))
+
+
 def test_every_package_constant_and_field_is_read():
     defining = [_parse(path) for path in sorted(PACKAGE.glob("*.py"))]
-    reading = [
-        _parse(path)
-        for top in ("src", "tests")
-        for path in sorted((REPO / top).rglob("*.py"))
-    ]
+    program = [_parse(path) for path in sorted((REPO / "src").rglob("*.py"))]
+    tests = [_parse(path) for path in sorted((REPO / "tests").rglob("*.py"))]
     bench = [_parse(path) for path in sorted((REPO / "bench").rglob("*.py"))]
-    unread = _unread(defining, reading, bench)
+    unread = _unread(defining, program + tests, bench)
+    test_read = _read_only_by_tests(defining, program, tests, bench)
+    undeclared = sorted(test_read - TEST_READS.keys())
+    stale = sorted(TEST_READS.keys() - test_read)
     assert not unread, f"defined in src/lpiso but never read: {unread}"
+    assert not undeclared, f"defined in src/lpiso but read only by tests: {undeclared}"
+    assert not stale, f"listed in TEST_READS but not read only by tests: {stale}"
 
 
 def test_guard_sees_a_field_hidden_by_a_local():
@@ -253,6 +274,17 @@ def test_guard_sees_a_field_hidden_by_a_local():
         "def build(part):\n    explored = LIMIT\n    return Partition(explored, part.chains)\n"
     )
     assert _unread([tree], [tree]) == ["Partition.explored"]
+
+
+def test_guard_sees_a_field_only_a_test_reads():
+    src = ast.parse(
+        "LIMIT = 3\nSPARE = 4\n"
+        "class Partition:\n    explored: int\n    chains: list\n    idle: int\n"
+        "def build(part):\n    return Partition(LIMIT, part.chains, 0)\n"
+    )
+    tests = ast.parse("assert build(p).explored <= SPARE\n")
+    assert _unread([src], [src, tests]) == ["Partition.idle"]
+    assert _read_only_by_tests([src], [src], [tests]) == {"Partition.explored", "SPARE"}
 
 
 def _function_defaults(fn, owner):

@@ -385,6 +385,65 @@ class TestParseFraction:
             parse_fraction(text)
 
 
+def _magnitude(whole: int, decimals: str, exponent) -> tuple:
+    """(text, value) of a nonnegative decimal literal such as '25', '2.05'
+    or '2.05e-3'; exponent None writes none."""
+    text = f"{whole}.{decimals}" if decimals else str(whole)
+    value = whole + Fraction(int(decimals or "0"), 10 ** len(decimals))
+    if exponent is None:
+        return text, value
+    return f"{text}e{exponent}", value * Fraction(10) ** exponent
+
+
+_MAGNITUDES = st.one_of(
+    st.fractions(min_value=0, max_value=1000, max_denominator=1000).map(lambda q: (str(q), q)),
+    st.builds(
+        _magnitude,
+        st.integers(0, 10**6),
+        st.text(alphabet="0123456789", max_size=3),
+        st.one_of(st.none(), st.integers(-40, 40)),
+    ),
+)
+
+
+class TestGaussianParse:
+    @pytest.mark.parametrize(
+        "text, re, im",
+        [
+            ("1e-5i", Fraction(0), Fraction(1, 10**5)),
+            ("1/2+3e-2i", Fraction(1, 2), Fraction(3, 100)),
+            ("-1e-3-2e-4i", Fraction(-1, 1000), Fraction(-2, 10**4)),
+        ],
+    )
+    def test_imaginary_part_with_a_negative_exponent(self, text, re, im):
+        # the exponent's sign used to be taken for the split
+        assert GaussianRational.parse(text) == GaussianRational(re, im)
+
+    @pytest.mark.parametrize(
+        "text", ["1e2467i", "1e-2467+1i", "1+1e-2467i", "-1/2-2.5E+5000i", "1e-3-7e2467i"]
+    )
+    def test_each_part_is_held_to_the_exponent_bound(self, text):
+        with pytest.raises(ValueError, match=f"past {MAX_DECIMAL_EXPONENT}"):
+            GaussianRational.parse(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        re=_MAGNITUDES,
+        im=_MAGNITUDES,
+        re_sign=st.sampled_from(["", "-"]),
+        im_sign=st.sampled_from(["+", "-"]),
+        with_re=st.booleans(),
+    )
+    def test_round_trip(self, re, im, re_sign, im_sign, with_re):
+        (re_text, re_value), (im_text, im_value) = re, im
+        re_value = -re_value if re_sign else re_value
+        im_value = -im_value if im_sign == "-" else im_value
+        text = f"{re_sign}{re_text}{im_sign}{im_text}i" if with_re else f"{im_sign}{im_text}i"
+        z = GaussianRational.parse(text)
+        assert z == GaussianRational(re_value if with_re else Fraction(0), im_value)
+        assert GaussianRational.parse(str(z)) == z
+
+
 class TestIrrationalExponent:
     """Nothing may assume the exponent has a rational fast path."""
 
