@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 logger = logging.getLogger(__name__)
 
@@ -43,6 +43,7 @@ from .errors import (
 from .lp_vectors import FinSuppVector, norm_p
 from .presentations import ComputableVector, GenCombo, Presentation, bits_for
 from .scalar_core import (
+    MAX_WORKING_PREC,
     CReal,
     DyadicInterval,
     GaussianRational,
@@ -61,10 +62,10 @@ from .tree_maps import (
     TreeNode,
     _coordinate_carriers,
     distance_bound,
+    index_pairs,
     project_to_strong_hom,
     require_partial_disintegration,
     sigma_pair_terms,
-    sigma_pairs,
     validate_partial_disintegration,
 )
 
@@ -159,30 +160,129 @@ def empty_map(pres: Presentation) -> TreeMap:
 
 @dataclass(slots=True)
 class _PairBounds:
-    """Certified bounds for one node pair, valid only for these exact centers."""
+    """Certified bounds for one node pair, valid only for these node versions."""
 
-    centers: Tuple[GenCombo, GenCombo]
+    versions: Tuple[int, int]
     gap_lo: Optional[Fraction] = None    # lower bound on ||center[a] - center[b]||
     sigma_hi: Optional[Fraction] = None  # upper bound on the pair's sigma1 term
     sigma_prec: int = 0                  # read off an enclosure of width <= 2^-sigma_prec
 
 
-# The pair ledger: certified per-pair bounds that one build_disintegration
-# (or approximate_extend) call carries from round to round and stage to
-# stage, keyed by node pair (a before b in nonroot order).
-_PairLedger = Dict[Tuple[TreeNode, TreeNode], _PairBounds]
+class _BuildTable:
+    """What one build_disintegration (or approximate_extend) call carries
+    from round to round and stage to stage; it lives and dies with the call.
+
+    Every node the call places gets a dense integer id and a version that
+    changes exactly when the node's exact center changes.  Pair bounds are
+    keyed by id pairs and hold only for the two versions they were read
+    at: a bound is about the vectors of those two combinations only.
+
+    The core is the set of nodes of the last accepted ball whose centers
+    have not moved since, so every pair inside it holds current bounds of
+    both kinds.  The table keeps the exact sum of those pairs' sigma upper
+    bounds and a lower bound on their least gap lower bound; with them a
+    search reads only the pairs holding a node outside the core.  validated
+    holds the transparent values of the last accepted proposal map over an
+    exact presentation: the next stage's proposal compares its cut snapshot
+    with them.
+    """
+
+    def __init__(self):
+        self.ids: Dict[TreeNode, int] = {}
+        self.versions: List[int] = []
+        self.centers: List[GenCombo] = []
+        self.pairs: Dict[Tuple[int, int], _PairBounds] = {}
+        self.core: Set[int] = set()
+        self.sigma_sum = Fraction(0)
+        self.least_gap: Optional[Fraction] = None
+        self.validated: Optional[Dict[TreeNode, FinSuppVector]] = None
+
+    def place(self, nodes: List[TreeNode], center: Dict[TreeNode, GenCombo]) -> List[int]:
+        """The ids of nodes, in order.  A node whose center differs from the
+        one last placed gets a new version, and a moved node or a core node
+        missing from nodes leaves the core."""
+        ids = []
+        for node in nodes:
+            combo = center[node]
+            i = self.ids.get(node)
+            if i is None:
+                i = self.ids[node] = len(self.versions)
+                self.versions.append(0)
+                self.centers.append(combo)
+            elif self.centers[i] is not combo:
+                if self.centers[i] != combo:
+                    self.versions[i] += 1
+                    self._leave_core(i)
+                self.centers[i] = combo
+            ids.append(i)
+        for i in self.core - set(ids):
+            self._leave_core(i)
+        return ids
+
+    def _leave_core(self, i: int) -> None:
+        if i in self.core:
+            self.core.discard(i)
+            self.sigma_sum -= _exact_sum([self.pairs[_pair_key(i, j)].sigma_hi for j in self.core])
+            # least_gap stays a lower bound on the smaller core's gaps
+
+    def fresh(self, ids: List[int]) -> List[int]:
+        """The positions of the ids outside the core."""
+        return [pos for pos, i in enumerate(ids) if i not in self.core]
+
+    def entry(self, i: int, j: int) -> _PairBounds:
+        """The bounds of the pair of ids i and j, emptied when either node's
+        version changed since they were read."""
+        key = _pair_key(i, j)
+        versions = (self.versions[key[0]], self.versions[key[1]])
+        entry = self.pairs.get(key)
+        if entry is None or entry.versions != versions:
+            entry = self.pairs[key] = _PairBounds(versions)
+        return entry
+
+    def set_sigma(self, i: int, j: int, entry: _PairBounds, hi: Fraction, prec: int) -> None:
+        """Record the sigma bound of ids i and j, keeping the core sum exact."""
+        if i in self.core and j in self.core:
+            self.sigma_sum += hi - entry.sigma_hi
+        entry.sigma_hi, entry.sigma_prec = hi, prec
+
+    def gap_reads(
+        self, nodes: List[TreeNode], center: Dict[TreeNode, GenCombo], skip_above: Fraction
+    ) -> Iterator[Tuple[int, int, _PairBounds]]:
+        """The pairs (i, j, entry) of positions in nodes whose gap the radius
+        pick reads, in pair order: all but those whose carried gap lower
+        bound is above skip_above.  While the least core gap is above it,
+        every core pair is passed over unread; else every pair is visited,
+        and a complete visit re-derives the least core gap from the bounds
+        the caller wrote into the entries."""
+        ids = self.place(nodes, center)
+        carried = self.least_gap is None or self.least_gap > skip_above
+        least = None
+        for i, j in index_pairs(len(ids), self.fresh(ids) if carried else None):
+            entry = self.entry(ids[i], ids[j])
+            if entry.gap_lo is None or entry.gap_lo <= skip_above:
+                yield i, j, entry
+            if not carried and ids[i] in self.core and ids[j] in self.core:
+                least = entry.gap_lo if least is None else min(least, entry.gap_lo)
+        if not carried:
+            self.least_gap = least
+
+    def settle(self, nodes: List[TreeNode], center: Dict[TreeNode, GenCombo]) -> None:
+        """Make the nodes of an accepted ball the core: the search read both
+        bounds of each of its pairs."""
+        for i in self.place(nodes, center):
+            if i in self.core:
+                continue
+            added = [self.pairs[_pair_key(i, j)] for j in self.core]
+            self.sigma_sum = _exact_sum([self.sigma_sum] + [e.sigma_hi for e in added])
+            gaps = [e.gap_lo for e in added]
+            if self.least_gap is not None:
+                gaps.append(self.least_gap)
+            self.least_gap = min(gaps, default=None)
+            self.core.add(i)
 
 
-def _pair_bounds(
-    ledger: _PairLedger, a: TreeNode, b: TreeNode, center: Dict[TreeNode, GenCombo]
-) -> _PairBounds:
-    """The ledger entry of (a, b), emptied when either node's exact center
-    changed: a bound is about the vectors of those two combinations only."""
-    centers = (center[a], center[b])
-    entry = ledger.get((a, b))
-    if entry is None or entry.centers != centers:
-        entry = ledger[(a, b)] = _PairBounds(centers)
-    return entry
+def _pair_key(i: int, j: int) -> Tuple[int, int]:
+    return (i, j) if i < j else (j, i)
 
 
 def _ball_constraints(
@@ -194,7 +294,7 @@ def _ball_constraints(
     k: int,
     pres: Presentation,
     prec: int,
-    ledger: Optional[_PairLedger] = None,
+    table: Optional[_BuildTable] = None,
     skip_above: Optional[Fraction] = None,
 ):
     """Every inequality a ball certificate checks, each once, as
@@ -205,25 +305,26 @@ def _ball_constraints(
     restriction without a nonempty base map phi, whose values must be
     computable vectors over pres.
 
-    With a ledger (only the radius pick passes one), every pairwise gap
-    read is recorded there, and a gap whose carried lower bound is above
-    the fixed bar skip_above is settled: it is neither read nor yielded.
-    Every other gap is read in pair order.  The caller picks a bar above
-    which the gap cannot decide its answer.
+    With a build table (only the radius pick passes one), every pairwise
+    gap read is recorded there, and a gap whose carried lower bound is
+    above the fixed bar skip_above is settled: it is neither read nor
+    yielded (see _BuildTable.gap_reads).  Every other gap is read in pair
+    order.  The caller picks a bar above which the gap cannot decide its
+    answer.
     """
     nodes = tree.nonroot_nodes()
     for node in nodes:
         yield "injective_nonzero", pres.norm_enclosure(center[node], prec).lo, 1
 
-    for i, a in enumerate(nodes):
-        for b in nodes[i + 1 :]:
-            entry = None if ledger is None else _pair_bounds(ledger, a, b, center)
-            if entry is not None and entry.gap_lo is not None and entry.gap_lo > skip_above:
-                continue
-            lo = pres.norm_enclosure(center[a] - center[b], prec).lo
-            if entry is not None:
-                entry.gap_lo = lo if entry.gap_lo is None else max(entry.gap_lo, lo)
-            yield "injective_nonzero", lo, 2
+    if table is None:
+        reads = ((i, j, None) for i, j in index_pairs(len(nodes)))
+    else:
+        reads = table.gap_reads(nodes, center, skip_above)
+    for i, j, entry in reads:
+        lo = pres.norm_enclosure(center[nodes[i]] - center[nodes[j]], prec).lo
+        if entry is not None:
+            entry.gap_lo = lo if entry.gap_lo is None else max(entry.gap_lo, lo)
+        yield "injective_nonzero", lo, 2
     bound = _width_target(n_index)
     for node in nodes:
         kids = tree.children(node)
@@ -256,43 +357,54 @@ def _hom_root_upper(err_hi: Fraction, p: PExponent, prec: int) -> Fraction:
 
 
 def _ledger_hom_upper(
-    ball: RationalBall, pres: Presentation, prec: int, ledger: _PairLedger
+    ball: RationalBall, pres: Presentation, prec: int, table: _BuildTable
 ) -> Fraction:
     """An upper bound on the distance from the ball's center map to the
-    strong homomorphisms, from the ledger's pair terms: the search's one
-    hom read per tried ball.
+    strong homomorphisms, from the build table's pair terms: the search's
+    one hom read per tried ball.
 
     It bounds the quantity certify_ball's hom_upper bounds, the p-th root
     of 2^p c_p times the sum of the sigma1 terms of the center map, from
-    per-pair enclosures carried while both centers stay the same.  New
-    pairs are evaluated at twice the precision sigma_tree would start at
-    inside distance_bound(..., prec).  The ball shrinks from stage to
-    stage, so a carried term can outgrow the budget: when the bound misses
-    radius/4 (what _extend accepts), the pairs evaluated below that doubled
-    precision are re-evaluated at it, and a bound that still misses refuses
-    the ball.
+    per-pair enclosures carried while both centers stay the same.  Any two
+    distinct nodes are comparable or not, so every pair has a term.  The
+    core pairs' terms enter as the table's running sum; of the others, the
+    new pairs are evaluated at twice the precision sigma_tree would start at
+    inside distance_bound(..., prec).  The ball shrinks from stage to stage,
+    so a carried term can outgrow the budget: when the bound misses
+    radius/4 (what _extend accepts), every pair evaluated below that
+    doubled precision is re-evaluated at it, and a bound that still misses
+    refuses the ball.
     """
     p = pres.p
     psi = ball.center_map(pres)
-    pairs = sigma_pairs(ball.tree)
-    kk = 2 * (prec + 6 + len(pairs).bit_length())
-    entries = [_pair_bounds(ledger, a, b, ball.center) for a, b in pairs]
+    nodes = ball.tree.nonroot_nodes()
+    ids = table.place(nodes, ball.center)
+    count = len(nodes)
+    kk = 2 * (prec + 6 + (count * (count - 1) // 2).bit_length())
+    touching = [
+        (i, j, table.entry(ids[i], ids[j])) for i, j in index_pairs(count, table.fresh(ids))
+    ]
 
-    def evaluate(todo: List[int]) -> None:
-        terms = sigma_pair_terms(psi, [pairs[i] for i in todo], kk)
-        for i, term in zip(todo, terms):
-            entries[i].sigma_hi, entries[i].sigma_prec = term.hi, kk
+    def evaluate(todo: List[Tuple[int, int, _PairBounds]]) -> None:
+        terms = sigma_pair_terms(psi, [(nodes[i], nodes[j]) for i, j, _ in todo], kk)
+        for (i, j, entry), term in zip(todo, terms):
+            table.set_sigma(ids[i], ids[j], entry, term.hi, kk)
 
     def upper() -> Fraction:
         # every factor is nonnegative, so the product of upper bounds bounds it
         scale = pow_enclosure(DyadicInterval.point(2), p, kk) * lamperti_constant(p, kk)
-        return _hom_root_upper(scale.hi * _exact_sum([e.sigma_hi for e in entries]), p, prec)
+        total = _exact_sum([table.sigma_sum] + [e.sigma_hi for _, _, e in touching])
+        return _hom_root_upper(scale.hi * total, p, prec)
 
     with p.shared_powers():
-        evaluate([i for i, e in enumerate(entries) if e.sigma_hi is None])
+        evaluate([t for t in touching if t[2].sigma_hi is None])
         bound = upper()
         if bound >= ball.radius / 4:
-            stale = [i for i, e in enumerate(entries) if e.sigma_prec < kk]
+            stale = [
+                (i, j, entry)
+                for i, j in index_pairs(count)
+                if (entry := table.entry(ids[i], ids[j])).sigma_prec < kk
+            ]
             if stale:
                 evaluate(stale)
                 bound = upper()
@@ -391,13 +503,30 @@ class Proposal:
     beta: Dict[int, Dict[TreeNode, GaussianRational]]
     atom_support: Dict[TreeNode, int]
     snapshot_prec: int
+    values: Dict[TreeNode, FinSuppVector]  # the validated proposal map's values
 
 
-def _truncated_hom(snap: TreeMap, level: int, pres: Presentation, prec: int) -> TreeMap:
-    """The strong homomorphism projected from snap cut below coordinate level."""
+def _truncated_hom(
+    snap: TreeMap,
+    level: int,
+    pres: Presentation,
+    prec: int,
+    validated: Optional[Dict[TreeNode, FinSuppVector]] = None,
+) -> Tuple[TreeMap, bool]:
+    """The strong homomorphism projected from snap cut below coordinate
+    level, and whether it is validated already.
+
+    When the cut equals validated, the values of a map already validated as
+    a partial disintegration, the cut is that map and is returned as it is:
+    a strong homomorphism has no threshold terms, and abs_pow encloses the
+    power of each nonzero coordinate strictly above 0, so the projection
+    keeps every coordinate and would return the cut unchanged.
+    """
     values = {n: snap.value(n).restrict_below(level) for n in snap.nodes()}
     cut = TreeMap(snap.tree, values, snap.p)
-    return project_to_strong_hom(empty_map(pres), cut, prec)
+    if values == validated:
+        return cut, True
+    return project_to_strong_hom(empty_map(pres), cut, prec), False
 
 
 def _values_on_structure(
@@ -447,6 +576,7 @@ def build_guided_proposal(
     round_idx: int,
     *,
     force_growth: bool = False,
+    validated: Optional[Dict[TreeNode, FinSuppVector]] = None,
 ) -> Optional[Proposal]:
     """The deterministic candidate for one search round, or None when the
     snapshot fails to validate (the caller then escalates precision).
@@ -455,6 +585,12 @@ def build_guided_proposal(
     requirements are already met by phi itself, a fresh disjoint atom on
     the first untouched coordinate is attached at the top level (the
     staged builder requires strictly growing domains).
+
+    validated, the values of the map the last stage accepted, lets an exact
+    stage skip the projection and the validation of the pinned nodes while
+    the cut snapshot equals them (see _truncated_hom): only the new nodes
+    are then checked against all others.  Without it, or once a pinned
+    value moved, the round projects and validates every node.
     """
     prec = max(n_index + 4, k + 4, 16) + 6 * round_idx
     target = _width_target(n_index + 2)
@@ -479,7 +615,7 @@ def build_guided_proposal(
 
     # chi is a strong homomorphism by construction; the proposal map keeps
     # its values, so that map's validation refutes a zero or repeated one
-    chi = _truncated_hom(snap, level, pres, prec)
+    chi, carried = _truncated_hom(snap, level, pres, prec, validated)
     size = len(chi.tree)
     carriers = _coordinate_carriers(chi)
     atom_nodes: Dict[TreeNode, Tuple[TreeNode, int]] = {}
@@ -551,7 +687,8 @@ def build_guided_proposal(
 
     values, center = _values_on_structure(structure, chi, gens, pres, prec)
     proposal_map = TreeMap(tree, values, phi.p)
-    if not validate_partial_disintegration(proposal_map).is_yes:
+    fresh = set(atom_nodes) | set(fresh_atoms) | set(residual_nodes) if carried else None
+    if not validate_partial_disintegration(proposal_map, fresh).is_yes:
         return None
 
     atom_support: Dict[TreeNode, int] = {}
@@ -577,7 +714,7 @@ def build_guided_proposal(
                 coeffs[node] = GaussianRational.one()
         beta[j] = {n: z for n, z in coeffs.items() if not z.is_zero()}
 
-    return Proposal(structure, center, beta, atom_support, prec)
+    return Proposal(structure, center, beta, atom_support, prec, values)
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +786,7 @@ def _pick_radius_bits(
     n_index: int,
     k: int,
     pres: Presentation,
-    ledger: Optional[_PairLedger] = None,
+    table: Optional[_BuildTable] = None,
 ) -> Optional[int]:
     """The search's constraint check: the bits of a radius on whose whole
     closed ball the proposal keeps every certificate inequality but the
@@ -664,13 +801,15 @@ def _pick_radius_bits(
     summativity, coverage and restriction hold on the whole closed ball,
     and the search reads none of them again.
 
-    A pairwise gap whose carried lower bound lo is above the bar
-    2^-snapshot_prec + 4 * 2^-(k+1) is skipped.  Its read at the snapshot
+    With a build table, a pairwise gap whose carried lower bound lo is
+    above the bar 2^-snapshot_prec + 4 * 2^-(k+1) is skipped.  Its read at the snapshot
     precision would be at least lo - 2^-snapshot_prec (an enclosure's
     width contract): positive, and with a quarter above the starting
     limit.  The limit only falls, so such a gap cannot bind and the result
     is the same without the read.  It holds on the ball too: r <= 2^-(k+2),
-    so lo > 2r.
+    so lo > 2r.  While the table's least core gap is above the bar, every
+    core pair is skipped at once, and only the pairs holding a node outside
+    the core are looked up.
     """
     limit = _width_target(k + 1)
     skip_above = _width_target(proposal.snapshot_prec) + 4 * limit
@@ -684,7 +823,7 @@ def _pick_radius_bits(
             k,
             pres,
             proposal.snapshot_prec,
-            ledger,
+            table,
             skip_above,
         ):
             if slack <= 0:
@@ -723,7 +862,7 @@ def approximate_extend(
             for node in phi.nodes()
         }
         phi = TreeMap(phi.tree, values, phi.p)
-    return _extend(phi, n_index, k, pres, {})
+    return _extend(phi, n_index, k, pres, _BuildTable())
 
 
 def _extend(
@@ -731,7 +870,7 @@ def _extend(
     n_index: int,
     k: int,
     pres: Presentation,
-    ledger: _PairLedger,
+    table: _BuildTable,
     *,
     force_growth: bool = False,
 ) -> ExtendResult:
@@ -743,12 +882,16 @@ def _extend(
     once: _pick_radius_bits proves every inequality but the hom test on it,
     and _ledger_hom_upper must then bound the distance to the strong
     homomorphisms below a quarter of the radius, so the refinement
-    converges inside half of it.  The ledger holds the pair bounds earlier
-    rounds and stages certified; this call reads them where both centers
-    are unchanged and adds its own, so only pairs touching a new or moved
-    node cost fresh reads.  The accepted ball is kept with its arguments,
-    and the certificate a report prints is the full certify_ball pass on
-    it.
+    converges inside half of it.  The build table holds the pair bounds
+    earlier rounds and stages certified; this call reads them where both
+    centers are unchanged and adds its own, so only pairs touching a new or
+    moved node cost fresh reads.  An accepted ball's nodes become the
+    table's core, and over an exact presentation its proposal's values
+    become what the next stage's proposal is validated against.  The hom
+    test refuses to run past MAX_WORKING_PREC bits: its precision grows
+    with p, and so do the powers it takes exactly.  The accepted ball is
+    kept with its arguments, and the certificate a report prints is the
+    full certify_ball pass on it.
     """
     if not pres.has_backdoor:
         raise NoBackdoorError(
@@ -757,11 +900,11 @@ def _extend(
     p_ceil = pres.p.upper_int()
     for round_idx in range(SEARCH_ROUNDS):
         proposal = build_guided_proposal(
-            phi, n_index, k, pres, round_idx, force_growth=force_growth
+            phi, n_index, k, pres, round_idx, force_growth=force_growth, validated=table.validated
         )
         if proposal is None:
             continue
-        radius_bits = _pick_radius_bits(proposal, phi, n_index, k, pres, ledger)
+        radius_bits = _pick_radius_bits(proposal, phi, n_index, k, pres, table)
         if radius_bits is None:
             continue
         ball = RationalBall(
@@ -778,7 +921,11 @@ def _extend(
             proposal.beta,
             max(n_index + 8, k + 6, p_ceil * (radius_bits + 4) + 8),
         )
-        hom_upper = _ledger_hom_upper(ball, pres, check.precision, ledger)
+        if check.precision > MAX_WORKING_PREC:
+            raise PrecisionExhaustedError(
+                f"the hom test's working precision passes MAX_WORKING_PREC = {MAX_WORKING_PREC} bits"
+            )
+        hom_upper = _ledger_hom_upper(ball, pres, check.precision, table)
         logger.info(
             "ball tree=%s radius=2^-%d hom_upper=%s precision=%d",
             ball.tree,
@@ -788,6 +935,8 @@ def _extend(
         )
         if hom_upper >= ball.radius / 4:
             continue
+        table.settle(ball.tree.nonroot_nodes(), ball.center)
+        table.validated = proposal.values if pres.exact_arithmetic else None
         if pres.exact_arithmetic:
             psi = _center_map(ball.tree, ball.center, pres)
         else:
@@ -828,7 +977,7 @@ def _refined_values(
                         "refinement cap hit before the target precision"
                     )
                 snap = phi.transparent_snapshot(prec)
-                chi = _truncated_hom(snap, structure.level, pres, prec)
+                chi, _ = _truncated_hom(snap, structure.level, pres, prec)
                 gens = {j: pres.generator_vector(j, prec) for j in structure.residual_nodes.values()}
                 _, center = _values_on_structure(structure, chi, gens, pres, prec)
                 ok = True
@@ -1047,14 +1196,19 @@ def build_disintegration(
     certified, so validation could never refute them.  Use
     approximate_extend to extend a map of unknown provenance.
 
-    One pair ledger lives for the whole call and is handed to every stage's
-    _extend.  It stores, per node pair, a certified lower bound on the
-    centers' gap (read by the radius pick) and an enclosure of the pair's
-    sigma1 term (read by the hom test), each valid only for the exact
-    center combinations it was computed from (every read compares them),
-    so a stage re-reads only the O(n) pairs that touch a new or moved node.
-    Sigma terms are refreshed at doubled precision when the shrinking
-    radius outgrows them.  The certificates the report prints are the full
+    One build table (_BuildTable) lives for the whole call and is handed
+    to every stage's _extend; it is dropped with the call.  It numbers the
+    nodes and versions their centers, and stores, per pair of ids, a
+    certified lower bound on the centers' gap (read by the radius pick) and
+    an enclosure of the pair's sigma1 term (read by the hom test), each
+    valid only for the node versions it was computed at.  Over the nodes of
+    the last accepted ball it keeps the sum of those terms and the least
+    gap, so a stage touches only the O(n) pairs that hold a new or moved
+    node.  Over an exact presentation it also keeps the last accepted
+    proposal's values: while a stage's cut snapshot equals them, the
+    proposal projects nothing and validates only its new nodes.  Sigma
+    terms are refreshed at doubled precision when the shrinking radius
+    outgrows them.  The certificates the report prints are the full
     certify_ball pass, run on each stage's accepted ball when the report is
     rendered.
     """
@@ -1077,10 +1231,10 @@ def build_disintegration(
         atoms0[first] = gen_atom
     stages = [StageRecord(0, phi0, k0, None, atoms0)]
 
-    ledger: _PairLedger = {}
+    table = _BuildTable()
     for n in range(n_target):
         prev = stages[-1]
-        result = _extend(prev.phi_hat, n, prev.ball_bits + 1, pres, ledger, force_growth=True)
+        result = _extend(prev.phi_hat, n, prev.ball_bits + 1, pres, table, force_growth=True)
         tree = result.psi.tree
         if not prev.phi_hat.tree.is_subtree_of(tree) or len(tree) <= len(prev.phi_hat.tree):
             raise BudgetExhaustedError("the extension did not grow the tree")

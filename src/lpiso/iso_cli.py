@@ -228,6 +228,13 @@ def _certify_pairwise(
                     )
 
 
+def _stages_built(stages: int) -> int:
+    """The stages a chain search is built on when `stages` are asked for:
+    at least 3, since spare stages keep the normalized root's tail bound
+    ahead of the stage-bound precision the chain searches start from."""
+    return max(stages, 3)
+
+
 def synthesize_isometry(
     pres: Presentation,
     n_units: int,
@@ -253,11 +260,8 @@ def synthesize_isometry(
     gen_bits = n_units if generation_bits is None else generation_bits
     peek_prec = max(gen_bits, cert_bits) + 8
 
-    # a couple of spare stages keep the normalized root's tail bound ahead
-    # of the stage-bound precision the chain searches start from
-    n_stages = max(n_units, 3)
-    staged = build_disintegration(pres, n_stages)
-    source = staged.chain_source()
+    n_stages = _stages_built(n_units)
+    source = build_disintegration(pres, n_stages).chain_source()
     partition = partition_chains(source, stage_budget=n_stages)
 
     provisional = False
@@ -620,8 +624,7 @@ def _cmd_disintegrate(args) -> dict:
 
 def _cmd_chains(args) -> dict:
     pres = _pres_from_args(args)
-    staged = build_disintegration(pres, args.stages)
-    source = staged.chain_source()
+    source = build_disintegration(pres, _stages_built(args.stages)).chain_source()
     partition = partition_chains(source, stage_budget=args.stages)
     limits = []
     provisional = False

@@ -617,6 +617,8 @@ def _int_nth_root_exact(n: int, v: int) -> Optional[int]:
         return None
     if n in (0, 1) or v == 1:
         return n
+    if v >= n.bit_length():
+        return None  # 1 < n < 2**v, so n lies strictly between 1**v and 2**v
     if v == 2:
         r = math.isqrt(n)
         return r if r * r == n else None

@@ -20,10 +20,11 @@ the bound fails.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     HypothesisViolatedError,
@@ -316,6 +317,22 @@ def tree_distance(phi: TreeMap, psi: TreeMap, k: int) -> DyadicInterval:
     return out if out is not None else ZERO_INTERVAL
 
 
+def index_pairs(count: int, fresh: Optional[Sequence[int]] = None) -> Iterator[Tuple[int, int]]:
+    """The index pairs (i, j), 0 <= i < j < count, in lexicographic order;
+    with fresh, an ascending sequence of indices, only the pairs holding one
+    of them, in the same order."""
+    if fresh is None:
+        fresh = range(count)
+    marked = set(fresh)
+    for i in range(count):
+        if i in marked:
+            for j in range(i + 1, count):
+                yield i, j
+        else:
+            for j in fresh[bisect_right(fresh, i) :]:
+                yield i, j
+
+
 def _comparable_pairs(tree: FiniteTree) -> List[Tuple[TreeNode, TreeNode]]:
     """(nu, nu') with nu' strictly extending nu, both non-root."""
     nodes = tree.nonroot_nodes()
@@ -420,16 +437,23 @@ class Verdict:
         return self.status == "certified_no"
 
 
-def _strong_hom_defect_exact(psi: TreeMap) -> Optional[str]:
+def _strong_hom_defect_exact(psi: TreeMap, todo: Optional[Sequence[int]] = None) -> Optional[str]:
     """None when the transparent map is exactly a strong reverse-order
-    homomorphism, else a human-readable witness."""
-    for node in psi.nodes():
+    homomorphism, else a human-readable witness.  With todo (ascending
+    positions in psi.nodes()), only those nodes and the pairs holding one
+    are checked."""
+    nodes = psi.nodes()
+    if todo is None:
+        todo = range(len(nodes))
+    for i in todo:
+        node = nodes[i]
         parent = node.parent()
         if not parent.is_root():
             if not precedes(psi.value(node), psi.value(parent)):
                 return f"{node} does not refine its parent {parent}"
-    for a, b in _incomparable_pairs(psi.tree):
-        if not is_disjointly_supported(psi.value(a), psi.value(b)):
+    for i, j in index_pairs(len(nodes), todo):
+        a, b = nodes[i], nodes[j]
+        if a.incomparable(b) and not is_disjointly_supported(psi.value(a), psi.value(b)):
             return f"incomparable {a}, {b} share support"
     return None
 
@@ -444,29 +468,35 @@ def check_strong_hom_exact(psi: TreeMap) -> bool:
 OPAQUE_VALIDATION_BITS = 20
 
 
-def validate_partial_disintegration(psi: TreeMap) -> Verdict:
+def validate_partial_disintegration(
+    psi: TreeMap, fresh: Optional[AbstractSet[TreeNode]] = None
+) -> Verdict:
     """Strong reverse-order monomorphism with nonzero values.
 
     Transparent maps are decided exactly.  Opaque maps can be refuted
     (certified defect) or left undecided at OPAQUE_VALIDATION_BITS; they are
     never certified YES, since interval evidence cannot witness exact
     equalities.
+
+    fresh names the nodes of a transparent map that still need checking:
+    the caller vouches that psi restricted to the other nodes, a
+    prefix-closed set, is already a partial disintegration.  Every defect
+    then involves a fresh node (its value, its parent, or a pair holding
+    it), so only those are checked.  Without fresh every node is.
     """
     if psi.is_transparent:
-        defect = _strong_hom_defect_exact(psi)
+        nodes = psi.nodes()
+        todo = range(len(nodes)) if fresh is None else [i for i, n in enumerate(nodes) if n in fresh]
+        defect = _strong_hom_defect_exact(psi, todo)
         if defect is not None:
             return Verdict("certified_no", defect)
-        vals = [psi.value(n) for n in psi.nodes()]
-        for i, v in enumerate(vals):
-            if v.is_zero():
-                return Verdict("certified_no", f"{psi.nodes()[i]} maps to zero")
-        for i, a in enumerate(vals):
-            for j in range(i + 1, len(vals)):
-                if a == vals[j]:
-                    return Verdict(
-                        "certified_no",
-                        f"{psi.nodes()[i]} and {psi.nodes()[j]} share one value",
-                    )
+        vals = [psi.value(n) for n in nodes]
+        for i in todo:
+            if vals[i].is_zero():
+                return Verdict("certified_no", f"{nodes[i]} maps to zero")
+        for i, j in index_pairs(len(vals), todo):
+            if vals[i] == vals[j]:
+                return Verdict("certified_no", f"{nodes[i]} and {nodes[j]} share one value")
         return Verdict("certified_yes")
 
     # opaque: try to refute, otherwise report what was certified

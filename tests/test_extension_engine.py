@@ -42,6 +42,7 @@ from lpiso.extension_engine import (
     Proposal,
     ProposalStructure,
     RationalBall,
+    _BuildTable,
     _ledger_hom_upper,
     _pick_radius_bits,
     _triangle_norm_bound,
@@ -78,8 +79,9 @@ def two_node_proposal(second):
     a, b = TreeNode.of(0), TreeNode.of(1)
     tree = FiniteTree([a, b])
     center = {a: GenCombo.single(0), b: second}
+    values = {node: FinSuppVector(combo.entries) for node, combo in center.items()}
     return Proposal(
-        ProposalStructure(tree, {}, {}, {}, {}, 0), center, identity_beta(1), {}, 20
+        ProposalStructure(tree, {}, {}, {}, {}, 0), center, identity_beta(1), {}, 20, values
     )
 
 
@@ -384,39 +386,191 @@ class TestPairLedger:
         # outside stale rounds, a stage's hom reads evaluate at most one pair
         # term per non-root node: the pairs that touch the new node.  A
         # 16-stage flat build evaluates n terms at stage n and re-reads stale
-        # terms in one round (45 pairs, at the tenth extension)
-        new_terms, stale_rounds = [], []
-        calls = {}
+        # terms in one round (45 pairs, at the tenth extension).  With the
+        # build table the stage's other walks are O(n) too: the radius
+        # pick looks up only the pairs that touch a new node, and the
+        # proposal projects nothing and validates only the pairs that hold
+        # a new node, once stage 1 has validated its map in full
+        stages, stale_rounds = [], []
+        calls = {"round": 0, "pick": False}
         extend = extension_engine._extend
         hom_upper = extension_engine._ledger_hom_upper
         pair_terms = extension_engine.sigma_pair_terms
+        pick = extension_engine._pick_radius_bits
+        lookup = _BuildTable.entry
+        project = extension_engine.project_to_strong_hom
+        validated_pairs = tree_maps.index_pairs
 
         def staged(*args, **kwargs):
-            new_terms.append([0, None])
+            stages.append(
+                {"terms": 0, "nodes": None, "lookups": 0, "projected": 0, "validated": 0}
+            )
             return extend(*args, **kwargs)
 
-        def hom_read(ball, pres, prec, ledger):
+        def hom_read(ball, pres, prec, table):
             calls["round"] = 0
-            new_terms[-1][1] = len(ball.tree.nonroot_nodes())
-            return hom_upper(ball, pres, prec, ledger)
+            stages[-1]["nodes"] = len(ball.tree.nonroot_nodes())
+            return hom_upper(ball, pres, prec, table)
 
         def evaluated(psi, pairs, kk):
             # a hom read's first evaluation takes its new pairs; a second
             # re-reads its stale ones
             if calls["round"] == 0:
-                new_terms[-1][0] += len(pairs)
+                stages[-1]["terms"] += len(pairs)
             else:
                 stale_rounds.append(len(pairs))
             calls["round"] += 1
             return pair_terms(psi, pairs, kk)
 
+        def picked(*args):
+            calls["pick"] = True
+            try:
+                return pick(*args)
+            finally:
+                calls["pick"] = False
+
+        def looked_up(table, i, j):
+            if calls["pick"]:
+                stages[-1]["lookups"] += 1
+            return lookup(table, i, j)
+
+        def projected(phi, psi, k):
+            stages[-1]["projected"] += len(psi.nodes())
+            return project(phi, psi, k)
+
+        def pairs_validated(count, fresh=None):
+            for pair in validated_pairs(count, fresh):
+                stages[-1]["validated"] += 1
+                yield pair
+
         monkeypatch.setattr(extension_engine, "_extend", staged)
         monkeypatch.setattr(extension_engine, "_ledger_hom_upper", hom_read)
         monkeypatch.setattr(extension_engine, "sigma_pair_terms", evaluated)
+        monkeypatch.setattr(extension_engine, "_pick_radius_bits", picked)
+        monkeypatch.setattr(_BuildTable, "entry", looked_up)
+        monkeypatch.setattr(extension_engine, "project_to_strong_hom", projected)
+        monkeypatch.setattr(tree_maps, "index_pairs", pairs_validated)
         build_disintegration(StandardPresentation(P1), 16)
-        assert len(new_terms) == 16
-        assert all(terms <= nodes for terms, nodes in new_terms), new_terms
+        assert len(stages) == 16
+        assert all(st["terms"] <= st["nodes"] for st in stages), stages
         assert len(stale_rounds) <= 2, stale_rounds
+        assert all(st["lookups"] <= st["nodes"] for st in stages), stages
+        assert stages[0]["projected"] == 1  # stage 0's one node, not yet validated
+        assert all(st["projected"] == 0 for st in stages[1:]), stages
+        # each validated pair is walked twice: for shared support and for
+        # a repeated value
+        assert all(st["validated"] <= 2 * st["nodes"] for st in stages), stages
+
+    @pytest.mark.parametrize(
+        "make_pres, stages",
+        [
+            (lambda: StandardPresentation(P1), 12),
+            (lambda: StandardPresentation(P32), 10),
+            (lambda: StandardPresentation(P3), 8),
+            (lambda: RotatedPresentation(P3, GaussianRational.parse("3/5+4/5i")), 8),
+        ],
+        ids=["standard-p1", "standard-p3/2", "standard-p3", "rotated-p3"],
+    )
+    def test_carried_build_decides_as_a_cleared_one(self, monkeypatch, make_pres, stages):
+        # every stage's picked radius, hom bound, projected map and verdict
+        # are those of a build that clears the table's carried state before
+        # each stage: no core, running sum or least gap, and no validated
+        # map, so every pair is walked with its own bounds, and the proposal
+        # projects and validates every node
+        extend = extension_engine._extend
+        pick = extension_engine._pick_radius_bits
+        hom_upper = extension_engine._ledger_hom_upper
+        truncated = extension_engine._truncated_hom
+        validate = extension_engine.validate_partial_disintegration
+
+        def run(clear):
+            log = []
+
+            def staged(phi, n_index, k, pres, table, **kwargs):
+                log.append([])
+                if clear:
+                    table.core.clear()
+                    table.sigma_sum, table.least_gap, table.validated = Fraction(0), None, None
+                return extend(phi, n_index, k, pres, table, **kwargs)
+
+            def picked(*args):
+                log[-1].append(("radius_bits", pick(*args)))
+                return log[-1][-1][1]
+
+            def hom_read(*args):
+                log[-1].append(("hom_upper", hom_upper(*args)))
+                return log[-1][-1][1]
+
+            def projected(*args):
+                chi, carried = truncated(*args)
+                log[-1].append(("chi", chi.values))
+                return chi, carried
+
+            def verdict(*args):
+                log[-1].append(("verdict", validate(*args).status))
+                return validate(*args)
+
+            monkeypatch.setattr(extension_engine, "_extend", staged)
+            monkeypatch.setattr(extension_engine, "_pick_radius_bits", picked)
+            monkeypatch.setattr(extension_engine, "_ledger_hom_upper", hom_read)
+            monkeypatch.setattr(extension_engine, "_truncated_hom", projected)
+            monkeypatch.setattr(extension_engine, "validate_partial_disintegration", verdict)
+            build_disintegration(make_pres(), stages)
+            return log
+
+        carried, cleared = run(False), run(True)
+        assert len(carried) == stages
+        assert carried == cleared
+
+    def test_moved_center_bumps_its_version(self, monkeypatch):
+        # three settled atoms; (2) then moves onto 2 e_2: its version changes,
+        # it leaves the core, and only its two pairs are read again
+        pres = StandardPresentation(P1)
+        nodes = [TreeNode.of(m) for m in range(3)]
+        phi, n_index, k = empty_map(pres), 0, 4
+
+        def proposal(center):
+            values = {node: FinSuppVector(combo.entries) for node, combo in center.items()}
+            structure = ProposalStructure(FiniteTree(nodes), {}, {}, {}, {}, 0)
+            return Proposal(structure, center, identity_beta(1), {}, 20, values)
+
+        table = _BuildTable()
+        first = {node: GenCombo.single(m) for m, node in enumerate(nodes)}
+        bits = _pick_radius_bits(proposal(first), phi, n_index, k, pres, table)
+        _ledger_hom_upper(RationalBall(FiniteTree(nodes), first, Fraction(1, 2**bits)), pres, 20, table)
+        table.settle(nodes, first)
+        ids = [table.ids[node] for node in nodes]
+        assert table.core == set(ids)
+        assert table.sigma_sum == _exact_sum(
+            [table.entry(i, j).sigma_hi for i, j in ((0, 1), (0, 2), (1, 2))]
+        )
+
+        gap_reads, evaluated = [], []
+        enclosure = pres.norm_enclosure
+        pair_terms = extension_engine.sigma_pair_terms
+
+        def spy(combo, prec):
+            if len(combo.entries) == 2:  # a difference of two atoms
+                gap_reads.append(sorted(combo.entries))
+            return enclosure(combo, prec)
+
+        def terms(psi, pairs, kk):
+            evaluated.extend(pairs)
+            return pair_terms(psi, pairs, kk)
+
+        monkeypatch.setattr(pres, "norm_enclosure", spy)
+        monkeypatch.setattr(extension_engine, "sigma_pair_terms", terms)
+        moved = dict(first)
+        moved[nodes[2]] = GenCombo({2: GaussianRational.of(2)})
+        bits = _pick_radius_bits(proposal(moved), phi, n_index, k, pres, table)
+        assert [table.versions[i] for i in ids] == [0, 0, 1]
+        assert table.core == set(ids[:2])
+        assert table.sigma_sum == table.entry(ids[0], ids[1]).sigma_hi
+        assert gap_reads == [[0, 2], [1, 2]]
+        ball = RationalBall(FiniteTree(nodes), moved, Fraction(1, 2**bits))
+        bound = _ledger_hom_upper(ball, pres, 20, table)
+        assert evaluated == [(nodes[0], nodes[2]), (nodes[1], nodes[2])]
+        assert bound == _ledger_hom_upper(ball, pres, 20, _BuildTable())
 
     def test_carried_bounds_sum_exactly(self):
         # the hom read sums dyadic bounds as one integer: the same rational
@@ -433,27 +587,31 @@ class TestPairLedger:
         pres = StandardPresentation(P1)
         a, b = TreeNode.of(0), TreeNode.of(1)
         phi, n_index, k = empty_map(pres), 0, 4
-        ledger = {}
+        table = _BuildTable()
 
-        def hom_upper(proposal, bits, ledger):
+        def hom_upper(proposal, bits, table):
             ball = RationalBall(proposal.structure.tree, proposal.center, Fraction(1, 2**bits))
-            return _ledger_hom_upper(ball, pres, 20, ledger)
+            return _ledger_hom_upper(ball, pres, 20, table)
+
+        def stored():
+            # the bounds held for the pair, whatever versions they are for
+            return table.pairs[(table.ids[a], table.ids[b])]
 
         disjoint = two_node_proposal(GenCombo.single(1))
-        bits = _pick_radius_bits(disjoint, phi, n_index, k, pres, ledger)
-        assert hom_upper(disjoint, bits, ledger) < Fraction(1, 2**bits) / 4
-        assert ledger[(a, b)].gap_lo > 1 and ledger[(a, b)].sigma_hi is not None
+        bits = _pick_radius_bits(disjoint, phi, n_index, k, pres, table)
+        assert hom_upper(disjoint, bits, table) < Fraction(1, 2**bits) / 4
+        assert stored().gap_lo > 1 and stored().sigma_hi is not None
 
         overlap = two_node_proposal(GenCombo.single(0) + GenCombo.single(1))
-        bits = _pick_radius_bits(overlap, phi, n_index, k, pres, ledger)
+        bits = _pick_radius_bits(overlap, phi, n_index, k, pres, table)
         assert bits == _pick_radius_bits(overlap, phi, n_index, k, pres)
-        carried = hom_upper(overlap, bits, ledger)
-        assert carried == hom_upper(overlap, bits, {}) >= Fraction(1, 2**bits) / 4
+        carried = hom_upper(overlap, bits, table)
+        assert carried == hom_upper(overlap, bits, _BuildTable()) >= Fraction(1, 2**bits) / 4
 
         coincident = two_node_proposal(GenCombo.single(0))
         skip_above = Fraction(1, 2**20) + 4 * Fraction(1, 2 ** (k + 1))
-        assert ledger[(a, b)].gap_lo > skip_above  # a gap the pick would skip
-        assert _pick_radius_bits(coincident, phi, n_index, k, pres, ledger) is None
+        assert stored().gap_lo > skip_above  # a gap the pick would skip
+        assert _pick_radius_bits(coincident, phi, n_index, k, pres, table) is None
 
     @pytest.mark.parametrize(
         "make_pres",
@@ -470,12 +628,12 @@ class TestPairLedger:
         pick, hom_upper = extension_engine._pick_radius_bits, extension_engine._ledger_hom_upper
         picked, decisions = [], []
 
-        def recording_pick(proposal, phi, n_index, k, pres, ledger=None):
+        def recording_pick(proposal, phi, n_index, k, pres, table=None):
             picked.append((proposal, phi, n_index, k))
-            return pick(proposal, phi, n_index, k, pres, ledger)
+            return pick(proposal, phi, n_index, k, pres, table)
 
-        def checked(ball, pres, prec, ledger):
-            bound = hom_upper(ball, pres, prec, ledger)
+        def checked(ball, pres, prec, table):
+            bound = hom_upper(ball, pres, prec, table)
             proposal, phi, n_index, k = picked[-1]
             assert ball.center is proposal.center
             base = None if phi.is_empty else phi
@@ -493,7 +651,7 @@ class TestPairLedger:
         assert len(decisions) >= 8
         assert all(search == full for search, full in decisions), decisions
 
-    def test_carried_gap_that_binds_is_read(self):
+    def test_carried_gap_that_binds_is_read(self, monkeypatch):
         # two centers 2^-10 apart: their gap is the least slack, so a
         # carried bound on it must not stand in for the read
         pres = StandardPresentation(P1)
@@ -506,10 +664,31 @@ class TestPairLedger:
         full = _pick_radius_bits(proposal, phi, n_index, k, pres)
         assert full > k + 2  # below the 2^-(k+1) cap: the gap binds
 
-        ledger = {}
-        assert _pick_radius_bits(proposal, phi, n_index, k, pres, ledger) == full
-        assert 0 < ledger[(a, b)].gap_lo < delta
-        assert _pick_radius_bits(proposal, phi, n_index, k, pres, ledger) == full
+        table = _BuildTable()
+        assert _pick_radius_bits(proposal, phi, n_index, k, pres, table) == full
+        assert 0 < table.entry(table.ids[a], table.ids[b]).gap_lo < delta
+        assert _pick_radius_bits(proposal, phi, n_index, k, pres, table) == full
+
+        # settled into the core, the pair holds the least core gap, which is
+        # below the bar: the pick walks every pair again, reads this gap and
+        # re-derives the least core gap from it
+        ball = RationalBall(proposal.structure.tree, proposal.center, Fraction(1, 2**full))
+        _ledger_hom_upper(ball, pres, 20, table)
+        table.settle([a, b], proposal.center)
+        entry = table.entry(table.ids[a], table.ids[b])
+        assert table.least_gap == entry.gap_lo
+        diff = proposal.center[a] - proposal.center[b]
+        reads = []
+        enclosure = pres.norm_enclosure
+
+        def spy(combo, prec):
+            reads.append(combo == diff)
+            return enclosure(combo, prec)
+
+        monkeypatch.setattr(pres, "norm_enclosure", spy)
+        assert _pick_radius_bits(proposal, phi, n_index, k, pres, table) == full
+        assert reads.count(True) == 1
+        assert table.least_gap == entry.gap_lo
 
     @pytest.mark.parametrize(
         "make_pres",
@@ -524,9 +703,9 @@ class TestPairLedger:
         pick = extension_engine._pick_radius_bits
         picks = []
 
-        def checked(proposal, phi, n_index, k, pres, ledger=None):
-            bits = pick(proposal, phi, n_index, k, pres, ledger)
-            if ledger is not None:
+        def checked(proposal, phi, n_index, k, pres, table=None):
+            bits = pick(proposal, phi, n_index, k, pres, table)
+            if table is not None:
                 picks.append((bits, pick(proposal, phi, n_index, k, pres)))
             return bits
 
@@ -755,17 +934,17 @@ class TestGuidedProposalValidation:
         validate = extension_engine.validate_partial_disintegration
         verdicts = []
 
-        def faulty(snap, level, pres_, prec):
-            chi = truncated(snap, level, pres_, prec)
+        def faulty(snap, level, pres_, prec, validated=None):
+            chi, carried = truncated(snap, level, pres_, prec, validated)
             if fault is None:
-                return chi
+                return chi, carried
             nodes = chi.nodes()
             values = {node: chi.value(node) for node in nodes}
             values[nodes[-1]] = FinSuppVector.zero() if fault == "zero" else values[nodes[0]]
-            return TreeMap(chi.tree, values, chi.p)
+            return TreeMap(chi.tree, values, chi.p), carried
 
-        def recording(psi):
-            verdicts.append(validate(psi))
+        def recording(psi, fresh=None):
+            verdicts.append(validate(psi, fresh))
             return verdicts[-1]
 
         monkeypatch.setattr(extension_engine, "_truncated_hom", faulty)
@@ -973,7 +1152,7 @@ class TestSearchConstants:
     def test_rounds_exhausted(self, monkeypatch):
         rounds = []
 
-        def no_proposal(phi, n_index, k, pres, round_idx, *, force_growth=False):
+        def no_proposal(phi, n_index, k, pres, round_idx, *, force_growth=False, validated=None):
             rounds.append(round_idx)
             return None
 
@@ -1001,7 +1180,7 @@ class TestSearchConstants:
         rounds, hom_reads = [], []
         hom_upper = extension_engine._ledger_hom_upper
 
-        def fixed(phi, n_index, k, pres, round_idx, *, force_growth=False):
+        def fixed(phi, n_index, k, pres, round_idx, *, force_growth=False, validated=None):
             rounds.append(round_idx)
             return proposal
 

@@ -1,16 +1,22 @@
 """Synthesis pipeline, oracle reductions, and the CLI surface."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lpiso
+import lpiso.errors
 from lpiso.chain_partition import ChainLimit
 from lpiso.errors import (
     BudgetExhaustedError,
@@ -1362,3 +1368,160 @@ class TestChainLimitStatus:
         with pytest.raises(BudgetExhaustedError, match="only 1 nonzero chain limits at 2 stages") as info:
             synthesize_isometry(StandardPresentation(P1), 2)
         assert info.value.budget == 2
+
+
+class TestHomPrecisionBound:
+    def test_huge_exponent_ends_in_the_documented_error(self):
+        # the hom test works at about ceil(p) (radius_bits + 4) bits, which
+        # at p = 1000 passes MAX_WORKING_PREC; before the bound this run
+        # raised long rationals to the 1000th power for minutes
+        proc = subprocess.run(
+            [sys.executable, "-m", "lpiso.iso_cli", "synthesize", "--units", "2",
+             "--pres", '{"type":"standard","p":"1e3"}'],
+            capture_output=True,
+            text=True,
+            env=cli_env(),
+            timeout=5,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "command": "synthesize",
+            "status": "error",
+            "error": {
+                "type": "PrecisionExhaustedError",
+                "message": "the hom test's working precision passes MAX_WORKING_PREC = 8192 bits",
+            },
+        }
+
+
+_STANDARD_AND_ROTATED = [
+    '{"type":"standard","p":"1"}',
+    '{"type":"standard","p":"3/2"}',
+    '{"type":"standard","p":"3"}',
+    '{"type":"rotated","p":"3","zeta":"3/5+4/5i"}',
+]
+
+
+class TestChainsSpareStages:
+    """chains builds the spare stages synthesize builds, so one or two
+    requested stages still answer the chain searches' stage bounds."""
+
+    @pytest.mark.parametrize("stages", [1, 2])
+    @pytest.mark.parametrize(
+        "pres", _STANDARD_AND_ROTATED, ids=["std-p1", "std-p3/2", "std-p3", "rot-p3"]
+    )
+    def test_few_stages(self, capsys, pres, stages):
+        code = main(["chains", "--stages", str(stages), "--pres", pres])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0, out
+        assert out["inputs"]["stages"] == stages
+        assert out["result"]["limits"]
+
+    def test_both_commands_build_alike(self, monkeypatch, capsys):
+        built = []
+        build = iso_cli.build_disintegration
+
+        def recording(pres, n_target):
+            built.append(n_target)
+            return build(pres, n_target)
+
+        monkeypatch.setattr(iso_cli, "build_disintegration", recording)
+        for count in (1, 2, 4):
+            assert main(["chains", "--stages", str(count)]) == 0
+            assert main(["synthesize", "--units", str(count)]) == 0
+        capsys.readouterr()
+        assert built == [3, 3, 3, 3, 4, 4]
+
+
+_ERROR_TYPES = {
+    name for name, cls in vars(lpiso.errors).items()
+    if isinstance(cls, type) and issubclass(cls, lpiso.errors.LpisoError)
+}
+_P_VALUES = st.one_of(
+    st.sampled_from(
+        ["1", "3/2", "3", "7/3", "1e0", "1e3", "1e2466", "1e99999", "1e-3", "2", "0", "-1",
+         "-3/2", "1/2", "1/0", "abc", "", " 3 "]
+    ),
+    st.integers(-2, 4),
+    st.floats(min_value=-4, max_value=4),
+    st.sampled_from([None, True, [1], {"p": "1"}]),
+)
+_ZETAS = st.sampled_from(["3/5+4/5i", "-1", "i", "12/13-5/13i", "2", "1/0i", "0", "x", 1, None])
+_CES = st.sampled_from(
+    [
+        {"kind": "explicit", "elements": [2]},
+        {"kind": "explicit", "elements": []},
+        {"kind": "explicit", "elements": [-1]},
+        {"kind": "explicit", "elements": [0]},
+        {"kind": "explicit", "elements": "x"},
+        {"kind": "explicit"},
+        {"kind": "odd"},
+        {"kind": ["explicit"], "elements": [1]},
+        {"kind": "explicit", "elements": [1], "extra": 1},
+        "explicit",
+        None,
+    ]
+)
+_DESCRIPTORS = st.one_of(
+    st.fixed_dictionaries(
+        {"type": st.sampled_from(["standard", "rotated", "adversarial", "triangular", 3, None])},
+        optional={"p": _P_VALUES, "zeta": _ZETAS, "ce": _CES, "extra": st.integers(0, 2)},
+    ).map(json.dumps),
+    st.sampled_from(["", "{", "[]", "null", "3", '"standard"', "@no-such-file.json"]),
+)
+_FLAGS = st.lists(
+    st.sampled_from(
+        [["--p", "3/2"], ["--p", "1e3"], ["--p", "1/0"], ["--p", "-2"], ["--k", "x"],
+         ["--k", "-1"], ["--k", "99999"], ["--cert-bits", "99999"], ["--generation-bits", "0"],
+         ["--bogus"]]
+    ),
+    max_size=2,
+)
+
+
+_COMMANDS = st.sampled_from(
+    [("synthesize", "--units"), ("disintegrate", "--stages"), ("chains", "--stages")]
+)
+
+
+class TestCliEdges:
+    """Malformed descriptors and argv end in a report or the documented
+    JSON error, never a traceback, and in bounded time; sizes stay at two
+    units or stages."""
+
+    @staticmethod
+    def assert_documented(argv):
+        name = argv[0]
+        out = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        assert time.perf_counter() - start < 10, argv
+        report = json.loads(out.getvalue())
+        assert report["command"] == name
+        if code == 1:
+            assert report["status"] == "error", argv
+            assert set(report["error"]) == {"type", "message"}
+            assert report["error"]["type"] in _ERROR_TYPES
+        else:
+            # 2 is the documented provisional report
+            assert (code, report["status"]) in ((0, "ok"), (2, "provisional")), argv
+            assert "result" in report
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(command=_COMMANDS, size=st.sampled_from(["1", "2"]), pres=_DESCRIPTORS)
+    @example(command=("synthesize", "--units"), size="2", pres='{"type":"standard","p":"1e3"}')
+    @example(command=("chains", "--stages"), size="1", pres='{"type":"standard","p":"1e2466"}')
+    def test_malformed_descriptor(self, command, size, pres):
+        self.assert_documented([command[0], command[1], size, "--pres", pres])
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        command=_COMMANDS,
+        size=st.sampled_from(["0", "1", "2", "-1", "x", "1.5", "+2", " 1"]),
+        pres=st.sampled_from(['{"type":"standard"}', '{"type":"rotated","zeta":"-1"}']),
+        flags=_FLAGS,
+    )
+    def test_malformed_argv(self, command, size, pres, flags):
+        argv = [command[0], command[1], size, "--pres", pres]
+        self.assert_documented(argv + [arg for flag in flags for arg in flag])

@@ -87,6 +87,15 @@ class TestIntegerDecisions:
         assert box.fits(k) == (box.width <= Fraction(1, 2**k))
         assert box.fits(0) == (box.width <= 1)
 
+    @given(base=st.integers(1, 10**4), v=st.integers(2, 30))
+    @settings(max_examples=200, deadline=None)
+    def test_exact_root_degree_past_the_bit_length(self, base, v):
+        # a degree at least the radicand's bit length has no integer root
+        # but 1, answered without the Newton step's r**(v-1)
+        assert _fraction_power_exact(Fraction(base**v), Fraction(1, v)) == base
+        assert _fraction_power_exact(Fraction(base**v + 1), Fraction(1, v)) is None
+        assert _fraction_power_exact(Fraction(2), Fraction(1, 10**30)) is None
+
     def test_fits_at_the_boundary(self):
         for k in (0, 1, 5, 64):
             edge = DyadicInterval(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 2**k))
