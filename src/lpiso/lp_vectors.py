@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, Mapping, Optional
 
 from .scalar_core import (
+    GAUSS_ZERO,
     DyadicInterval,
     GaussianRational,
     PExponent,
@@ -56,7 +57,7 @@ class FinSuppVector:
         return frozenset(self.entries)
 
     def __getitem__(self, n: int) -> GaussianRational:
-        return self.entries.get(n, GaussianRational.zero())
+        return self.entries.get(n, GAUSS_ZERO)
 
     def is_zero(self) -> bool:
         return not self.entries

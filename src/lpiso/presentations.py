@@ -38,6 +38,7 @@ from .scalar_core import (
     GaussianRational,
     PExponent,
     ZERO_INTERVAL,
+    _exact_power,
     _padded_norm,
     _width_target,
     abs_pow,
@@ -211,9 +212,7 @@ class CeSet:
     @staticmethod
     def from_json(data: dict) -> "CeSet":
         kind = data.get("kind", "explicit")
-        keys = _CE_SET_KEYS.get(kind) if isinstance(kind, str) else None
-        if keys is not None and not data.keys() <= keys:
-            raise ValueError(f"unknown {kind} ce-set keys {sorted(data.keys() - keys)}")
+        _check_keys(data, kind, _CE_SET_KEYS, "ce-set")
         if kind == "explicit":
             return CeSet.explicit(data["elements"], data.get("stages"))
         if kind == "named":
@@ -224,11 +223,27 @@ class CeSet:
         raise ValueError(f"unknown ce-set kind {kind!r}")
 
 
-# the keys each ce-set kind reads; any other key is refused
+# the keys each ce-set kind reads, then the ones it needs; any other key is
+# refused, and a needed key that is missing is named
 _CE_SET_KEYS = {
-    "explicit": {"kind", "elements", "stages"},
-    "named": {"kind", "name"},
+    "explicit": ({"kind", "elements", "stages"}, ("elements",)),
+    "named": ({"kind", "name"}, ("name",)),
 }
+
+
+def _check_keys(data: dict, kind, table: dict, what: str) -> None:
+    """ValueError naming the keys of data that `kind` does not read, or else
+    the keys it needs that data lacks; an unknown kind is left to the caller."""
+    entry = table.get(kind) if isinstance(kind, str) else None
+    if entry is None:
+        return
+    keys, needed = entry
+    if not data.keys() <= keys:
+        raise ValueError(f"unknown {kind} {what} keys {sorted(data.keys() - keys)}")
+    missing = [key for key in needed if key not in data]
+    if missing:
+        raise ValueError(f"missing {kind} {what} keys {missing}")
+
 
 NAMED_CE_SETS = {
     "odds": lambda: CeSet.from_predicate(lambda n: n % 2 == 1, "odds"),
@@ -552,7 +567,7 @@ class AdversarialPresentation(Presentation):
         target = _width_target(k)
         ph = self.p.upper_int()
         # dropped tail: norm <= tail_power^(1/p) <= tail_power^(1/ph) for tail <= 1
-        tail_tol = (target / 4) ** ph
+        tail_tol = _exact_power(target / 4, ph)
         prefix = self._prefix_for_tail(tail_tol)
         per_entry = target / 4 / (len(prefix) + 1)
         entry_bits = bits_for(per_entry)
@@ -607,7 +622,7 @@ class AdversarialPresentation(Presentation):
         m_bound = self._root_one_minus_gamma(Fraction(1, 4), invert=True).hi + 1
         ph = self.p.upper_int()
         # residual tail of f_0 carried into g, rescaled by at most m_bound
-        tail_tol = (target / 4 / m_bound) ** ph
+        tail_tol = _exact_power(target / 4 / m_bound, ph)
         prefix = self._prefix_for_tail(tail_tol)
         n1 = max(3, len(prefix) + 1)
         prefix = self.ce.elements_prefix(n1 - 1)
@@ -659,19 +674,18 @@ def transparent_eval(pres: Presentation, f: GenCombo, k: int) -> FinSuppVector:
     return pres.transparent_eval(f, k)
 
 
-# the keys each presentation type reads; any other key is refused
+# the keys each presentation type reads, then the ones it needs (p may also
+# come from the caller's default); see _check_keys
 _DESCRIPTOR_KEYS = {
-    "standard": {"type", "p"},
-    "rotated": {"type", "p", "zeta"},
-    "adversarial": {"type", "p", "ce"},
+    "standard": ({"type", "p"}, ()),
+    "rotated": ({"type", "p", "zeta"}, ("zeta",)),
+    "adversarial": ({"type", "p", "ce"}, ("ce",)),
 }
 
 
 def presentation_from_descriptor(data: dict, default_p: Optional[PExponent] = None) -> Presentation:
     kind = data.get("type", "standard")
-    keys = _DESCRIPTOR_KEYS.get(kind) if isinstance(kind, str) else None
-    if keys is not None and not data.keys() <= keys:
-        raise ValueError(f"unknown {kind} descriptor keys {sorted(data.keys() - keys)}")
+    _check_keys(data, kind, _DESCRIPTOR_KEYS, "descriptor")
     if "p" in data:
         p = PExponent.from_fraction(parse_fraction(data["p"]))
     elif default_p is not None:

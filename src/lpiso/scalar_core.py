@@ -18,6 +18,7 @@ transit.  Rational fast paths bypass mpmath entirely.
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +27,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple, TypeVar, Uni
 from mpmath.libmp import from_int, from_rational, mpf_div, round_ceiling, round_floor
 from mpmath.libmp.libmpi import mpi_cos, mpi_div, mpi_exp, mpi_log, mpi_mul, mpi_pi
 
-from .errors import PEqualsTwoError, PrecisionExhaustedError
+from .errors import InvalidInputError, PEqualsTwoError, PrecisionExhaustedError
 
 RationalLike = Union[Fraction, int]
 
@@ -36,6 +37,11 @@ MAX_WORKING_PREC = 8192
 
 #: initial guard bits added on top of a target precision k.
 GUARD_BITS = 24
+
+#: largest bit length an exact power q**n, or an mpmath endpoint turned
+#: into a Fraction, may reach: a larger one (such as 2**(10**2466) at
+#: p = 1e2466) is refused with PrecisionExhaustedError before it is built
+MAX_EXACT_POWER_BITS = 1 << 20
 
 T = TypeVar("T")
 
@@ -109,10 +115,19 @@ def ceil_log2(q: RationalLike) -> int:
 
 
 def format_fraction(q: Fraction) -> str:
+    """'num/den', or 'num' for an integer; InvalidInputError when a part is
+    past Python's int-to-str digit limit (a figure such as 3**10000 that an
+    input like --p 1e4 makes exactly)."""
     q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError as exc:
+        raise InvalidInputError(
+            f"a {max(abs(q.numerator), q.denominator).bit_length()}-bit figure is past "
+            f"the {sys.get_int_max_str_digits()}-digit limit for printing an integer"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -137,26 +152,45 @@ class GaussianRational:
 
     @staticmethod
     def zero() -> "GaussianRational":
-        return _gauss(Fraction(0), Fraction(0))
+        return GAUSS_ZERO
 
     @staticmethod
     def one() -> "GaussianRational":
         return _gauss(Fraction(1), Fraction(0))
 
+    # Real lane: a zero imaginary part is skipped, never multiplied or added,
+    # so real * real is one Fraction product and real * complex two.  Every
+    # lane returns the general formula's values.
+
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return _gauss(self.re + other.re, self.im + other.im)
+        a, b = self.im, other.im
+        if not b.numerator:
+            return _gauss(self.re + other.re, a)
+        if not a.numerator:
+            return _gauss(self.re + other.re, b)
+        return _gauss(self.re + other.re, a + b)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return _gauss(self.re - other.re, self.im - other.im)
+        a, b = self.im, other.im
+        if not b.numerator:
+            return _gauss(self.re - other.re, a)
+        if not a.numerator:
+            return _gauss(self.re - other.re, -b)
+        return _gauss(self.re - other.re, a - b)
 
     def __neg__(self) -> "GaussianRational":
-        return _gauss(-self.re, -self.im)
+        im = self.im
+        return _gauss(-self.re, -im if im.numerator else im)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return _gauss(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not b.numerator:
+            if not d.numerator:
+                return _gauss(a * c, b)
+            return _gauss(a * c, a * d)
+        if not d.numerator:
+            return _gauss(a * c, b * c)
+        return _gauss(a * c - b * d, a * d + b * c)
 
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
         """Exact quotient; ZeroDivisionError when other is zero."""
@@ -164,14 +198,19 @@ class GaussianRational:
 
     def scale(self, q: RationalLike) -> "GaussianRational":
         q = _to_fraction(q)
-        return _gauss(self.re * q, self.im * q)
+        im = self.im
+        return _gauss(self.re * q, im * q if im.numerator else im)
 
     def conj(self) -> "GaussianRational":
-        return _gauss(self.re, -self.im)
+        im = self.im
+        return _gauss(self.re, -im) if im.numerator else self
 
     def abs_sq(self) -> Fraction:
         """|z|^2, exact."""
-        return self.re * self.re + self.im * self.im
+        re, im = self.re, self.im
+        if not im.numerator:
+            return re * re
+        return re * re + im * im
 
     def is_zero(self) -> bool:
         return not self.re.numerator and not self.im.numerator
@@ -224,6 +263,7 @@ def _gauss(re: Fraction, im: Fraction) -> GaussianRational:
     return out
 
 
+GAUSS_ZERO = _gauss(Fraction(0), Fraction(0))
 GAUSS_ONE = GaussianRational.one()
 GAUSS_I = GaussianRational.of(0, 1)
 
@@ -302,30 +342,54 @@ class DyadicInterval:
         return self.lo > 0 or self.hi < 0
 
     # -- arithmetic (exact, containment-preserving) --------------------------
+    #
+    # Point lane: when every operand has lo is hi (as point() builds it), one
+    # endpoint is computed and returned as both, so chained point arithmetic
+    # stays on the lane; the value equals the general formula's.
 
     def __add__(self, other: "DyadicInterval") -> "DyadicInterval":
-        return _trusted(self.lo + other.lo, self.hi + other.hi)
+        a, b = self.lo, other.lo
+        if a is self.hi and b is other.hi:
+            q = a + b
+            return _trusted(q, q)
+        return _trusted(a + b, self.hi + other.hi)
 
     def __sub__(self, other: "DyadicInterval") -> "DyadicInterval":
-        return _trusted(self.lo - other.hi, self.hi - other.lo)
+        a, b = self.lo, other.lo
+        if a is self.hi and b is other.hi:
+            q = a - b
+            return _trusted(q, q)
+        return _trusted(a - other.hi, self.hi - b)
 
     def __neg__(self) -> "DyadicInterval":
-        return _trusted(-self.hi, -self.lo)
+        lo = self.lo
+        if lo is self.hi:
+            q = -lo
+            return _trusted(q, q)
+        return _trusted(-self.hi, -lo)
 
     def __mul__(self, other: "DyadicInterval") -> "DyadicInterval":
+        a, b = self.lo, other.lo
+        if a is self.hi and b is other.hi:
+            q = a * b
+            return _trusted(q, q)
         products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
+            a * b,
+            a * other.hi,
+            self.hi * b,
             self.hi * other.hi,
         )
         return _trusted(min(products), max(products))
 
     def scale(self, q: RationalLike) -> "DyadicInterval":
         q = _to_fraction(q)
+        lo = self.lo
+        if lo is self.hi:
+            v = lo * q
+            return _trusted(v, v)
         if q >= 0:
-            return _trusted(self.lo * q, self.hi * q)
-        return _trusted(self.hi * q, self.lo * q)
+            return _trusted(lo * q, self.hi * q)
+        return _trusted(self.hi * q, lo * q)
 
     def shift(self, q: RationalLike) -> "DyadicInterval":
         q = _to_fraction(q)
@@ -341,7 +405,11 @@ class DyadicInterval:
     def reciprocal(self) -> "DyadicInterval":
         if not self.separated_from_zero():
             raise ZeroDivisionError("reciprocal of an interval containing 0")
-        return _trusted(1 / self.hi, 1 / self.lo)
+        lo = self.lo
+        if lo is self.hi:
+            q = 1 / lo
+            return _trusted(q, q)
+        return _trusted(1 / self.hi, 1 / lo)
 
     def max_with(self, other: "DyadicInterval") -> "DyadicInterval":
         """Enclosure of max(x, y) for x in self, y in other."""
@@ -408,12 +476,17 @@ def _mpi_from_fraction(q: Fraction, prec: int):
 
 def _fraction_from_mpf(t) -> Fraction:
     """The exact value of an mpf tuple; PrecisionExhaustedError on inf, -inf
-    or nan (a zero mantissa with a nonzero exponent), which no bound stands for."""
+    or nan (a zero mantissa with a nonzero exponent), which no bound stands
+    for, and on a binary exponent past MAX_EXACT_POWER_BITS either way."""
     sign, man, exp, _ = t
     if not man:
         if exp:
             raise PrecisionExhaustedError("an mpmath enclosure has an infinite or nan endpoint")
         return Fraction(0)
+    if abs(exp) >= MAX_EXACT_POWER_BITS:
+        raise PrecisionExhaustedError(
+            f"an mpmath enclosure endpoint passes MAX_EXACT_POWER_BITS = {MAX_EXACT_POWER_BITS} bits"
+        )
     man = -int(man) if sign else int(man)
     return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
@@ -632,10 +705,20 @@ def _int_nth_root_exact(n: int, v: int) -> Optional[int]:
     return r if r**v == n else None
 
 
+def _exact_power(q: Fraction, n: int) -> Fraction:
+    """q**n for n >= 1; PrecisionExhaustedError when it would pass
+    MAX_EXACT_POWER_BITS, judged on a lower bound of its bit length."""
+    if n * (max(abs(q.numerator), q.denominator).bit_length() - 1) >= MAX_EXACT_POWER_BITS:
+        raise PrecisionExhaustedError(
+            f"an exact power passes MAX_EXACT_POWER_BITS = {MAX_EXACT_POWER_BITS} bits"
+        )
+    return q**n
+
+
 def _fraction_power_exact(base: Fraction, e: Fraction) -> Optional[Fraction]:
     """base**e when the result is rational (perfect root), else None."""
     if e.denominator == 1:
-        return base ** int(e)
+        return _exact_power(base, int(e))
     v = e.denominator
     num_root = _int_nth_root_exact(base.numerator, v)
     if num_root is None:
@@ -643,7 +726,7 @@ def _fraction_power_exact(base: Fraction, e: Fraction) -> Optional[Fraction]:
     den_root = _int_nth_root_exact(base.denominator, v)
     if den_root is None:
         return None
-    return Fraction(num_root, den_root) ** e.numerator
+    return _exact_power(Fraction(num_root, den_root), e.numerator)
 
 
 def _pow_positive_fraction(base: Fraction, p: PExponent, num: Fraction, over_p: bool, prec: int) -> DyadicInterval:
@@ -744,9 +827,9 @@ def abs_pow(z: GaussianRational, p: PExponent, k: int) -> DyadicInterval:
     if p.is_integer():
         n = int(p.exact)
         if z.im == 0:
-            return DyadicInterval.point(abs(z.re) ** n)
+            return DyadicInterval.point(_exact_power(abs(z.re), n))
         if n % 2 == 0:
-            return DyadicInterval.point(z.abs_sq() ** (n // 2))
+            return DyadicInterval.point(_exact_power(z.abs_sq(), n // 2))
     return pow_enclosure(DyadicInterval.point(z.abs_sq()), p, k, num=Fraction(1, 2))
 
 

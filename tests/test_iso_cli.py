@@ -618,6 +618,24 @@ class TestCliInputErrors:
         # the key check looks the kind up only when it is a string
         assert self.assert_input_error(capsys, *argv) == message
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["synthesize", "--pres", '{"type": "rotated", "p": "3"}'],
+             "bad --pres: missing rotated descriptor keys ['zeta']"),
+            (["synthesize", "--pres", '{"type": "adversarial", "p": "1"}'],
+             "bad --pres: missing adversarial descriptor keys ['ce']"),
+            (["synthesize", "--pres", '{"type": "adversarial", "p": "1", "ce": {"kind": "named"}}'],
+             "bad --pres: missing named ce-set keys ['name']"),
+            (["adversarial", "e0", "--ce", '{"kind": "explicit"}'],
+             "bad --ce: missing explicit ce-set keys ['elements']"),
+        ],
+        ids=["rotated-zeta", "adversarial-ce", "named-name", "explicit-elements"],
+    )
+    def test_missing_descriptor_key(self, capsys, argv, message):
+        # each used to give only Python's KeyError text, e.g. "bad --pres: 'zeta'"
+        assert self.assert_input_error(capsys, *argv) == message
+
     def test_unknown_ce_set_key(self, capsys):
         message = self.assert_input_error(
             capsys, "adversarial", "e0", "--ce", '{"kind": "explicit", "elements": [1], "extra": 3}'
@@ -1394,6 +1412,38 @@ class TestHomPrecisionBound:
         }
 
 
+class TestHugeIntegerExponent:
+    """A huge integer --p ends in the documented JSON error: an exact power
+    past MAX_EXACT_POWER_BITS is refused before it is built, and a figure
+    past Python's int-to-str digit limit is InvalidInputError."""
+
+    @pytest.mark.parametrize("command", ["sigma", "lamperti-check"])
+    @pytest.mark.parametrize(
+        "p, error, message",
+        [
+            # used to end in a traceback: the exact 3**10000 has 4772 digits
+            ("1e4", "InvalidInputError",
+             "-bit figure is past the 4300-digit limit for printing an integer"),
+            # used to hang building 2**(10**2466)
+            ("1e2466", "PrecisionExhaustedError",
+             "an exact power passes MAX_EXACT_POWER_BITS = 1048576 bits"),
+        ],
+        ids=["print-limit", "exact-power-bound"],
+    )
+    def test_documented_error(self, capsys, command, p, error, message):
+        start = time.perf_counter()
+        code = main([command, "--p", p, "--z", "2", "--w", "1"])
+        assert time.perf_counter() - start < 10
+        out = json.loads(capsys.readouterr().out)
+        assert (code, out["status"], out["error"]["type"]) == (1, "error", error)
+        assert out["error"]["message"].endswith(message)
+
+    @pytest.mark.parametrize("p", ["10", "30"])
+    def test_large_exponents_still_synthesize(self, capsys, p):
+        code = main(["synthesize", "--units", "2", "--pres", f'{{"type":"standard","p":"{p}"}}'])
+        assert code == 0 and json.loads(capsys.readouterr().out)["status"] == "ok"
+
+
 _STANDARD_AND_ROTATED = [
     '{"type":"standard","p":"1"}',
     '{"type":"standard","p":"3/2"}',
@@ -1482,6 +1532,31 @@ _FLAGS = st.lists(
 _COMMANDS = st.sampled_from(
     [("synthesize", "--units"), ("disintegrate", "--stages"), ("chains", "--stages")]
 )
+_WELL_FORMED = [
+    {"type": "rotated", "p": "3", "zeta": "3/5+4/5i"},
+    {"type": "adversarial", "p": "1", "ce": {"elements": [2]}},
+    {"type": "adversarial", "p": "3/2", "ce": {"kind": "named", "name": "odds"}},
+]
+_NEEDED_KEYS = ("zeta", "ce", "elements", "name")
+
+
+@st.composite
+def _missing_key_descriptors(draw):
+    """A well-formed descriptor with one key that it or its set needs
+    dropped (`p` is not needed: the command's --p default stands in)."""
+    desc = json.loads(json.dumps(draw(st.sampled_from(_WELL_FORMED))))
+    holder = draw(st.sampled_from([desc, desc.get("ce", desc)]))
+    del holder[draw(st.sampled_from([key for key in _NEEDED_KEYS if key in holder]))]
+    return json.dumps(desc)
+
+
+# huge integer exponents, written in decimal-exponent and in plain form,
+# on both sides of MAX_EXACT_POWER_BITS
+_HUGE_P = st.sampled_from(
+    ["1e4", "3e4", "1e5", "1e6", "1e9", "1e2466", "9e2466", str(10**4 + 1), str(10**6 + 1),
+     str(10**2466 + 1)]
+)
+_SCALARS = st.sampled_from(["0", "1", "-1", "2", "1/2", "i", "1+i", "3/2+1/3i"])
 
 
 class TestCliEdges:
@@ -1490,7 +1565,7 @@ class TestCliEdges:
     units or stages."""
 
     @staticmethod
-    def assert_documented(argv):
+    def assert_documented(argv) -> dict:
         name = argv[0]
         out = io.StringIO()
         start = time.perf_counter()
@@ -1507,6 +1582,7 @@ class TestCliEdges:
             # 2 is the documented provisional report
             assert (code, report["status"]) in ((0, "ok"), (2, "provisional")), argv
             assert "result" in report
+        return report
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(command=_COMMANDS, size=st.sampled_from(["1", "2"]), pres=_DESCRIPTORS)
@@ -1525,3 +1601,19 @@ class TestCliEdges:
     def test_malformed_argv(self, command, size, pres, flags):
         argv = [command[0], command[1], size, "--pres", pres]
         self.assert_documented(argv + [arg for flag in flags for arg in flag])
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(command=_COMMANDS, size=st.sampled_from(["1", "2"]), pres=_missing_key_descriptors())
+    def test_missing_descriptor_key(self, command, size, pres):
+        report = self.assert_documented([command[0], command[1], size, "--pres", pres])
+        assert report["error"]["type"] == "InvalidInputError"
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        command=st.sampled_from(["sigma", "lamperti-check"]),
+        p=_HUGE_P,
+        z=_SCALARS,
+        w=_SCALARS,
+    )
+    def test_huge_integer_exponent(self, command, p, z, w):
+        self.assert_documented([command, "--p", p, "--z", z, "--w", w, "--k", "20"])

@@ -30,22 +30,27 @@ from mpmath.libmp import (
 )
 
 import lpiso
-from lpiso.errors import PEqualsTwoError, PrecisionExhaustedError
+from lpiso.errors import InvalidInputError, PEqualsTwoError, PrecisionExhaustedError
+from lpiso.lp_vectors import FinSuppVector
 from lpiso.presentations import GenCombo
 from lpiso.scalar_core import (
+    GAUSS_ZERO,
     GUARD_BITS,
     MAX_DECIMAL_EXPONENT,
+    MAX_EXACT_POWER_BITS,
     CReal,
     DyadicInterval,
     GaussianRational,
     PExponent,
     _cos_of_pi_multiple,
+    _exact_power,
     _exact_sum,
     _fraction_from_mpf,
     _fraction_power_exact,
     _mpi_from_fraction,
     abs_pow,
     ceil_log2,
+    format_fraction,
     lamperti_constant,
     lamperti_objective,
     log2_enclosure,
@@ -903,3 +908,153 @@ class TestTrustedResults:
             DyadicInterval.of(Fraction(1, 2), Fraction(1, 3))
         with pytest.raises(TypeError):
             DyadicInterval.point(0.5)
+
+
+_PARTS = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**3))
+_NONZERO_PARTS = _PARTS.filter(lambda q: q != 0)
+
+
+@st.composite
+def lane_gaussians(draw):
+    """Real, imaginary, complex or zero Gaussian rationals, with the zero
+    parts built by every constructor the program uses."""
+    kind = draw(st.sampled_from(["real", "imaginary", "complex", "zero"]))
+    re = draw(_NONZERO_PARTS) if kind in ("real", "complex") else Fraction(0)
+    im = draw(_NONZERO_PARTS) if kind in ("imaginary", "complex") else Fraction(0)
+    return draw(
+        st.sampled_from(
+            [GaussianRational(re, im), GaussianRational.of(re, im), GaussianRational.parse(str(GaussianRational(re, im)))]
+        )
+    )
+
+
+@st.composite
+def lane_intervals(draw):
+    """Points as point() builds them (lo is hi), equal endpoints held by two
+    objects, and wide intervals."""
+    lo = draw(_PARTS)
+    kind = draw(st.sampled_from(["point", "equal", "wide"]))
+    if kind == "point":
+        return DyadicInterval.point(lo)
+    if kind == "equal":
+        return DyadicInterval(lo, Fraction(lo.numerator, lo.denominator))
+    return DyadicInterval(lo, lo + abs(draw(_NONZERO_PARTS)))
+
+
+class TestScalarLanes:
+    """The real lane of GaussianRational and the point lane of
+    DyadicInterval return the general formula's values, component for
+    component and endpoint for endpoint, and point results stay points."""
+
+    @staticmethod
+    def assert_gauss(z, re, im):
+        assert type(z) is GaussianRational
+        assert type(z.re) is Fraction and type(z.im) is Fraction
+        assert (z.re, z.im) == (re, im)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=lane_gaussians(), b=lane_gaussians(), q=_PARTS)
+    def test_gaussian_lanes_match_the_general_formula(self, a, b, q):
+        self.assert_gauss(a * b, a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
+        self.assert_gauss(a + b, a.re + b.re, a.im + b.im)
+        self.assert_gauss(a - b, a.re - b.re, a.im - b.im)
+        self.assert_gauss(-a, -a.re, -a.im)
+        self.assert_gauss(a.conj(), a.re, -a.im)
+        self.assert_gauss(a.scale(q), a.re * q, a.im * q)
+        assert a.abs_sq() == a.re * a.re + a.im * a.im
+        assert type(a.abs_sq()) is Fraction
+        if not b.is_zero():
+            quotient = a / b
+            assert quotient * b == a
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=_PARTS, b=_PARTS)
+    def test_real_times_real_stays_real(self, a, b):
+        z = GaussianRational.of(a) * GaussianRational.of(b)
+        assert z.im == 0 and z.re == a * b
+        assert (GaussianRational.of(a) + GaussianRational.of(b)).im == 0
+        assert GaussianRational.of(a).conj().im == 0
+
+    def test_zero_is_shared(self):
+        assert GaussianRational.zero() is GAUSS_ZERO
+        assert GAUSS_ZERO.is_zero() and type(GAUSS_ZERO.re) is Fraction
+        assert FinSuppVector({3: GaussianRational.of(1)})[0] is GAUSS_ZERO
+
+    @staticmethod
+    def assert_interval(box, lo, hi):
+        assert type(box) is DyadicInterval
+        assert type(box.lo) is Fraction and type(box.hi) is Fraction
+        assert (box.lo, box.hi) == (lo, hi)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=lane_intervals(), b=lane_intervals(), q=_PARTS)
+    def test_interval_lanes_match_the_general_formula(self, a, b, q):
+        products = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
+        self.assert_interval(a * b, min(products), max(products))
+        self.assert_interval(a + b, a.lo + b.lo, a.hi + b.hi)
+        self.assert_interval(a - b, a.lo - b.hi, a.hi - b.lo)
+        self.assert_interval(-a, -a.hi, -a.lo)
+        self.assert_interval(a.scale(q), min(a.lo * q, a.hi * q), max(a.lo * q, a.hi * q))
+        self.assert_interval(a.shift(q), a.lo + q, a.hi + q)
+        if a.separated_from_zero():
+            self.assert_interval(a.reciprocal(), 1 / a.hi, 1 / a.lo)
+        # a point (by either construction) keeps being a point
+        if a.is_point() and b.is_point():
+            for box in (a * b, a + b, a - b, -a, a.scale(q), a.shift(q)):
+                assert box.is_point()
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=_PARTS, b=_NONZERO_PARTS, q=_PARTS)
+    def test_point_results_stay_on_the_lane(self, a, b, q):
+        x, y = DyadicInterval.point(a), DyadicInterval.point(b)
+        results = [x + y, x - y, -x, x * y, x.scale(q), x.scale(3), y.reciprocal()]
+        # chained point arithmetic, as in the sigma1 terms
+        results.append((x + y).scale(2) - (x * y + y.reciprocal()))
+        for box in results:
+            assert box.lo is box.hi
+
+    def test_point_reciprocal_of_zero_still_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            DyadicInterval.point(0).reciprocal()
+
+
+class TestExactPowerBound:
+    """Exact powers and mpmath endpoints past MAX_EXACT_POWER_BITS are
+    refused before they are built; figures past Python's int-to-str limit
+    are a typed error."""
+
+    HUGE = PExponent.from_fraction(10**2466)
+
+    def test_huge_integer_exponent_is_refused_at_once(self):
+        for z in (gauss(2), gauss(Fraction(1, 3)), gauss(1, 1)):
+            with pytest.raises(PrecisionExhaustedError, match="MAX_EXACT_POWER_BITS"):
+                abs_pow(z, self.HUGE, 10)
+
+    def test_unit_modulus_still_exact(self):
+        assert abs_pow(gauss(-1), self.HUGE, 10) == DyadicInterval.point(1)
+
+    def test_odd_huge_exponent_mpmath_endpoint_is_refused(self):
+        p = PExponent.from_fraction(10**2466 + 1)
+        with pytest.raises(PrecisionExhaustedError, match="MAX_EXACT_POWER_BITS"):
+            abs_pow(gauss(1, 1), p, 10)
+
+    def test_bound_is_judged_on_a_lower_bound_of_the_bit_length(self):
+        n = MAX_EXACT_POWER_BITS - 1
+        assert _exact_power(Fraction(2), n) == 2**n
+        with pytest.raises(PrecisionExhaustedError):
+            _exact_power(Fraction(2), MAX_EXACT_POWER_BITS)
+        with pytest.raises(PrecisionExhaustedError):
+            _exact_power(Fraction(1, 2), MAX_EXACT_POWER_BITS)
+        assert _exact_power(Fraction(1), 10**2466) == 1
+
+    def test_mpf_exponent_past_the_bound(self):
+        with pytest.raises(PrecisionExhaustedError, match="MAX_EXACT_POWER_BITS"):
+            _fraction_from_mpf((0, 1, MAX_EXACT_POWER_BITS, 1))
+        with pytest.raises(PrecisionExhaustedError, match="MAX_EXACT_POWER_BITS"):
+            _fraction_from_mpf((0, 1, -MAX_EXACT_POWER_BITS, 1))
+        assert _fraction_from_mpf((1, 3, -8192, 2)) == Fraction(-3, 2**8192)
+
+    def test_figure_past_the_print_limit(self):
+        with pytest.raises(InvalidInputError, match="limit for printing"):
+            format_fraction(Fraction(3**10000, 7))
+        assert format_fraction(Fraction(10**2466)) == "1" + "0" * 2466
