@@ -146,7 +146,6 @@ class LazyDisintegration(ChainSource):
         self._stage_fn = stage_fn
         self._terminal_fn = terminal_fn
         self._norm_power_fn = norm_power_fn
-        self._value_memo: Dict[TreeNode, TreeValue] = {}
 
     def norm_power_approx(self, node: TreeNode, t: int) -> Fraction:
         if self._norm_power_fn is not None:
@@ -157,9 +156,7 @@ class LazyDisintegration(ChainSource):
         return self._stage_fn(t)
 
     def value(self, node: TreeNode) -> TreeValue:
-        if node not in self._value_memo:
-            self._value_memo[node] = self._value_fn(node)
-        return self._value_memo[node]
+        return self._value_fn(node)
 
     def certified_terminal(self, node: TreeNode) -> bool:
         return self._terminal_fn(node)

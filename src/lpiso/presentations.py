@@ -487,12 +487,7 @@ class AdversarialPresentation(Presentation):
         )
 
     def norm_approx(self, combo: GenCombo, k: int) -> Fraction:
-        """Rational within 2**-k of ||combo||.
-
-        The query runs in one shared_powers() block, so every power
-        enclosure its refinement repeats (2^(-c/p), |a0|^p) is computed once
-        per precision; the memo is dropped when the query returns.
-        """
+        """Rational within 2**-k of ||combo||."""
         if combo.is_zero():
             return Fraction(0)
 
@@ -501,8 +496,7 @@ class AdversarialPresentation(Presentation):
             box = pow_enclosure(power, self.p, kk, over_p=True)
             return box.mid if box.fits(k + 1) else None
 
-        with self.p.shared_powers():
-            return refine(attempt, k + 2, what="adversarial norm root exceeded the precision cap")
+        return refine(attempt, k + 2, what="adversarial norm root exceeded the precision cap")
 
     # -- backdoor ---------------------------------------------------------------
 

@@ -305,10 +305,6 @@ class DyadicInterval:
         q = _to_fraction(q)
         return _trusted(q, q)
 
-    @staticmethod
-    def of(lo: RationalLike, hi: RationalLike) -> "DyadicInterval":
-        return DyadicInterval(_to_fraction(lo), _to_fraction(hi))
-
     # -- queries ------------------------------------------------------------
 
     @property
@@ -572,8 +568,6 @@ class PExponent:
         self.value = value
         self.exact = exact
         self._two_side: Optional[int] = None
-        # lamperti_constant's enclosures, keyed by k, for the exponent's life
-        self._cp_cache: Dict[int, DyadicInterval] = {}
         # pow_enclosure's results, keyed by its arguments; open (not None)
         # only inside a shared_powers() block
         self._pow_memo: Optional[Dict[Tuple, DyadicInterval]] = None
@@ -583,18 +577,13 @@ class PExponent:
         else:
             # certify p >= 1 up to the cap; p == 1 exactly must be passed
             # as an exact rational
-            prec = 8
-            while True:
+            def attempt(prec: int) -> Optional[bool]:
                 box = value.enclosure(prec)
-                if box.lo >= 1:
-                    break
                 if box.hi < 1:
                     raise ValueError("p certified < 1")
-                prec *= 2
-                if prec > MAX_WORKING_PREC:
-                    raise PrecisionExhaustedError(
-                        "cannot certify p >= 1; pass an exact rational if p == 1"
-                    )
+                return True if box.lo >= 1 else None
+
+            refine(attempt, 8, what="cannot certify p >= 1; pass an exact rational if p == 1")
 
     @staticmethod
     def from_fraction(q: RationalLike) -> "PExponent":
@@ -646,17 +635,14 @@ class PExponent:
                 raise PEqualsTwoError("p is exactly 2")
             self._two_side = -1 if self.exact < 2 else 1
             return self._two_side
-        prec = 8
-        while prec <= MAX_WORKING_PREC:
+
+        def attempt(prec: int) -> Optional[int]:
             box = self.enclosure(prec)
-            if box.hi < 2:
-                self._two_side = -1
-                return -1
-            if box.lo > 2:
-                self._two_side = 1
-                return 1
-            prec *= 2
-        raise PEqualsTwoError("p could not be separated from 2 at the working precision cap")
+            return -1 if box.hi < 2 else 1 if box.lo > 2 else None
+
+        what = "p could not be separated from 2 at the working precision cap"
+        self._two_side = refine(attempt, 8, what=what, error=PEqualsTwoError)
+        return self._two_side
 
     def __str__(self) -> str:
         if self.exact is not None:
@@ -895,18 +881,12 @@ def lamperti_denominator(p: PExponent, k: int) -> DyadicInterval:
 
 def lamperti_constant(p: PExponent, k: int) -> DyadicInterval:
     """c_p = 1 / |4 - 2 sqrt(2)^p|, width <= 2**-k."""
-    cache = p._cp_cache
-    hit = cache.get(k)
-    if hit is not None:
-        return hit
 
     def attempt(kk: int) -> Optional[DyadicInterval]:
         out = lamperti_denominator(p, kk).reciprocal()
         return out if out.fits(k) else None
 
-    out = refine(attempt, k + 2, what="lamperti constant refinement exceeded the cap")
-    cache[k] = out
-    return out
+    return refine(attempt, k + 2, what="lamperti constant refinement exceeded the cap")
 
 
 def sigma_scalar(z: GaussianRational, w: GaussianRational, p: PExponent, k: int) -> DyadicInterval:
