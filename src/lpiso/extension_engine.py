@@ -40,7 +40,7 @@ from .errors import (
     NoBackdoorError,
     PrecisionExhaustedError,
 )
-from .lp_vectors import FinSuppVector, norm_p
+from .lp_vectors import FinSuppVector, atom_witness, is_atom, norm_p
 from .presentations import ComputableVector, GenCombo, Presentation, bits_for
 from .scalar_core import (
     MAX_WORKING_PREC,
@@ -550,21 +550,14 @@ def _values_on_structure(
         if node in structure.residual_nodes:
             continue
         center[node] = pres.encode_vector(values[node], prec)
+    atoms = {m: (h, values[h][m]) for m, h in structure.atom_holders.items()}
     for node, j in structure.residual_nodes.items():
-        gen = gens[j]
-        combo = GenCombo.single(j)
-        rest = dict(gen.entries)
-        for m, z in gen.entries.items():
-            holder = structure.atom_holders.get(m)
-            if holder is None or holder in structure.residual_nodes:
-                continue
-            lam = values[holder][m]
-            if lam.is_zero():
-                continue
-            combo = combo - center[holder].scale(z / lam)
-            rest.pop(m, None)
-        center[node] = combo
-        values[node] = FinSuppVector(rest)
+        # f_j less its witnessed atoms, on the value as on the center
+        combo, rest = GenCombo.single(j), gens[j]
+        for holder, coeff in atom_witness(gens[j], atoms).items():
+            combo = combo - center[holder].scale(coeff)
+            rest = rest - values[holder].scale(coeff)
+        center[node], values[node] = combo, rest
     return values, center
 
 
@@ -622,7 +615,7 @@ def build_guided_proposal(
     atom_holders: Dict[int, TreeNode] = {}
     for coord in sorted(carriers):
         carrier = carriers[coord]
-        if len(chi.value(carrier).support()) >= 2:
+        if not is_atom(chi.value(carrier)):
             child = carrier.child(coord + size)
             if child in chi.tree:
                 return None
@@ -644,11 +637,7 @@ def build_guided_proposal(
             residual_supports[j] = rest.support()
 
     supports = list(residual_supports.values())
-    overlap = any(
-        supports[i] & supports[jj]
-        for i in range(len(supports))
-        for jj in range(i + 1, len(supports))
-    )
+    overlap = any(supports[i] & supports[j] for i, j in index_pairs(len(supports)))
     next_label = size + level + 1
     if overlap:
         # plan B: raw atoms on the needed low coordinates instead
@@ -691,28 +680,13 @@ def build_guided_proposal(
     if not validate_partial_disintegration(proposal_map, fresh).is_yes:
         return None
 
-    atom_support: Dict[TreeNode, int] = {}
-    for node, vec in values.items():
-        supp = vec.support()
-        if len(supp) == 1:
-            atom_support[node] = next(iter(supp))
+    atom_support = {node: next(iter(vec.entries)) for node, vec in values.items() if is_atom(vec)}
 
     # witnesses: assemble f_j from the atoms plus its remainder node
-    beta: Dict[int, Dict[TreeNode, GaussianRational]] = {}
-    for j, gen in gens.items():
-        coeffs: Dict[TreeNode, GaussianRational] = {}
-        for m, z in gen.entries.items():
-            holder = atom_holders.get(m)
-            if holder is None:
-                continue
-            lam = values[holder][m]
-            if lam.is_zero():
-                continue
-            coeffs[holder] = coeffs.get(holder, GaussianRational.zero()) + z / lam
-        for node, gen_idx in residual_nodes.items():
-            if gen_idx == j:
-                coeffs[node] = GaussianRational.one()
-        beta[j] = {n: z for n, z in coeffs.items() if not z.is_zero()}
+    atoms = {m: (h, values[h][m]) for m, h in atom_holders.items()}
+    beta = {j: atom_witness(gen, atoms) for j, gen in gens.items()}
+    for node, j in residual_nodes.items():
+        beta[j][node] = GaussianRational.one()
 
     return Proposal(structure, center, beta, atom_support, prec, values)
 

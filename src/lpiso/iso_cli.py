@@ -49,7 +49,7 @@ from .extension_engine import (
     build_disintegration,
     empty_map,
 )
-from .lp_vectors import FinSuppVector, norm_p, norm_per_precision, sigma1_from_norms
+from .lp_vectors import FinSuppVector, atom_witness, norm_p, norm_per_precision, sigma1_from_norms
 from .presentations import (
     AdversarialPresentation,
     CeSet,
@@ -83,6 +83,7 @@ from .tree_maps import (
     TreeNode,
     _round_gauss,
     distance_bound,
+    index_pairs,
     project_to_strong_hom,
     residual_norm,
     validate_partial_disintegration,
@@ -142,7 +143,7 @@ class IsometryApprox:
         }
 
 
-def _normalize(vec: ComputableVector, cert_bits: int) -> Tuple[ComputableVector, int]:
+def _normalize(vec: ComputableVector, cert_bits: int) -> ComputableVector:
     kk = max(4, cert_bits // 2)
     while True:
         lo = vec.norm_enclosure(kk).lo
@@ -153,7 +154,7 @@ def _normalize(vec: ComputableVector, cert_bits: int) -> Tuple[ComputableVector,
             raise PrecisionExhaustedError("cannot normalize: norm not certified positive")
     inv_bits = bits_for(lo) + 1  # 1/||v|| <= 2^inv_bits
     inv = CReal.from_interval_fn(vec.reciprocal_norm, name="unit-scale")
-    return vec.scale_creal(inv, inv_bits), inv_bits
+    return vec.scale_creal(inv, inv_bits)
 
 
 def _transparent_atom_peek(
@@ -211,21 +212,20 @@ def _certify_pairwise(
 
     with pres.p.shared_powers():
         unit_norms = [norm_per_precision(norm_of(vec)) for vec in units]
-        for i in range(len(units)):
-            for j in range(i + 1, len(units)):
-                a, b = units[i], units[j]
-                box = sigma1_from_norms(
-                    unit_norms[i],
-                    unit_norms[j],
-                    norm_of(a - b),
-                    norm_of(a + b),
-                    pres.p,
-                    cert_bits + 2,
+        for i, j in index_pairs(len(units)):
+            a, b = units[i], units[j]
+            box = sigma1_from_norms(
+                unit_norms[i],
+                unit_norms[j],
+                norm_of(a - b),
+                norm_of(a + b),
+                pres.p,
+                cert_bits + 2,
+            )
+            if box.hi >= _width_target(cert_bits):
+                raise PrecisionExhaustedError(
+                    f"pairwise sigma1 certificate failed for units {i}, {j}"
                 )
-                if box.hi >= _width_target(cert_bits):
-                    raise PrecisionExhaustedError(
-                        f"pairwise sigma1 certificate failed for units {i}, {j}"
-                    )
 
 
 def _stages_built(stages: int) -> int:
@@ -279,7 +279,7 @@ def synthesize_isometry(
         if lim.status == "provisional":
             provisional = True
             continue
-        unit, inv_bits = _normalize(lim.vector, cert_bits)
+        unit = _normalize(lim.vector, cert_bits)
         view = unit.at_least(peek_prec + 1)  # the precision the peek reads
         box = view.norm_enclosure(cert_bits + 2)
         if not (box.lo >= 1 - _width_target(cert_bits) and box.hi <= 1 + _width_target(cert_bits)):
@@ -307,12 +307,7 @@ def synthesize_isometry(
         pres.p,
     )
     for j in range(n_units):
-        target = pres.generator_vector(j, peek_prec)
-        beta: Dict[int, GaussianRational] = {}
-        for coord, z in target.entries.items():
-            if coord in atom_of:
-                m, lam = atom_of[coord]
-                beta[m] = beta.get(m, GaussianRational.zero()) + z / lam
+        beta = atom_witness(pres.generator_vector(j, peek_prec), atom_of)
         node_beta = {unit_nodes[m]: z for m, z in beta.items()}
         upper = residual_norm(unit_map, pres, j, node_beta, gen_bits + 2).hi
         if upper >= _width_target(gen_bits):
@@ -537,6 +532,11 @@ def _cmd_lamperti_check(args) -> dict:
     }
 
 
+# the most cells lamperti-grid evaluates the objective on, one evaluation
+# each: about nine times the default 65 x 113 grid
+MAX_GRID_CELLS = 1 << 16
+
+
 def _cmd_lamperti_grid(args) -> dict:
     p = _p_from_args(args)
     theta_steps = args.theta_steps
@@ -547,15 +547,16 @@ def _cmd_lamperti_grid(args) -> dict:
     # the grid starts at t = 1: below that it would hold no cell
     if t_max < 1:
         raise InvalidInputError(f"--t-max must be >= 1, got {t_max}")
+    cells = (theta_steps + 1) * ((t_max - 1) // t_step + 1)
+    if cells > MAX_GRID_CELLS:
+        raise InvalidInputError(f"the grid has {cells} cells, more than {MAX_GRID_CELLS}")
     best: Optional[Tuple[Fraction, Fraction]] = None
     best_box: Optional[DyadicInterval] = None
-    cells = 0
     for i in range(theta_steps + 1):
         theta = Fraction(i, theta_steps)
         t = Fraction(1)
         while t <= t_max:
             box = lamperti_objective(theta, t, p, args.k)
-            cells += 1
             if best_box is None or box.mid < best_box.mid:
                 best_box, best = box, (theta, t)
             t += t_step

@@ -12,7 +12,7 @@ against an opaque norm oracle (sigma1_from_norms).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Mapping, Optional
+from typing import Callable, Dict, Hashable, Iterable, Mapping, Optional, Tuple
 
 from .scalar_core import (
     GAUSS_ZERO,
@@ -149,6 +149,23 @@ def precedes(f: FinSuppVector, g: FinSuppVector) -> bool:
 def is_atom(f: FinSuppVector) -> bool:
     """Atoms of the order are the nonzero multiples of a single basis vector."""
     return len(f.entries) == 1
+
+
+def atom_witness(
+    f: FinSuppVector, atoms: Mapping[int, Tuple[Hashable, GaussianRational]]
+) -> Dict[Hashable, GaussianRational]:
+    """The coefficients that rebuild f from atoms on the coordinates they
+    cover: atoms maps a coordinate n to (holder, lam), the holder carrying
+    the atom lam e_n, and each covered entry gives holder -> f(n) / lam.
+    A coordinate with no atom, or whose lam is zero (an atom entry a finer
+    snapshot has zeroed), stays uncovered.  Each holder carries one
+    coordinate, so no coefficient is accumulated."""
+    out: Dict[Hashable, GaussianRational] = {}
+    for n, z in f.entries.items():
+        atom = atoms.get(n)
+        if atom is not None and not atom[1].is_zero():
+            out[atom[0]] = z / atom[1]
+    return out
 
 
 # ---------------------------------------------------------------------------

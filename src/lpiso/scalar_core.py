@@ -151,10 +151,6 @@ class GaussianRational:
         return GaussianRational(_to_fraction(re), _to_fraction(im))
 
     @staticmethod
-    def zero() -> "GaussianRational":
-        return GAUSS_ZERO
-
-    @staticmethod
     def one() -> "GaussianRational":
         return _gauss(Fraction(1), Fraction(0))
 

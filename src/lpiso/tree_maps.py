@@ -242,12 +242,6 @@ class TreeMap:
         vals = {n: self.values[n] for n in tree.nonroot_nodes()}
         return TreeMap(tree, vals, self.p)
 
-    def extends(self, other: "TreeMap") -> bool:
-        """Same values on the smaller domain (exact comparison, transparent only)."""
-        if not other.tree.is_subtree_of(self.tree):
-            return False
-        return all(self.values[n] == other.values[n] for n in other.nodes())
-
     def transparent_snapshot(self, k: int) -> "TreeMap":
         """Exact-vector snapshot of an opaque map, each node within 2**-k."""
         if self.is_transparent:
@@ -333,23 +327,6 @@ def index_pairs(count: int, fresh: Optional[Sequence[int]] = None) -> Iterator[T
                 yield i, j
 
 
-def _comparable_pairs(tree: FiniteTree) -> List[Tuple[TreeNode, TreeNode]]:
-    """(nu, nu') with nu' strictly extending nu, both non-root."""
-    nodes = tree.nonroot_nodes()
-    return [(a, b) for a in nodes for b in nodes if b.strictly_extends(a)]
-
-
-def _incomparable_pairs(tree: FiniteTree) -> List[Tuple[TreeNode, TreeNode]]:
-    """Unordered incomparable pairs, each once."""
-    nodes = tree.nonroot_nodes()
-    out = []
-    for i, a in enumerate(nodes):
-        for b in nodes[i + 1 :]:
-            if a.incomparable(b):
-                out.append((a, b))
-    return out
-
-
 def _sigma1_pair(
     f: TreeValue, g: TreeValue, norm_f: NormFn, norm_g: NormFn, p: PExponent, k: int
 ) -> DyadicInterval:
@@ -365,9 +342,12 @@ def _sigma1_pair(
 
 
 def sigma_pairs(tree: FiniteTree) -> List[Tuple[TreeNode, TreeNode]]:
-    """The pairs whose sigma1 terms sigma sums: the incomparable pairs, then
-    the comparable ones.  Each pair (a, b) has a before b in nonroot order."""
-    return _incomparable_pairs(tree) + _comparable_pairs(tree)
+    """The pairs whose sigma1 terms sigma sums: every unordered pair of
+    non-root nodes, (a, b) with a before b in nonroot order.  That order puts
+    a prefix before its extensions, so the pair is comparable exactly when b
+    strictly extends a."""
+    nodes = tree.nonroot_nodes()
+    return [(nodes[i], nodes[j]) for i, j in index_pairs(len(nodes))]
 
 
 def sigma_pair_terms(
@@ -510,9 +490,8 @@ def validate_partial_disintegration(
             return Verdict("certified_no", f"{node} certified zero")
     all_positive = all(_vnorm(psi.value(n), psi.p, k).lo > 0 for n in nodes)
     distinct = all(
-        _vnorm(psi.value(a) - psi.value(b), psi.p, k).lo > 0
-        for i, a in enumerate(nodes)
-        for b in nodes[i + 1 :]
+        _vnorm(psi.value(nodes[i]) - psi.value(nodes[j]), psi.p, k).lo > 0
+        for i, j in index_pairs(len(nodes))
     )
     if all_positive and distinct and sigma_box.hi <= _width_target(k):
         return Verdict("undecided", "homomorphism clauses consistent with zero defect")
@@ -730,19 +709,19 @@ def _threshold_terms(psi0: TreeMap) -> ThresholdTerms:
 
     Incomparable pairs contribute (psi(a)[n], psi(b)[n]) and comparable pairs
     (psi(b)[n] - psi(a)[n], psi(b)[n]), on the coordinates where both are
-    nonzero; each coordinate's list follows the pair order.
+    nonzero; each coordinate's list follows the order of sigma_pairs.
     """
     index: ThresholdTerms = {}
-    for a, b in _incomparable_pairs(psi0.tree):
+    for a, b in sigma_pairs(psi0.tree):
         va, vb = psi0.value(a), psi0.value(b)
-        for n in va.support() & vb.support():
-            index.setdefault(n, []).append((va[n], vb[n]))
-    for a, b in _comparable_pairs(psi0.tree):
-        va, vb = psi0.value(a), psi0.value(b)
-        for n in vb.support():
-            dz = vb[n] - va[n]
-            if not dz.is_zero():
-                index.setdefault(n, []).append((dz, vb[n]))
+        if b.strictly_extends(a):
+            for n in vb.support():
+                dz = vb[n] - va[n]
+                if not dz.is_zero():
+                    index.setdefault(n, []).append((dz, vb[n]))
+        else:
+            for n in va.support() & vb.support():
+                index.setdefault(n, []).append((va[n], vb[n]))
     return index
 
 

@@ -33,6 +33,14 @@ def rational_vector(entries):
     )
 
 
+def agrees_on(psi, phi):
+    """psi extends phi: phi's tree is a subtree of psi's, and psi has phi's
+    values there (exact comparison, transparent maps)."""
+    return phi.tree.is_subtree_of(psi.tree) and all(
+        psi.value(n) == phi.value(n) for n in phi.nodes()
+    )
+
+
 def random_disintegration(rng, max_depth=3, max_fanout=3, p=P1):
     """Random finite transparent disintegration by support splitting."""
     width = rng.randint(2, 6)

@@ -57,6 +57,7 @@ from lpiso.tree_maps import (
 )
 
 from conftest import (
+    agrees_on,
     projection_instances,
     random_disintegration,
     rational_vector,
@@ -202,7 +203,7 @@ class TestCriterion4ProjectionSoundness:
             bound = distance_bound(phi, psi, 24)
             out = project_to_strong_hom(phi, psi, 24)
             assert check_strong_hom_exact(out), f"instance {count}"
-            assert out.extends(phi)
+            assert agrees_on(out, phi)
             diff = tree_distance(psi, out, 26)
             lhs = pow_enclosure(diff, p, 26)
             assert lhs.hi <= bound.hi + Fraction(1, 2**20), f"instance {count}"

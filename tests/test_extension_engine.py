@@ -1025,6 +1025,35 @@ def _refine_everything(monkeypatch, pres, stages, top_k):
     return reads, errors, runs
 
 
+class TestVanishedAtomEntry:
+    """A refinement step keeps the pinned skeleton, but the projection of a
+    finer snapshot may zero an atom entry it names: the residual node's
+    witness skips that atom, and its value keeps the coordinate."""
+
+    def test_residual_keeps_a_coordinate_whose_atom_vanished(self):
+        pres = StandardPresentation(P1)
+        carrier, atom0, atom1, residual = (
+            TreeNode.of(0), TreeNode.of(0, 2), TreeNode.of(0, 3), TreeNode.of(9)
+        )
+        # the skeleton split (0) into atoms on coordinates 0 and 1; the
+        # finer projection kept only coordinate 0
+        chi = TreeMap(FiniteTree([carrier]), {carrier: FinSuppVector.basis(0)}, P1)
+        structure = ProposalStructure(
+            tree=FiniteTree([carrier, atom0, atom1, residual]),
+            atom_nodes={atom0: (carrier, 0), atom1: (carrier, 1)},
+            fresh_atoms={},
+            residual_nodes={residual: 0},
+            atom_holders={0: atom0, 1: atom1},
+            level=1,
+        )
+        three, five = GaussianRational.of(3), GaussianRational.of(5)
+        gens = {0: FinSuppVector({0: three, 1: five})}
+        values, center = extension_engine._values_on_structure(structure, chi, gens, pres, 20)
+        assert values[atom1].is_zero()
+        assert values[residual] == FinSuppVector({1: five})
+        assert center[residual] == GenCombo.single(0) - center[atom0].scale(three)
+
+
 class TestInexactRefinement:
     """The adversarial presentation at p = 3/2 has irrational encodings, so
     proposals are only near the homomorphisms and outputs are genuine

@@ -546,6 +546,44 @@ class TestCliInputErrors:
         message = self.assert_input_error(capsys, "lamperti-grid", "--t-max", "1/2")
         assert "--t-max" in message
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--theta-steps", "0"], ["--t-step", "0"], ["--t-step=-1/16"]],
+        ids=["no-theta-steps", "zero-t-step", "negative-t-step"],
+    )
+    def test_grid_without_steps(self, capsys, argv):
+        message = self.assert_input_error(capsys, "lamperti-grid", *argv)
+        assert message == "--theta-steps must be >= 1 and --t-step > 0"
+
+    @pytest.mark.parametrize(
+        "argv, cells",
+        [
+            (["--theta-steps", "100000000"], 11_300_000_113),
+            (["--theta-steps", "1", "--t-max", "100000", "--t-step", "1/16"], 3_199_970),
+        ],
+        ids=["theta-steps", "t-max"],
+    )
+    def test_grid_above_the_cell_bound(self, capsys, argv, cells):
+        # refused before any cell is evaluated: the loop would run for years
+        start = time.monotonic()
+        message = self.assert_input_error(capsys, "lamperti-grid", *argv)
+        assert time.monotonic() - start < 5
+        assert message == f"the grid has {cells} cells, more than {iso_cli.MAX_GRID_CELLS}"
+
+    @pytest.mark.parametrize("bound, refused", [(27, False), (26, True)])
+    def test_the_bound_counts_the_cells_the_grid_evaluates(
+        self, capsys, monkeypatch, bound, refused
+    ):
+        # 9 angles times the 3 values t = 1, 3/2, 2
+        monkeypatch.setattr(iso_cli, "MAX_GRID_CELLS", bound)
+        argv = ["lamperti-grid", "--theta-steps", "8", "--t-max", "2", "--t-step", "1/2"]
+        if refused:
+            message = self.assert_input_error(capsys, *argv)
+            assert message == "the grid has 27 cells, more than 26"
+        else:
+            assert main(argv) == 0
+            assert json.loads(capsys.readouterr().out)["result"]["cells"] == 27
+
     def test_phi_tree_outside_psi_tree(self, capsys):
         # used to end in a ValueError traceback from the hypothesis check
         phi = json.dumps(
@@ -1042,7 +1080,7 @@ class TestOneApproximationPerUnit:
         normalize = iso_cli._normalize
 
         def counting_normalize(vec, cert_bits):
-            unit, inv_bits = normalize(vec, cert_bits)
+            unit = normalize(vec, cert_bits)
             inner = unit._approx
             precs = asked[id(unit)] = []
 
@@ -1051,7 +1089,7 @@ class TestOneApproximationPerUnit:
                 return inner(k)
 
             unit._approx = counted
-            return unit, inv_bits
+            return unit
 
         monkeypatch.setattr(iso_cli, "_normalize", counting_normalize)
         iso = synthesize_isometry(pres, n_units)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lpiso.lp_vectors import (
     FinSuppVector,
+    atom_witness,
     is_atom,
     is_disjointly_supported,
     norm_p,
@@ -17,7 +18,13 @@ from lpiso.lp_vectors import (
     sigma1_vec,
 )
 from lpiso.presentations import GenCombo, StandardPresentation
-from lpiso.scalar_core import GaussianRational, PExponent, UNIMODULAR_UNITS, pow_enclosure
+from lpiso.scalar_core import (
+    GAUSS_ZERO,
+    GaussianRational,
+    PExponent,
+    UNIMODULAR_UNITS,
+    pow_enclosure,
+)
 
 P1 = PExponent.from_fraction(1)
 P32 = PExponent.from_fraction(Fraction(3, 2))
@@ -221,10 +228,10 @@ class TestInternalResults:
     @given(v=small_vectors(), w=small_vectors())
     @settings(max_examples=100, deadline=None)
     def test_no_stored_zeros(self, v, w):
-        for out in (v - v, v.scale(GaussianRational.zero()), v + w, v - w, (v + w) - w):
+        for out in (v - v, v.scale(GAUSS_ZERO), v + w, v - w, (v + w) - w):
             assert type(out) is FinSuppVector
             assert all(not z.is_zero() for z in out.entries.values())
-        assert (v - v).entries == {} and v.scale(GaussianRational.zero()).entries == {}
+        assert (v - v).entries == {} and v.scale(GAUSS_ZERO).entries == {}
         assert ((v + w) - w) == v and (v + w) == FinSuppVector((v + w).entries)
 
     def test_cancelling_sum(self):
@@ -232,3 +239,32 @@ class TestInternalResults:
         b = vec(x0=-1, x2=Fraction(-1, 3), x5=2)
         assert (a + b).entries == {5: GaussianRational.of(2)}
         assert (a - a.scale(GaussianRational.one())).is_zero()
+
+
+class TestAtomWitness:
+    """atom_witness divides each covered entry by its atom's entry; a
+    coordinate with no atom or a zero atom entry stays uncovered."""
+
+    def test_skips_missing_and_zero_atoms(self):
+        f = vec(x0=2, x1=3, x2=5)
+        atoms = {0: ("a", GaussianRational.of(4)), 2: ("c", GAUSS_ZERO)}
+        assert atom_witness(f, atoms) == {"a": GaussianRational.of(Fraction(1, 2))}
+
+    @given(
+        f=small_vectors(),
+        lams=st.dictionaries(
+            st.integers(0, 5),
+            st.builds(GaussianRational.of, st.integers(-3, 3), st.integers(-3, 3)),
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_disjoint_atoms_rebuild_the_covered_entries(self, f, lams):
+        atoms = {n: (f"atom{n}", lam) for n, lam in lams.items()}
+        coeffs = atom_witness(f, atoms)
+        total = FinSuppVector.zero()
+        for n, (holder, lam) in atoms.items():
+            if holder in coeffs:
+                total = total + FinSuppVector.basis(n, lam).scale(coeffs[holder])
+        covered = [n for n, lam in lams.items() if not lam.is_zero()]
+        assert total == f.restrict(covered)
+        assert set(coeffs) == {atoms[n][0] for n in covered if n in f.entries}

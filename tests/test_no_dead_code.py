@@ -50,7 +50,6 @@ TEST_REFERENCES = {
     "all_granted": "the every-flag verdict the certificate tests assert",
     "from_creal": "irrational exponents, which no CLI input can spell yet",
     "encloses": "interval nesting, the refinement tests' monotonicity check",
-    "is_atom": "atom predicate the chain-limit tests check limits with",
     "contains": "point membership, the enclosure check of the interval and norm tests",
 }
 

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpiso.errors import HypothesisViolatedError, NotPartialDisintegrationError
 from lpiso.extension_engine import approximate_extend
@@ -33,7 +35,9 @@ from lpiso.tree_maps import (
     check_extension_hypothesis,
     check_strong_hom_exact,
     distance_bound,
+    index_pairs,
     project_to_strong_hom,
+    sigma_pairs,
     sigma_tree,
     success_index,
     summativity_defect,
@@ -41,6 +45,7 @@ from lpiso.tree_maps import (
 )
 
 from conftest import (
+    agrees_on,
     projection_instances,
     random_disintegration,
     random_partial_disintegration,
@@ -230,7 +235,7 @@ class TestProjection:
         mixed = E[1] + FinSuppVector.basis(2, GaussianRational.of(Fraction(1, 8)))
         psi = rmap({(0,): E[0] + E[1], (0, 0): E[0], (0, 1): mixed})
         out = project_to_strong_hom(phi, psi, 20)
-        assert out.extends(phi)
+        assert agrees_on(out, phi)
         assert check_strong_hom_exact(out)
 
 
@@ -257,7 +262,7 @@ class TestExtendExistence:
         _, snap = self.extend(phi, 1, pres)
         child_vals = {snap.value(n) for n in snap.nodes() if len(n) == 2}
         assert child_vals == {E[0], E[1]}
-        assert snap.extends(phi)
+        assert agrees_on(snap, phi)
 
     def test_singleton_support_not_split(self):
         pres = StandardPresentation(P1)
@@ -265,7 +270,7 @@ class TestExtendExistence:
         psi, snap = self.extend(phi, 1, pres)
         # no child under (0): its value is already an atom
         assert all(len(n) == 1 for n in snap.nodes())
-        assert snap.extends(phi)
+        assert agrees_on(snap, phi)
         assert success_index(psi, pres, 1).value >= 1
 
     def test_adversarial_coverage(self):
@@ -339,13 +344,42 @@ class TestConflictZeroing:
         out = project_to_strong_hom(phi, psi, 24)
         assert out.value(TreeNode.of(0, 1)).is_zero()
         assert check_strong_hom_exact(out)
-        assert out.extends(phi)
+        assert agrees_on(out, phi)
         from lpiso.scalar_core import pow_enclosure
         from lpiso.tree_maps import tree_distance
 
         bound = distance_bound(phi, psi, 24)
         lhs = pow_enclosure(tree_distance(psi, out, 26), p3, 26)
         assert lhs.hi <= bound.hi + Fraction(1, 2**20)
+
+
+class TestPairWalk:
+    """index_pairs is the one walk over unordered pairs, and sigma_pairs is
+    that walk over a tree's non-root nodes."""
+
+    def test_sigma_pairs_are_the_incomparable_and_comparable_pairs(self):
+        rng = random.Random(27)
+        for _ in range(60):
+            tree = random_disintegration(rng, max_depth=4).tree
+            nodes = tree.nonroot_nodes()
+            position = {node: i for i, node in enumerate(nodes)}
+            comparable = {(a, b) for a in nodes for b in nodes if b.strictly_extends(a)}
+            incomparable = {frozenset((a, b)) for a in nodes for b in nodes if a.incomparable(b)}
+            pairs = sigma_pairs(tree)
+            assert len(set(pairs)) == len(pairs)
+            assert all(position[a] < position[b] for a, b in pairs)
+            assert {(a, b) for a, b in pairs if b.strictly_extends(a)} == comparable
+            rest = {frozenset(pair) for pair in pairs if not pair[1].strictly_extends(pair[0])}
+            assert rest == incomparable
+
+    @given(data=st.data(), count=st.integers(0, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_index_pairs_hold_a_fresh_index_once_in_order(self, data, count):
+        fresh = sorted(data.draw(st.sets(st.integers(0, max(count - 1, 0)))) if count else [])
+        everything = [(i, j) for i in range(count) for j in range(i + 1, count)]
+        assert list(index_pairs(count)) == everything
+        expected = [(i, j) for i, j in everything if i in fresh or j in fresh]
+        assert list(index_pairs(count, fresh)) == expected
 
 
 # ---------------------------------------------------------------------------
