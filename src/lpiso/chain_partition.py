@@ -62,23 +62,16 @@ def norm_power_value(value: TreeValue, p: PExponent, k: int) -> DyadicInterval:
 
 
 class ChainSource:
-    """A staged disintegration: values on nodes, revealed through stages.
+    """A staged disintegration as the chain layer reads it.  Its one
+    implementation, `LazyDisintegration`, supplies `stage_tree`, `value` and
+    `certified_terminal`; this base keeps the default norm query and the
+    limit hook.
 
     A source stores no presentation: an opaque value carries its own as
     ``ComputableVector.pres``.
     """
 
     p: PExponent
-
-    def stage_tree(self, t: int) -> FiniteTree:
-        raise NotImplementedError
-
-    def value(self, node: TreeNode) -> TreeValue:
-        raise NotImplementedError
-
-    def certified_terminal(self, node: TreeNode) -> bool:
-        """True only when the node provably never gains children."""
-        return False
 
     def limit_vector(self, chain: Sequence[TreeNode]) -> Optional[TreeValue]:
         """Exact infimum along an infinite chain, when the source knows it."""
@@ -89,49 +82,9 @@ class ChainSource:
         return norm_power_value(self.value(node), self.p, t + 3).mid
 
 
-class FiniteDisintegration(ChainSource):
-    """A fully materialized finite disintegration with a reveal schedule."""
-
-    def __init__(
-        self,
-        values: Dict[TreeNode, TreeValue],
-        p: PExponent,
-        schedule: Optional[List[FiniteTree]] = None,
-    ):
-        if ROOT not in values:
-            raise ValueError("a disintegration carries a root value")
-        self.tree = FiniteTree(values.keys())
-        if set(self.tree.nodes) != set(values):
-            raise ValueError("value domain must be prefix-closed")
-        self.values = dict(values)
-        self.p = p
-        if schedule is None:
-            ordered = self.tree.sorted_nodes()
-            schedule = [FiniteTree(ordered[: i + 1]) for i in range(len(ordered))]
-        for st in schedule:
-            if not st.is_subtree_of(self.tree):
-                raise ValueError("schedule trees must be subtrees of the domain")
-        for a, b in zip(schedule, schedule[1:]):
-            if not a.is_subtree_of(b):
-                raise ValueError("schedule must be monotone")
-        if schedule and schedule[-1] != self.tree:
-            raise ValueError("schedule must eventually reveal the whole tree")
-        self.schedule = schedule
-
-    def stage_tree(self, t: int) -> FiniteTree:
-        if not self.schedule:
-            return self.tree
-        return self.schedule[min(t, len(self.schedule) - 1)]
-
-    def value(self, node: TreeNode) -> TreeValue:
-        return self.values[node]
-
-    def certified_terminal(self, node: TreeNode) -> bool:
-        return self.tree.is_terminal(node)
-
-
 class LazyDisintegration(ChainSource):
-    """An infinite disintegration described by callables (fixtures)."""
+    """A disintegration described by callables: values on nodes, revealed
+    through stages, and which nodes provably never gain children."""
 
     def __init__(
         self,
@@ -159,7 +112,43 @@ class LazyDisintegration(ChainSource):
         return self._value_fn(node)
 
     def certified_terminal(self, node: TreeNode) -> bool:
+        """True only when the node provably never gains children."""
         return self._terminal_fn(node)
+
+
+class FiniteDisintegration(LazyDisintegration):
+    """A fully materialized finite disintegration with a reveal schedule."""
+
+    def __init__(
+        self,
+        values: Dict[TreeNode, TreeValue],
+        p: PExponent,
+        schedule: Optional[List[FiniteTree]] = None,
+    ):
+        if ROOT not in values:
+            raise ValueError("a disintegration carries a root value")
+        self.tree = FiniteTree(values.keys())
+        if set(self.tree.nodes) != set(values):
+            raise ValueError("value domain must be prefix-closed")
+        self.values = dict(values)
+        if schedule is None:
+            ordered = self.tree.sorted_nodes()
+            schedule = [FiniteTree(ordered[: i + 1]) for i in range(len(ordered))]
+        for st in schedule:
+            if not st.is_subtree_of(self.tree):
+                raise ValueError("schedule trees must be subtrees of the domain")
+        for a, b in zip(schedule, schedule[1:]):
+            if not a.is_subtree_of(b):
+                raise ValueError("schedule must be monotone")
+        if schedule and schedule[-1] != self.tree:
+            raise ValueError("schedule must eventually reveal the whole tree")
+        self.schedule = schedule
+        super().__init__(p, self.values.__getitem__, self._revealed, self.tree.is_terminal)
+
+    def _revealed(self, t: int) -> FiniteTree:
+        if not self.schedule:
+            return self.tree
+        return self.schedule[min(t, len(self.schedule) - 1)]
 
 
 def dyadic_fixture(pres: Presentation) -> LazyDisintegration:
@@ -370,7 +359,6 @@ def partition_chains(
 
 @dataclass
 class ChainLimit:
-    chain_id: int
     vector: Optional[TreeValue]
     norm_power: DyadicInterval
     status: str  # "exact" | "zero" | "provisional"
@@ -400,11 +388,9 @@ def chain_limit(
     if known is not None:
         box = norm_power_value(known, source.p, max(k, 8))
         status = "zero" if box.hi == 0 else "exact"
-        return ChainLimit(chain_id, known, box, status)
+        return ChainLimit(known, box, status)
 
     # no known limit: norms along the chain only decrease, giving an upper
     # bound; nothing certifies how much is still to fall
     upper = norm_power_value(deep_value, source.p, max(k, 8)).hi
-    return ChainLimit(
-        chain_id, deep_value, DyadicInterval(Fraction(0), upper), "provisional"
-    )
+    return ChainLimit(deep_value, DyadicInterval(Fraction(0), upper), "provisional")

@@ -44,7 +44,6 @@ from .lp_vectors import FinSuppVector, atom_witness, is_atom, norm_p
 from .presentations import ComputableVector, GenCombo, Presentation, bits_for
 from .scalar_core import (
     MAX_WORKING_PREC,
-    CReal,
     DyadicInterval,
     GaussianRational,
     PExponent,
@@ -1017,6 +1016,8 @@ class StagedDisintegration:
     def __init__(self, pres: Presentation, stages: List[StageRecord]):
         self.pres = pres
         self.stages = stages
+        # the nodes some stage pins to an atom: they never gain children
+        self.atom_nodes = {node for rec in stages for node in rec.atom_support}
 
     @property
     def p(self) -> PExponent:
@@ -1031,14 +1032,8 @@ class StagedDisintegration:
     def stage_count(self) -> int:
         return len(self.stages)
 
-    def atom_index(self, node: TreeNode) -> Optional[int]:
-        for rec in self.stages:
-            if node in rec.atom_support:
-                return rec.atom_support[node]
-        return None
-
-    def chain_source(self):
-        """Adapter exposing the normalized disintegration to the chain layer.
+    def chain_source(self) -> LazyDisintegration:
+        """The normalized disintegration, as the chain layer reads it.
 
         Norm queries are answered structurally: level-one values are exact
         units damped by 2^-label, deeper values are oracle norm ratios, and
@@ -1047,30 +1042,12 @@ class StagedDisintegration:
         root has no vector value: the chain layer reads only its norm
         power, and value(ROOT) raises ValueError.
         """
-        staged = self
-
-        def value(node: TreeNode):
-            if node.is_root():
-                raise ValueError(
-                    "the normalized root has no vector value; only its norm power is read"
-                )
-            return _normalized_node_vector(staged, node)
-
-        def stage(t: int) -> FiniteTree:
-            return staged.tree(min(t, staged.stage_count() - 1))
-
-        def terminal(node: TreeNode) -> bool:
-            return staged.atom_index(node) is not None
-
-        def norm_power(node: TreeNode, t: int) -> Fraction:
-            return _normalized_norm_power(staged, node, t)
-
         return LazyDisintegration(
             self.p,
-            value,
-            stage,
-            terminal_fn=terminal,
-            norm_power_fn=norm_power,
+            self.normalized_value,
+            lambda t: self.tree(min(t, self.stage_count() - 1)),
+            terminal_fn=self.atom_nodes.__contains__,
+            norm_power_fn=self.normalized_norm_power,
         )
 
     def report(self) -> dict:
@@ -1094,64 +1071,65 @@ class StagedDisintegration:
             ],
         }
 
-
-def _normalized_node_vector(staged: StagedDisintegration, node: TreeNode) -> ComputableVector:
-    """2^-a ||phi((a))||^-1 phi(nu), a = the node's first coordinate."""
-    rec = staged.last()
-    a = node.path[0]
-    base = rec.phi_hat.value(TreeNode.of(a))
-    inv = CReal.from_interval_fn(base.reciprocal_norm, name=f"inv-norm-{a}")
-    scaled = rec.phi_hat.value(node).scale_creal(inv, 4)
-    return scaled.scale_gauss(GaussianRational.of(Fraction(1, 2**a)))
-
-
-def _normalized_norm_power(staged: StagedDisintegration, node: TreeNode, t: int) -> Fraction:
-    """q(node, t) for the normalized view, |q - ||psi(node)||^p| < 2^-(t+1).
-
-    ||psi(nu)||^p = 2^(-a p) ||phi(nu)||^p / ||phi((a))||^p with a = nu(0);
-    the root's power is the sum of 2^(-a p) over all level-one labels, the
-    unseen ones bounded by a geometric tail below the current node count.
-    """
-    p = staged.p
-    rec = staged.last()
-    if node.is_root():
-        # the midpoint of [sum, sum + widths + tail] lands within 2^-(t+1)
-        # of the true power as long as widths + tail stay below 2^-t
-        level_one = [n for n in rec.phi_hat.tree.nonroot_nodes() if len(n) == 1]
-        floor_label = len(rec.phi_hat.tree)
-        tail_hi = Fraction(2, 2**floor_label)  # sum of 2^-ap <= sum of 2^-a
-        if tail_hi >= _width_target(t + 1):
-            raise PrecisionExhaustedError(
-                "the root norm needs more stages at this stage precision"
+    def normalized_value(self, node: TreeNode) -> ComputableVector:
+        """2^-a ||phi((a))||^-1 phi(nu), a = the node's first coordinate."""
+        if node.is_root():
+            raise ValueError(
+                "the normalized root has no vector value; only its norm power is read"
             )
-        kk = bits_for(_width_target(t + 3) / (2 * max(1, len(level_one))))
-        total = DyadicInterval.point(0)
-        for n in level_one:
-            total = total + pow_enclosure(
-                DyadicInterval.point(Fraction(1, 2 ** n.path[0])), p, kk
-            )
-        return (total + DyadicInterval(Fraction(0), tail_hi)).mid
-    a = node.path[0]
-    if len(node) == 1:
-        box = pow_enclosure(DyadicInterval.point(Fraction(1, 2**a)), p, t + 3)
-        return box.mid
+        rec = self.last()
+        a = node.path[0]
+        base = rec.phi_hat.value(TreeNode.of(a))
+        scaled = rec.phi_hat.value(node).over_norm_of(base, 4)
+        return scaled.scale_gauss(GaussianRational.of(Fraction(1, 2**a)))
 
-    def attempt(kk: int) -> Optional[Fraction]:
-        num = norm_power_value(rec.phi_hat.value(node), p, kk)
-        den = norm_power_value(rec.phi_hat.value(TreeNode.of(a)), p, kk)
-        if den.lo <= 0:
-            return None
-        box = pow_enclosure(DyadicInterval.point(Fraction(1, 2**a)), p, kk) * (
-            num * den.reciprocal()
+    def normalized_norm_power(self, node: TreeNode, t: int) -> Fraction:
+        """q(node, t) for the normalized view, |q - ||psi(node)||^p| < 2^-(t+1).
+
+        ||psi(nu)||^p = 2^(-a p) ||phi(nu)||^p / ||phi((a))||^p with a = nu(0);
+        the root's power is the sum of 2^(-a p) over all level-one labels, the
+        unseen ones bounded by a geometric tail below the current node count.
+        """
+        p = self.p
+        rec = self.last()
+        if node.is_root():
+            # the midpoint of [sum, sum + widths + tail] lands within 2^-(t+1)
+            # of the true power as long as widths + tail stay below 2^-t
+            level_one = [n for n in rec.phi_hat.tree.nonroot_nodes() if len(n) == 1]
+            floor_label = len(rec.phi_hat.tree)
+            tail_hi = Fraction(2, 2**floor_label)  # sum of 2^-ap <= sum of 2^-a
+            if tail_hi >= _width_target(t + 1):
+                raise PrecisionExhaustedError(
+                    "the root norm needs more stages at this stage precision"
+                )
+            kk = bits_for(_width_target(t + 3) / (2 * max(1, len(level_one))))
+            total = DyadicInterval.point(0)
+            for n in level_one:
+                total = total + pow_enclosure(
+                    DyadicInterval.point(Fraction(1, 2 ** n.path[0])), p, kk
+                )
+            return (total + DyadicInterval(Fraction(0), tail_hi)).mid
+        a = node.path[0]
+        if len(node) == 1:
+            box = pow_enclosure(DyadicInterval.point(Fraction(1, 2**a)), p, t + 3)
+            return box.mid
+
+        def attempt(kk: int) -> Optional[Fraction]:
+            num = norm_power_value(rec.phi_hat.value(node), p, kk)
+            den = norm_power_value(rec.phi_hat.value(TreeNode.of(a)), p, kk)
+            if den.lo <= 0:
+                return None
+            box = pow_enclosure(DyadicInterval.point(Fraction(1, 2**a)), p, kk) * (
+                num * den.reciprocal()
+            )
+            return box.mid if box.fits(t + 2) else None
+
+        return refine(
+            attempt,
+            t + 4,
+            what="normalized norm refinement exceeded its cap",
+            cap=1 << 12,
         )
-        return box.mid if box.fits(t + 2) else None
-
-    return refine(
-        attempt,
-        t + 4,
-        what="normalized norm refinement exceeded its cap",
-        cap=1 << 12,
-    )
 
 
 def build_disintegration(

@@ -78,9 +78,7 @@ from .scalar_core import (
     abs_pow,
 )
 from .tree_maps import (
-    FiniteTree,
     TreeMap,
-    TreeNode,
     _round_gauss,
     distance_bound,
     index_pairs,
@@ -99,7 +97,6 @@ class UnitRecord:
     index: int
     chain_id: int
     atom_coordinate: Optional[int]  # transparent peek, when available
-    unit_norm_bits: int
     vector: ComputableVector
 
 
@@ -128,7 +125,7 @@ class IsometryApprox:
                     "index": u.index,
                     "chain": u.chain_id,
                     "atom_coordinate": u.atom_coordinate,
-                    "unit_norm_bits": u.unit_norm_bits,
+                    "unit_norm_bits": self.pairwise_sigma1_bits,
                 }
                 for u in self.units
             ],
@@ -153,8 +150,7 @@ def _normalize(vec: ComputableVector, cert_bits: int) -> ComputableVector:
         if kk > 1 << 12:
             raise PrecisionExhaustedError("cannot normalize: norm not certified positive")
     inv_bits = bits_for(lo) + 1  # 1/||v|| <= 2^inv_bits
-    inv = CReal.from_interval_fn(vec.reciprocal_norm, name="unit-scale")
-    return vec.scale_creal(inv, inv_bits)
+    return vec.over_norm_of(vec, inv_bits)
 
 
 def _transparent_atom_peek(
@@ -201,7 +197,7 @@ def _certify_pairwise(
     oracle sees short dyadic coefficients instead of the unit's long
     rationals, and the whole loop shares one `pow_enclosure` memo.  Only
     this check rounds.  `ComputableVector.norm_enclosure`,
-    `reciprocal_norm`, `scale_creal`, `_normalize`, the atom peek and the
+    `reciprocal_norm`, `over_norm_of`, `_normalize`, the atom peek and the
     generation witnesses read the unrounded approximations: they make the
     unit coefficients and the witness strings the report prints, which the
     rounding therefore leaves unchanged.  `synthesize_isometry` hands in
@@ -287,7 +283,7 @@ def synthesize_isometry(
         atom_coord, coeff = _transparent_atom_peek(unit, peek_prec)
         if atom_coord is not None and atom_coord not in atom_of:
             atom_of[atom_coord] = (len(units), coeff)
-        units.append(UnitRecord(len(units), cid, atom_coord, cert_bits, unit))
+        units.append(UnitRecord(len(units), cid, atom_coord, unit))
         views.append(view)
     if len(units) < n_units:
         raise BudgetExhaustedError(
@@ -297,19 +293,12 @@ def synthesize_isometry(
 
     _certify_pairwise(views, pres, cert_bits)
 
-    # generator coverage with explicit witnesses, certified on the flat
-    # map sending node (m) to unit m
+    # generator coverage with explicit witnesses over the units
     witnesses: Dict[int, Dict[int, GaussianRational]] = {}
-    unit_nodes = [TreeNode.of(rec.index) for rec in units]
-    unit_map = TreeMap(
-        FiniteTree(unit_nodes),
-        dict(zip(unit_nodes, views)),
-        pres.p,
-    )
     for j in range(n_units):
         beta = atom_witness(pres.generator_vector(j, peek_prec), atom_of)
-        node_beta = {unit_nodes[m]: z for m, z in beta.items()}
-        upper = residual_norm(unit_map, pres, j, node_beta, gen_bits + 2).hi
+        terms = [(views[m], z) for m, z in beta.items()]
+        upper = residual_norm(pres, j, terms, gen_bits + 2).hi
         if upper >= _width_target(gen_bits):
             raise PrecisionExhaustedError(
                 f"generation witness for generator {j} missed 2^-{gen_bits}"
@@ -382,7 +371,7 @@ def identity_reduction(
         # the true norm is within 2^-k of 1; the enclosure must agree
         if box.hi < 1 - _width_target(k) or box.lo > 1 + _width_target(k):
             raise PrecisionExhaustedError(f"unit norm for e_{j} not certified")
-        units.append(UnitRecord(j, j, j, k, vec))
+        units.append(UnitRecord(j, j, j, vec))
         witnesses[j] = {j: GaussianRational.one()}
     return IsometryApprox(
         pres,

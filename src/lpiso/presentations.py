@@ -33,7 +33,6 @@ from .lp_vectors import FinSuppVector, norm_p
 from .scalar_core import (
     GAUSS_ONE,
     MAX_WORKING_PREC,
-    CReal,
     DyadicInterval,
     GaussianRational,
     PExponent,
@@ -769,15 +768,15 @@ class ComputableVector:
         bits = _entry_bound_bits(z)
         return ComputableVector(lambda k: self.approx(k + bits + 1).scale(z), self.pres)
 
-    def scale_creal(self, c: CReal, c_bound_bits: int) -> "ComputableVector":
-        """Multiply by a computable real with |c| <= 2**c_bound_bits."""
+    def over_norm_of(self, w: "ComputableVector", inv_bits: int) -> "ComputableVector":
+        """This vector divided by ||w||, where 1/||w|| <= 2**inv_bits."""
         norm_bits_cache: Dict[str, int] = {}
 
         def approx(k: int) -> GenCombo:
             if "bits" not in norm_bits_cache:
                 norm_bits_cache["bits"] = ceil_log2(self.norm_enclosure(2).hi + 1)
             extra = norm_bits_cache["bits"]
-            q = c.approx(k + 2 + extra)
-            return self.approx(k + 2 + c_bound_bits).scale(GaussianRational.of(q))
+            q = w.reciprocal_norm(k + 3 + extra).mid
+            return self.approx(k + 2 + inv_bits).scale(GaussianRational.of(q))
 
         return ComputableVector(approx, self.pres)

@@ -145,9 +145,6 @@ class FiniteTree:
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteTree) and self.nodes == other.nodes
 
-    def __hash__(self):
-        return hash(self.nodes)
-
     def children(self, node: TreeNode) -> List[TreeNode]:
         return list(self._children.get(node, []))
 
@@ -571,26 +568,24 @@ def _greedy_witness(
 
 
 def residual_norm(
-    psi: TreeMap,
     pres: Presentation,
     j: int,
-    beta: Dict[TreeNode, GaussianRational],
+    terms: Sequence[Tuple[TreeValue, GaussianRational]],
     k: int,
 ) -> DyadicInterval:
-    """Enclosure of || f_j - sum_nu beta(nu) psi(nu) ||, psi's values
-    computable vectors over `pres`.
+    """Enclosure of || f_j - sum of coeff * vec over the (vec, coeff) terms ||,
+    each vec a computable vector over `pres`.
 
     The combination is flattened into one exact-coefficient formal sum (one
-    approximation query per node) instead of nesting computable-vector
+    approximation query per term) instead of nesting computable-vector
     wrappers, which keeps the precision requests shallow.
     """
-    size_bits = max(1, len(beta)).bit_length()
+    size_bits = max(1, len(terms)).bit_length()
 
     def attempt(kk: int) -> Optional[DyadicInterval]:
         combo = GenCombo.single(j)
         pad = Fraction(0)
-        for node, coeff in beta.items():
-            val = psi.value(node)
+        for val, coeff in terms:
             if not isinstance(val, ComputableVector):
                 raise NoBackdoorError(
                     "residual norms read computable values; encode a transparent map first"
@@ -653,8 +648,9 @@ def success_index(
         for node in psi.nodes():
             candidates.append({node: GaussianRational.one()})
         for beta in candidates:
+            terms = [(psi.value(node), z) for node, z in beta.items()]
             try:
-                upper = residual_norm(psi, pres, j, beta, prec).hi
+                upper = residual_norm(pres, j, terms, prec).hi
             except PrecisionExhaustedError:
                 continue  # a bad candidate is merely not a witness
             if best is None or upper < best:

@@ -324,3 +324,23 @@ class TestAnmCertificateEvidence:
                 assert cert.slack == Fraction(1, 2**cert.stage)
                 checked += 1
         assert checked > 40
+
+
+class TestFiniteDisintegration:
+    def test_an_empty_schedule_reveals_the_whole_tree(self):
+        src = FiniteDisintegration(two_level_fixture().values, P1, schedule=[])
+        for t in (0, 1, 5, CHAIN_SEARCH_STAGES):
+            assert src.stage_tree(t) == src.tree
+        # stage 0 already holds every node, so a partition at stage 0 is whole
+        part = partition_chains(src, stage_budget=0)
+        assert part.chains[0] == [ROOT, TreeNode.of(0), TreeNode.of(0, 0)]
+        assert set(part.assignment) == set(src.tree.nodes)
+
+    def test_the_default_schedule_reveals_one_node_per_stage(self):
+        src = two_level_fixture()
+        assert [len(src.stage_tree(t)) for t in range(7)] == [1, 2, 3, 4, 5, 5, 5]
+        assert src.stage_tree(4) == src.tree
+        # values and terminal nodes come from the source's own tables
+        assert src.value(TreeNode.of(1)) is src.values[TreeNode.of(1)]
+        assert src.certified_terminal(TreeNode.of(1))
+        assert not src.certified_terminal(ROOT)

@@ -1280,3 +1280,26 @@ class TestChainSourceRoot:
             if len(node) == 1:
                 box = source.value(node).norm_enclosure(12)
                 assert box.contains(Fraction(1, 2 ** node.path[0]))
+
+
+class TestChainSourceTerminal:
+    @pytest.mark.parametrize(
+        "pres,stages",
+        [
+            (StandardPresentation(P1), 5),
+            (AdversarialPresentation(CeSet.explicit([2, 5]), P1), 3),
+            (RotatedPresentation(P3, GaussianRational.parse("3/5+4/5i")), 3),
+        ],
+        ids=["standard-p1-s5", "adversarial-p1-s3", "rotated-p3-s3"],
+    )
+    def test_terminal_nodes_are_the_atom_nodes_of_every_stage(self, pres, stages):
+        staged = build_disintegration(pres, stages)
+        source = staged.chain_source()
+        seen = set()
+        for n in range(staged.stage_count()):
+            for node in staged.tree(n).sorted_nodes():
+                # the scan over every stage that the atom set replaced
+                pinned = any(node in rec.atom_support for rec in staged.stages)
+                assert source.certified_terminal(node) == pinned, node
+                seen.add(pinned)
+        assert seen == {True, False}

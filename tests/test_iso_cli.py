@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import logging
 import os
 import re
 import subprocess
@@ -949,10 +950,25 @@ class TestExtendBaseMap:
 class TestVerbose:
     """--verbose traces each tried ball on stderr and leaves stdout alone.
 
-    The runs are subprocesses: logging.basicConfig does nothing once the
-    test runner has installed its own logging handlers."""
+    logging.basicConfig does nothing once the test runner has installed its
+    own logging handlers: the first test runs subprocesses, the second
+    clears the root logger's handlers for its in-process run."""
 
     ARGV = ["disintegrate", "--pres", _STANDARD_P1, "--stages", "3"]
+    SHAPE = re.compile(r"ball tree=\{.*\} radius=2\^-\d+ hom_upper=\d+(/\d+)? precision=\d+")
+
+    @staticmethod
+    def count_tried_balls(monkeypatch) -> list:
+        # a tried ball is one hom read after a granted radius pick
+        tried = []
+        hom_upper = extension_engine._ledger_hom_upper
+
+        def counted(*args):
+            tried.append(1)
+            return hom_upper(*args)
+
+        monkeypatch.setattr(extension_engine, "_ledger_hom_upper", counted)
+        return tried
 
     @staticmethod
     def run(*argv):
@@ -964,15 +980,7 @@ class TestVerbose:
         )
 
     def test_one_line_per_tried_ball(self, monkeypatch, capsys):
-        # a tried ball is one hom read after a granted radius pick
-        tried = []
-        hom_upper = extension_engine._ledger_hom_upper
-
-        def counted(*args):
-            tried.append(1)
-            return hom_upper(*args)
-
-        monkeypatch.setattr(extension_engine, "_ledger_hom_upper", counted)
+        tried = self.count_tried_balls(monkeypatch)
         assert main(self.ARGV) == 0
         capsys.readouterr()
 
@@ -983,10 +991,30 @@ class TestVerbose:
         assert verbose.stdout == quiet.stdout
         lines = verbose.stderr.splitlines()
         assert len(lines) == len(tried) >= 3
-        shape = re.compile(
-            r"ball tree=\{.*\} radius=2\^-\d+ hom_upper=\d+(/\d+)? precision=\d+"
-        )
-        assert all(shape.fullmatch(line) for line in lines), lines
+        assert all(self.SHAPE.fullmatch(line) for line in lines), lines
+
+    def test_in_process_synthesize(self, monkeypatch, capsys):
+        argv = ["synthesize", "--units", "2"]
+        assert main(argv) == 0
+        quiet = capsys.readouterr()
+        tried = self.count_tried_balls(monkeypatch)
+        root = logging.getLogger()
+        level = root.level
+        monkeypatch.setattr(root, "handlers", [])
+        try:
+            assert main(["--verbose", *argv]) == 0
+            installed = list(root.handlers)
+        finally:
+            for handler in list(root.handlers):
+                root.removeHandler(handler)
+            root.setLevel(level)
+        verbose = capsys.readouterr()
+        assert len(installed) == 1 and not root.handlers
+        assert quiet.err == ""
+        assert verbose.out == quiet.out
+        lines = verbose.err.splitlines()
+        assert len(lines) == len(tried) >= 2
+        assert all(self.SHAPE.fullmatch(line) for line in lines), lines
 
 
 def _old_generation_upper(iso, j):
@@ -1021,8 +1049,8 @@ class TestGenerationWitness:
     def test_bound_equals_the_old_flattening(self, pres, monkeypatch):
         uppers = {}
 
-        def recording_residual_norm(psi, pres_, j, beta, k):
-            box = residual_norm(psi, pres_, j, beta, k)
+        def recording_residual_norm(pres_, j, terms, k):
+            box = residual_norm(pres_, j, terms, k)
             uppers[j] = box.hi
             return box
 
@@ -1396,7 +1424,7 @@ class TestChainLimitStatus:
         def chain_limit(source, partition, cid, k):
             if cid < len(statuses):
                 lim = real(source, partition, 0, k)
-                return ChainLimit(cid, lim.vector, lim.norm_power, statuses[cid])
+                return ChainLimit(lim.vector, lim.norm_power, statuses[cid])
             return real(source, partition, cid - len(statuses), k)
 
         monkeypatch.setattr(iso_cli, "chain_limit", chain_limit)

@@ -2,11 +2,15 @@
 named somewhere in the package, its tests or the benchmark harness.
 
 A definition counts as used when its name appears as a variable or an
-attribute anywhere under src/, tests/ or bench/, or as a word inside a
-string literal under bench/ (the benchmark tracer names functions by their
-qualified names).  Strings elsewhere, docstrings included, do not count,
-so a name that only an error message or documentation mentions is still
-reported.
+attribute anywhere under src/, tests/ or bench/, or in a string literal
+under bench/ that spells a name or a dotted qualified name (the benchmark
+tracer names functions by their qualified names).  Other strings, prose
+and docstrings included, do not count, so a name that only an error
+message or documentation mentions is still reported.  An attribute loaded from a class by its name (`ClassName.attr`,
+for a class defined under src/, tests/ or bench/) counts only for the
+definitions of that class, its bases and its subclasses, so one class's
+used method does not hide an unused method of the same name in an
+unrelated class.  Methods are reported as `ClassName.method`.
 
 Module-level constants and annotated class fields are held to a stricter
 standard: they must be read, so an assignment or a keyword argument that
@@ -47,10 +51,10 @@ TEST_REFERENCES = {
     "success_index": "certified success-index bound the extension tests check results with",
     "check_strong_hom_exact": "exact strong-homomorphism check behind the projection tests",
     "signed_sigma1_scalar": "sigma1 without the absolute value, the sign check of criterion 1",
-    "all_granted": "the every-flag verdict the certificate tests assert",
-    "from_creal": "irrational exponents, which no CLI input can spell yet",
-    "encloses": "interval nesting, the refinement tests' monotonicity check",
-    "contains": "point membership, the enclosure check of the interval and norm tests",
+    "BallCertificate.all_granted": "the every-flag verdict the certificate tests assert",
+    "PExponent.from_creal": "irrational exponents, which no CLI input can spell yet",
+    "DyadicInterval.encloses": "interval nesting, the refinement tests' monotonicity check",
+    "DyadicInterval.contains": "point membership, the enclosure check of the interval and norm tests",
 }
 
 #: constants and fields that only tests read, each with why the library
@@ -83,10 +87,43 @@ def _parse(path: Path) -> ast.Module:
 
 
 def _definitions(tree: ast.Module):
+    """(owner, name) for each function, class and method defined in `tree`:
+    the owner is the class whose body defines it, None elsewhere."""
+    owners = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            owners.update((id(stmt), node.name) for stmt in node.body)
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             if not (node.name.startswith("__") and node.name.endswith("__")):
-                yield node.name
+                yield owners.get(id(node)), node.name
+
+
+def _qualified(definition) -> str:
+    owner, name = definition
+    return name if owner is None else f"{owner}.{name}"
+
+
+def _class_families(trees) -> dict:
+    """Each class the `trees` define -> itself, its bases and its
+    subclasses, transitively, among those classes."""
+    bases = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases.setdefault(node.name, set()).update(
+                    b.id for b in node.bases if isinstance(b, ast.Name)
+                )
+
+    def ancestors(name: str) -> set:
+        out = {name}
+        for base in bases.get(name, ()):
+            if base in bases:
+                out |= ancestors(base)
+        return out
+
+    up = {name: ancestors(name) for name in bases}
+    return {c: {d for d in bases if c in up[d] or d in up[c]} for c in bases}
 
 
 def _docstring_ids(tree: ast.Module) -> set:
@@ -103,54 +140,93 @@ def _docstring_ids(tree: ast.Module) -> set:
     return out
 
 
-def _references(tree: ast.Module):
+def _references(tree: ast.Module, classes):
+    """(receiver, name) for each name and attribute in `tree`: the receiver
+    is the class of a `ClassName.attr` load whose class is in `classes`,
+    None for every other use."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
+            yield None, node.id
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            value = node.value
+            if isinstance(value, ast.Name) and value.id in classes:
+                yield value.id, node.attr
+            else:
+                yield None, node.attr
 
 
-def _string_words(tree: ast.Module):
-    """Words of the string literals that are not docstrings: how the
-    benchmark tracer names functions."""
+def _named(defined, references, families) -> set:
+    """The `defined` (owner, name) pairs that the `references` name: by a
+    bare use of the name, or through a class of the owner's family."""
+    bare = {name for receiver, name in references if receiver is None}
+    through = {(receiver, name) for receiver, name in references if receiver is not None}
+    return {
+        (owner, name)
+        for owner, name in defined
+        if name in bare
+        or any((cls, name) in through for cls in families.get(owner, ()))
+    }
+
+
+def _uses(program, bench, families) -> set:
+    """The references of the `program` modules and of the `bench` modules,
+    with the names the bench modules' strings spell."""
+    classes = frozenset(families)
+    refs = {ref for tree in program for ref in _references(tree, classes)}
+    for tree in bench:
+        refs.update(_references(tree, classes), _string_references(tree, classes))
+    return refs
+
+
+def _unnamed(defining, referencing, bench=()) -> list:
+    """Definitions of the `defining` modules that neither the `referencing`
+    modules nor the `bench` modules (with the names their strings spell)
+    name, qualified."""
+    defined = {d for tree in defining for d in _definitions(tree)}
+    families = _class_families([*defining, *referencing, *bench])
+    named = _named(defined, _uses(referencing, bench, families), families)
+    return sorted(_qualified(d) for d in defined - named)
+
+
+#: a name or a dotted qualified name, as the benchmark tracer spells one
+QUALIFIED_NAME = re.compile(r"[A-Za-z_<][\w<>]*(?:\.[A-Za-z_<][\w<>]*)*")
+
+
+def _string_references(tree: ast.Module, classes=frozenset()):
+    """(receiver, name) for each part of each string literal that is not a
+    docstring and spells a name or a dotted qualified name, as the benchmark
+    tracer names functions: a part after a class in `classes` resolves to
+    that class, as an attribute load does."""
     docstrings = _docstring_ids(tree)
     for node in ast.walk(tree):
         if (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
             and id(node) not in docstrings
+            and QUALIFIED_NAME.fullmatch(node.value)
         ):
-            yield from re.findall(r"[A-Za-z_]\w*", node.value)
+            parts = node.value.split(".")
+            yield None, parts[0]
+            for receiver, name in zip(parts, parts[1:]):
+                yield (receiver if receiver in classes else None), name
+
+
+def _top_modules(top: str) -> list:
+    return [_parse(path) for path in sorted((REPO / top).rglob("*.py"))]
 
 
 def test_every_package_definition_is_named_elsewhere():
-    defined = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        defined.update(_definitions(_parse(path)))
-    named = set()
-    for top in ("src", "tests", "bench"):
-        for path in sorted((REPO / top).rglob("*.py")):
-            tree = _parse(path)
-            named.update(_references(tree))
-            if top == "bench":
-                named.update(_string_words(tree))
-    unused = sorted(defined - named - UNUSED_ALLOWED)
+    defining = [_parse(path) for path in sorted(PACKAGE.glob("*.py"))]
+    referencing = _top_modules("src") + _top_modules("tests")
+    unused = sorted(set(_unnamed(defining, referencing, _top_modules("bench"))) - UNUSED_ALLOWED)
     assert not unused, f"defined in src/lpiso but never named: {unused}"
 
 
 def _test_only(defining, program, tests, bench=()) -> set:
     """Definitions of the `defining` modules that the `tests` modules name
     and neither the `program` modules nor the `bench` modules (with the
-    words of their strings) do."""
-    defined = set()
-    for tree in defining:
-        defined.update(_definitions(tree))
-    program_names = {name for tree in program for name in _references(tree)}
-    for tree in bench:
-        program_names.update(_references(tree), _string_words(tree))
-    test_names = {name for tree in tests for name in _references(tree)}
-    return (defined & test_names) - program_names
+    names their strings spell) do, qualified."""
+    return set(_unnamed(defining, program, bench)) - set(_unnamed(defining, tests))
 
 
 def _program_modules(top: str) -> list:
@@ -193,7 +269,36 @@ def test_guard_sees_an_unused_definition():
         "def unused():\n    pass\n"
         "used()\n"
     )
-    assert set(_definitions(tree)) - set(_references(tree)) == {"unused"}
+    assert _unnamed([tree], [tree]) == ["unused"]
+
+
+def test_guard_resolves_a_class_qualified_use():
+    src = ast.parse(
+        "class Interval:\n    def of(x):\n        pass\n"
+        "class Rational:\n    def of(x):\n        pass\n"
+        "class Node:\n    def of(x):\n        pass\n    def size(self):\n        pass\n"
+        "class Leaf(Node):\n    def size(self):\n        pass\n"
+        "def of():\n    pass\n"
+    )
+    # Leaf.of reaches its base's method, Node.size its subclass's; neither
+    # class-qualified use reaches an unrelated class or a plain function
+    uses = ast.parse("Interval\nRational.of(1)\nLeaf.of(2)\nNode.size(3)\n")
+    assert _unnamed([src], [uses]) == ["Interval.of", "of"]
+    # nor does one through a class the referencing modules define
+    other = ast.parse("class Record:\n    def of(x):\n        pass\nRecord.of(4)\n")
+    assert _unnamed([src], [uses, other]) == ["Interval.of", "of"]
+    # a use through anything but a class name still counts by name alone
+    assert _unnamed([src], [uses, ast.parse("item.of()\n")]) == []
+
+
+def test_guard_reads_bench_strings_as_qualified_names():
+    src = ast.parse(
+        "class Node:\n    def of(x):\n        pass\n    def size(self):\n        pass\n"
+        "class Leaf:\n    def size(self):\n        pass\n"
+    )
+    # prose does not count, and a qualified name resolves through its class
+    bench = ast.parse('SPANS = [("tree_maps", "Node.size"), "size of Leaf"]\n')
+    assert _unnamed([src], [], [bench]) == ["Leaf", "Leaf.size", "Node.of"]
 
 
 def _constants_and_fields(tree: ast.Module):
@@ -227,14 +332,14 @@ def _reads(tree: ast.Module, names: set, attrs: set) -> None:
 
 def _unread(defining, reading, bench=()) -> list:
     """Constants and fields of the `defining` modules that no `reading`
-    module reads, nor a `bench` module (with the words of its strings);
+    module reads, nor a `bench` module (with the names its strings spell);
     a field is read only as a loaded attribute."""
     names, attrs = set(), set()
     for tree in reading:
         _reads(tree, names, attrs)
     for tree in bench:
         _reads(tree, names, attrs)
-        names.update(_string_words(tree))
+        names.update(name for _, name in _string_references(tree))
     unread = []
     for tree in defining:
         for qualified, name in _constants_and_fields(tree):

@@ -20,7 +20,7 @@ from lpiso.presentations import (
     presentation_from_descriptor,
     transparent_eval,
 )
-from lpiso.scalar_core import GaussianRational, PExponent
+from lpiso.scalar_core import CReal, GaussianRational, PExponent, ceil_log2
 
 P1 = PExponent.from_fraction(1)
 P32 = PExponent.from_fraction(Fraction(3, 2))
@@ -261,6 +261,35 @@ class TestComputableVector:
         pres = StandardPresentation(P1)
         v = ComputableVector.constant(combo(1), pres).scale_gauss(GaussianRational.of(3))
         assert v.approx(4) == combo(3)
+
+    @pytest.mark.parametrize(
+        "make_pres",
+        [
+            lambda: StandardPresentation(P1),
+            lambda: RotatedPresentation(P32, GaussianRational.parse("3/5+4/5i")),
+            lambda: AdversarialPresentation(CeSet.explicit([2, 5]), P1),
+        ],
+        ids=["standard-p1", "rotated-p3/2", "adversarial-p1"],
+    )
+    def test_over_norm_of_matches_the_creal_scaling(self, make_pres):
+        pres = make_pres()
+        # both vectors move with k, so each read below names its precision
+        def tail(j, d):
+            return GenCombo({j: GaussianRational.of(Fraction(1, d))})
+
+        v = ComputableVector(lambda k: combo(1, -2) + tail(3, 2 ** (k + 1)), pres)
+        w = ComputableVector(lambda k: combo(0, 3, 1) + tail(2, 3 * 2 ** (k + 1)), pres)
+        inv_bits = 1  # 1/||w|| <= 2
+        scaled = v.over_norm_of(w, inv_bits)
+        # the computable-real adapter over_norm_of replaced
+        inv = CReal.from_interval_fn(w.reciprocal_norm)
+        extra = ceil_log2(v.norm_enclosure(2).hi + 1)
+        for k in (0, 3, 8, 20):
+            q = inv.approx(k + 2 + extra)
+            assert scaled.approx(k) == v.approx(k + 2 + inv_bits).scale(GaussianRational.of(q))
+        box = scaled.norm_enclosure(10)
+        ratio = v.norm_enclosure(16) * w.reciprocal_norm(16)
+        assert box.lo <= ratio.hi and ratio.lo <= box.hi
 
     @pytest.mark.parametrize("side", ["below", "above"])
     @pytest.mark.parametrize(

@@ -611,7 +611,7 @@ class TestCeilLog2:
     reference it must match exactly."""
 
     @staticmethod
-    def loop_pow2_at_least(q):  # scale_creal, recover_scale_from_atom
+    def loop_pow2_at_least(q):  # over_norm_of, recover_scale_from_atom
         b = 0
         while Fraction(2) ** b < q:
             b += 1

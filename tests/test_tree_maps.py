@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpiso.errors import HypothesisViolatedError, NotPartialDisintegrationError
+from lpiso.errors import HypothesisViolatedError, NoBackdoorError, NotPartialDisintegrationError
 from lpiso.extension_engine import approximate_extend
 from lpiso.lp_vectors import FinSuppVector, norm_p, sigma1_from_norms
 from lpiso.presentations import (
@@ -37,6 +37,7 @@ from lpiso.tree_maps import (
     distance_bound,
     index_pairs,
     project_to_strong_hom,
+    residual_norm,
     sigma_pairs,
     sigma_tree,
     success_index,
@@ -622,6 +623,21 @@ class TestCoordinateCarriers:
             assert _coordinate_carriers(phi) == expected
             nested += any(len(n) >= 2 for n in expected.values())
         assert nested > 50  # many instances carry coordinates below level one
+
+
+class TestResidualNorm:
+    def test_terms_are_vector_coefficient_pairs(self):
+        pres = StandardPresentation(P1)
+        f0 = ComputableVector.constant(GenCombo.single(0), pres)
+        half = GaussianRational.of(Fraction(1, 2))
+        # f_0 - (f_0 / 2 + f_0 / 2) = 0, and with no terms f_1 stays whole
+        assert residual_norm(pres, 0, [(f0, half), (f0, half)], 10).contains(0)
+        assert residual_norm(pres, 1, [], 10).contains(1)
+
+    def test_a_transparent_value_is_refused(self):
+        pres = StandardPresentation(P1)
+        with pytest.raises(NoBackdoorError, match="^residual norms read computable values"):
+            residual_norm(pres, 0, [(E[0], GaussianRational.one())], 10)
 
 
 class TestSuccessIndexEvidence:
