@@ -29,7 +29,6 @@ import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 logger = logging.getLogger(__name__)
@@ -88,12 +87,8 @@ class RationalBall:
             raise ValueError("center must assign exactly the non-root nodes")
 
     def center_map(self, pres: Presentation) -> TreeMap:
-        return _center_map(self.tree, self.center, pres)
-
-
-def _center_map(tree: FiniteTree, center: Dict[TreeNode, GenCombo], pres: Presentation) -> TreeMap:
-    values = {node: ComputableVector.constant(combo, pres) for node, combo in center.items()}
-    return TreeMap(tree, values, pres.p)
+        values = {node: ComputableVector.constant(combo, pres) for node, combo in self.center.items()}
+        return TreeMap(self.tree, values, pres.p)
 
 
 @dataclass
@@ -287,8 +282,8 @@ def _pair_key(i: int, j: int) -> Tuple[int, int]:
 def _ball_constraints(
     tree: FiniteTree,
     center: Dict[TreeNode, GenCombo],
-    beta: Optional[Dict[int, Dict[TreeNode, GaussianRational]]],
-    phi: Optional[TreeMap],
+    beta: Dict[int, Dict[TreeNode, GaussianRational]],
+    phi: TreeMap,
     n_index: int,
     k: int,
     pres: Presentation,
@@ -300,9 +295,9 @@ def _ball_constraints(
     (flag, slack, weight): it holds on the closed ball of radius r around
     center exactly when slack - weight * r > 0 (Lipschitz slack).
 
-    Norms are read at prec; coverage is skipped without witnesses beta,
-    restriction without a nonempty base map phi, whose values must be
-    computable vectors over pres.
+    Norms are read at prec; coverage reads the witness coefficients beta,
+    and restriction is skipped when the base map phi is empty.  phi's
+    values must be computable vectors over pres.
 
     With a build table (only the radius pick passes one), every pairwise
     gap read is recorded there, and a gap whose carried lower bound is
@@ -333,19 +328,16 @@ def _ball_constraints(
         for kid in kids:
             defect = defect - center[kid]
         yield "summativity", bound - pres.norm_enclosure(defect, prec).hi, 1 + len(kids)
-    if beta is not None:
-        for j in range(n_index):
-            resid = GenCombo.single(j)
-            spread = Fraction(0)
-            for node, z in beta.get(j, {}).items():
-                resid = resid - center[node].scale(z)
-                spread += _gauss_abs_upper(z)
-            yield "distance", bound - pres.norm_enclosure(resid, prec).hi, spread
-    if phi is not None and not phi.is_empty:
-        center_map = _center_map(tree, center, pres)
-        for node in phi.nodes():
-            diff = center_map.value(node) - phi.value(node)
-            yield "restriction", _width_target(k) - diff.norm_enclosure(prec).hi, 1
+    for j in range(n_index):
+        resid = GenCombo.single(j)
+        spread = Fraction(0)
+        for node, z in beta.get(j, {}).items():
+            resid = resid - center[node].scale(z)
+            spread += _gauss_abs_upper(z)
+        yield "distance", bound - pres.norm_enclosure(resid, prec).hi, spread
+    for node in phi.nodes():
+        diff = ComputableVector.constant(center[node], pres) - phi.value(node)
+        yield "restriction", _width_target(k) - diff.norm_enclosure(prec).hi, 1
 
 
 def _hom_root_upper(err_hi: Fraction, p: PExponent, prec: int) -> Fraction:
@@ -410,27 +402,32 @@ def _ledger_hom_upper(
     return bound
 
 
-def certify_ball(
-    ball: RationalBall,
-    phi: Optional[TreeMap],
-    n_index: int,
-    k: int,
-    pres: Presentation,
-    *,
-    beta: Optional[Dict[int, Dict[TreeNode, GaussianRational]]] = None,
-    precision: Optional[int] = None,
-) -> BallCertificate:
-    """Check each flag at one working precision: the certificate that
-    disintegrate and extend print.
+@dataclass(frozen=True)
+class BallCheck:
+    """An accepted ball with the arguments its printed certificate is
+    checked under; phi is the empty map when there is no base map."""
+
+    ball: RationalBall
+    phi: TreeMap
+    n_index: int
+    k: int
+    pres: Presentation
+    beta: Dict[int, Dict[TreeNode, GaussianRational]]
+    precision: int
+
+
+def certify_ball(check: BallCheck) -> BallCertificate:
+    """Check each flag of the ball at the check's working precision: the
+    certificate that disintegrate and extend print.
 
     A flag is granted when every inequality of its family holds across the
     ball: each (flag, slack, weight) from _ball_constraints must have
     slack - weight * r > 0 at the ball's radius r, and the family's least
     such value is its margin ("separation" for injective_nonzero).  The
-    summativity and coverage bounds are read at 2**-n_index; coverage
-    needs explicit witness coefficients.  The base map phi, when given,
-    holds computable vectors over pres.  hom_upper bounds the distance to
-    the strong homomorphisms through distance_bound on the center map.
+    summativity and coverage bounds (the latter through the witness
+    coefficients beta) are read at 2**-n_index.  Restriction holds outright
+    when the base map phi is empty.  hom_upper bounds the distance to the
+    strong homomorphisms through distance_bound on the center map.
     Absent flags are simply not granted; callers escalate by re-proposing,
     which keeps runs reproducible.  Margins are kept as exact fractions;
     only to_json formats them.
@@ -439,20 +436,19 @@ def certify_ball(
     inequality here (see _pick_radius_bits), so it runs only when a report
     renders an accepted ball.
     """
-    prec = precision or max(n_index + 6, k + 4, bits_for(ball.radius) + 6)
+    ball, phi, pres, prec = check.ball, check.phi, check.pres, check.precision
     r = ball.radius
     cert = BallCertificate(radius=r, precision=prec)
-    restricted = phi is not None and not phi.is_empty
 
     worst: Dict[str, Fraction] = {
-        "summativity": _width_target(n_index),
-        "distance": _width_target(n_index),
+        "summativity": _width_target(check.n_index),
+        "distance": _width_target(check.n_index),
     }
-    if restricted:
-        worst["restriction"] = _width_target(k)
+    if not phi.is_empty:
+        worst["restriction"] = _width_target(check.k)
     with pres.p.shared_powers():
         for flag, slack, weight in _ball_constraints(
-            ball.tree, ball.center, beta, phi, n_index, k, pres, prec
+            ball.tree, ball.center, check.beta, phi, check.n_index, check.k, pres, prec
         ):
             margin = slack - weight * r
             worst[flag] = min(worst.get(flag, margin), margin)
@@ -464,8 +460,8 @@ def certify_ball(
     if separation is not None:
         cert.margins["separation"] = separation
     cert.summativity = worst["summativity"] > 0
-    cert.distance = beta is not None and worst["distance"] > 0
-    cert.restriction = not restricted or worst["restriction"] > 0
+    cert.distance = worst["distance"] > 0
+    cert.restriction = phi.is_empty or worst["restriction"] > 0
     cert.margins.update(worst)
     cert.meets_hom = root_upper < r
     cert.margins["hom_gap"] = r - root_upper
@@ -703,56 +699,6 @@ REFINEMENT_CAP = 192
 REFINEMENT_STEP_BITS = 4
 
 
-@dataclass(frozen=True)
-class BallCheck:
-    """An accepted ball with the arguments its printed certificate is
-    checked under."""
-
-    ball: RationalBall
-    phi: Optional[TreeMap]
-    n_index: int
-    k: int
-    pres: Presentation
-    beta: Dict[int, Dict[TreeNode, GaussianRational]]
-    precision: int
-
-    def certify(self) -> BallCertificate:
-        """certify_ball on the ball: the certificate reports print."""
-        return certify_ball(
-            self.ball,
-            self.phi,
-            self.n_index,
-            self.k,
-            self.pres,
-            beta=self.beta,
-            precision=self.precision,
-        )
-
-
-@dataclass
-class ExtendResult:
-    psi: TreeMap
-    accepted: BallCheck
-    radius_bits: int       # maps within 2^-radius_bits of psi keep the properties
-    atom_support: Dict[TreeNode, int]
-
-    @property
-    def exact(self) -> bool:
-        return self.accepted.pres.exact_arithmetic
-
-    @cached_property
-    def certificate(self) -> BallCertificate:
-        return self.accepted.certify()
-
-    def to_json(self) -> dict:
-        return {
-            "tree": self.psi.tree.to_json(),
-            "certificate": self.certificate.to_json(),
-            "radius_bits": self.radius_bits,
-            "exact": self.exact,
-        }
-
-
 def _pick_radius_bits(
     proposal: Proposal,
     phi: TreeMap,
@@ -810,13 +756,13 @@ def approximate_extend(
     n_index: int,
     k: int,
     pres: Presentation,
-) -> ExtendResult:
+) -> StageRecord:
     """Extend a partial disintegration, approximately and certifiably.
 
-    Output contract: the result is a partial disintegration with success
-    index > n_index, and its restriction to phi's domain is within 2**-k
-    of phi.  The whole closed ball of radius 2**-radius_bits around the
-    result retains injectivity, nonvanishing, and the success clauses, so
+    Output contract: the record's phi_hat is a partial disintegration with
+    success index > n_index, and its restriction to phi's domain is within
+    2**-k of phi.  The whole closed ball of radius 2**-ball_bits around
+    phi_hat retains injectivity, nonvanishing, and the success clauses, so
     the stage builder can reuse the certificate for its ball conditions.
 
     This is the entry point for untrusted input: phi is validated first,
@@ -846,7 +792,7 @@ def _extend(
     table: _BuildTable,
     *,
     force_growth: bool = False,
-) -> ExtendResult:
+) -> StageRecord:
     """approximate_extend without validating phi: the caller vouches that
     phi is a partial disintegration.
 
@@ -862,9 +808,9 @@ def _extend(
     table's core, and over an exact presentation its proposal's values
     become what the next stage's proposal is validated against.  The hom
     test refuses to run past MAX_WORKING_PREC bits: its precision grows
-    with p, and so do the powers it takes exactly.  The accepted ball is
-    kept with its arguments, and the certificate a report prints is the
-    full certify_ball pass on it.
+    with p, and so do the powers it takes exactly.  The StageRecord
+    returned keeps the accepted ball's BallCheck, and the certificate a
+    report prints is certify_ball on it, the full pass.
     """
     if not pres.has_backdoor:
         raise NoBackdoorError(
@@ -885,36 +831,29 @@ def _extend(
         )
         # the hom-gap check takes a p-th root of the error functional's
         # interval slack, so the working precision scales with p
-        check = BallCheck(
-            ball,
-            None if phi.is_empty else phi,
-            n_index + 1,
-            k,
-            pres,
-            proposal.beta,
-            max(n_index + 8, k + 6, p_ceil * (radius_bits + 4) + 8),
-        )
-        if check.precision > MAX_WORKING_PREC:
+        precision = max(n_index + 8, k + 6, p_ceil * (radius_bits + 4) + 8)
+        if precision > MAX_WORKING_PREC:
             raise PrecisionExhaustedError(
                 f"the hom test's working precision passes MAX_WORKING_PREC = {MAX_WORKING_PREC} bits"
             )
-        hom_upper = _ledger_hom_upper(ball, pres, check.precision, table)
+        hom_upper = _ledger_hom_upper(ball, pres, precision, table)
         logger.info(
             "ball tree=%s radius=2^-%d hom_upper=%s precision=%d",
             ball.tree,
             radius_bits,
             format_fraction(hom_upper),
-            check.precision,
+            precision,
         )
         if hom_upper >= ball.radius / 4:
             continue
         table.settle(ball.tree.nonroot_nodes(), ball.center)
         table.validated = proposal.values if pres.exact_arithmetic else None
         if pres.exact_arithmetic:
-            psi = _center_map(ball.tree, ball.center, pres)
+            phi_hat = ball.center_map(pres)
         else:
-            psi = TreeMap(ball.tree, _refined_values(proposal, phi, pres, ball), phi.p)
-        return ExtendResult(psi, check, radius_bits + 1, dict(proposal.atom_support))
+            phi_hat = TreeMap(ball.tree, _refined_values(proposal, phi, pres, ball), phi.p)
+        check = BallCheck(ball, phi, n_index + 1, k, pres, proposal.beta, precision)
+        return StageRecord(phi_hat, radius_bits + 1, check, dict(proposal.atom_support))
     raise BudgetExhaustedError(
         f"no certifiable extension within {SEARCH_ROUNDS} rounds", budget=SEARCH_ROUNDS
     )
@@ -1001,7 +940,6 @@ def _refined_values(
 
 @dataclass
 class StageRecord:
-    index: int
     phi_hat: TreeMap
     ball_bits: int     # every map within 2^-ball_bits keeps this stage's properties
     accepted: Optional[BallCheck]  # None for stage 0, which no ball certifies
@@ -1055,19 +993,17 @@ class StagedDisintegration:
             "presentation": self.pres.descriptor(),
             "stages": [
                 {
-                    "index": rec.index,
+                    "index": index,
                     "tree": rec.phi_hat.tree.to_json(),
                     "ball_bits": rec.ball_bits,
                     "exact": self.pres.exact_arithmetic,
-                    "certificate": (
-                        rec.accepted.certify().to_json() if rec.accepted else None
-                    ),
+                    "certificate": certify_ball(rec.accepted).to_json() if rec.accepted else None,
                     "atoms": {
                         str(list(n.path)): m
                         for n, m in sorted(rec.atom_support.items())
                     },
                 }
-                for rec in self.stages
+                for index, rec in enumerate(self.stages)
             ],
         }
 
@@ -1160,9 +1096,9 @@ def build_disintegration(
     proposal's values: while a stage's cut snapshot equals them, the
     proposal projects nothing and validates only its new nodes.  Sigma
     terms are refreshed at doubled precision when the shrinking radius
-    outgrows them.  The certificates the report prints are the full
-    certify_ball pass, run on each stage's accepted ball when the report is
-    rendered.
+    outgrows them.  Each stage is the StageRecord _extend returns, its
+    ball_bits raised past the previous stage's; the report prints
+    certify_ball on each record's BallCheck, the full pass.
     """
     pres.p.side_of_two()  # raises PEqualsTwoError up front
 
@@ -1181,22 +1117,15 @@ def build_disintegration(
     gen_atom = pres.generator_atom(j0)
     if gen_atom is not None:
         atoms0[first] = gen_atom
-    stages = [StageRecord(0, phi0, k0, None, atoms0)]
+    stages = [StageRecord(phi0, k0, None, atoms0)]
 
     table = _BuildTable()
     for n in range(n_target):
         prev = stages[-1]
-        result = _extend(prev.phi_hat, n, prev.ball_bits + 1, pres, table, force_growth=True)
-        tree = result.psi.tree
+        rec = _extend(prev.phi_hat, n, prev.ball_bits + 1, pres, table, force_growth=True)
+        tree = rec.phi_hat.tree
         if not prev.phi_hat.tree.is_subtree_of(tree) or len(tree) <= len(prev.phi_hat.tree):
             raise BudgetExhaustedError("the extension did not grow the tree")
-        stages.append(
-            StageRecord(
-                n + 1,
-                result.psi,
-                max(result.radius_bits, prev.ball_bits + 1),
-                result.accepted,
-                result.atom_support,
-            )
-        )
+        rec.ball_bits = max(rec.ball_bits, prev.ball_bits + 1)
+        stages.append(rec)
     return StagedDisintegration(pres, stages)

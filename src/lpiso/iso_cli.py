@@ -47,6 +47,7 @@ from .errors import (
 from .extension_engine import (
     approximate_extend,
     build_disintegration,
+    certify_ball,
     empty_map,
 )
 from .lp_vectors import FinSuppVector, atom_witness, norm_p, norm_per_precision, sigma1_from_norms
@@ -596,10 +597,15 @@ def _cmd_project_hom(args) -> dict:
 def _cmd_extend(args) -> dict:
     pres = _pres_from_args(args)
     phi = _parse("--phi", _tree_map_arg, args.phi, pres.p) if args.phi else empty_map(pres)
-    result = approximate_extend(phi, args.n, args.k, pres)
+    rec = approximate_extend(phi, args.n, args.k, pres)
     return {
         "inputs": {"n": args.n, "k": args.k, "pres": pres.descriptor()},
-        "result": result.to_json(),
+        "result": {
+            "tree": rec.phi_hat.tree.to_json(),
+            "certificate": certify_ball(rec.accepted).to_json(),
+            "radius_bits": rec.ball_bits,
+            "exact": pres.exact_arithmetic,
+        },
     }
 
 
@@ -840,10 +846,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # the subcommand is recorded before its own options are parsed, so an
     # argument error names it; it stays None when argv names none
     args = argparse.Namespace(command=None)
+    # --verbose sends the library's INFO lines to stderr for this run only,
+    # whatever logging the caller has configured
+    log = logging.getLogger("lpiso")
+    handlers, level, propagate = log.handlers, log.level, log.propagate
     try:
         parser.parse_args(argv, args)
         if args.verbose:
-            logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
+            handler = logging.StreamHandler(sys.stderr)
+            handler.setFormatter(logging.Formatter("%(message)s"))
+            log.handlers = [*handlers, handler]
+            log.setLevel(logging.INFO)
+            log.propagate = False
         _check_counts(args)
         report = args.fn(args)
     except ProvisionalError as exc:
@@ -856,6 +870,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "error": {"type": type(exc).__name__, "message": str(exc)},
             }
         )
+    finally:
+        log.handlers, log.propagate = handlers, propagate
+        log.setLevel(level)
     command = f"adversarial-{args.what}" if args.command == "adversarial" else args.command
     return _emit({"command": command, "status": "ok", **report})
 

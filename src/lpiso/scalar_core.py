@@ -4,15 +4,19 @@ Ground rules that the rest of the package relies on:
 
   * scalars are Gaussian rationals (exact rational real/imaginary parts);
   * every analytic quantity is returned as a DyadicInterval that provably
-    contains it, never as a float;
+    contains it, never as a float.  Known exception: mpmath 1.3.0's mpf_exp
+    can round an exact approximation "up" to a value below exp(x), so the
+    top of an enclosure through mpi_exp (a power of a base very near 1) can
+    fall one ulp short (tests/test_integer_audit.py, TestMpmathDirectedRounding);
   * precision requests are integers k meaning "width at most 2**-k";
   * refinement is monotone: asking for a larger k yields a sub-interval.
 
 Transcendental enclosures (exp, log, cos, pi) call mpmath.libmp.libmpi's
 interval functions on (lo, hi) tuples of binary floats at an explicit
-precision, and set no mpmath global precision; the endpoints, dyadic
-rationals, come back as exact Fractions, so no precision is lost in
-transit.  Rational fast paths bypass mpmath entirely.
+precision, and set no mpmath global precision; _interval_from_mpi, the one
+place that trusts mpmath, turns the dyadic endpoints into exact Fractions,
+so no precision is lost in transit.  Rational fast paths bypass mpmath
+entirely.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ from lpiso.chain_partition import (
     dyadic_fixture,
     partition_chains,
 )
-from lpiso.extension_engine import approximate_extend
+from lpiso.extension_engine import approximate_extend, certify_ball
 from lpiso.iso_cli import (
     main as cli_main,
     recover_p,
@@ -230,20 +230,20 @@ class TestCriterion5ApproximateExtension:
         # gamma = 5/8, so (1 - gamma)^(1/p) = 3/8 and N = 2 has 2^-N < 3/8
         n_index = 2
         result = approximate_extend(phi, n_index, 4, pres)
-        cert = result.certificate
+        cert = certify_ball(result.accepted)
         assert cert.all_granted()
-        si = success_index(result.psi, pres, n_index)
+        si = success_index(result.phi_hat, pres, n_index)
         assert si.value >= n_index
         # independent re-validation of the output through the tree layer
-        snapshot = result.psi.transparent_snapshot(12)
+        snapshot = result.phi_hat.transparent_snapshot(12)
         from lpiso.tree_maps import validate_partial_disintegration
         assert validate_partial_disintegration(snapshot).is_yes
-        diff = result.psi.value(node) - phi.value(node)
+        diff = result.phi_hat.value(node) - phi.value(node)
         assert diff.norm_enclosure(8).hi < Fraction(1, 16)
         atom = FinSuppVector.basis(0, GaussianRational.of(Fraction(3, 8)))
         hits = 0
-        for n in result.psi.nodes():
-            vec = result.psi.value(n).transparent(8)
+        for n in result.phi_hat.nodes():
+            vec = result.phi_hat.value(n).transparent(8)
             if norm_p(vec - atom, P1, 8).hi < Fraction(1, 16):
                 hits += 1
         assert hits == 1
@@ -374,10 +374,14 @@ class TestCriterion10Determinism:
             P1,
         )
         result = approximate_extend(phi, 2, 4, pres)
-        payload = result.to_json()
+        payload = {
+            "tree": result.phi_hat.tree.to_json(),
+            "certificate": certify_ball(result.accepted).to_json(),
+            "ball_bits": result.ball_bits,
+        }
         payload["values"] = {
-            str(list(n.path)): result.psi.value(n).approx(8).to_json()
-            for n in result.psi.nodes()
+            str(list(n.path)): result.phi_hat.value(n).approx(8).to_json()
+            for n in result.phi_hat.nodes()
         }
         return json.dumps(payload, sort_keys=True)
 
@@ -506,6 +510,23 @@ class TestCriterion10Determinism:
             ),
             (
                 [
+                    "extend", "--pres",
+                    '{"type":"adversarial","p":"3/2","ce":{"kind":"explicit","elements":[2,5]}}',
+                    "--n", "2", "--k", "4",
+                ],
+                "01e007db0744575440942fb42efeda080a79628a7604735fb21c479161dce143",
+            ),
+            (
+                [
+                    "extend", "--pres", '{"type":"standard","p":"3/2"}',
+                    "--phi",
+                    '{"tree": [[0]], "map": {"[0]": {"entries": {"0": "1", "1": "1/2"}}}}',
+                    "--n", "2", "--k", "5",
+                ],
+                "819604bab800b4c0919b3812a118dee2eff51ce664036506184f69d9ffe4e06a",
+            ),
+            (
+                [
                     "apply", "--pres", '{"type":"rotated","p":"3/2","zeta":"3/5+4/5i"}',
                     "--units", "3", "--vector", '{"entries":{"0":"1","2":"-1/2+i"}}',
                     "--k", "8",
@@ -552,7 +573,8 @@ class TestCriterion10Determinism:
         ],
         ids=[
             "sigma", "lamperti-check", "lamperti-grid", "validate-tree",
-            "project-hom", "extend", "apply", "recover-p",
+            "project-hom", "extend", "extend-adversarial-p3/2", "extend-phi-p3/2",
+            "apply", "recover-p",
             "adversarial-e0", "adversarial-scale", "adversarial-identity",
             "chains-adversarial", "chains-standard",
         ],

@@ -39,6 +39,7 @@ from lpiso.tree_maps import (
 )
 from lpiso import extension_engine, tree_maps
 from lpiso.extension_engine import (
+    BallCheck,
     Proposal,
     ProposalStructure,
     RationalBall,
@@ -71,6 +72,14 @@ def atom_ball(pres, count, radius):
 
 def identity_beta(count):
     return {j: {TreeNode.of(j): GaussianRational.one()} for j in range(count)}
+
+
+def certify(ball, phi, n_index, k, pres, beta, precision=None):
+    """certify_ball on a BallCheck of these arguments.  The precision
+    defaults to max(n_index + 6, k + 4, bits_for(radius) + 6)."""
+    if precision is None:
+        precision = max(n_index + 6, k + 4, bits_for(ball.radius) + 6)
+    return certify_ball(BallCheck(ball, phi, n_index, k, pres, beta, precision))
 
 
 def two_node_proposal(second):
@@ -138,7 +147,7 @@ class TestCertifyBall:
     def test_atoms_all_flags(self):
         pres = StandardPresentation(P1)
         ball = atom_ball(pres, 4, Fraction(1, 64))
-        cert = certify_ball(ball, None, 2, 6, pres, beta=identity_beta(4))
+        cert = certify(ball, empty_map(pres), 2, 6, pres, identity_beta(4))
         assert cert.all_granted(need_restriction=False)
         assert cert.restriction  # no base map: trivially granted
 
@@ -148,13 +157,13 @@ class TestCertifyBall:
         tree = FiniteTree(nodes)
         center = {n: GenCombo.single(0) for n in nodes}
         ball = RationalBall(tree, center, Fraction(1, 64))
-        cert = certify_ball(ball, None, 1, 6, pres, beta=identity_beta(1))
+        cert = certify(ball, empty_map(pres), 1, 6, pres, identity_beta(1))
         assert not cert.injective_nonzero
 
     def test_huge_radius_withholds_injectivity(self):
         pres = StandardPresentation(P1)
         ball = atom_ball(pres, 3, Fraction(2, 1))
-        cert = certify_ball(ball, None, 1, 4, pres, beta=identity_beta(3))
+        cert = certify(ball, empty_map(pres), 1, 4, pres, identity_beta(3))
         assert not cert.injective_nonzero
 
 
@@ -179,15 +188,7 @@ class TestBallConstraints:
         proposal = build_guided_proposal(phi, n, k, pres, 0, force_growth=True)
         bits = _pick_radius_bits(proposal, phi, n, k, pres)
         ball = RationalBall(proposal.structure.tree, proposal.center, Fraction(1, 2**bits))
-        cert = certify_ball(
-            ball,
-            phi,
-            n + 1,
-            k,
-            pres,
-            beta=proposal.beta,
-            precision=proposal.snapshot_prec,
-        )
+        cert = certify(ball, phi, n + 1, k, pres, proposal.beta, proposal.snapshot_prec)
         assert cert.injective_nonzero
         assert cert.summativity
         assert cert.distance
@@ -212,7 +213,7 @@ class TestBallConstraints:
         )
         huge = atom_ball(pres, 3, Fraction(2, 1))
         for ball, n_index, k, count in ((duplicate, 1, 6, 1), (huge, 1, 4, 3)):
-            cert = certify_ball(ball, None, n_index, k, pres, beta=identity_beta(count))
+            cert = certify(ball, empty_map(pres), n_index, k, pres, identity_beta(count))
             assert not cert.injective_nonzero
             expected = self.separation_minimum(pres, ball, cert.precision)
             assert Fraction(cert.margins["separation"]) == expected
@@ -223,7 +224,7 @@ class TestBallConstraints:
     def test_granted_certificate_json(self):
         pres = StandardPresentation(P1)
         ball = atom_ball(pres, 4, Fraction(1, 64))
-        cert = certify_ball(ball, None, 2, 6, pres, beta=identity_beta(4))
+        cert = certify(ball, empty_map(pres), 2, 6, pres, identity_beta(4))
         assert cert.to_json() == {
             "radius": "1/64",
             "precision": 12,
@@ -255,10 +256,10 @@ class TestApproximateExtend:
     def test_from_empty_standard(self):
         pres = StandardPresentation(P1)
         res = approximate_extend(empty_map(pres), 1, 4, pres)
-        norms = [res.psi.value(n).norm_enclosure(6) for n in res.psi.nodes()]
+        norms = [res.phi_hat.value(n).norm_enclosure(6) for n in res.phi_hat.nodes()]
         assert all(box.lo > 1 - Fraction(1, 16) and box.hi < 1 + Fraction(1, 16) for box in norms)
-        assert success_index(res.psi, pres, 2).value >= 2
-        assert res.certificate.all_granted(need_restriction=False)
+        assert success_index(res.phi_hat, pres, 2).value >= 2
+        assert certify_ball(res.accepted).all_granted(need_restriction=False)
 
     def test_criterion_five_shape(self):
         # geometric seed over the adversarial presentation of {1, 3} at p = 1
@@ -279,15 +280,15 @@ class TestApproximateExtend:
             P1,
         )
         res = approximate_extend(phi, 2, 4, pres)
-        assert success_index(res.psi, pres, 2).value >= 2
+        assert success_index(res.phi_hat, pres, 2).value >= 2
         # restriction stays within 2^-4 of the seed
-        diff = res.psi.value(node) - phi.value(node)
+        diff = res.phi_hat.value(node) - phi.value(node)
         assert diff.norm_enclosure(8).hi < Fraction(1, 16)
         # one node is transparently the hidden atom (1 - gamma) e_0 = (3/8) e_0
         atom = FinSuppVector.basis(0, GaussianRational.of(Fraction(3, 8)))
         found = False
-        for n in res.psi.nodes():
-            vec = res.psi.value(n).transparent(8)
+        for n in res.phi_hat.nodes():
+            vec = res.phi_hat.value(n).transparent(8)
             if norm_p(vec - atom, P1, 8).hi < Fraction(1, 16):
                 found = True
         assert found
@@ -296,10 +297,10 @@ class TestApproximateExtend:
         pres = StandardPresentation(P1)
         a = approximate_extend(empty_map(pres), 1, 4, pres)
         b = approximate_extend(empty_map(StandardPresentation(P1)), 1, 4, StandardPresentation(P1))
-        assert a.psi.tree.to_json() == b.psi.tree.to_json()
-        assert a.certificate.to_json() == b.certificate.to_json()
-        for n in a.psi.nodes():
-            assert a.psi.value(n).approx(8).entries == b.psi.value(n).approx(8).entries
+        assert a.phi_hat.tree.to_json() == b.phi_hat.tree.to_json()
+        assert certify_ball(a.accepted).to_json() == certify_ball(b.accepted).to_json()
+        for n in a.phi_hat.nodes():
+            assert a.phi_hat.value(n).approx(8).entries == b.phi_hat.value(n).approx(8).entries
 
 
 class TestBuildDisintegration:
@@ -636,11 +637,8 @@ class TestPairLedger:
             bound = hom_upper(ball, pres, prec, table)
             proposal, phi, n_index, k = picked[-1]
             assert ball.center is proposal.center
-            base = None if phi.is_empty else phi
-            full = certify_ball(
-                ball, base, n_index + 1, k, pres, beta=proposal.beta, precision=prec
-            )
-            granted = full.all_granted(need_restriction=base is not None)
+            full = certify(ball, phi, n_index + 1, k, pres, proposal.beta, prec)
+            granted = full.all_granted(need_restriction=not phi.is_empty)
             full_accepts = granted and full.margins["hom_upper"] < ball.radius / 4
             decisions.append((bound < ball.radius / 4, full_accepts))
             return bound
@@ -730,10 +728,7 @@ class TestPairLedger:
         staged = build_disintegration(pres, 5)
         assert printed[0]["certificate"] is None
         for rec, stage in zip(staged.stages[1:], printed[1:]):
-            acc = rec.accepted
-            rerun = certify_ball(
-                acc.ball, acc.phi, acc.n_index, acc.k, pres, beta=acc.beta, precision=acc.precision
-            ).to_json()
+            rerun = certify_ball(rec.accepted).to_json()
             assert all(rerun["flags"].values())
             assert stage["certificate"] == rerun
 
@@ -748,9 +743,7 @@ class TestCertificateSoundness:
         pres = StandardPresentation(P1)
         ball = atom_ball(pres, 3, Fraction(1, 64))
         n_index = 2
-        cert = certify_ball(
-            ball, None, n_index, 6, pres, beta=identity_beta(3)
-        )
+        cert = certify(ball, empty_map(pres), n_index, 6, pres, identity_beta(3))
         assert cert.injective_nonzero and cert.summativity and cert.distance
         bound = Fraction(1, 2**n_index)
         for _ in range(25):
@@ -846,8 +839,8 @@ class TestStagesStayValid:
     def test_no_stage_refuted(self, make_pres):
         staged = build_disintegration(make_pres(), 4)
         assert staged.stage_count() == 5
-        for rec in staged.stages:
-            assert not validate_partial_disintegration(rec.phi_hat).is_no, rec.index
+        for index, rec in enumerate(staged.stages):
+            assert not validate_partial_disintegration(rec.phi_hat).is_no, index
 
 
 class TestBackdoorReads:
@@ -896,7 +889,7 @@ class TestBackdoorReads:
     def test_one_structure_pass_per_refinement_step(self, monkeypatch):
         pres = AdversarialPresentation(CeSet.explicit([1]), P32)
         res = approximate_extend(empty_map(pres), 1, 4, pres)
-        assert not res.exact
+        assert not pres.exact_arithmetic
         counts = {"snapshot": 0, "projection": 0, "structure": 0}
         snapshot = TreeMap.transparent_snapshot
         project = extension_engine.project_to_strong_hom
@@ -916,7 +909,7 @@ class TestBackdoorReads:
         monkeypatch.setattr(
             extension_engine, "_values_on_structure", counting("structure", structure)
         )
-        res.psi.value(res.psi.nodes()[0]).approx(24)
+        res.phi_hat.value(res.phi_hat.nodes()[0]).approx(24)
         assert counts["structure"] >= 1
         assert counts["snapshot"] == counts["projection"] == counts["structure"]
 
@@ -1062,11 +1055,11 @@ class TestInexactRefinement:
     def test_staged_build_and_success(self):
         pres = AdversarialPresentation(CeSet.explicit([1]), P32)
         res = approximate_extend(empty_map(pres), 1, 4, pres)
-        assert not res.exact
-        assert success_index(res.psi, pres, 2).value >= 2
+        assert not pres.exact_arithmetic
+        assert success_index(res.phi_hat, pres, 2).value >= 2
         # deep approximations stay mutually consistent (Cauchy with modulus)
-        node = res.psi.nodes()[0]
-        c8, c16 = res.psi.value(node).approx(8), res.psi.value(node).approx(16)
+        node = res.phi_hat.nodes()[0]
+        c8, c16 = res.phi_hat.value(node).approx(8), res.phi_hat.value(node).approx(16)
         assert pres.norm_enclosure(c8 - c16, 12).hi < Fraction(1, 2**7)
 
     def test_hidden_atom_norm_at_p32(self):
@@ -1235,7 +1228,7 @@ class TestSearchConstants:
 
         monkeypatch.setattr(extension_engine, "build_guided_proposal", recording_build)
         res = approximate_extend(empty_map(pres), 1, 4, pres)
-        assert not res.exact  # the values are refinement limits
+        assert not pres.exact_arithmetic  # the values are refinement limits
         snapshot_prec = proposals[-1].snapshot_prec  # the last round won
 
         # every refinement step now lands a whole unit away from the last
@@ -1250,11 +1243,11 @@ class TestSearchConstants:
         monkeypatch.setattr(extension_engine, "_values_on_structure", drifting)
         reads = []
         _record_step_gap_reads(monkeypatch, pres, lambda *read: reads.append(read))
-        node = res.psi.nodes()[0]
+        node = res.phi_hat.nodes()[0]
         with pytest.raises(
             PrecisionExhaustedError, match="^refinement cap hit before the target precision$"
         ):
-            res.psi.value(node).approx(64)
+            res.phi_hat.value(node).approx(64)
         cap = extension_engine.REFINEMENT_CAP
         assert cap == 192
         assert precs == sorted(set(precs)) and precs[0] > snapshot_prec

@@ -6,12 +6,16 @@ assumptions.  For rational p = a/b and x >= 0, x**p lies in [lo, hi]
 Fraction raised to a positive integer, so each claim is decided exactly.
 """
 
+import contextlib
+import io
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lpiso.iso_cli import main as cli_main
 from lpiso.lp_vectors import FinSuppVector, norm_p
 from lpiso.presentations import GenCombo, StandardPresentation
 from lpiso.scalar_core import (
@@ -124,3 +128,38 @@ class TestSingleCoordinateNorms:
         box = norm_p(FinSuppVector({j: z}), PExponent.from_fraction(p), k)
         assert root_between(box.lo, z.abs_sq(), box.hi, 1, 2)
         assert box.fits(k)
+
+
+MPMATH_EXP_ROUNDING = (
+    "mpmath 1.3.0's mpf_exp rounds a fixed-point approximation in the requested "
+    "direction, so an exactly representable approximation comes back as a "
+    "'ceiling' below exp(x); mpi_exp takes it as its top endpoint and "
+    "scalar_core._interval_from_mpi trusts it"
+)
+
+
+class TestMpmathDirectedRounding:
+    """Known fault: enclosures taken through mpmath's exp can miss the true
+    value by one ulp at the top when the base is within about 2^-75 of 1.
+    These fail today and are marked so; a fix makes them pass, and then
+    the markers go."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=MPMATH_EXP_ROUNDING)
+    def test_pow_enclosure_near_one_contains_the_power(self):
+        # x**(3/2) lies in [lo, hi] exactly when lo**2 <= x**3 <= hi**2
+        x = 1 + Fraction(3, 2**77)
+        box = pow_enclosure(DyadicInterval.point(x), PExponent.from_fraction(Fraction(3, 2)), 74)
+        assert root_between(box.lo, x, box.hi, 3, 2)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=MPMATH_EXP_ROUNDING)
+    def test_printed_lamperti_min_power_contains_the_modulus_power(self):
+        # |z|**3 = (|z|**2)**(3/2), |z|**2 = 1 + 2**-18
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli_main(
+                ["lamperti-check", "--p", "3", "--z", "1+1/512i", "--w", "2", "--k", "20"]
+            )
+        assert code == 0
+        box = json.loads(out.getvalue())["result"]["min_power"]
+        lo, hi = Fraction(box["lo"]), Fraction(box["hi"])
+        assert root_between(lo, 1 + Fraction(1, 2**18), hi, 3, 2)

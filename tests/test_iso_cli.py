@@ -950,9 +950,8 @@ class TestExtendBaseMap:
 class TestVerbose:
     """--verbose traces each tried ball on stderr and leaves stdout alone.
 
-    logging.basicConfig does nothing once the test runner has installed its
-    own logging handlers: the first test runs subprocesses, the second
-    clears the root logger's handlers for its in-process run."""
+    The first test runs subprocesses; the second runs in-process under the
+    test runner's own logging handlers, which --verbose must not need."""
 
     ARGV = ["disintegrate", "--pres", _STANDARD_P1, "--stages", "3"]
     SHAPE = re.compile(r"ball tree=\{.*\} radius=2\^-\d+ hom_upper=\d+(/\d+)? precision=\d+")
@@ -998,18 +997,12 @@ class TestVerbose:
         assert main(argv) == 0
         quiet = capsys.readouterr()
         tried = self.count_tried_balls(monkeypatch)
-        root = logging.getLogger()
-        level = root.level
-        monkeypatch.setattr(root, "handlers", [])
-        try:
-            assert main(["--verbose", *argv]) == 0
-            installed = list(root.handlers)
-        finally:
-            for handler in list(root.handlers):
-                root.removeHandler(handler)
-            root.setLevel(level)
+        log = logging.getLogger("lpiso")
+        before = (list(log.handlers), log.level, log.propagate)
+        assert main(["--verbose", *argv]) == 0
         verbose = capsys.readouterr()
-        assert len(installed) == 1 and not root.handlers
+        # the run's handler, level and propagation are all put back
+        assert (list(log.handlers), log.level, log.propagate) == before
         assert quiet.err == ""
         assert verbose.out == quiet.out
         lines = verbose.err.splitlines()

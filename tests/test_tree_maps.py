@@ -247,7 +247,7 @@ class TestExtendExistence:
 
     @staticmethod
     def extend(phi, n_index, pres):
-        psi = approximate_extend(phi, n_index, 4, pres).psi
+        psi = approximate_extend(phi, n_index, 4, pres).phi_hat
         return psi, psi.transparent_snapshot(20)
 
     def test_from_empty(self):
@@ -648,7 +648,7 @@ class TestSuccessIndexEvidence:
     )
     def test_distance_uppers_witness_the_value(self, pres):
         phi = TreeMap(FiniteTree.trivial(), {}, P1)
-        psi = approximate_extend(phi, 2, 4, pres).psi
+        psi = approximate_extend(phi, 2, 4, pres).phi_hat
         result = success_index(psi, pres, 3)
         assert result.value >= 3
         for j in range(result.value):
