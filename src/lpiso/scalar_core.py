@@ -4,12 +4,10 @@ Ground rules that the rest of the package relies on:
 
   * scalars are Gaussian rationals (exact rational real/imaginary parts);
   * every analytic quantity is returned as a DyadicInterval that provably
-    contains it, never as a float.  mpmath 1.3.0's directed rounding is
-    not rigorous (mpf_exp can round an exact approximation "up" to a value
-    below exp(x)); a power with a rational exponent has its endpoints
-    checked exactly and moved outward where they miss
-    (_settle_rational_power).  Known exception: a power with an irrational
-    exponent, log2 and cos still trust mpmath's endpoints;
+    contains it, never as a float.  Known exception: mpmath 1.3.0's mpf_exp
+    can round an exact approximation "up" to a value below exp(x), so the
+    top of an enclosure through mpi_exp (a power of a base very near 1) can
+    fall one ulp short (tests/test_integer_audit.py, TestMpmathDirectedRounding);
   * precision requests are integers k meaning "width at most 2**-k";
   * refinement is monotone: asking for a larger k yields a sub-interval.
 
@@ -48,11 +46,6 @@ GUARD_BITS = 24
 #: into a Fraction, may reach: a larger one (such as 2**(10**2466) at
 #: p = 1e2466) is refused with PrecisionExhaustedError before it is built
 MAX_EXACT_POWER_BITS = 1 << 20
-
-#: largest bit length of base**c plus an endpoint's d-th power at which
-#: an mpmath power base**(c/d) has its endpoints checked exactly (see
-#: _settle_rational_power)
-EXACT_CHECK_BITS = 1 << 18
 
 T = TypeVar("T")
 
@@ -724,56 +717,13 @@ def _fraction_power_exact(base: Fraction, e: Fraction) -> Optional[Fraction]:
 
 def _pow_positive_fraction(base: Fraction, p: PExponent, num: Fraction, over_p: bool, prec: int) -> DyadicInterval:
     """Enclosure of base**e at mpmath precision prec, base > 0, e = num*p or num/p."""
-    e = None
     if p.exact is not None:
-        e = num / p.exact if over_p else num * p.exact
-        exact = _fraction_power_exact(base, e)
+        exact = _fraction_power_exact(base, num / p.exact if over_p else num * p.exact)
         if exact is not None:
             return DyadicInterval.point(exact)
     log_b = mpi_log(_mpi_from_fraction(base, prec), prec)
-    e_mpi = _exponent_mpi(p, num, over_p, prec)
-    box = _interval_from_mpi(mpi_exp(mpi_mul(e_mpi, log_b, prec), prec))
-    return box if e is None else _settle_rational_power(box, base, e, prec)
-
-
-def _ulp(q: Fraction, prec: int) -> Fraction:
-    """One unit in the last place of a dyadic q > 0 held to prec bits."""
-    shift = q.numerator.bit_length() - q.denominator.bit_length() - prec + 1
-    return Fraction(1 << shift) if shift >= 0 else Fraction(1, 1 << -shift)
-
-
-def _settle_rational_power(box: DyadicInterval, base: Fraction, e: Fraction, prec: int) -> DyadicInterval:
-    """box, a dyadic mpmath enclosure of base**e at prec bits, e = c/d > 0, with
-    each endpoint the exact test lo**d <= base**c <= hi**d refutes moved
-    outward one ulp at a time until the test holds.
-
-    mpmath 1.3.0's mpf_exp rounds a fixed-point approximation in the asked
-    direction, so when that approximation is exact at prec bits its
-    "ceiling" can lie below exp(x) (and its "floor" above): an endpoint of
-    a power of a base very near 1 can miss by one ulp.  Endpoints the test
-    accepts are kept as mpmath gave them.  Past EXACT_CHECK_BITS the test
-    is not run and box is returned unchecked.
-    """
-    c, d = e.numerator, e.denominator
-    bn, bd = base.numerator, base.denominator
-    lo, hi = box.lo, box.hi
-    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-    # every endpoint numerator and denominator is below hn * ld
-    if c * max(bn, bd).bit_length() + d * (hn.bit_length() + ld.bit_length()) > EXACT_CHECK_BITS:
-        return box
-    # base**c = xn/xd against q**d for a dyadic q = qn / 2**s, on integers only
-    xn, xd = (bn, bd) if c == 1 else (bn**c, bd**c)
-    lo_ok = ln**d * xd <= xn << d * (ld.bit_length() - 1)
-    hi_ok = hn**d * xd >= xn << d * (hd.bit_length() - 1)
-    if lo_ok and hi_ok:
-        return box
-    while not lo_ok:
-        lo -= _ulp(lo, prec)
-        lo_ok = lo.numerator**d * xd <= xn << d * (lo.denominator.bit_length() - 1)
-    while not hi_ok:
-        hi += _ulp(hi, prec)
-        hi_ok = hi.numerator**d * xd >= xn << d * (hi.denominator.bit_length() - 1)
-    return _trusted(lo, hi)
+    e = _exponent_mpi(p, num, over_p, prec)
+    return _interval_from_mpi(mpi_exp(mpi_mul(e, log_b, prec), prec))
 
 
 def pow_enclosure(

@@ -440,7 +440,7 @@ class TestCriterion10Determinism:
                     "--pres",
                     '{"type":"adversarial","p":"3/2","ce":{"kind":"explicit","elements":[1,3]}}',
                 ],
-                "f537a5f6c0915f8d5fa8210e3c1229ec06c15e210a44f4bcf4599e0d4895905b",
+                "49b037511f8df506a1be1fc5fe57ae7df1afa46cbdda6c077f4e3f82a02651de",
             ),
             (
                 [
@@ -514,7 +514,7 @@ class TestCriterion10Determinism:
                     '{"type":"adversarial","p":"3/2","ce":{"kind":"explicit","elements":[2,5]}}',
                     "--n", "2", "--k", "4",
                 ],
-                "1fe5444db27c8e359efe1f5e9b8cfe805d9076ac79a493f0fb59800eb940c71e",
+                "01e007db0744575440942fb42efeda080a79628a7604735fb21c479161dce143",
             ),
             (
                 [
@@ -523,7 +523,7 @@ class TestCriterion10Determinism:
                     '{"tree": [[0]], "map": {"[0]": {"entries": {"0": "1", "1": "1/2"}}}}',
                     "--n", "2", "--k", "5",
                 ],
-                "179286aa3384c6d7fbac254f28066941d637322112215889073125047aeac598",
+                "819604bab800b4c0919b3812a118dee2eff51ce664036506184f69d9ffe4e06a",
             ),
             (
                 [

@@ -22,7 +22,6 @@ from lpiso.scalar_core import (
     DyadicInterval,
     GaussianRational,
     PExponent,
-    _settle_rational_power,
     _width_target,
     abs_pow,
     pow_enclosure,
@@ -131,19 +130,28 @@ class TestSingleCoordinateNorms:
         assert box.fits(k)
 
 
-class TestMpmathDirectedRounding:
-    """mpmath 1.3.0's mpf_exp rounds a fixed-point approximation in the
-    requested direction, so an approximation exact at the working precision
-    comes back as a "ceiling" below exp(x): with a base within about 2^-75
-    of 1, mpmath's top of a power falls one ulp short.  The exact endpoint
-    check behind pow_enclosure must catch both cases below."""
+MPMATH_EXP_ROUNDING = (
+    "mpmath 1.3.0's mpf_exp rounds a fixed-point approximation in the requested "
+    "direction, so an exactly representable approximation comes back as a "
+    "'ceiling' below exp(x); mpi_exp takes it as its top endpoint and "
+    "scalar_core._interval_from_mpi trusts it"
+)
 
+
+class TestMpmathDirectedRounding:
+    """Known fault: enclosures taken through mpmath's exp can miss the true
+    value by one ulp at the top when the base is within about 2^-75 of 1.
+    These fail today and are marked so; a fix makes them pass, and then
+    the markers go."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=MPMATH_EXP_ROUNDING)
     def test_pow_enclosure_near_one_contains_the_power(self):
         # x**(3/2) lies in [lo, hi] exactly when lo**2 <= x**3 <= hi**2
         x = 1 + Fraction(3, 2**77)
         box = pow_enclosure(DyadicInterval.point(x), PExponent.from_fraction(Fraction(3, 2)), 74)
         assert root_between(box.lo, x, box.hi, 3, 2)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=MPMATH_EXP_ROUNDING)
     def test_printed_lamperti_min_power_contains_the_modulus_power(self):
         # |z|**3 = (|z|**2)**(3/2), |z|**2 = 1 + 2**-18
         out = io.StringIO()
@@ -155,25 +163,3 @@ class TestMpmathDirectedRounding:
         box = json.loads(out.getvalue())["result"]["min_power"]
         lo, hi = Fraction(box["lo"]), Fraction(box["hi"])
         assert root_between(lo, 1 + Fraction(1, 2**18), hi, 3, 2)
-
-
-class TestSettleRationalPower:
-    """Each wrong endpoint moves outward by one ulp at prec; right ones stay."""
-
-    def test_low_top_moves_up(self):
-        # (1 + 2**-70)**(3/2) > 1, so a top of 1 is refuted
-        one = DyadicInterval.point(Fraction(1))
-        box = _settle_rational_power(one, 1 + Fraction(1, 2**70), Fraction(3, 2), 64)
-        assert (box.lo, box.hi) == (1, 1 + Fraction(1, 2**63))
-
-    def test_high_bottom_moves_down(self):
-        # (1 - 2**-70)**(5/4) < 1, so a bottom of 1 is refuted
-        one = DyadicInterval.point(Fraction(1))
-        box = _settle_rational_power(one, 1 - Fraction(1, 2**70), Fraction(5, 4), 64)
-        assert (box.lo, box.hi) == (1 - Fraction(1, 2**63), 1)
-
-    def test_right_endpoints_are_kept(self):
-        # (8/27)**(1/3) = 2/3 lies strictly between 0.101010...(2) at 64 bits and 2/3 + 2**-64
-        lo = Fraction(2 * (2**64 - 1) // 3, 2**64)
-        box = DyadicInterval(lo, lo + Fraction(2, 2**64))
-        assert _settle_rational_power(box, Fraction(8, 27), Fraction(1, 3), 64) is box
