@@ -309,7 +309,7 @@ class ChainPartition:
 def partition_chains(
     source: ChainSource,
     *,
-    stage_budget: int = 64,
+    stage_budget: int,
 ) -> ChainPartition:
     """Deterministic chain decomposition of the stage-`stage_budget` tree.
 

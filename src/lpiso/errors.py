@@ -26,7 +26,8 @@ class EnumerationStalledError(LpisoError):
 
 
 class NoBackdoorError(LpisoError):
-    """Transparent evaluation was requested from a presentation without one."""
+    """A backdoor read needs what the presentation cannot give: either it has
+    no backdoor, or its enumerated set has no membership oracle."""
 
 
 class HypothesisViolatedError(LpisoError):

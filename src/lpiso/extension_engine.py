@@ -18,8 +18,8 @@ certifies one guided proposal derived from a transparent snapshot
 (truncate, project to an exact homomorphism, split carried coordinates
 into atom children, park each generator's uncovered remainder in a fresh
 top-level node), and a failed round retries with a finer snapshot.  Over
-a presentation without a backdoor the search raises NoBackdoorError up
-front; a proposer that uses the norm oracle alone is not implemented.
+a presentation without a backdoor the search raises NoBackdoorError at its
+first backdoor read, before any oracle query; no norm-only proposer exists.
 The search is deterministic, so repeated runs are byte-identical.
 """
 
@@ -36,7 +36,6 @@ logger = logging.getLogger(__name__)
 from .chain_partition import LazyDisintegration, norm_power_value
 from .errors import (
     BudgetExhaustedError,
-    NoBackdoorError,
     PrecisionExhaustedError,
 )
 from .lp_vectors import FinSuppVector, atom_witness, is_atom, norm_p
@@ -563,7 +562,7 @@ def build_guided_proposal(
     pres: Presentation,
     round_idx: int,
     *,
-    force_growth: bool = False,
+    force_growth: bool,
     validated: Optional[Dict[TreeNode, FinSuppVector]] = None,
 ) -> Optional[Proposal]:
     """The deterministic candidate for one search round, or None when the
@@ -771,8 +770,8 @@ def approximate_extend(
     repeated value is refuted), and only then encoded over pres, each value
     within 2**-(k+6), which is what the search reads as the base map.
     build_disintegration, whose stages are certified by construction,
-    skips that check.  Raises NoBackdoorError when pres has no transparent
-    backdoor.
+    skips that check.  Raises NoBackdoorError, before any oracle query of
+    the search, when pres cannot answer a backdoor read.
     """
     require_partial_disintegration(phi)
     if phi.is_transparent:
@@ -810,12 +809,10 @@ def _extend(
     test refuses to run past MAX_WORKING_PREC bits: its precision grows
     with p, and so do the powers it takes exactly.  The StageRecord
     returned keeps the accepted ball's BallCheck, and the certificate a
-    report prints is certify_ball on it, the full pass.
+    report prints is certify_ball on it, the full pass.  NoBackdoorError comes
+    from the first backdoor read (phi's snapshot, or the level scan's tail
+    bounds), which precedes the first oracle query.
     """
-    if not pres.has_backdoor:
-        raise NoBackdoorError(
-            "the extension search needs a presentation with a transparent backdoor"
-        )
     p_ceil = pres.p.upper_int()
     for round_idx in range(SEARCH_ROUNDS):
         proposal = build_guided_proposal(

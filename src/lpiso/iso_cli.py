@@ -387,7 +387,7 @@ def identity_reduction(
 
 def recover_p(
     pres: Presentation,
-    k_bits: int = 6,
+    k_bits: int,
 ) -> DyadicInterval:
     """Enclose the exponent from the norm of the sum of two disjoint units:
     the sum's norm is 2^(1/p)."""
@@ -476,7 +476,7 @@ _COUNT_OPTIONS = (
 )
 # beyond the refinement cap no enclosure can certify, and 2^-bits figures
 # would pass Python's int-to-str digit limit
-_PRECISION_OPTIONS = ("k", "cert_bits", "generation_bits")
+_PRECISION_OPTIONS = ("k", "cert_bits", "generation_bits", "k_bits")
 
 
 def _check_counts(args) -> None:

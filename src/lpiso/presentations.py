@@ -15,7 +15,10 @@ within 2**-k".  Three families are provided:
 
 Each presentation here also carries a transparent backdoor (coordinates of
 any combination, to any precision) used by tests and by guided searches.
-The opaque surface never touches it.
+The opaque surface never touches it.  Presentation's transparent_eval,
+generator_vector, generator_tail_norm_bound and encode_vector are its only
+reads, and each answers or raises NoBackdoorError; over a set without a
+membership oracle, the adversarial reads that need no membership answer.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ class CeSet:
         stage_fn: Callable[[int], frozenset],
         *,
         decide: Optional[Callable[[int], bool]] = None,
-        complete_size: Optional[int] = None,
+        complete_size: Optional[int],
         label: str = "ce-set",
     ):
         self._stage_fn = stage_fn
@@ -288,10 +291,6 @@ class Presentation:
         return bound
 
     @property
-    def has_backdoor(self) -> bool:
-        return False
-
-    @property
     def exact_arithmetic(self) -> bool:
         """Whether snapshots and encodings are exact rational arithmetic."""
         return False
@@ -301,6 +300,7 @@ class Presentation:
         return None
 
     def transparent_eval(self, combo: GenCombo, k: int) -> FinSuppVector:
+        """Backdoor: standard coordinates of combo within 2**-k."""
         raise NoBackdoorError(f"{type(self).__name__} has no transparent backdoor")
 
     def generator_vector(self, j: int, k: int) -> FinSuppVector:
@@ -333,10 +333,6 @@ class StandardPresentation(Presentation):
     def norm_approx(self, combo: GenCombo, k: int) -> Fraction:
         box = norm_p(combo, self.p, k + 2)
         return box.mid
-
-    @property
-    def has_backdoor(self) -> bool:
-        return True
 
     @property
     def exact_arithmetic(self) -> bool:
@@ -500,23 +496,14 @@ class AdversarialPresentation(Presentation):
     # -- backdoor ---------------------------------------------------------------
 
     @property
-    def has_backdoor(self) -> bool:
-        return self.ce.decide is not None
-
-    @property
     def exact_arithmetic(self) -> bool:
         return self.p.exact == 1 and self.ce.complete_size is not None
 
     def generator_atom(self, j: int) -> Optional[int]:
         return j if j >= 1 else None
 
-    def _require_backdoor(self):
-        if not self.has_backdoor:
-            raise NoBackdoorError("operation needs decidable membership in the underlying set")
-
     def _prefix_for_tail(self, tail_power_tol: Fraction) -> List[int]:
         """Enumerated elements whose complement tail of gamma is <= tail_power_tol."""
-        self._require_backdoor()
         gb = bits_for(tail_power_tol) + 4
         gamma_hi = self.ce.gamma_enclosure(gb).hi
         prefix: List[int] = []
@@ -539,7 +526,6 @@ class AdversarialPresentation(Presentation):
 
     def _root_one_minus_gamma(self, tol: Fraction, invert: bool = False) -> DyadicInterval:
         """Enclosure of (1-gamma)^(1/p) (or its reciprocal), width <= tol."""
-        self._require_backdoor()
         gb = max(8, bits_for(tol))
         while True:
             gamma_box = self.ce.gamma_enclosure(gb)
@@ -556,7 +542,6 @@ class AdversarialPresentation(Presentation):
 
     def f0_vector(self, k: int) -> FinSuppVector:
         """Transparent approximation of f_0 within 2**-k (rational entries)."""
-        self._require_backdoor()
         target = _width_target(k)
         ph = self.p.upper_int()
         # dropped tail: norm <= tail_power^(1/p) <= tail_power^(1/ph) for tail <= 1
@@ -572,7 +557,6 @@ class AdversarialPresentation(Presentation):
         return FinSuppVector(entries)
 
     def transparent_eval(self, combo: GenCombo, k: int) -> FinSuppVector:
-        self._require_backdoor()
         a0 = combo[0]
         out = FinSuppVector.zero()
         if not a0.is_zero():
@@ -583,13 +567,12 @@ class AdversarialPresentation(Presentation):
     def generator_tail_norm_bound(self, j: int, cutoff: int) -> Fraction:
         if j >= 1:
             return Fraction(0) if j <= cutoff else Fraction(1)
-        self._require_backdoor()
         if cutoff < 0:
             return Fraction(1)
         # ||f_0 beyond cutoff||^p = gamma minus the weights of the first
         # `cutoff` enumerated elements (coordinates 1..cutoff)
-        seen = self.ce.elements_prefix(cutoff)
         gamma_hi = self.ce.gamma_enclosure(cutoff + 16).hi
+        seen = self.ce.elements_prefix(cutoff)
         tail_power = max(gamma_hi - sum((Fraction(1, 2**c) for c in seen), Fraction(0)), Fraction(0))
         if tail_power == 0:
             return Fraction(0)
@@ -608,7 +591,6 @@ class AdversarialPresentation(Presentation):
         The result is shared with the next call at the same k; callers must
         not mutate it.
         """
-        self._require_backdoor()
         if self._e0_last is not None and self._e0_last[0] == k:
             return self._e0_last[1]
         target = _width_target(k)
@@ -639,7 +621,6 @@ class AdversarialPresentation(Presentation):
         return self._e0_last[1]
 
     def encode_vector(self, v: FinSuppVector, k: int) -> GenCombo:
-        self._require_backdoor()
         out = GenCombo({})
         z0 = v[0]
         if not z0.is_zero():

@@ -505,7 +505,7 @@ class CReal:
     separate values only "certifiably at precision k".
     """
 
-    def __init__(self, approx: Callable[[int], Fraction], name: str = "creal"):
+    def __init__(self, approx: Callable[[int], Fraction], name: str):
         self._approx = approx
         self._memo: dict[int, Fraction] = {}
         self.name = name
@@ -564,7 +564,7 @@ class CReal:
 class PExponent:
     """The exponent p >= 1, exact-rational when possible, CReal otherwise."""
 
-    def __init__(self, value: CReal, exact: Optional[Fraction] = None):
+    def __init__(self, value: CReal, exact: Optional[Fraction]):
         self.value = value
         self.exact = exact
         self._two_side: Optional[int] = None

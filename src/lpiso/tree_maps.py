@@ -28,7 +28,6 @@ from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequen
 
 from .errors import (
     HypothesisViolatedError,
-    NoBackdoorError,
     NotPartialDisintegrationError,
     PrecisionExhaustedError,
 )
@@ -248,7 +247,7 @@ class TreeMap:
 
     def to_json(self) -> dict:
         if not self.is_transparent:
-            raise NoBackdoorError("only transparent maps serialize to JSON")
+            raise TypeError("only transparent maps serialize to JSON")
         return {
             "tree": self.tree.to_json(),
             "map": {str(list(n.path)): self.values[n].to_json() for n in self.nodes()},
@@ -437,7 +436,7 @@ def _strong_hom_defect_exact(psi: TreeMap, todo: Optional[Sequence[int]] = None)
 
 def check_strong_hom_exact(psi: TreeMap) -> bool:
     if not psi.is_transparent:
-        raise NoBackdoorError("exact homomorphism checks need transparent values")
+        raise TypeError("exact homomorphism checks need transparent values")
     return _strong_hom_defect_exact(psi) is None
 
 
@@ -587,7 +586,7 @@ def residual_norm(
         pad = Fraction(0)
         for val, coeff in terms:
             if not isinstance(val, ComputableVector):
-                raise NoBackdoorError(
+                raise TypeError(
                     "residual norms read computable values; encode a transparent map first"
                 )
             inner_k = kk + size_bits + _entry_bound_bits(coeff)
@@ -620,7 +619,8 @@ def success_index(
 
     The distance clause d(f_j, span of the range) < 2**-N is witnessed by
     explicit coefficients; a missing witness caps the result, it never
-    refutes.  Summativity clauses are certified by strict norm bounds.
+    refutes.  The greedy witness reads the backdoor (NoBackdoorError without
+    one); summativity clauses are certified by strict norm bounds.
     Returns max(0, largest certified N <= n_max).
     """
     prec = max(WITNESS_PRECISION, n_max + 2)
@@ -630,23 +630,18 @@ def success_index(
         if not psi.tree.is_terminal(node):
             summativity[node] = summativity_defect(psi, node, prec).hi
 
-    can_guide = pres.has_backdoor
-    if can_guide:
-        snapshot_prec = prec + 4
-        snap = psi.transparent_snapshot(snapshot_prec)
-        basis = [(node, snap.value(node)) for node in psi.nodes()]
+    snapshot_prec = prec + 4
+    snap = psi.transparent_snapshot(snapshot_prec)
+    basis = [(node, snap.value(node)) for node in psi.nodes()]
 
     distance: Dict[int, Fraction] = {}
     witnesses: Dict[int, Dict[TreeNode, GaussianRational]] = {}
     for j in range(max(0, n_max)):
         best: Optional[Fraction] = None
         best_beta: Dict[TreeNode, GaussianRational] = {}
-        candidates: List[Dict[TreeNode, GaussianRational]] = [{}]
-        if can_guide:
-            target = pres.generator_vector(j, snapshot_prec)
-            candidates.append(_greedy_witness(target, basis, WITNESS_DENOM_BITS))
-        for node in psi.nodes():
-            candidates.append({node: GaussianRational.one()})
+        target = pres.generator_vector(j, snapshot_prec)
+        candidates = [{}, _greedy_witness(target, basis, WITNESS_DENOM_BITS)]
+        candidates += [{node: GaussianRational.one()} for node in psi.nodes()]
         for beta in candidates:
             terms = [(psi.value(node), z) for node, z in beta.items()]
             try:
@@ -740,7 +735,7 @@ def project_to_strong_hom(
     valid homomorphism without the bound.
     """
     if not (phi.is_transparent and psi.is_transparent):
-        raise NoBackdoorError("the projection needs transparent coordinates")
+        raise TypeError("the projection needs transparent coordinates")
     if enforce_hypothesis:
         check_extension_hypothesis(phi.tree, psi.tree)
     elif not phi.tree.is_subtree_of(psi.tree):

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from lpiso.lp_vectors import FinSuppVector
-from lpiso.presentations import StandardPresentation
+from lpiso.presentations import CeSet, Presentation, StandardPresentation
 from lpiso.scalar_core import GaussianRational, PExponent
 from lpiso.chain_partition import FiniteDisintegration
 from lpiso.tree_maps import ROOT, FiniteTree, TreeMap, TreeNode
@@ -12,19 +12,21 @@ P1 = PExponent.from_fraction(1)
 P3 = PExponent.from_fraction(3)
 
 
-class OpaqueStandard(StandardPresentation):
-    """The standard presentation with its backdoor hidden: norms only.
-    Counts the oracle queries it answers."""
+class OpaqueStandard(Presentation):
+    """The standard presentation's norm oracle and nothing else: every
+    backdoor read is the base class's refusal.  Counts the oracle queries
+    it answers."""
 
     queries = 0
 
-    @property
-    def has_backdoor(self):
-        return False
-
     def norm_approx(self, combo, k):
         self.queries += 1
-        return super().norm_approx(combo, k)
+        return StandardPresentation.norm_approx(self, combo, k)
+
+
+def staged_only_set():
+    """{1}, known only through its stages: no membership oracle."""
+    return CeSet(lambda t: frozenset({1}), complete_size=1, label="{1}")
 
 
 def rational_vector(entries):

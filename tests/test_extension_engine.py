@@ -56,7 +56,7 @@ from lpiso.extension_engine import (
 
 from lpiso.iso_cli import main as cli_main
 
-from conftest import OpaqueStandard
+from conftest import OpaqueStandard, staged_only_set
 
 P1 = PExponent.from_fraction(1)
 P32 = PExponent.from_fraction(Fraction(3, 2))
@@ -806,8 +806,45 @@ class TestCertificateSoundness:
 
 
 class TestNoBackdoor:
-    """The extension search needs a transparent backdoor and says so
-    before it searches."""
+    """A backdoor read answers or raises NoBackdoorError, and the extension
+    search raises at its first one, before it queries the oracle."""
+
+    def test_a_norm_only_presentation_refuses_every_backdoor_read(self):
+        pres = OpaqueStandard(P1)
+        reads = [
+            lambda: pres.transparent_eval(GenCombo.single(0), 4),
+            lambda: pres.generator_vector(0, 4),
+            lambda: pres.generator_tail_norm_bound(0, 0),
+            lambda: pres.encode_vector(FinSuppVector.basis(0), 4),
+        ]
+        for read in reads:
+            with pytest.raises(NoBackdoorError, match="has no transparent backdoor"):
+                read()
+        assert pres.queries == 0
+        assert not pres.exact_arithmetic and pres.generator_atom(0) is None
+
+    def test_a_set_without_membership_answers_the_reads_that_need_none(self):
+        pres = AdversarialPresentation(staged_only_set(), P1)
+        assert pres.transparent_eval(GenCombo.single(1), 4) == FinSuppVector.basis(1)
+        assert pres.encode_vector(FinSuppVector.basis(2), 4) == GenCombo.single(2)
+        assert pres.generator_tail_norm_bound(1, 0) == 1
+        assert pres.generator_tail_norm_bound(0, -1) == 1
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda pres: pres.transparent_eval(GenCombo.single(0), 4),
+            lambda pres: pres.encode_vector(FinSuppVector.basis(0), 4),
+            lambda pres: pres.generator_tail_norm_bound(0, 0),
+            lambda pres: pres.e0_combo(4),
+            lambda pres: build_disintegration(pres, 1),
+        ],
+        ids=["transparent-eval", "encode-vector", "tail-bound", "e0-combo", "extension"],
+    )
+    def test_a_set_without_membership_refuses_the_reads_that_need_it(self, read):
+        pres = AdversarialPresentation(staged_only_set(), P1)
+        with pytest.raises(NoBackdoorError, match="gamma needs decidable membership"):
+            read(pres)
 
     def test_approximate_extend_raises_up_front(self):
         pres = OpaqueStandard(P1)

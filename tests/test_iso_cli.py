@@ -53,6 +53,8 @@ from lpiso.iso_cli import (
     synthesize_isometry,
 )
 
+from conftest import staged_only_set
+
 P1 = PExponent.from_fraction(1)
 P32 = PExponent.from_fraction(Fraction(3, 2))
 
@@ -129,11 +131,6 @@ class TestApply:
     def test_out_of_range(self):
         with pytest.raises(IndexOutOfRangeError):
             apply_isometry(self.iso, FinSuppVector.basis(7), 8)
-
-
-def staged_only_set():
-    """{1}, known only through its stages: no membership oracle."""
-    return CeSet(lambda t: frozenset({1}), complete_size=1, label="{1}")
 
 
 class TestComputeE0:
@@ -466,6 +463,19 @@ class TestCliInputErrors:
             capsys, "synthesize", "--units", "2", option, "8193"
         )
         assert message == f"{option} must be <= 8192, got 8193"
+
+    @pytest.mark.parametrize("k_bits", ["8193", "1000000"])
+    def test_recover_p_precision_above_the_cap(self, capsys, k_bits, monkeypatch):
+        # recover_p hands k_bits + 8 to synthesis as its certificate
+        # precision, so a huge --k-bits would run for minutes
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("synthesis ran")
+
+        monkeypatch.setattr(iso_cli, "build_disintegration", no_synthesis)
+        message = self.assert_input_error(
+            capsys, "recover-p", "--pres", '{"type":"standard","p":"3/2"}', "--k-bits", k_bits
+        )
+        assert message == f"--k-bits must be <= 8192, got {k_bits}"
 
     def test_precision_at_the_cap(self, capsys):
         code = main(["lamperti-check", "--p", "3", "--z", "1", "--w", "1/2", "--k", "8192"])
@@ -810,9 +820,8 @@ class TestIsometricProperty:
             assert abs(image_norm - source_norm) < Fraction(1, 2**9)
 
     def test_blind_fallback_witness(self):
-        # without a transparent backdoor the identity-style candidates miss
-        # the scaling witness: the missing witness caps the index at 0
-        from lpiso.presentations import GenCombo
+        # the success index reads the backdoor for its greedy witness, so a
+        # norm-only presentation is refused
         from conftest import OpaqueStandard
         from lpiso.tree_maps import FiniteTree, TreeMap, TreeNode, success_index
 
@@ -822,8 +831,8 @@ class TestIsometricProperty:
             GenCombo({0: GaussianRational.of(Fraction(1, 2))}), pres
         )
         psi = TreeMap(FiniteTree([node]), {node: half}, P1)
-        starved = success_index(psi, pres, 1)
-        assert starved.value == 0
+        with pytest.raises(NoBackdoorError):
+            success_index(psi, pres, 1)
 
 
 class TestCliPipelineCommands:

@@ -27,8 +27,10 @@ count as program uses, so a re-export does not keep a definition alive.
 Every defaulted parameter of a package function, method or constructor
 must be passed, by keyword or by position, by some call under src/
 (outside __init__) or bench/, unless PARAMETER_REFERENCES lists it with
-its reason.  Calls resolve by the called name, as definitions do above; a
-constructor's parameters resolve by its class name.
+its reason.  It must also be left out by some call under src/ (outside
+__init__), tests/ or bench/, since a default that every call overrides is
+a value nothing reads.  Calls resolve by the called name, as definitions
+do above; a constructor's parameters resolve by its class name.
 
 Every name a module under src/ or tests/ imports must be loaded in that
 module.  The package's __init__ is exempt: its imports are the public API.
@@ -428,11 +430,11 @@ def _defaulted_parameters(node, owner=None):
             yield from _defaulted_parameters(child, owner)
 
 
-def _unpassed(defining, program) -> list:
-    """Defaulted parameters of the `defining` modules that no call in the
-    `program` modules passes, as "callee.parameter"."""
-    keywords, positions = set(), {}
-    for tree in program:
+def _calls(modules):
+    """(callee, keywords, positional count, starred) for each call in the
+    `modules` by a name or an attribute; starred says whether a *args or
+    **kwargs argument may fill parameters the call does not show."""
+    for tree in modules:
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -442,9 +444,19 @@ def _unpassed(defining, program) -> list:
                 callee = node.func.attr
             else:
                 continue
-            keywords.update((callee, kw.arg) for kw in node.keywords if kw.arg)
+            keywords = {kw.arg for kw in node.keywords if kw.arg}
             count = sum(not isinstance(arg, ast.Starred) for arg in node.args)
-            positions[callee] = max(positions.get(callee, 0), count)
+            starred = count < len(node.args) or len(keywords) < len(node.keywords)
+            yield callee, keywords, count, starred
+
+
+def _unpassed(defining, program) -> list:
+    """Defaulted parameters of the `defining` modules that no call in the
+    `program` modules passes, as "callee.parameter"."""
+    keywords, positions = set(), {}
+    for callee, names, count, _ in _calls(program):
+        keywords.update((callee, name) for name in names)
+        positions[callee] = max(positions.get(callee, 0), count)
     return sorted(
         f"{callee}.{name}"
         for tree in defining
@@ -461,6 +473,31 @@ def test_every_defaulted_parameter_is_passed_or_declared():
     stale = sorted(PARAMETER_REFERENCES.keys() - unpassed)
     assert not undeclared, f"defaulted parameters no program call passes: {undeclared}"
     assert not stale, f"listed in PARAMETER_REFERENCES but passed by the program: {stale}"
+
+
+def _never_left_out(defining, modules) -> list:
+    """Defaulted parameters of the `defining` modules that every call in the
+    `modules` passes, as "callee.parameter": nothing reads their defaults.
+    A call with a starred argument may leave any parameter out."""
+    calls: dict = {}
+    for callee, names, count, starred in _calls(modules):
+        calls.setdefault(callee, []).append((names, count, starred))
+    return sorted(
+        f"{callee}.{name}"
+        for tree in defining
+        for callee, name, position in _defaulted_parameters(tree)
+        if not any(
+            starred or (name not in names and (position is None or count <= position))
+            for names, count, starred in calls.get(callee, ())
+        )
+    )
+
+
+def test_every_default_is_left_out_by_some_call():
+    defining = [_parse(path) for path in sorted(PACKAGE.glob("*.py"))]
+    modules = _program_modules("src") + _top_modules("tests") + _program_modules("bench")
+    always = _never_left_out(defining, modules)
+    assert not always, f"defaulted parameters every call passes: {always}"
 
 
 PARAMETER_SOURCE = (
@@ -498,6 +535,16 @@ def test_guard_resolves_a_constructor_by_its_class_name():
     by_init = ast.parse("Source.__init__(obj, 3, None, label='s')\n")
     assert not any(name.startswith("Source.") for name in _unpassed([src], [by_class]))
     assert {"Source.label", "Source.schedule"} <= set(_unpassed([src], [by_init]))
+
+
+def test_guard_sees_a_default_every_call_passes():
+    src = ast.parse(PARAMETER_SOURCE)
+    calls = ast.parse(
+        "scan(1, 2, budget=3)\nscan(1, trace=print)\n"  # each default left out once
+        "Source(3, None, label='s')\nobj.read(1, 0)\n"  # these pass every default
+        "Source.of(0, *extra)\n"  # a starred argument may leave coeff out
+    )
+    assert _never_left_out([src], [calls]) == ["Source.label", "Source.schedule", "read.pad"]
 
 
 def _unused_imports(tree: ast.Module) -> list:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpiso.errors import HypothesisViolatedError, NoBackdoorError, NotPartialDisintegrationError
+from lpiso.errors import HypothesisViolatedError, NotPartialDisintegrationError
 from lpiso.extension_engine import approximate_extend
 from lpiso.lp_vectors import FinSuppVector, norm_p, sigma1_from_norms
 from lpiso.presentations import (
@@ -636,7 +636,7 @@ class TestResidualNorm:
 
     def test_a_transparent_value_is_refused(self):
         pres = StandardPresentation(P1)
-        with pytest.raises(NoBackdoorError, match="^residual norms read computable values"):
+        with pytest.raises(TypeError, match="^residual norms read computable values"):
             residual_norm(pres, 0, [(E[0], GaussianRational.one())], 10)
 
 
