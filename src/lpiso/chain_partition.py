@@ -204,14 +204,6 @@ def stage_bounds(source: ChainSource, nodes: Sequence[TreeNode], t: int) -> Dict
     return {node: StageBound(t, source.norm_power_approx(node, t)) for node in nodes}
 
 
-def sigma_lower(bounds: Dict[TreeNode, StageBound]) -> Fraction:
-    return sum((b.m for b in bounds.values()), Fraction(0))
-
-
-def m_bar(bounds: Dict[TreeNode, StageBound]) -> Fraction:
-    return max((b.m for b in bounds.values()), default=Fraction(0))
-
-
 # ---------------------------------------------------------------------------
 # the child search
 # ---------------------------------------------------------------------------
@@ -262,8 +254,9 @@ def find_anm_child(source: ChainSource, mu: TreeNode) -> AnmCertificate:
                         )
                     t += 1
                     continue
-                top = m_bar(kid_bounds)
-                if parent_bound.M - sigma_lower(kid_bounds) < top:
+                lows = [b.m for b in kid_bounds.values()]
+                top = max(lows)
+                if parent_bound.M - sum(lows, Fraction(0)) < top:
                     best = min(k for k in kids if kid_bounds[k].m == top)
                     return AnmCertificate(mu, best, t, kid_bounds[best].m, _width_target(t))
         t += 1

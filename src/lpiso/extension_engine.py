@@ -36,6 +36,7 @@ logger = logging.getLogger(__name__)
 from .chain_partition import LazyDisintegration, norm_power_value
 from .errors import (
     BudgetExhaustedError,
+    NotPartialDisintegrationError,
     PrecisionExhaustedError,
 )
 from .lp_vectors import FinSuppVector, atom_witness, is_atom, norm_p
@@ -61,7 +62,6 @@ from .tree_maps import (
     distance_bound,
     index_pairs,
     project_to_strong_hom,
-    require_partial_disintegration,
     sigma_pair_terms,
     validate_partial_disintegration,
 )
@@ -773,7 +773,9 @@ def approximate_extend(
     skips that check.  Raises NoBackdoorError, before any oracle query of
     the search, when pres cannot answer a backdoor read.
     """
-    require_partial_disintegration(phi)
+    verdict = validate_partial_disintegration(phi)
+    if verdict.is_no:
+        raise NotPartialDisintegrationError(verdict.witness)
     if phi.is_transparent:
         values = {
             node: ComputableVector.constant(pres.encode_vector(phi.value(node), k + 6), pres)
@@ -838,7 +840,7 @@ def _extend(
             "ball tree=%s radius=2^-%d hom_upper=%s precision=%d",
             ball.tree,
             radius_bits,
-            format_fraction(hom_upper),
+            hom_upper,
             precision,
         )
         if hom_upper >= ball.radius / 4:

@@ -120,9 +120,9 @@ class CeSet:
         for a, b in zip(frozen, frozen[1:]):
             if not a <= b:
                 raise ValueError("stages must be monotone")
-        if frozen and frozen[-1] != frozenset(elems):
-            raise ValueError("last stage must list every element")
         full = frozenset(elems)
+        if (frozen[-1] if frozen else frozenset()) != full:
+            raise ValueError("last stage must list every element")
 
         def stage(t: int) -> frozenset:
             if not frozen:

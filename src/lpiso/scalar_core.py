@@ -567,7 +567,6 @@ class PExponent:
     def __init__(self, value: CReal, exact: Optional[Fraction]):
         self.value = value
         self.exact = exact
-        self._two_side: Optional[int] = None
         # pow_enclosure's results, keyed by its arguments; open (not None)
         # only inside a shared_powers() block
         self._pow_memo: Optional[Dict[Tuple, DyadicInterval]] = None
@@ -628,21 +627,17 @@ class PExponent:
 
     def side_of_two(self) -> int:
         """-1 if p < 2 certified, +1 if p > 2 certified; PEqualsTwoError otherwise."""
-        if self._two_side is not None:
-            return self._two_side
         if self.exact is not None:
             if self.exact == 2:
                 raise PEqualsTwoError("p is exactly 2")
-            self._two_side = -1 if self.exact < 2 else 1
-            return self._two_side
+            return -1 if self.exact < 2 else 1
 
         def attempt(prec: int) -> Optional[int]:
             box = self.enclosure(prec)
             return -1 if box.hi < 2 else 1 if box.lo > 2 else None
 
         what = "p could not be separated from 2 at the working precision cap"
-        self._two_side = refine(attempt, 8, what=what, error=PEqualsTwoError)
-        return self._two_side
+        return refine(attempt, 8, what=what, error=PEqualsTwoError)
 
     def __str__(self) -> str:
         if self.exact is not None:

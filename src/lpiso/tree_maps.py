@@ -26,11 +26,7 @@ from fractions import Fraction
 from functools import partial
 from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .errors import (
-    HypothesisViolatedError,
-    NotPartialDisintegrationError,
-    PrecisionExhaustedError,
-)
+from .errors import HypothesisViolatedError, PrecisionExhaustedError
 from .lp_vectors import (
     FinSuppVector,
     NormFn,
@@ -440,7 +436,7 @@ def check_strong_hom_exact(psi: TreeMap) -> bool:
     return _strong_hom_defect_exact(psi) is None
 
 
-# the precision an opaque map's defect and norms are enclosed at
+# the precision an opaque map's sigma defect is enclosed at
 OPAQUE_VALIDATION_BITS = 20
 
 
@@ -450,9 +446,9 @@ def validate_partial_disintegration(
     """Strong reverse-order monomorphism with nonzero values.
 
     Transparent maps are decided exactly.  Opaque maps can be refuted
-    (certified defect) or left undecided at OPAQUE_VALIDATION_BITS; they are
-    never certified YES, since interval evidence cannot witness exact
-    equalities.
+    (certified sigma defect) or left undecided at OPAQUE_VALIDATION_BITS;
+    they are never certified YES, since interval evidence cannot witness
+    exact equalities.
 
     fresh names the nodes of a transparent map that still need checking:
     the caller vouches that psi restricted to the other nodes, a
@@ -475,29 +471,11 @@ def validate_partial_disintegration(
                 return Verdict("certified_no", f"{nodes[i]} and {nodes[j]} share one value")
         return Verdict("certified_yes")
 
-    # opaque: try to refute, otherwise report what was certified
-    k = OPAQUE_VALIDATION_BITS
-    sigma_box = sigma_tree(psi, k)
+    # opaque: refuted only by a certified sigma defect
+    sigma_box = sigma_tree(psi, OPAQUE_VALIDATION_BITS)
     if sigma_box.lo > 0:
         return Verdict("certified_no", f"sigma certified positive: {sigma_box}")
-    nodes = psi.nodes()
-    for node in nodes:
-        if _vnorm(psi.value(node), psi.p, k).hi == 0:
-            return Verdict("certified_no", f"{node} certified zero")
-    all_positive = all(_vnorm(psi.value(n), psi.p, k).lo > 0 for n in nodes)
-    distinct = all(
-        _vnorm(psi.value(nodes[i]) - psi.value(nodes[j]), psi.p, k).lo > 0
-        for i, j in index_pairs(len(nodes))
-    )
-    if all_positive and distinct and sigma_box.hi <= _width_target(k):
-        return Verdict("undecided", "homomorphism clauses consistent with zero defect")
     return Verdict("undecided")
-
-
-def require_partial_disintegration(psi: TreeMap) -> None:
-    verdict = validate_partial_disintegration(psi)
-    if verdict.is_no:
-        raise NotPartialDisintegrationError(verdict.witness)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +494,6 @@ class SuccessIndex:
     value: int
     distance_uppers: Dict[int, Fraction] = field(default_factory=dict)
     summativity_uppers: Dict[TreeNode, Fraction] = field(default_factory=dict)
-    witnesses: Dict[int, Dict[TreeNode, GaussianRational]] = field(default_factory=dict)
 
 
 def _round_gauss(z: GaussianRational, bits: int) -> GaussianRational:
@@ -635,10 +612,8 @@ def success_index(
     basis = [(node, snap.value(node)) for node in psi.nodes()]
 
     distance: Dict[int, Fraction] = {}
-    witnesses: Dict[int, Dict[TreeNode, GaussianRational]] = {}
     for j in range(max(0, n_max)):
         best: Optional[Fraction] = None
-        best_beta: Dict[TreeNode, GaussianRational] = {}
         target = pres.generator_vector(j, snapshot_prec)
         candidates = [{}, _greedy_witness(target, basis, WITNESS_DENOM_BITS)]
         candidates += [{node: GaussianRational.one()} for node in psi.nodes()]
@@ -649,11 +624,10 @@ def success_index(
             except PrecisionExhaustedError:
                 continue  # a bad candidate is merely not a witness
             if best is None or upper < best:
-                best, best_beta = upper, beta
+                best = upper
         if best is None:
             best = Fraction(2)  # no candidate certified anything
         distance[j] = best
-        witnesses[j] = best_beta
 
     value = 0
     for n in range(n_max, 0, -1):
@@ -663,7 +637,7 @@ def success_index(
         ):
             value = n
             break
-    return SuccessIndex(value, distance, summativity, witnesses)
+    return SuccessIndex(value, distance, summativity)
 
 
 # ---------------------------------------------------------------------------

@@ -805,6 +805,33 @@ class TestCertificateSoundness:
             approximate_extend(dup, 1, 4, pres)
 
 
+class TestOpaqueVerdicts:
+    """An opaque map is refuted only through a certified sigma defect; any
+    other opaque map is left undecided, with no witness text."""
+
+    def test_adversarial_stages_are_undecided(self):
+        staged = build_disintegration(AdversarialPresentation(CeSet.explicit([1]), P32), 1)
+        for stage in staged.stages:
+            verdict = validate_partial_disintegration(stage.phi_hat)
+            assert verdict.status == "undecided" and verdict.witness is None
+
+    def test_a_zero_node_is_undecided_and_not_extended(self):
+        # no norm enclosure certifies 0, so the zero node is not refuted;
+        # the search then finds no certifiable extension
+        pres = StandardPresentation(P1)
+        nodes = [TreeNode.of(0), TreeNode.of(1)]
+        values = [GenCombo.single(0), GenCombo({})]
+        phi = TreeMap(
+            FiniteTree(nodes),
+            {n: ComputableVector.constant(v, pres) for n, v in zip(nodes, values)},
+            P1,
+        )
+        verdict = validate_partial_disintegration(phi)
+        assert verdict.status == "undecided" and verdict.witness is None
+        with pytest.raises(BudgetExhaustedError):
+            approximate_extend(phi, 1, 4, pres)
+
+
 class TestNoBackdoor:
     """A backdoor read answers or raises NoBackdoorError, and the extension
     search raises at its first one, before it queries the oracle."""

@@ -685,6 +685,21 @@ class TestCliInputErrors:
         # each used to give only Python's KeyError text, e.g. "bad --pres: 'zeta'"
         assert self.assert_input_error(capsys, *argv) == message
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["adversarial", "e0", "--ce", '{"kind":"explicit","elements":[1],"stages":[]}'],
+             "bad --ce: last stage must list every element"),
+            (["synthesize", "--pres", '{"type":"adversarial","p":"1",'
+              '"ce":{"kind":"explicit","elements":[1],"stages":[]}}'],
+             "bad --pres: last stage must list every element"),
+        ],
+        ids=["adversarial-ce", "synthesize-pres"],
+    )
+    def test_explicit_set_without_stages(self, capsys, argv, message):
+        # each used to stall through 65,536 stages into EnumerationStalledError
+        assert self.assert_input_error(capsys, *argv) == message
+
     def test_unknown_ce_set_key(self, capsys):
         message = self.assert_input_error(
             capsys, "adversarial", "e0", "--ce", '{"kind": "explicit", "elements": [1], "extra": 3}'

@@ -16,8 +16,11 @@ Module-level constants and annotated class fields are held to a stricter
 standard: they must be read, so an assignment or a keyword argument that
 sets one does not count as a use.  A class field counts as read only when
 it is loaded as an attribute, so a local variable of the same name does
-not hide it.  One that only tests/ reads must be listed in TEST_READS with
-its reason.
+not hide it.  An attribute loaded from `self` inside a class body counts
+only for the fields of that class, its bases and its subclasses, so one
+class reading its own field does not hide an unread field of the same
+name in an unrelated class.  One that only tests/ reads must be listed in
+TEST_READS with its reason.
 
 A definition that only tests/ names must be a test reference: an
 independent check or fixture a test measures the program against, listed
@@ -63,6 +66,7 @@ TEST_REFERENCES = {
 #: keeps it
 TEST_READS = {
     "AnmCertificate.m_child": "the chosen child's stage bound, which the chain tests check against",
+    "AnmCertificate.stage": "the certifying stage, which the chain tests check the slack 2^-stage against",
     "AnmCertificate.slack": "the certified 2^-stage slack the chain tests check the choice within",
     "ChainPartition.assignment": "node -> chain map the chain tests read a node's chain from",
     "ChainPartition.certificates": "per-parent child certificates criterion 9 re-checks exactly",
@@ -322,33 +326,46 @@ def _constants_and_fields(tree: ast.Module):
                     yield f"{node.name}.{stmt.target.id}", stmt.target.id
 
 
-def _reads(tree: ast.Module, names: set, attrs: set) -> None:
-    """Add the names loaded to `names` and the attributes loaded to
-    `attrs`: an assignment or a keyword argument is not a read."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            attrs.add(node.attr)
+def _reads(node: ast.AST, names: set, attrs: set, owned: set, owner=None) -> None:
+    """Add the names loaded to `names`, the attributes loaded from `self`
+    inside a class body to `owned` as (class, attribute), and every other
+    attribute loaded to `attrs`: an assignment or a keyword argument is not
+    a read."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            names.add(child.id)
+        elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+            value = child.value
+            if owner is not None and isinstance(value, ast.Name) and value.id == "self":
+                owned.add((owner, child.attr))
+            else:
+                attrs.add(child.attr)
+        _reads(child, names, attrs, owned, child.name if isinstance(child, ast.ClassDef) else owner)
 
 
 def _unread(defining, reading, bench=()) -> list:
     """Constants and fields of the `defining` modules that no `reading`
     module reads, nor a `bench` module (with the names its strings spell);
-    a field is read only as a loaded attribute."""
-    names, attrs = set(), set()
+    a field is read only as a loaded attribute, and through `self` only by
+    its own class's family."""
+    names, attrs, owned = set(), set(), set()
     for tree in reading:
-        _reads(tree, names, attrs)
+        _reads(tree, names, attrs, owned)
     for tree in bench:
-        _reads(tree, names, attrs)
+        _reads(tree, names, attrs, owned)
         names.update(name for _, name in _string_references(tree))
+    families = _class_families([*defining, *reading, *bench])
     unread = []
     for tree in defining:
         for qualified, name in _constants_and_fields(tree):
             if name.startswith("__") and name.endswith("__"):
                 continue
-            is_field = "." in qualified
-            if name not in attrs and (is_field or name not in names):
+            if "." in qualified:
+                owner = qualified.split(".")[0]
+                read = any((cls, name) in owned for cls in families[owner])
+            else:
+                read = name in names
+            if name not in attrs and not read:
                 unread.append(qualified)
     return sorted(unread)
 
@@ -391,6 +408,24 @@ def test_guard_sees_a_field_only_a_test_reads():
     tests = ast.parse("assert build(p).explored <= SPARE\n")
     assert _unread([src], [src, tests]) == ["Partition.idle"]
     assert _read_only_by_tests([src], [src], [tests]) == {"Partition.explored", "SPARE"}
+
+
+def test_guard_reads_a_field_through_self_only_for_its_own_class():
+    src = ast.parse(
+        "class Index:\n    witnesses: dict\n"
+        "class Approx:\n    witnesses: dict\n"
+        "    def report(self):\n        return list(self.witnesses)\n"
+        "class Base:\n    size: int\n"
+        "class Leaf(Base):\n    def total(self):\n        return self.size\n"
+    )
+    # Approx reads its own field, Leaf its base's; Index's is unread
+    assert _unread([src], [src]) == ["Index.witnesses"]
+    # a load from anything but self still counts by name alone
+    tests = ast.parse("assert index.witnesses == {}\n")
+    assert _read_only_by_tests([src], [src], [tests]) == {"Index.witnesses"}
+    # self outside a class body is a plain name, not the class's own read
+    loose = ast.parse("def report(self):\n    return self.witnesses\n")
+    assert _unread([src], [src, loose]) == []
 
 
 def _function_defaults(fn, owner):

@@ -82,6 +82,13 @@ class TestCeSet:
         with pytest.raises(ValueError, match="natural numbers"):
             CeSet.from_json({"kind": "explicit", "elements": elements, "stages": stages})
 
+    def test_an_empty_stage_list_lists_only_the_empty_set(self):
+        # a nonempty set over no stages used to stall every query through
+        # 65,536 stages
+        with pytest.raises(ValueError, match="last stage must list every element"):
+            CeSet.explicit([1], stages=[])
+        assert CeSet.explicit([], stages=[]).elements_prefix(0) == []
+
 
 class TestStandardAndRotated:
     def test_standard_norm(self):
